@@ -119,7 +119,10 @@ def _write_csv(path: str | None, header: list[str], rows: list[list]) -> None:
 
 
 def _parse_floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok != ""]
+    try:
+        return [float(tok) for tok in text.split(",") if tok != ""]
+    except ValueError:
+        raise DomainError(f"expected comma-separated numbers, got {text!r}") from None
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -127,7 +130,14 @@ def _parse_grid(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
         raise DomainError(f"grid spec must be lo:hi:n, got {text!r}")
-    lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise DomainError(f"grid spec must be lo:hi:n with numbers, got {text!r}") from None
+    if n < 1:
+        raise DomainError(f"grid needs n >= 1 points, got {n}")
+    if not lo < hi:
+        raise DomainError(f"grid needs lo < hi, got {text!r}")
     if lo > 0.0:
         return np.geomspace(lo, hi, n)
     return np.linspace(lo, hi, n)
@@ -168,6 +178,8 @@ def cmd_verify(args) -> int:
     cfg = RunConfig.from_args(args)
     seed = cfg.seed
     try:
+        if args.n < 1:
+            raise DomainError(f"--n must be >= 1, got {args.n}")
         keys, points = _identity_args(args.identity, args)
         builder = catalog[args.identity]
         specs = [builder(*point) for point in points]
@@ -225,9 +237,25 @@ def cmd_verify(args) -> int:
 # probe
 
 
+# flags each probe ratio needs, by argparse destination
+_PROBE_FLAGS = {
+    "psi-cc": ("a", "c", "c_prime"),
+    "psi-doubling": ("a", "c"),
+    "hermite-doubling": ("nu",),
+    "k0-e1": (),
+    "turan-hermite": ("nu", "c"),
+    "turan-psi": ("a", "c", "lam"),
+}
+_FLAG_NAMES = {"c_prime": "--c-prime", "lam": "--lambda"}
+
+
 def _probe_target(args):
     """Build (callable, grid, probe kind, expected verdict, bounds) from flags."""
     name = args.ratio
+    for key in _PROBE_FLAGS.get(name, ()):
+        if getattr(args, key) is None:
+            flag = _FLAG_NAMES.get(key, f"--{key}")
+            raise DomainError(f"ratio {name} needs {flag}")
     opts = EvalOptions()
     if name == "psi-cc":
         return (psi_cc(args.a, args.c, args.c_prime, opts),
@@ -296,7 +324,7 @@ def cmd_probe(args) -> int:
         exit_code = EXIT_VIOLATION
     if bounds is not None:
         lo_b, hi_b = bounds
-        vals = np.array([target(z) for z in grid])
+        vals = result.details["values"]
         inside = bool(np.all(vals > lo_b) and np.all(vals < hi_b))
         rows.append([args.ratio, params, "bounds", "", int(inside), 1,
                      "holds" if inside else "violated", "holds",

@@ -666,31 +666,24 @@ def _cjmain_representation_errors(a: float, b: float, s: float,
     pref = math.exp(log_pref)
     deep = opts.with_budget(150)
 
-    # first display: weights in the original beta variables
+    # first display: weights in the original beta variables; the inner
+    # integral is vector-valued, one column per outer node v
     def inner_u(v):
         def u_smooth(u):
-            return (1.0 + np.sqrt(u / v)) ** s
+            return (1.0 + np.sqrt(np.divide.outer(u, v))) ** s
 
         return beta_kernel(u_smooth, a - 1.0, -0.5, deep)
 
-    def v_smooth(v):
-        v = np.atleast_1d(v)
-        return np.array([inner_u(float(vi)) for vi in v])
-
-    rep1 = pref * beta_kernel(v_smooth, b - 1.0, -b - 0.5, deep)
+    rep1 = pref * beta_kernel(inner_u, b - 1.0, -b - 0.5, deep)
 
     # second display: square-root substitution u -> u^2, v -> v^2
     def inner_u2(v):
         def u_smooth(u):
-            return (1.0 + u) ** (-0.5) * (u + v) ** s
+            return ((1.0 + u) ** (-0.5))[:, None] * np.add.outer(u, v) ** s
 
-        return beta_kernel(u_smooth, 2.0 * a - 1.0, -0.5, deep)
+        return (1.0 + v) ** (-b - 0.5) * beta_kernel(u_smooth, 2.0 * a - 1.0, -0.5, deep)
 
-    def v_smooth2(v):
-        v = np.atleast_1d(v)
-        return np.array([(1.0 + vi) ** (-b - 0.5) * inner_u2(float(vi)) for vi in v])
-
-    rep2 = 4.0 * pref * beta_kernel(v_smooth2, 2.0 * b - s - 1.0, -b - 0.5, deep)
+    rep2 = 4.0 * pref * beta_kernel(inner_u2, 2.0 * b - s - 1.0, -b - 0.5, deep)
     return abs(rep1 - hyp) / abs(hyp), abs(rep2 - hyp) / abs(hyp)
 
 

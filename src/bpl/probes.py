@@ -6,6 +6,10 @@ Derivatives are extracted from sliding Chebyshev fits (degree 12 over windows
 of 25 grid points) rather than repeated finite differences; every verdict is
 gated by a noise floor calibrated from the fit residuals, and a probe never
 reports a violation whose magnitude is inside that floor.
+
+Probe targets are vectorized: a target maps the whole z-grid (an array) to an
+array of values in one call, and a scalar z to a float. The ratio builders
+below return such targets, built on the array-first special functions.
 """
 
 from __future__ import annotations
@@ -78,7 +82,7 @@ def geometric_grid(lo: float = 1e-2, hi: float = 50.0, n: int = 220) -> np.ndarr
 
 
 def _eval_grid(f, zs) -> np.ndarray:
-    vals = np.array([float(f(z)) for z in zs])
+    vals = np.broadcast_to(np.asarray(f(zs), dtype=float), zs.shape)
     if not np.all(np.isfinite(vals)):
         raise DomainError("probe target not finite on the grid")
     return vals
@@ -204,7 +208,7 @@ def cm_probe(f, z_grid, max_order: int = 8) -> ProbeResult:
     signed = fc * ((-1.0) ** np.arange(max_order + 1))[:, None]
     ok, first, verdict = _verdict_from_signs(signed, fl, centers)
     return ProbeResult(max_order, centers, ok, first, verdict,
-                       details={"taylor": fc, "floors": fl})
+                       details={"taylor": fc, "floors": fl, "values": fs})
 
 
 def lcm_probe(f, z_grid, max_order: int = 6) -> ProbeResult:
@@ -221,7 +225,7 @@ def lcm_probe(f, z_grid, max_order: int = 6) -> ProbeResult:
     signed = -dh[1:] * ((-1.0) ** np.arange(max_order + 1))[:, None]
     ok, first, verdict = _verdict_from_signs(signed, floors_h[1:], centers)
     return ProbeResult(max_order, centers, ok, first, verdict,
-                       details={"log_derivs": dh, "floors": floors_h})
+                       details={"log_derivs": dh, "floors": floors_h, "values": fs})
 
 
 def monotone_probe(f, z_grid, *, require_decreasing: bool = True) -> ProbeResult:
@@ -243,7 +247,7 @@ def monotone_probe(f, z_grid, *, require_decreasing: bool = True) -> ProbeResult
     else:
         verdict = "inconclusive"
     return ProbeResult(1, centers, ok[None, :], first, verdict,
-                       details={"log_derivs": d1, "floors": floors_h[1]})
+                       details={"log_derivs": d1, "floors": floors_h[1], "values": fs})
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +294,7 @@ def hermite_doubling(nu: float, opts: EvalOptions = DEFAULT_OPTIONS):
         raise DomainError("need nu > 0")
 
     def ratio(z):
-        r = math.sqrt(z)
+        r = np.sqrt(z)
         return hermite_h_neg(nu, r, opts) ** 2 / hermite_h_neg(2.0 * nu, r, opts)
 
     return ratio
@@ -490,13 +494,13 @@ def mills_suite(opts: EvalOptions = DEFAULT_OPTIONS) -> dict[str, ProbeResult]:
 
     # power-weighted shapes of r and r'
     for alpha, pattern in ((0.0, "decreasing"), (0.5, "updown"), (1.0, "increasing")):
-        vals = np.array([x ** alpha * mills_ratio(x) for x in xs])
+        vals = xs ** alpha * mills_ratio(xs)
         ok = _shape_pattern(vals, pattern, 1e-12)
         out[f"barr-a-{alpha}"] = ProbeResult(
             0, xs, np.array([[ok]]), None if ok else (0, float(xs[0])),
             "holds" if ok else "violated", {"pattern": pattern})
     for alpha, pattern in ((0.0, "increasing"), (1.0, "downup"), (2.0, "decreasing")):
-        vals = np.array([x ** alpha * mills_ratio_deriv(1, x) for x in xs])
+        vals = xs ** alpha * mills_ratio_deriv(1, xs)
         ok = _shape_pattern(vals, pattern, 1e-12)
         out[f"barr-b-{alpha}"] = ProbeResult(
             0, xs, np.array([[ok]]), None if ok else (0, float(xs[0])),
@@ -505,7 +509,7 @@ def mills_suite(opts: EvalOptions = DEFAULT_OPTIONS) -> dict[str, ProbeResult]:
     # Sampford bound r(x) < 4 / (3x + sqrt(x^2 + 8)) on (-1, 30]
     sx = np.linspace(-1.0 + 1e-6, 30.0, 200)
     bound = 4.0 / (3.0 * sx + np.sqrt(sx * sx + 8.0))
-    rv = np.array([mills_ratio(x) for x in sx])
+    rv = mills_ratio(sx)
     ok = bool(np.all(rv < bound))
     out["sampford"] = ProbeResult(0, sx, (rv < bound)[None, :],
                                   None if ok else (0, float(sx[int(np.argmax(rv >= bound))])),
@@ -514,8 +518,7 @@ def mills_suite(opts: EvalOptions = DEFAULT_OPTIONS) -> dict[str, ProbeResult]:
 
     # strict convexity of 1/r via the exact derivative recursion
     cx = np.linspace(-10.0, 10.0, 401)
-    conv = np.array([2.0 * mills_ratio_deriv(1, x) ** 2
-                     - mills_ratio(x) * mills_ratio_deriv(2, x) for x in cx])
+    conv = 2.0 * mills_ratio_deriv(1, cx) ** 2 - mills_ratio(cx) * mills_ratio_deriv(2, cx)
     ok = bool(np.all(conv > 0.0))
     out["inverse-convexity"] = ProbeResult(0, cx, (conv > 0.0)[None, :],
                                            None if ok else (0, float(cx[int(np.argmax(conv <= 0.0))])),
@@ -524,9 +527,8 @@ def mills_suite(opts: EvalOptions = DEFAULT_OPTIONS) -> dict[str, ProbeResult]:
 
     # Turan chain for the parabolic cylinder triple
     tx = np.linspace(-4.0, 6.0, 41)
-    tvals = np.array([parabolic_d(-2.0, x, opts) ** 2
-                      / (parabolic_d(-1.0, x, opts) * parabolic_d(-3.0, x, opts))
-                      for x in tx])
+    tvals = parabolic_d(-2.0, tx, opts) ** 2 / (parabolic_d(-1.0, tx, opts)
+                                                 * parabolic_d(-3.0, tx, opts))
     ok = bool(np.all(tvals > 1.0))
     out["turan-chain"] = ProbeResult(0, tx, (tvals > 1.0)[None, :],
                                      None if ok else (0, float(tx[int(np.argmax(tvals <= 1.0))])),
@@ -550,7 +552,7 @@ def mills_suite(opts: EvalOptions = DEFAULT_OPTIONS) -> dict[str, ProbeResult]:
 
 def _cmmill_sqrt_ratio(n: int):
     def f(z):
-        r = math.sqrt(z)
+        r = np.sqrt(z)
         return -mills_ratio_deriv(n, r) ** 2 / mills_ratio_deriv(2 * n + 1, r)
     return f
 

@@ -5,11 +5,19 @@ Kronrod rule refined adaptively. Algebraic endpoint factors are never formed
 as x^k for rounded x; the weighted helpers keep the distance to the endpoint
 as the integration variable and substitute x = v^m to restore a bounded
 integrand, while infinite upper limits are mapped through t = u/(1-u).
+
+Integrand contract: an integrand maps the nodes, an array of shape (N,), to
+values of shape (N,) or (N, m); a constant is broadcast over the nodes. An
+(N, m) integrand is m integrals sharing one mesh: every refinement round
+evaluates all new panels in one integrand call, and the loop stops once every
+column j meets its own tolerance rel_tol*|total_j| + abs_tol. A (N,)
+integrand returns a float, an (N, m) one an array of shape (m,). Every entry
+point (integrate, power_weighted, beta_kernel, halfline_power) passes the
+columns through unchanged.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from functools import lru_cache
 
@@ -41,66 +49,114 @@ _WG = np.array([
 ])
 _GAUSS_IDX = np.arange(1, 15, 2)
 
+# Most integrand values (nodes times columns) one refinement round may ask
+# for. A tolerance below the rounding floor makes every round split nearly
+# every panel; this bound turns that doubling into a QuadratureError while the
+# arrays are still a few MB.
+_MAX_ROUND_VALUES = 1 << 19
 
-def _panel(f, a: float, b: float):
-    """Kronrod estimate and error estimate over one interval."""
+
+def _along_nodes(w: np.ndarray, fx) -> np.ndarray:
+    """w, one value per node, shaped to scale integrand values fx of shape
+    (N,) or (N, m) node by node."""
+    return w[:, None] if np.ndim(fx) > 1 else w
+
+
+def _panels(f, a: np.ndarray, b: np.ndarray):
+    """Kronrod estimates and error estimates over the intervals [a_i, b_i].
+
+    One integrand call covers every panel. Returns values and errors of shape
+    (panels, m) and whether the integrand returned columns.
+    """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    x = mid + half * _XGK
+    x = (mid[:, None] + half[:, None] * _XGK).ravel()
     fx = np.asarray(f(x), dtype=float)
-    if fx.shape != x.shape:
-        fx = np.broadcast_to(fx, x.shape)
-    if not np.all(np.isfinite(fx)):
-        raise QuadratureError(f"integrand not finite on [{a}, {b}]")
-    resk = half * float(_WGK @ fx)
-    resg = half * float(_WG @ fx[_GAUSS_IDX])
-    resabs = half * float(_WGK @ np.abs(fx))
-    reskh = resk / (b - a)
-    resasc = half * float(_WGK @ np.abs(fx - reskh))
-    err = abs(resk - resg)
-    if resasc > 0.0 and err > 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    err = max(err, 50.0 * np.finfo(float).eps * resabs)
-    return resk, err
+    columns = fx.ndim > 1
+    fx = np.broadcast_to(fx, x.shape + fx.shape[1:])
+    # (panel, column, node): every rule below is one length-15 dot per entry
+    fx = np.ascontiguousarray(np.moveaxis(fx.reshape(a.size, _XGK.size, -1), 1, 2))
+    bad = ~np.isfinite(fx).all(axis=(1, 2))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise QuadratureError(f"integrand not finite on [{a[i]}, {b[i]}]")
+    h = half[:, None]
+    resk = h * (fx @ _WGK)
+    resg = h * (fx[:, :, _GAUSS_IDX] @ _WG)
+    resabs = h * (np.abs(fx) @ _WGK)
+    reskh = resk / (b - a)[:, None]
+    resasc = h * (np.abs(fx - reskh[:, :, None]) @ _WGK)
+    err = np.abs(resk - resg)
+    scaled = (resasc > 0.0) & (err > 0.0)
+    ratio = 200.0 * err / np.where(scaled, resasc, 1.0)
+    err = np.where(scaled, resasc * np.minimum(1.0, ratio ** 1.5), err)
+    err = np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
+    return resk, err, columns
 
 
-def _adaptive(f, breakpoints, opts: EvalOptions) -> float:
-    """Globally adaptive refinement over an initial partition."""
-    heap = []
-    total = 0.0
-    total_err = 0.0
-    for a, b in zip(breakpoints[:-1], breakpoints[1:]):
-        val, err = _panel(f, a, b)
-        total += val
-        total_err += err
-        heapq.heappush(heap, (-err, a, b, val))
+def _running_sum(start: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """start + steps[0] + steps[1] + ..., added strictly in order."""
+    return np.cumsum(np.concatenate((start[None], steps)), axis=0)[-1]
+
+
+def _adaptive(f, breakpoints, opts: EvalOptions):
+    """Globally adaptive refinement of one shared mesh over an initial partition.
+
+    Each round splits, in one integrand call, every panel whose error exceeds
+    the cut max(tol_j / 2n, err_j / 4n) of some column j still above its
+    tolerance tol_j (n panels, err_j the column's error estimate). A panel at
+    float resolution cannot be split: its error is dropped from the estimate.
+    The refinement budget counts rounds.
+    """
+    lo = np.asarray(breakpoints[:-1], dtype=float)
+    hi = np.asarray(breakpoints[1:], dtype=float)
+    vals, errs, columns = _panels(f, lo, hi)
+    m = vals.shape[1]
+    total = _running_sum(np.zeros(m), vals)
+    total_err = _running_sum(np.zeros(m), errs)
     for _ in range(opts.max_quad_refinements):
-        tol = opts.rel_tol * abs(total) + opts.abs_tol
-        if total_err <= tol:
-            return total
-        n = len(heap)
-        cut = max(tol / (2.0 * n), total_err / (4.0 * n))
-        stale = []
-        while heap and -heap[0][0] > cut:
-            neg_err, a, b, val = heapq.heappop(heap)
-            mid = 0.5 * (a + b)
-            if mid <= a or mid >= b:  # interval at float resolution
-                stale.append((neg_err * 1e-30, a, b, val))
-                total_err += -neg_err * (1e-30 - 1.0)
-                continue
-            lv, le = _panel(f, a, mid)
-            rv, re = _panel(f, mid, b)
-            total += lv + rv - val
-            total_err += le + re - (-neg_err)
-            stale.append((-le, a, mid, lv))
-            stale.append((-re, mid, b, rv))
-        for item in stale:
-            heapq.heappush(heap, item)
-    tol = opts.rel_tol * abs(total) + opts.abs_tol
-    if total_err <= tol:
-        return total
+        tol = opts.rel_tol * np.abs(total) + opts.abs_tol
+        open_cols = total_err > tol
+        if not open_cols.any():
+            break
+        n = lo.size
+        cut = np.maximum(tol / (2.0 * n), total_err / (4.0 * n))
+        worst = errs[:, open_cols]
+        sel = np.flatnonzero((worst > cut[open_cols]).any(axis=1))
+        # largest error first, as a heap would pop them; the order fixes the
+        # rounding of the running totals
+        sel = sel[np.lexsort((hi[sel], lo[sel], -worst[sel].max(axis=1)))]
+        mid = 0.5 * (lo[sel] + hi[sel])
+        stuck = (mid <= lo[sel]) | (mid >= hi[sel])  # interval at float resolution
+        d_val = np.zeros((sel.size, m))
+        d_err = errs[sel] * (1e-30 - 1.0)
+        errs[sel[stuck]] *= 1e-30
+        split, mid = sel[~stuck], mid[~stuck]
+        if split.size:
+            k = split.size
+            if 2 * k * _XGK.size * m > _MAX_ROUND_VALUES:
+                raise QuadratureError(
+                    f"refinement round would split {k} of {n} panels over {m} columns"
+                )
+            c_lo = np.concatenate((lo[split], mid))
+            c_hi = np.concatenate((mid, hi[split]))
+            c_vals, c_errs, _ = _panels(f, c_lo, c_hi)
+            d_val[~stuck] = c_vals[:k] + c_vals[k:] - vals[split]
+            d_err[~stuck] = c_errs[:k] + c_errs[k:] - errs[split]
+            keep = np.ones(n, dtype=bool)
+            keep[split] = False
+            lo = np.concatenate((lo[keep], c_lo))
+            hi = np.concatenate((hi[keep], c_hi))
+            vals = np.concatenate((vals[keep], c_vals))
+            errs = np.concatenate((errs[keep], c_errs))
+        total = _running_sum(total, d_val)
+        total_err = _running_sum(total_err, d_err)
+    tol = opts.rel_tol * np.abs(total) + opts.abs_tol
+    if np.all(total_err <= tol):
+        return total if columns else float(total[0])
+    j = int(np.argmax(total_err - tol))
     raise QuadratureError(
-        f"refinement budget exhausted: error {total_err:.3e} > tolerance {tol:.3e}"
+        f"refinement budget exhausted: error {total_err[j]:.3e} > tolerance {tol[j]:.3e}"
     )
 
 
@@ -110,7 +166,7 @@ def _graded(n: int = 9) -> np.ndarray:
     return np.concatenate(([0.0], tails, [1.0]))
 
 
-def integrate(f, a: float, b: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+def integrate(f, a: float, b: float, opts: EvalOptions = DEFAULT_OPTIONS):
     """Adaptive integral of a vectorized, everywhere-finite integrand.
 
     b may be infinite; the tail is mapped through t = a + u/(1-u) and the
@@ -123,9 +179,10 @@ def integrate(f, a: float, b: float, opts: EvalOptions = DEFAULT_OPTIONS) -> flo
         def mapped(u):
             w = np.maximum(1.0 - u, 1e-300)
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                out = np.asarray(f(a + u / w) / (w * w), dtype=float)
+                fx = np.asarray(f(a + u / w), dtype=float)
+                out = fx / _along_nodes(w * w, fx)
             # beyond float resolution of the map the pullback is numerically 0
-            return np.where(1.0 - u < 1e-15, 0.0, out)
+            return np.where(_along_nodes(1.0 - u < 1e-15, out), 0.0, out)
 
         return _adaptive(mapped, _graded(), opts)
     span = b - a
@@ -144,7 +201,7 @@ def _sub_power(kappa: float) -> int:
     return min(max(m, 2), 256)
 
 
-def _power_piece(R, kappa: float, top: float, opts: EvalOptions) -> float:
+def _power_piece(R, kappa: float, top: float, opts: EvalOptions):
     """integral_0^top x^kappa R(x) dx with the x^kappa factor kept exact.
 
     Substitutes x = v^m so the transformed integrand m v^{m(kappa+1)-1} R(v^m)
@@ -157,32 +214,41 @@ def _power_piece(R, kappa: float, top: float, opts: EvalOptions) -> float:
     top_v = top ** (1.0 / m)
 
     def g(v):
-        return m * v ** e * R(v ** m)
+        rx = R(v ** m)
+        return _along_nodes(m * v ** e, rx) * rx
 
     # graded toward 0 so boundary layers deep inside the interval are found
     breaks = top_v * np.array([0.0, 1e-8, 1e-5, 1e-3, 0.03, 0.2, 0.55, 1.0])
     return _adaptive(g, breaks, opts)
 
 
-def power_weighted(R, kappa: float, top: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+def power_weighted(R, kappa: float, top: float, opts: EvalOptions = DEFAULT_OPTIONS):
     """integral_0^top x^kappa R(x) dx with the endpoint factor kept exact."""
     if not top > 0.0:
         raise DomainError("need top > 0")
     return _power_piece(R, kappa, top, opts)
 
 
-def beta_kernel(R, kappa: float, lam: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+def beta_kernel(R, kappa: float, lam: float, opts: EvalOptions = DEFAULT_OPTIONS):
     """integral_0^1 x^kappa (1-x)^lam R(x) dx for kappa, lam > -1, R smooth-ish.
 
     Both endpoint factors are evaluated from the exact distance to their
     endpoint, so exponents very close to -1 stay loss-free.
     """
-    left = _power_piece(lambda x: (1.0 - x) ** lam * R(x), kappa, 0.5, opts)
-    right = _power_piece(lambda s: (1.0 - s) ** kappa * R(1.0 - s), lam, 0.5, opts)
+    def near_zero(x):
+        rx = R(x)
+        return _along_nodes((1.0 - x) ** lam, rx) * rx
+
+    def near_one(s):
+        rx = R(1.0 - s)
+        return _along_nodes((1.0 - s) ** kappa, rx) * rx
+
+    left = _power_piece(near_zero, kappa, 0.5, opts)
+    right = _power_piece(near_one, lam, 0.5, opts)
     return left + right
 
 
-def halfline_power(R, kappa: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+def halfline_power(R, kappa: float, opts: EvalOptions = DEFAULT_OPTIONS):
     """integral_0^inf t^kappa R(t) dt for kappa > -1 and decaying R."""
     head = _power_piece(R, kappa, 1.0, opts)
 
@@ -190,8 +256,9 @@ def halfline_power(R, kappa: float, opts: EvalOptions = DEFAULT_OPTIONS) -> floa
         w = np.maximum(1.0 - u, 1e-300)
         t = 1.0 + u / w
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            out = np.asarray(t ** kappa * R(t) / (w * w), dtype=float)
-        return np.where(1.0 - u < 1e-15, 0.0, out)
+            rt = np.asarray(R(t), dtype=float)
+            out = _along_nodes(t ** kappa, rt) * rt / _along_nodes(w * w, rt)
+        return np.where(_along_nodes(1.0 - u < 1e-15, out), 0.0, out)
 
     return head + _adaptive(tail, _graded(), opts)
 

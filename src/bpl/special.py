@@ -6,6 +6,12 @@ transformations, 3F2 at unit modulus by accelerated summation, Appell F1 by
 its one-dimensional Euler-type integral, the Kummer and Tricomi confluent
 functions, Hermite functions of negative order, parabolic cylinder functions,
 Mill's ratio, the exponential integral and the order-zero Macdonald function.
+
+Array-first functions: tricomi_psi, hermite_h_neg, expint_e1 and
+macdonald_k0 accept an array of z and return an array of the same shape,
+computed by one quadrature over a mesh shared by every z (one column per z);
+a scalar z returns a float. parabolic_d, mills_ratio and mills_ratio_deriv
+accept arrays in the same way.
 """
 
 from __future__ import annotations
@@ -447,39 +453,55 @@ def kummer_phi(a: float, c: float, z: float, opts: EvalOptions = DEFAULT_OPTIONS
     raise NonConvergenceError(f"Kummer series stalled for z={z}")
 
 
-def tricomi_psi(a: float, c: float, z: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+def _columns(z, positive: str | None = None) -> np.ndarray:
+    """z flattened to one quadrature column per value; with a message, every
+    value must be > 0 (NaN included) or DomainError is raised."""
+    zs = np.asarray(z, dtype=float).ravel()
+    if positive is not None and not np.all(zs > 0.0):
+        raise DomainError(positive)
+    return zs
+
+
+def _shaped(vals: np.ndarray, z):
+    """Column results back in the shape of z; a float for a scalar z."""
+    return float(vals[0]) if np.ndim(z) == 0 else vals.reshape(np.shape(z))
+
+
+def tricomi_psi(a: float, c: float, z, opts: EvalOptions = DEFAULT_OPTIONS):
     """Tricomi's function Psi(a, c, z) for a > 0, z > 0, by quadrature."""
     if not a > 0.0:
         raise DomainError("Psi integral representation needs a > 0")
-    if not z > 0.0:
-        raise DomainError("Psi evaluated on (0, infinity) only")
+    zs = _columns(z, "Psi evaluated on (0, infinity) only")
 
     e = c - a - 1.0
 
     def smooth(t):
-        return np.exp(-z * t) * (1.0 + t) ** e
+        return np.exp(np.multiply.outer(t, -zs)) * ((1.0 + t) ** e)[:, None]
 
     val = halfline_power(smooth, a - 1.0, opts.with_budget(80))
-    return math.exp(-gamma_ln(a)) * val
+    return _shaped(math.exp(-gamma_ln(a)) * val, z)
 
 
-def hermite_h_neg(nu: float, z: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+def hermite_h_neg(nu: float, z, opts: EvalOptions = DEFAULT_OPTIONS):
     """Hermite function H_{-nu}(z) for nu > 0, all real z."""
     if not nu > 0.0:
         raise DomainError("negative-order Hermite function needs nu > 0")
+    zs = _columns(z)
 
     def smooth(t):
-        return np.exp(-t * t - 2.0 * t * z)
+        return np.exp((-t * t)[:, None] - np.multiply.outer(2.0 * t, zs))
 
     val = halfline_power(smooth, nu - 1.0, opts.with_budget(60))
-    return math.exp(-gamma_ln(nu)) * val
+    return _shaped(math.exp(-gamma_ln(nu)) * val, z)
 
 
-def parabolic_d(nu: float, z: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+def parabolic_d(nu: float, z, opts: EvalOptions = DEFAULT_OPTIONS):
     """Parabolic cylinder D_nu(z) for nu < 0, through the Hermite function."""
     if not nu < 0.0:
         raise DomainError("only negative orders are evaluated here")
-    return 2.0 ** (-nu / 2.0) * math.exp(-z * z / 4.0) * hermite_h_neg(-nu, z / math.sqrt(2.0), opts)
+    zs = np.asarray(z, dtype=float)
+    val = 2.0 ** (-nu / 2.0) * np.exp(-zs * zs / 4.0) * hermite_h_neg(-nu, zs / math.sqrt(2.0), opts)
+    return float(val) if np.ndim(val) == 0 else val
 
 
 # ---------------------------------------------------------------------------
@@ -489,27 +511,37 @@ _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
 
-def mills_ratio(x: float) -> float:
+# numpy has no erfc; math.erfc is applied element by element
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def mills_ratio(x):
     """r(x) = exp(x^2/2) * integral_x^inf exp(-t^2/2) dt, loss-free for all x.
 
     Moderate arguments go through the scaled complementary error integral;
     x >= 8 switches to the continued fraction 1/(x + 1/(x + 2/(x + ...)))
-    which stays accurate where exp(x^2/2) would overflow.
+    which stays accurate where exp(x^2/2) would overflow. Below -37.5,
+    exp(x^2/2) exceeds float range and r(x) ~ sqrt(2 pi) e^{x^2/2} is inf.
     """
-    if x >= 8.0:
-        f = x
-        for k in range(80, 0, -1):
-            f = x + k / f
-        return 1.0 / f
-    if x > -37.5:
-        return _SQRT_HALF_PI * math.erfc(x / math.sqrt(2.0)) * math.exp(0.5 * x * x)
-    return math.inf  # exp(x^2/2) exceeds float range; r(x) ~ sqrt(2 pi) e^{x^2/2}
+    xs = np.asarray(x, dtype=float)
+    out = np.full(xs.shape, math.inf)
+    far = xs >= 8.0
+    xf = xs[far]
+    f = xf
+    for k in range(80, 0, -1):
+        f = xf + k / f
+    out[far] = 1.0 / f
+    mid = (xs > -37.5) & ~far
+    xm = xs[mid]
+    out[mid] = _SQRT_HALF_PI * _erfc(xm / math.sqrt(2.0)).astype(float) * np.exp(0.5 * xm * xm)
+    return float(out) if out.ndim == 0 else out
 
 
-def mills_ratio_deriv(n: int, x: float) -> float:
+def mills_ratio_deriv(n: int, x):
     """n-th derivative of Mill's ratio via the recursion seeded by r' = x r - 1."""
     if n < 0:
         raise DomainError("derivative order must be >= 0")
+    x = np.asarray(x, dtype=float) if np.ndim(x) else float(x)
     r0 = mills_ratio(x)
     if n == 0:
         return r0
@@ -519,25 +551,25 @@ def mills_ratio_deriv(n: int, x: float) -> float:
     return cur
 
 
-def expint_e1(z: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+def expint_e1(z, opts: EvalOptions = DEFAULT_OPTIONS):
     """Exponential integral E1(z) = integral_z^inf exp(-t)/t dt for z > 0."""
-    if not z > 0.0:
-        raise DomainError("E1 needs z > 0")
+    zs = _columns(z, "E1 needs z > 0")
 
     def f(u):
-        return np.exp(-u) / (z + u)
+        return np.exp(-u)[:, None] / np.add.outer(u, zs)
 
-    return math.exp(-z) * integrate(f, 0.0, math.inf, opts.with_budget(60))
+    val = integrate(f, 0.0, math.inf, opts.with_budget(60))
+    return _shaped(np.exp(-zs) * val, z)
 
 
-def macdonald_k0(z: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+def macdonald_k0(z, opts: EvalOptions = DEFAULT_OPTIONS):
     """Macdonald (modified Bessel second kind) K0(z) for z > 0."""
-    if not z > 0.0:
-        raise DomainError("K0 needs z > 0")
+    zs = _columns(z, "K0 needs z > 0")
 
     def f(u):
         # exponent clipped far past the point where exp underflows to 0
         s = np.sinh(np.minimum(u, 60.0) / 2.0)
-        return np.exp(-2.0 * z * s * s)
+        return np.exp(np.multiply.outer(s, -2.0 * zs) * s[:, None])
 
-    return math.exp(-z) * integrate(f, 0.0, math.inf, opts.with_budget(60))
+    val = integrate(f, 0.0, math.inf, opts.with_budget(60))
+    return _shaped(np.exp(-zs) * val, z)

@@ -145,3 +145,48 @@ class TestScanCommand:
              "--t", "0.5:4:3"], tmp_path)
         assert code == 0
         assert all(r[4] == "EXPLORATORY" for r in rows)
+
+
+class TestBadInputExitTwo:
+    """Bad input exits 2 with a message, never a traceback or exit 1."""
+
+    @pytest.mark.parametrize("argv", [
+        ["probe", "turan-psi", "--a", "0.5", "--c", "0.3"],
+        ["probe", "psi-cc", "--a", "0.7", "--c", "0.3"],
+        ["probe", "psi-doubling", "--c", "0.5"],
+        ["probe", "hermite-doubling"],
+        ["probe", "turan-hermite", "--nu", "1.3"],
+    ], ids=["turan-psi-lambda", "psi-cc-c-prime", "psi-doubling-a",
+            "hermite-doubling-nu", "turan-hermite-c"])
+    def test_probe_missing_flag(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "needs --" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("spec", ["1:0:5", "0.1:10:0", "0.1:10:-3", "2:2:4",
+                                      "-1:-2:5", "a:1:3", "0.1:10"])
+    def test_thorin_bad_grid(self, spec, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert main(["thorin", "--a", "0.5", "--x", "0.5", f"--t={spec}", "--out", str(out)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_thorin_order_bad_grid(self, capsys):
+        assert main(["scan", "thorin-order", "--a", "0.3,0.6", "--t", "4:0.5:5"]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_verify_nonpositive_n(self, n, capsys):
+        assert main(["verify", "theorem-a", "--a", "1", "--n", n]) == 2
+        err = capsys.readouterr().err
+        assert "--n" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "theorem-a", "--a", "abc", "--n", "10"],
+        ["scan", "cmcj", "--a", "x"],
+        ["scan", "cjmain", "--a", "0.5", "--b", "0.2,y"],
+    ], ids=["verify", "scan-cmcj", "scan-cjmain"])
+    def test_non_numeric_parameter_list(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "comma-separated numbers" in err and "Traceback" not in err

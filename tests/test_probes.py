@@ -41,32 +41,32 @@ class TestCalibration:
     @pytest.mark.parametrize("npts", [120, 220, 320])
     def test_canonical_verdicts(self, npts):
         grid = geometric_grid(1e-2, 50.0, npts)
-        assert cm_probe(lambda z: math.exp(-z), grid, max_order=10).verdict == "holds"
+        assert cm_probe(lambda z: np.exp(-z), grid, max_order=10).verdict == "holds"
         assert cm_probe(lambda z: 1.0 / (1.0 + z), grid, max_order=10).verdict == "holds"
-        r = cm_probe(lambda z: math.sin(z) + 2.0, grid, max_order=6)
+        r = cm_probe(lambda z: np.sin(z) + 2.0, grid, max_order=6)
         assert r.verdict == "violated"
         assert r.first_violation is not None and r.first_violation[0] in (1, 2)
 
     @pytest.mark.parametrize("npts", [120, 220, 320])
     def test_lcm_verdicts(self, npts):
         grid = geometric_grid(1e-2, 50.0, npts)
-        assert lcm_probe(lambda z: math.exp(-z), grid, max_order=6).verdict == "holds"
-        r = lcm_probe(lambda z: (1.0 + z) * math.exp(-z), grid, max_order=6)
+        assert lcm_probe(lambda z: np.exp(-z), grid, max_order=6).verdict == "holds"
+        r = lcm_probe(lambda z: (1.0 + z) * np.exp(-z), grid, max_order=6)
         assert r.verdict == "violated"
 
     def test_monotone_verdicts(self):
         assert monotone_probe(lambda z: 1.0 / (1.0 + z), GRID).verdict == "holds"
-        assert monotone_probe(lambda z: math.sin(z) + 2.0, GRID).verdict == "violated"
+        assert monotone_probe(lambda z: np.sin(z) + 2.0, GRID).verdict == "violated"
 
     def test_max_order_guard(self):
         with pytest.raises(DomainError):
-            cm_probe(lambda z: math.exp(-z), GRID, max_order=11)
+            cm_probe(lambda z: np.exp(-z), GRID, max_order=11)
 
     def test_irregular_grid_rejected(self):
         # the sliding-window operators assume a self-similar node layout
         bad = np.sort(np.random.default_rng(0).uniform(0.1, 10.0, 60))
         with pytest.raises(DomainError):
-            cm_probe(lambda z: math.exp(-z), bad, max_order=4)
+            cm_probe(lambda z: np.exp(-z), bad, max_order=4)
 
 
 class TestPsiRatios:
@@ -249,3 +249,32 @@ class TestCmcjScan:
         assert expected_psi_doubling_verdict(0.5, 0.5) == "holds"
         assert expected_psi_doubling_verdict(0.9, 0.9) == "holds"
         assert expected_psi_doubling_verdict(1.3, 0.2) is None
+
+
+class TestReadmeProbeRegression:
+    """Per-order n_ok of the README probe commands, pinned: the whole-grid
+    evaluation must reproduce the grid-point-by-point sign tables exactly."""
+
+    def test_psi_doubling_not_cm(self):
+        r = cm_probe(psi_doubling(0.7, -0.5), GRID, max_order=8)
+        assert r.verdict == "violated"
+        assert r.sign_table.shape == (9, 196)
+        assert r.sign_table.sum(axis=1).tolist() == [196, 196, 158, 134, 121, 112, 106, 100, 96]
+
+    def test_hermite_doubling_cm(self):
+        r = cm_probe(hermite_doubling(1.0), GRID, max_order=8)
+        assert r.verdict == "holds"
+        assert r.sign_table.sum(axis=1).tolist() == [196] * 9
+        lo, hi = hermite_doubling_bounds(1.0)
+        assert np.all(r.details["values"] > lo) and np.all(r.details["values"] < hi)
+
+    def test_turan_psi_monotone(self):
+        r = monotone_probe(turan_psi(0.5, 0.3, 0.4), GRID)
+        assert r.verdict == "holds"
+        assert r.sign_table.sum(axis=1).tolist() == [196]
+
+    def test_grid_values_match_pointwise(self):
+        ratio = turan_psi(0.5, 0.3, 0.4)
+        r = monotone_probe(ratio, GRID)
+        want = np.array([ratio(float(z)) for z in GRID])
+        assert np.all(np.abs(r.details["values"] - want) <= 1e-14 * np.abs(want))

@@ -71,3 +71,74 @@ def test_jacobi_rule_moments():
         want = math.exp(math.lgamma(beta + 1.0 + k) + math.lgamma(alpha + 1.0)
                         - math.lgamma(alpha + beta + 2.0 + k))
         assert got == pytest.approx(want, rel=1e-12)
+
+
+class TestVectorValued:
+    """(N,) -> (N, m) integrands: m integrals refined on one shared mesh."""
+
+    RATES = np.array([0.05, 0.7, 3.0, 40.0])
+
+    def test_columns_match_scalar_integrate(self):
+        got = integrate(lambda x: np.exp(-np.multiply.outer(x, self.RATES)), 0.0, 2.0)
+        assert got.shape == self.RATES.shape
+        for g, k in zip(got, self.RATES):
+            want = integrate(lambda x: np.exp(-k * x), 0.0, 2.0)
+            assert abs(g - want) <= 1e-14 * abs(want)
+
+    def test_columns_match_scalar_infinite_range(self):
+        got = integrate(lambda x: 1.0 / (1.0 + np.multiply.outer(x * x, self.RATES)),
+                        0.0, math.inf)
+        for g, k in zip(got, self.RATES):
+            want = integrate(lambda x: 1.0 / (1.0 + k * x * x), 0.0, math.inf)
+            assert abs(g - want) <= 1e-14 * abs(want)
+
+    def test_columns_match_scalar_beta_kernel(self):
+        got = beta_kernel(lambda x: np.cos(np.multiply.outer(x, self.RATES)), -0.5, 0.3)
+        for g, k in zip(got, self.RATES):
+            want = beta_kernel(lambda x: np.cos(k * x), -0.5, 0.3)
+            assert abs(g - want) <= 1e-14 * abs(want)
+
+    def test_columns_match_scalar_halfline_power(self):
+        got = halfline_power(lambda t: np.exp(-np.multiply.outer(t, self.RATES)), -0.4)
+        for g, k in zip(got, self.RATES):
+            want = halfline_power(lambda t: np.exp(-k * t), -0.4)
+            assert abs(g - want) <= 1e-14 * abs(want)
+
+    def test_power_weighted_columns(self):
+        got = power_weighted(lambda x: np.ones((x.size, 3)), -0.6, 0.5)
+        assert got == pytest.approx(np.full(3, 0.5 ** 0.4 / 0.4), rel=1e-12)
+
+    def test_quad_vec_oracle(self):
+        scipy_integrate = pytest.importorskip("scipy.integrate")
+        ks = np.linspace(0.5, 12.0, 9)
+
+        def f(x):
+            return np.exp(-np.multiply.outer(x, ks)) / (1.0 + np.asarray(x)[..., None] ** 2)
+
+        got = integrate(f, 0.0, 3.0)
+        want, _ = scipy_integrate.quad_vec(f, 0.0, 3.0, epsabs=0.0, epsrel=1e-12)
+        assert np.all(np.abs(got - want) <= 1e-11 * np.abs(want))
+
+    def test_one_hard_column_exhausts_budget(self):
+        tight = EvalOptions(rel_tol=1e-13, max_quad_refinements=1)
+        # the smooth column alone converges within the same budget
+        assert integrate(lambda x: x * x, 0.0, 10.0, tight) == pytest.approx(1000.0 / 3.0)
+
+        def both(x):
+            return np.stack([x * x, np.abs(np.sin(50.0 * x))], axis=1)
+
+        with pytest.raises(QuadratureError):
+            integrate(both, 0.0, 10.0, tight)
+
+    def test_unreachable_tolerance_stops(self):
+        # cos(12 x)/(1+x^2) cancels below the rounding floor of its panels:
+        # the doubling mesh is stopped instead of exhausting memory
+        with pytest.raises(QuadratureError):
+            integrate(lambda x: np.cos(np.multiply.outer(x, [0.5, 12.0])) / (1.0 + x * x)[:, None],
+                      0.0, 3.0)
+
+    def test_scalar_constant_broadcasts(self):
+        got = integrate(lambda x: 2.0, 0.0, 3.0)
+        assert type(got) is float
+        assert got == pytest.approx(6.0, rel=1e-14)
+        assert beta_kernel(lambda x: 1.0, 0.0, 0.0) == pytest.approx(1.0, rel=1e-14)

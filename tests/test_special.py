@@ -321,3 +321,66 @@ class TestThomaeConsistency:
 def test_digamma_sweep():
     for x in (0.25, 1.0, 3.7, 12.0, -0.4, -2.6):
         assert rel_err(digamma(x), mp.digamma(x)) < 1e-12
+
+
+class TestArrayFirst:
+    """Array z: one shared quadrature mesh, one column per value."""
+
+    GRID = np.geomspace(1e-2, 50.0, 40)
+    CASES = [
+        ("psi", lambda z: tricomi_psi(0.7, -0.5, z), lambda z: mp.hyperu(0.7, -0.5, z)),
+        ("psi2", lambda z: tricomi_psi(1.4, 0.3, z), lambda z: mp.hyperu(1.4, 0.3, z)),
+        ("hermite", lambda z: hermite_h_neg(1.3, z), lambda z: mp.hermite(-1.3, z)),
+        ("e1", lambda z: expint_e1(z), lambda z: mp.e1(z)),
+        ("k0", lambda z: macdonald_k0(z), lambda z: mp.besselk(0, z)),
+    ]
+
+    @pytest.mark.parametrize("name,fn,oracle", CASES, ids=[c[0] for c in CASES])
+    def test_array_equals_scalar_calls(self, name, fn, oracle):
+        got = fn(self.GRID)
+        assert isinstance(got, np.ndarray) and got.shape == self.GRID.shape
+        want = np.array([fn(float(z)) for z in self.GRID])
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+    @pytest.mark.parametrize("name,fn,oracle", CASES, ids=[c[0] for c in CASES])
+    def test_array_against_mpmath(self, name, fn, oracle):
+        got = fn(self.GRID)
+        for g, z in zip(got, self.GRID):
+            assert rel_err(g, oracle(float(z))) < 1e-11
+
+    @pytest.mark.parametrize("name,fn,oracle", CASES, ids=[c[0] for c in CASES])
+    def test_scalar_returns_float(self, name, fn, oracle):
+        assert type(fn(0.7)) is float
+        assert type(fn(np.float64(0.7))) is float
+
+    def test_shape_is_kept(self):
+        z = self.GRID[:6].reshape(2, 3)
+        assert tricomi_psi(0.7, 0.3, z).shape == (2, 3)
+        assert hermite_h_neg(1.0, z).shape == (2, 3)
+        assert parabolic_d(-1.0, z).shape == (2, 3)
+
+    def test_negative_hermite_arguments(self):
+        z = np.linspace(-3.0, 4.0, 15)
+        want = np.array([hermite_h_neg(0.6, float(v)) for v in z])
+        assert np.all(np.abs(hermite_h_neg(0.6, z) - want) <= 1e-14 * np.abs(want))
+
+    def test_domain_errors_on_arrays(self):
+        bad = np.array([1.0, 0.0, 2.0])
+        with pytest.raises(DomainError):
+            tricomi_psi(0.7, 0.3, bad)
+        with pytest.raises(DomainError):
+            expint_e1(bad)
+        with pytest.raises(DomainError):
+            macdonald_k0(np.array([1.0, np.nan]))
+        with pytest.raises(DomainError):
+            tricomi_psi(-0.5, 0.3, np.array([1.0]))
+
+    def test_mills_ratio_elementwise(self):
+        x = np.array([-40.0, -10.0, -3.0, 0.0, 0.7, 7.9, 8.1, 31.0, 200.0])
+        got = mills_ratio(x)
+        for g, xi in zip(got, x):
+            want = mills_ratio(float(xi))
+            assert g == want or abs(g - want) <= 1e-15 * abs(want)
+        assert np.allclose(mills_ratio_deriv(2, x[1:]),
+                           [mills_ratio_deriv(2, float(xi)) for xi in x[1:]], rtol=1e-13)
+        assert type(mills_ratio(0.5)) is float
