@@ -31,6 +31,7 @@ from .identities import (
     conjecture_cjmain_scan,
     conjhyp_integral_check,
     identity_catalog,
+    ks_threshold,
     verify,
 )
 from .options import EvalOptions
@@ -120,9 +121,30 @@ def _write_csv(path: str | None, header: list[str], rows: list[list]) -> None:
 
 def _parse_floats(text: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok != ""]
+        values = [float(tok) for tok in text.split(",") if tok != ""]
     except ValueError:
         raise DomainError(f"expected comma-separated numbers, got {text!r}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise DomainError(f"parameters must be finite, got {text!r}")
+    return values
+
+
+def _parse_float(text: str) -> float:
+    values = _parse_floats(text)
+    if len(values) != 1:
+        raise DomainError(f"expected one number, got {text!r}")
+    return values[0]
+
+
+def _finite_float(text: str) -> float:
+    """argparse type for float flags: non-numbers, nan and inf exit 2 with a message."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -136,6 +158,8 @@ def _parse_grid(text: str) -> np.ndarray:
         raise DomainError(f"grid spec must be lo:hi:n with numbers, got {text!r}") from None
     if n < 1:
         raise DomainError(f"grid needs n >= 1 points, got {n}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"grid ends must be finite, got {text!r}")
     if not lo < hi:
         raise DomainError(f"grid needs lo < hi, got {text!r}")
     if lo > 0.0:
@@ -180,6 +204,10 @@ def cmd_verify(args) -> int:
     try:
         if args.n < 1:
             raise DomainError(f"--n must be >= 1, got {args.n}")
+        threshold = ks_threshold(args.alpha, args.n, args.n)
+        if threshold >= 1.0:  # no pair of samples could fail the KS channel
+            raise DomainError(f"--n {args.n} is too small for a KS test at alpha="
+                              f"{args.alpha}: its threshold {threshold:.3g} is not below 1")
         keys, points = _identity_args(args.identity, args)
         builder = catalog[args.identity]
         specs = [builder(*point) for point in points]
@@ -414,7 +442,10 @@ def cmd_scan(args) -> int:
                 rows.append(["cmcj", params, "cm-verdict", r["verdict"], status,
                              seed, tol, __version__])
         elif args.conjecture == "cmmi":
-            orders = [int(v) for v in _parse_floats(args.n_orders)]
+            orders = _parse_floats(args.n_orders)
+            if not all(v.is_integer() for v in orders):
+                raise DomainError(f"cmmi scan orders must be integers, got {args.n_orders!r}")
+            orders = [int(v) for v in orders]
             res = mills_suite()
             for n in orders:
                 key = f"cmmi-scan-{n}"
@@ -424,7 +455,7 @@ def cmd_scan(args) -> int:
                              "EXPLORATORY", seed, tol, __version__])
         elif args.conjecture == "thorin-order":
             a_grid = _parse_floats(args.a)
-            b = float(args.b) if args.b else 0.5
+            b = _parse_float(args.b) if args.b else 0.5
             ts = _parse_grid(args.t) if args.t else np.geomspace(0.2, 8.0, 5)
             for i, a in enumerate(a_grid[:-1]):
                 a2 = a_grid[i + 1]
@@ -436,8 +467,8 @@ def cmd_scan(args) -> int:
                                  seed, tol, __version__])
         elif args.conjecture == "kumma":
             # conjectured CM of the equal-shift quotient: recorded only
-            c = float(args.c) if args.c else 0.5
-            cp = float(args.c_prime) if args.c_prime else 0.0
+            c = _parse_float(args.c) if args.c else 0.5
+            cp = _parse_float(args.c_prime) if args.c_prime else 0.0
             for a in _parse_floats(args.a):
                 res = cm_probe(kumma_ratio(a, c, cp), geometric_grid(1e-2, 50.0, 200),
                                max_order=6)
@@ -483,9 +514,9 @@ def build_parser() -> argparse.ArgumentParser:
         pv.add_argument(flag, type=str, default=None,
                         help="parameter value(s), comma separated")
     pv.add_argument("--n", type=int, default=100_000, help="samples per side")
-    pv.add_argument("--alpha", type=float, default=0.01, help="KS level")
-    pv.add_argument("--mellin-rtol", type=float, default=1e-6)
-    pv.add_argument("--negative-control", type=float, default=1.0,
+    pv.add_argument("--alpha", type=_finite_float, default=0.01, help="KS level")
+    pv.add_argument("--mellin-rtol", type=_finite_float, default=1e-6)
+    pv.add_argument("--negative-control", type=_finite_float, default=1.0,
                     help="scale factor applied to the right side (CI control)")
     pv.add_argument("--seed", type=int, default=None)
     pv.add_argument("--jobs", type=int, default=1)
@@ -498,17 +529,17 @@ def build_parser() -> argparse.ArgumentParser:
                                     "first_violation_z,seed,tolerance,version")
     pp.add_argument("ratio", choices=["psi-cc", "psi-doubling", "hermite-doubling",
                                       "k0-e1", "turan-hermite", "turan-psi"])
-    pp.add_argument("--a", type=float, default=None)
-    pp.add_argument("--b", type=float, default=None)
-    pp.add_argument("--c", type=float, default=None)
-    pp.add_argument("--c-prime", type=float, default=None)
-    pp.add_argument("--nu", type=float, default=None)
-    pp.add_argument("--lambda", dest="lam", type=float, default=None)
+    pp.add_argument("--a", type=_finite_float, default=None)
+    pp.add_argument("--b", type=_finite_float, default=None)
+    pp.add_argument("--c", type=_finite_float, default=None)
+    pp.add_argument("--c-prime", type=_finite_float, default=None)
+    pp.add_argument("--nu", type=_finite_float, default=None)
+    pp.add_argument("--lambda", dest="lam", type=_finite_float, default=None)
     pp.add_argument("--order", type=int, default=8)
     pp.add_argument("--lcm", action="store_true", help="probe the log-derivative instead")
     pp.add_argument("--monotone", action="store_true", help="decrease check instead of CM")
-    pp.add_argument("--z-lo", type=float, default=1e-2)
-    pp.add_argument("--z-hi", type=float, default=50.0)
+    pp.add_argument("--z-lo", type=_finite_float, default=1e-2)
+    pp.add_argument("--z-hi", type=_finite_float, default=50.0)
     pp.add_argument("--z-n", type=int, default=220)
     pp.add_argument("--seed", type=int, default=None)
     pp.add_argument("--jobs", type=int, default=1)
@@ -518,8 +549,8 @@ def build_parser() -> argparse.ArgumentParser:
     pt = sub.add_parser("thorin", help="tabulate the Thorin ratio, cdf and density",
                         description="CSV columns: a,x,t,f_ax,cdf,density,seed,"
                                     "tolerance,version")
-    pt.add_argument("--a", type=float, required=True)
-    pt.add_argument("--x", type=float, required=True)
+    pt.add_argument("--a", type=_finite_float, required=True)
+    pt.add_argument("--x", type=_finite_float, required=True)
     pt.add_argument("--t", type=str, required=True, help="grid spec lo:hi:n")
     pt.add_argument("--seed", type=int, default=None)
     pt.add_argument("--jobs", type=int, default=1)
@@ -540,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--n", dest="n_orders", type=str, default="0,1,2",
                     help="derivative orders for the cmmi scan")
     ps.add_argument("--n-samples", dest="n", type=int, default=30_000)
-    ps.add_argument("--mellin-rtol", type=float, default=1e-6)
+    ps.add_argument("--mellin-rtol", type=_finite_float, default=1e-6)
     ps.add_argument("--seed", type=int, default=None)
     ps.add_argument("--jobs", type=int, default=1)
     ps.add_argument("--out", type=str, default=None)

@@ -164,7 +164,8 @@ class TestBadInputExitTwo:
         assert "needs --" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("spec", ["1:0:5", "0.1:10:0", "0.1:10:-3", "2:2:4",
-                                      "-1:-2:5", "a:1:3", "0.1:10"])
+                                      "-1:-2:5", "a:1:3", "0.1:10", "0.1:inf:5",
+                                      "nan:1:3"])
     def test_thorin_bad_grid(self, spec, tmp_path, capsys):
         out = tmp_path / "t.csv"
         assert main(["thorin", "--a", "0.5", "--x", "0.5", f"--t={spec}", "--out", str(out)]) == 2
@@ -190,3 +191,53 @@ class TestBadInputExitTwo:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "comma-separated numbers" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "theorem-a", "--a", "inf"],
+        ["verify", "theorem-a", "--a", "0.5,nan"],
+        ["scan", "cjmain", "--a", "0.5", "--b=-inf"],
+        ["scan", "kumma", "--a", "0.6", "--c", "nan"],
+        ["scan", "thorin-order", "--a", "0.3,0.6", "--b", "inf"],
+    ], ids=["verify-inf", "verify-nan", "scan-cjmain", "scan-kumma", "scan-thorin-order"])
+    def test_non_finite_parameter_list(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "finite" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "theorem-a", "--a", "1", "--alpha", "nan"],
+        ["verify", "theorem-a", "--a", "1", "--negative-control", "inf"],
+        ["probe", "turan-psi", "--a", "inf", "--c", "0.3", "--lambda", "0.4"],
+        ["thorin", "--a", "0.5", "--x=-inf", "--t", "0.1:10:5"],
+        ["scan", "cmmi", "--mellin-rtol", "nan"],
+    ], ids=["verify-alpha", "verify-negative-control", "probe", "thorin", "scan"])
+    def test_non_finite_float_flag(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_scalar_scan_flag_not_a_number(self, capsys):
+        assert main(["scan", "kumma", "--a", "0.6", "--c", "abc"]) == 2
+        err = capsys.readouterr().err
+        assert "comma-separated numbers" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("n, alpha", [("1", "0.01"), ("5", "0.01"), ("10", "1e-6")])
+    def test_verify_n_without_ks_power(self, n, alpha, capsys):
+        # the KS threshold c(alpha) sqrt(2/n) is >= 1: no sample could fail
+        assert main(["verify", "theorem-a", "--a", "1", "--n", n, "--alpha", alpha]) == 2
+        err = capsys.readouterr().err
+        assert "too small for a KS test" in err and "Traceback" not in err
+
+    def test_verify_smallest_n_with_ks_power(self, tmp_path):
+        code, _, rows = _run_csv(["verify", "theorem-a", "--a", "1", "--n", "6",
+                                  "--seed", "1"], tmp_path)
+        assert code in (0, 1)
+        assert float(rows[0][4]) < 1.0
+
+    def test_cmmi_non_integer_order(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        assert main(["scan", "cmmi", "--n", "0,1.5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "integers" in err and "Traceback" not in err
+        assert not out.exists()

@@ -157,6 +157,25 @@ class TestSamplers:
         assert st.kstest(b, "beta", args=(0.4, 1.1)).pvalue > 1e-4
 
 
+class TestSamplerOracle:
+    """One-sample KS against scipy's cdfs at n = 1e6 and alpha = 1e-6."""
+
+    N = 1_000_000
+
+    @pytest.mark.parametrize("t", [0.2, 0.5, 1.0, 1.5, 4.0])
+    def test_gamma(self, t):
+        g = sample_gamma(GammaParams(t), RngState(41), self.N)
+        assert st.kstest(g, "gamma", args=(t,)).pvalue > 1e-6
+
+    def test_beta(self):
+        b = sample_beta(BetaParams(0.4, 1.1), RngState(42), self.N)
+        assert st.kstest(b, "beta", args=(0.4, 1.1)).pvalue > 1e-6
+
+    def test_betaprime(self):
+        x = sample_betaprime(BetaPrimeParams(0.8, 1.4), RngState(43), self.N)
+        assert st.kstest(x, "betaprime", args=(0.8, 1.4)).pvalue > 1e-6
+
+
 class TestSizeBias:
     def test_order_zero_is_identity(self):
         p = BetaParams(1.5, 2.5)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bpl.convolution import mellin_sum
 from bpl.distributions import BetaPrimeParams, RngState, betaprime_mellin
@@ -34,7 +36,36 @@ from bpl.special import gamma_ln
 from conftest import rel_err
 
 
+def _ks_searchsorted(xs, ys):
+    """Reference two-sample KS statistic: both empirical cdfs at every point."""
+    xs = np.sort(np.asarray(xs, dtype=float))
+    ys = np.sort(np.asarray(ys, dtype=float))
+    grid = np.concatenate([xs, ys])
+    cdf_x = np.searchsorted(xs, grid, side="right") / xs.size
+    cdf_y = np.searchsorted(ys, grid, side="right") / ys.size
+    return float(np.max(np.abs(cdf_x - cdf_y)))
+
+
+# few distinct values so that ties within and across the samples are common
+_KS_VALUES = st.one_of(st.sampled_from([-math.inf, math.inf, -1.0, 0.0, 0.5, 2.0]),
+                       st.floats(-3.0, 3.0))
+_KS_SAMPLE = st.lists(_KS_VALUES, min_size=1, max_size=60)
+
+
 class TestKs:
+    @settings(max_examples=300, deadline=None)
+    @given(xs=_KS_SAMPLE, ys=_KS_SAMPLE)
+    @example(xs=[0.5], ys=[0.5, 1.0, -math.inf])
+    @example(xs=[math.inf, 0.0, math.inf], ys=[math.inf])
+    @example(xs=[1.0], ys=[2.0])
+    def test_merge_equals_searchsorted_formula(self, xs, ys):
+        assert ks_two_sample(xs, ys)[0] == _ks_searchsorted(xs, ys)
+
+    @pytest.mark.parametrize("xs, ys", [([1.0, math.nan], [1.0]), ([1.0], [math.nan])])
+    def test_nan_rejected(self, xs, ys):
+        with pytest.raises(DomainError, match="NaN"):
+            ks_two_sample(xs, ys)
+
     def test_identical_vectors(self):
         x = np.linspace(0.0, 1.0, 100)
         stat, thr = ks_two_sample(x, x)
@@ -104,6 +135,14 @@ class TestEngine:
         spec = theorem_a_spec(1.0)
         rep = verify(spec, 1000, [0.49999], RngState(63))  # s at the strip edge
         assert rep.verdict in ("pass", "fail")
+
+    def test_nan_samples_recorded_as_failure(self):
+        from bpl.identities import IdentitySpec
+        nan_sampler = lambda rng, n: np.full(n, math.nan)
+        spec = IdentitySpec(name="nan", lhs_sampler=theorem_a_spec(1.0).lhs_sampler,
+                            rhs_sampler=nan_sampler)
+        rep = verify(spec, 1000, None, RngState(66))
+        assert rep.verdict == "fail" and "NaN" in rep.failure
 
     def test_out_of_strip_s_fails_gracefully(self):
         spec = theorem_a_spec(1.0)
@@ -184,7 +223,9 @@ class TestMellinFactorsAgainstMonteCarlo:
 class TestOtherIdentities:
     @pytest.mark.parametrize("abb", [(1.0, 0.5, 1.5), (0.6, 0.8, 2.0)])
     def test_prop_b0(self, abb):
-        rep = verify(prop_b0_spec(*abb), 100_000, None, RngState(75))
+        # the benchmark's verify setting: a 0.0038 KS threshold, more power
+        # than 0.0073 at n = 1e5 and alpha = 0.01, and ~1e-6 false rejections
+        rep = verify(prop_b0_spec(*abb), 1_000_000, None, RngState(75), alpha=1e-6)
         assert rep.passed, rep
 
     def test_prop_b0_closed_mellin_match(self):
