@@ -19,7 +19,6 @@ import io
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,10 +27,11 @@ from . import __version__
 from .distributions import RngState
 from .errors import BplError, DomainError
 from .identities import (
+    KS_ALPHA,
     conjecture_cjmain_scan,
     conjhyp_integral_check,
     identity_catalog,
-    ks_threshold,
+    require_ks_power,
     verify,
 )
 from .options import EvalOptions
@@ -72,11 +72,10 @@ class RunConfig:
     out_path: str | None = None
     alpha: float | None = None
     mellin_rtol: float | None = None
-    jobs: int = 1
 
     @classmethod
     def from_args(cls, args) -> "RunConfig":
-        skip = {"func", "command", "seed", "n", "out", "alpha", "mellin_rtol", "jobs"}
+        skip = {"func", "command", "seed", "n", "out", "alpha", "mellin_rtol"}
         params = {k: v for k, v in vars(args).items() if k not in skip and v is not None}
         if args.seed is not None:
             seed = int(args.seed)
@@ -91,7 +90,6 @@ class RunConfig:
             out_path=args.out,
             alpha=getattr(args, "alpha", None),
             mellin_rtol=getattr(args, "mellin_rtol", None),
-            jobs=getattr(args, "jobs", 1),
         )
 
 
@@ -202,12 +200,7 @@ def cmd_verify(args) -> int:
     cfg = RunConfig.from_args(args)
     seed = cfg.seed
     try:
-        if args.n < 1:
-            raise DomainError(f"--n must be >= 1, got {args.n}")
-        threshold = ks_threshold(args.alpha, args.n, args.n)
-        if threshold >= 1.0:  # no pair of samples could fail the KS channel
-            raise DomainError(f"--n {args.n} is too small for a KS test at alpha="
-                              f"{args.alpha}: its threshold {threshold:.3g} is not below 1")
+        require_ks_power(args.n, args.alpha, "--n")
         keys, points = _identity_args(args.identity, args)
         builder = catalog[args.identity]
         specs = [builder(*point) for point in points]
@@ -215,20 +208,10 @@ def cmd_verify(args) -> int:
         sys.stderr.write(f"parameter error: {exc}\n")
         return EXIT_NUMERIC
     streams = RngState(seed).spawn(len(specs))
-
-    def run(idx: int):
-        return verify(
-            specs[idx],
-            args.n,
-            None,
-            streams[idx],
-            alpha=args.alpha,
-            mellin_rtol=args.mellin_rtol,
-            rhs_scale=args.negative_control,
-        )
-
-    with ThreadPoolExecutor(max_workers=max(1, cfg.jobs)) as pool:
-        reports = list(pool.map(run, range(len(specs))))
+    # points run in order; verify itself sorts and scans its two sides on two threads
+    reports = [verify(spec, args.n, None, stream, alpha=args.alpha,
+                      mellin_rtol=args.mellin_rtol, rhs_scale=args.negative_control)
+               for spec, stream in zip(specs, streams)]
 
     header = ["identity", "params", "channel", "statistic", "threshold",
               "verdict", "seed", "tolerance", "version"]
@@ -514,12 +497,11 @@ def build_parser() -> argparse.ArgumentParser:
         pv.add_argument(flag, type=str, default=None,
                         help="parameter value(s), comma separated")
     pv.add_argument("--n", type=int, default=100_000, help="samples per side")
-    pv.add_argument("--alpha", type=_finite_float, default=0.01, help="KS level")
+    pv.add_argument("--alpha", type=_finite_float, default=KS_ALPHA, help="KS level")
     pv.add_argument("--mellin-rtol", type=_finite_float, default=1e-6)
     pv.add_argument("--negative-control", type=_finite_float, default=1.0,
                     help="scale factor applied to the right side (CI control)")
     pv.add_argument("--seed", type=int, default=None)
-    pv.add_argument("--jobs", type=int, default=1)
     pv.add_argument("--out", type=str, default=None, help="CSV path (default stdout)")
     pv.set_defaults(func=cmd_verify)
 
@@ -542,7 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--z-hi", type=_finite_float, default=50.0)
     pp.add_argument("--z-n", type=int, default=220)
     pp.add_argument("--seed", type=int, default=None)
-    pp.add_argument("--jobs", type=int, default=1)
     pp.add_argument("--out", type=str, default=None)
     pp.set_defaults(func=cmd_probe)
 
@@ -553,7 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--x", type=_finite_float, required=True)
     pt.add_argument("--t", type=str, required=True, help="grid spec lo:hi:n")
     pt.add_argument("--seed", type=int, default=None)
-    pt.add_argument("--jobs", type=int, default=1)
     pt.add_argument("--out", type=str, default=None)
     pt.set_defaults(func=cmd_thorin)
 
@@ -573,7 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--n-samples", dest="n", type=int, default=30_000)
     ps.add_argument("--mellin-rtol", type=_finite_float, default=1e-6)
     ps.add_argument("--seed", type=int, default=None)
-    ps.add_argument("--jobs", type=int, default=1)
     ps.add_argument("--out", type=str, default=None)
     ps.set_defaults(func=cmd_scan)
     return parser

@@ -9,6 +9,12 @@ prime variates are ratios of two such gamma draws, left shape first. Streams
 are deterministic per seed, but they differ from those of the earlier
 pure-Python Marsaglia-Tsang loop, so sampled statistics (KS values) changed
 when that loop was replaced.
+
+The samplers do their arithmetic in place on the arrays they draw, in the
+order the plain expressions would (``g * u`` becomes ``g *= u``), so every
+value keeps its bits while at most three draw-sized arrays are live per
+sampler: ``verify`` holds one side of its KS test while it draws the other,
+and this keeps its peak memory down. Each returned array is fresh and owned by the caller.
 """
 
 from __future__ import annotations
@@ -152,7 +158,11 @@ def _gamma(gen: np.random.Generator, shape: float, n: int) -> np.ndarray:
     draws against 83 ms for numpy's own small-shape path (numpy 2.4, 2-vCPU
     Xeon VM)."""
     if shape < 1.0:
-        return gen.standard_gamma(shape + 1.0, n) * gen.random(n) ** (1.0 / shape)
+        g = gen.standard_gamma(shape + 1.0, n)
+        u = gen.random(n)
+        u **= 1.0 / shape
+        g *= u
+        return g
     return gen.standard_gamma(shape, n)
 
 
@@ -165,16 +175,16 @@ def sample_beta(p: BetaParams, rng: RngState, size: int | None = None):
     n = 1 if size is None else int(size)
     g1 = _gamma(rng.generator, p.p, n)
     g2 = _gamma(rng.generator, p.q, n)
-    vals = g1 / (g1 + g2)
-    return float(vals[0]) if size is None else vals
+    g2 += g1
+    g1 /= g2
+    return float(g1[0]) if size is None else g1
 
 
 def sample_betaprime(p: BetaPrimeParams, rng: RngState, size: int | None = None):
     n = 1 if size is None else int(size)
     g1 = _gamma(rng.generator, p.a, n)
-    g2 = _gamma(rng.generator, p.b, n)
-    vals = g1 / g2
-    return float(vals[0]) if size is None else vals
+    g1 /= _gamma(rng.generator, p.b, n)
+    return float(g1[0]) if size is None else g1
 
 
 def mc_mean(values) -> tuple[float, float]:

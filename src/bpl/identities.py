@@ -5,11 +5,19 @@ plus, where available, deterministic Mellin-transform evaluators and closed
 densities. verify() runs two independent channels: a two-sample
 Kolmogorov-Smirnov test on fresh sample streams and a relative comparison of
 the transforms over a grid inside the common Mellin strip; both must pass.
+
+verify() draws the two sides of the KS test on the calling thread, each from
+its own spawned stream; ks_two_sample then sorts each side and scans it
+against the other (_ks_side) on two threads, one per side. numpy's sorts and
+searchsorted release the GIL, so the sides run at once, and the statistic
+does not depend on thread timing. The thread count is two by construction,
+not a setting.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,8 +43,10 @@ from .special import gamma_ln, gamma_ratio, gauss_2f1, hyp_3f2
 __all__ = [
     "IdentitySpec",
     "VerificationReport",
+    "KS_ALPHA",
     "ks_threshold",
     "ks_two_sample",
+    "require_ks_power",
     "verify",
     "theorem_a_spec",
     "theorem_b_spec",
@@ -101,40 +111,92 @@ def ks_threshold(alpha: float, n: int, m: int) -> float:
     return math.sqrt(-math.log(alpha / 2.0) / 2.0) * math.sqrt((n + m) / (n * m))
 
 
+def require_ks_power(n: int, alpha: float, what: str = "sample size") -> None:
+    """Reject a sample size at which no pair of samples could fail the KS test:
+    its threshold c(alpha) sqrt(2/n) is 1 or more (n = 5 at alpha = 0.01)."""
+    if n < 1:
+        raise DomainError(f"{what} must be >= 1, got {n}")
+    threshold = ks_threshold(alpha, n, n)
+    if threshold >= 1.0:
+        raise DomainError(f"{what} {n} is too small for a KS test at alpha="
+                          f"{alpha}: its threshold {threshold:.3g} is not below 1")
+
+
+# default level of the KS tests of verify and conjecture_cjmain_scan
+KS_ALPHA = 0.01
+
+# positions of own per step of _ks_side's exact evaluation: bounds its
+# temporaries (a few 0.5 MB arrays) whatever the sample size
+_KS_BLOCK = 1 << 16
+
+
+def _ks_bound_block(n: int) -> int:
+    """Positions per bound block of _ks_side for a side of n values. A
+    block's bound exceeds its terms by up to about block/n, while a KS
+    statistic is of the order 1/sqrt(n); at sqrt(n)/8 few blocks stay open
+    (the scan was fastest between sqrt(n)/16 and sqrt(n)/5 for n from 3e4
+    to 1e6)."""
+    return max(1, math.isqrt(n) // 8)
+
+
+def _ks_side(own: np.ndarray, other: np.ndarray) -> float:
+    """max of F_own(g) - F_other(g) over the points g of own; both sorted.
+
+    This one-sided maximum is reached at a point of own, and the larger of
+    the two sides' maxima is the two-sided statistic. The term at position i
+    is (i + 1)/n - j/m with j = searchsorted(other, own[i], "right"). In a
+    run of equal values it is largest at the run's last position, where
+    i + 1 = #{own <= g}, so the maximum over all positions equals that of the
+    searchsorted formula, bit for bit.
+
+    Positions come in blocks of _ks_bound_block(n). Within a block, i + 1
+    is at most its value at the last position and j at least its value at
+    the first, and the rounded divisions and difference are monotone, so
+    those two bound every term of the block. A block whose bound does not
+    exceed the largest term at the block ends cannot change the maximum and
+    is skipped; the rest are evaluated exactly, _KS_BLOCK positions per step,
+    so no count array of the sample's length is ever live.
+    """
+    n, m = own.size, other.size
+    k = _ks_bound_block(n)
+    first = np.arange(0, n, k)
+    last = np.minimum(first + (k - 1), n - 1)
+    gap = (last + 1) / n
+    bound = gap.copy()
+    gap -= np.searchsorted(other, own[last], side="right") / m
+    best = float(np.max(gap))
+    bound -= np.searchsorted(other, own[first], side="right") / m
+    open_blocks = np.flatnonzero(bound > best)
+    offsets = np.arange(k)
+    step = max(1, _KS_BLOCK // k)
+    for lo in range(0, open_blocks.size, step):
+        pos = (open_blocks[lo:lo + step, None] * k + offsets).ravel()
+        pos = pos[pos < n]
+        gap = (pos + 1) / n
+        gap -= np.searchsorted(other, own[pos], side="right") / m
+        best = max(best, float(np.max(gap)))
+    return best
+
+
 def ks_two_sample(xs, ys):
     """Two-sample Kolmogorov-Smirnov statistic and threshold callable.
 
     The statistic is max |F_x(g) - F_y(g)| over every sample point g, with
-    F_x(g) = #{x <= g} / n. It is found by merging the two sorted samples and
-    reading the counts at the end of each run of equal values, so it equals
-    the searchsorted formula bit for bit. threshold_at(alpha) is
-    ks_threshold(alpha, n, m). A NaN in either sample raises DomainError.
+    F_x(g) = #{x <= g} / n. Each sample is sorted (a copy) and scanned
+    against the other by _ks_side, the two sides on two threads; the larger
+    of the two one-sided maxima equals the searchsorted formula bit for bit.
+    threshold_at(alpha) is ks_threshold(alpha, n, m). A NaN in either sample
+    raises DomainError.
     """
-    xs = np.sort(np.asarray(xs, dtype=float))
-    ys = np.sort(np.asarray(ys, dtype=float))
-    n, m = xs.size, ys.size
-    if n == 0 or m == 0:
-        raise DomainError("KS test needs non-empty samples")
-    if np.isnan(xs[-1]) or np.isnan(ys[-1]):  # NaN sorts last
-        raise DomainError("KS test samples contain NaN")
-    # each step frees what it no longer needs: at n = m = 1e6 every array
-    # here is 8-16 MB, and the KS step sets verify's peak memory
-    merged = np.concatenate([xs, ys])
-    del xs, ys
-    order = np.argsort(merged, kind="stable")  # merges the two sorted runs
-    merged = merged[order]
-    count_x = np.cumsum(order < n, out=order)  # #{x <= g} up to each position
-    del order
-    ends = np.flatnonzero(merged[1:] != merged[:-1])  # last position of each run
-    del merged
-    ends = np.append(ends, n + m - 1)
-    count_x = count_x[ends]
-    ends += 1
-    ends -= count_x  # now #{y <= g}
-    diff = count_x / n
-    del count_x
-    diff -= ends / m
-    stat = float(np.max(np.abs(diff, out=diff)))
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        xs, ys = pool.map(np.sort, (np.asarray(xs, dtype=float),
+                                    np.asarray(ys, dtype=float)))
+        n, m = xs.size, ys.size
+        if n == 0 or m == 0:
+            raise DomainError("KS test needs non-empty samples")
+        if np.isnan(xs[-1]) or np.isnan(ys[-1]):  # NaN sorts last
+            raise DomainError("KS test samples contain NaN")
+        stat = max(pool.map(_ks_side, (xs, ys), (ys, xs)))
 
     def threshold_at(alpha: float) -> float:
         return ks_threshold(alpha, n, m)
@@ -148,7 +210,7 @@ def verify(
     s_grid=None,
     rng: RngState | None = None,
     *,
-    alpha: float = 0.01,
+    alpha: float = KS_ALPHA,
     mellin_rtol: float = 1e-6,
     density_rtol: float = 1e-6,
     rhs_scale: float = 1.0,
@@ -162,8 +224,11 @@ def verify(
         rng = RngState(0)
     seed = rng.seed
     try:
+        # the draws stay on this thread, one after the other: the benchmark's
+        # span tracer keeps one span stack for all threads. ks_two_sample
+        # sorts and scans the two sides on two threads.
         lhs_rng, rhs_rng = rng.spawn(2)
-        xs = np.asarray(spec.lhs_sampler(lhs_rng, n), dtype=float)
+        xs = spec.lhs_sampler(lhs_rng, n)
         ys = rhs_scale * np.asarray(spec.rhs_sampler(rhs_rng, n), dtype=float)
         stat, thr_at = ks_two_sample(xs, ys)
         threshold = thr_at(alpha)
@@ -280,8 +345,32 @@ def _ab_half_factor(a: float, b: float, s: float, n_nodes: int = 80) -> float:
 # Identity builders
 
 
+# The samplers below work in place on the arrays they draw, in the order of
+# the plain expression they stand for (x + y is x += y, u * (1 + sqrt(w)) is
+# sqrt(w) in place, += 1, u *= w), so the values keep their bits and verify's
+# two sides in flight hold few draw-sized arrays.
+
+
 def _bp_sampler(p: BetaPrimeParams):
     return lambda rng, n: sample_betaprime(p, rng, n)
+
+
+def _bp_sum_sampler(p: BetaPrimeParams):
+    """Sum of two iid BetaPrime(p) draws."""
+
+    def draw(rng, n):
+        x = sample_betaprime(p, rng, n)
+        x += sample_betaprime(p, rng, n)
+        return x
+
+    return draw
+
+
+def _one_plus_sqrt(w: np.ndarray) -> np.ndarray:
+    """1 + sqrt(w), in w."""
+    np.sqrt(w, out=w)
+    w += 1.0
+    return w
 
 
 def theorem_a_spec(a: float, opts: EvalOptions = DEFAULT_OPTIONS) -> IdentitySpec:
@@ -293,11 +382,10 @@ def theorem_a_spec(a: float, opts: EvalOptions = DEFAULT_OPTIONS) -> IdentitySpe
     p2 = BetaPrimeParams(2.0 * a, 0.5)
     pb = BetaParams(a, 0.5)
 
-    def lhs(rng, n):
-        return sample_betaprime(p, rng, n) + sample_betaprime(p, rng, n)
-
     def rhs(rng, n):
-        return sample_betaprime(p2, rng, n) * (1.0 + np.sqrt(sample_beta(pb, rng, n)))
+        x = sample_betaprime(p2, rng, n)
+        x *= _one_plus_sqrt(sample_beta(pb, rng, n))
+        return x
 
     def rhs_density(x):
         # multiplier 1 + sqrt(Beta(a,1/2)) has density C u^(2a-1)(1-u^2)^(-1/2)
@@ -314,7 +402,7 @@ def theorem_a_spec(a: float, opts: EvalOptions = DEFAULT_OPTIONS) -> IdentitySpe
 
     return IdentitySpec(
         name="theorem-a",
-        lhs_sampler=lhs,
+        lhs_sampler=_bp_sum_sampler(p),
         rhs_sampler=rhs,
         lhs_mellin=lambda s: mellin_sum(p, s, opts),
         rhs_mellin=lambda s: betaprime_mellin(p2, s) * _one_plus_sqrt_beta_factor(a, s),
@@ -335,17 +423,16 @@ def cjmain_spec(a: float, b: float, opts: EvalOptions = DEFAULT_OPTIONS) -> Iden
     pb1 = BetaParams(a, 0.5)
     pb2 = BetaParams(b, 0.5 - b)
 
-    def lhs(rng, n):
-        return sample_betaprime(p, rng, n) + sample_betaprime(p, rng, n)
-
     def rhs(rng, n):
-        return sample_betaprime(p2, rng, n) * (
-            1.0 + np.sqrt(sample_beta(pb1, rng, n) / sample_beta(pb2, rng, n))
-        )
+        x = sample_betaprime(p2, rng, n)
+        w = sample_beta(pb1, rng, n)
+        w /= sample_beta(pb2, rng, n)
+        x *= _one_plus_sqrt(w)
+        return x
 
     return IdentitySpec(
         name="cjmain",
-        lhs_sampler=lhs,
+        lhs_sampler=_bp_sum_sampler(p),
         rhs_sampler=rhs,
         lhs_mellin=lambda s: mellin_sum(p, s, opts),
         rhs_mellin=lambda s: betaprime_mellin(p2, s) * _tb_factor(a, b, s),
@@ -391,11 +478,17 @@ def prop_b0_spec(a: float, b: float, b_prime: float,
 
         return halfline_power(smooth, e - 1.0, opts)
 
+    def rhs(rng, n):
+        x = sample_betaprime(pr, rng, n)
+        w = sample_betaprime(pm, rng, n)
+        w += 1.0
+        x *= w
+        return x
+
     return IdentitySpec(
         name="prop-b0",
         lhs_sampler=_bp_sampler(p),
-        rhs_sampler=lambda rng, n: sample_betaprime(pr, rng, n)
-        * (1.0 + sample_betaprime(pm, rng, n)),
+        rhs_sampler=rhs,
         lhs_mellin=lambda s: betaprime_mellin(p, s),
         rhs_mellin=rhs_mellin,
         mellin_strip=(-a, b),
@@ -415,17 +508,17 @@ def ab_half_spec(a: float, opts: EvalOptions = DEFAULT_OPTIONS) -> IdentitySpec:
     pb1 = BetaParams(a, 0.5)
     pb2 = BetaParams(b, 0.5)
 
-    def lhs(rng, n):
-        return sample_betaprime(p, rng, n) + sample_betaprime(p, rng, n)
-
     def rhs(rng, n):
-        return sample_betaprime(p2, rng, n) * (
-            sample_beta(pb1, rng, n) + 1.0 / sample_beta(pb2, rng, n)
-        )
+        x = sample_betaprime(p2, rng, n)
+        w = sample_beta(pb1, rng, n)
+        v = sample_beta(pb2, rng, n)
+        w += np.divide(1.0, v, out=v)
+        x *= w
+        return x
 
     return IdentitySpec(
         name="ab-half",
-        lhs_sampler=lhs,
+        lhs_sampler=_bp_sum_sampler(p),
         rhs_sampler=rhs,
         lhs_mellin=lambda s: mellin_sum(p, s, opts),
         rhs_mellin=lambda s: betaprime_mellin(p2, s) * _ab_half_factor(a, b, s),
@@ -457,12 +550,21 @@ def free_spec(a: float, b: float, c: float, d: float,
     e = c + d - b
 
     def lhs(rng, n):
-        return (1.0 + sample_betaprime(p1, rng, n)) * (1.0 + sample_betaprime(p2, rng, n)) - 1.0
+        x = sample_betaprime(p1, rng, n)
+        x += 1.0
+        y = sample_betaprime(p2, rng, n)
+        y += 1.0
+        x *= y
+        x -= 1.0
+        return x
 
     def rhs(rng, n):
-        return sample_betaprime(pr, rng, n) * (
-            1.0 + sample_beta(pb, rng, n) * sample_betaprime(pm, rng, n)
-        )
+        x = sample_betaprime(pr, rng, n)
+        w = sample_beta(pb, rng, n)
+        w *= sample_betaprime(pm, rng, n)
+        w += 1.0
+        x *= w
+        return x
 
     def lhs_mellin(s):
         if not -(a + c) < s < min(b, d):
@@ -560,6 +662,19 @@ def _sqrt_gamma_sum_mellin(a: float, s: float, opts: EvalOptions) -> float:
     return math.exp(gamma_ln(2.0 * a + s / 2.0) - 2.0 * gamma_ln(a)) * j
 
 
+def _sqrt_gamma_sum_sampler(pg: GammaParams):
+    """sqrt G + sqrt G for two iid Gamma(pg) draws."""
+
+    def draw(rng, n):
+        x = sample_gamma(pg, rng, n)
+        np.sqrt(x, out=x)
+        y = sample_gamma(pg, rng, n)
+        x += np.sqrt(y, out=y)
+        return x
+
+    return draw
+
+
 def half_gaussian_spec(a: float, opts: EvalOptions = DEFAULT_OPTIONS) -> IdentitySpec:
     """sqrt G_a + sqrt G_a against sqrt(G_2a (1 + sqrt Beta(a, 1/2)))."""
     if not a > 0.0:
@@ -568,12 +683,10 @@ def half_gaussian_spec(a: float, opts: EvalOptions = DEFAULT_OPTIONS) -> Identit
     pg2 = GammaParams(2.0 * a)
     pb = BetaParams(a, 0.5)
 
-    def lhs(rng, n):
-        return np.sqrt(sample_gamma(pg, rng, n)) + np.sqrt(sample_gamma(pg, rng, n))
-
     def rhs(rng, n):
-        return np.sqrt(sample_gamma(pg2, rng, n)
-                       * (1.0 + np.sqrt(sample_beta(pb, rng, n))))
+        x = sample_gamma(pg2, rng, n)
+        x *= _one_plus_sqrt(sample_beta(pb, rng, n))
+        return np.sqrt(x, out=x)
 
     def rhs_mellin(s):
         return (math.exp(gamma_ln(2.0 * a + s / 2.0) - gamma_ln(2.0 * a))
@@ -581,7 +694,7 @@ def half_gaussian_spec(a: float, opts: EvalOptions = DEFAULT_OPTIONS) -> Identit
 
     return IdentitySpec(
         name="half-gaussian",
-        lhs_sampler=lhs,
+        lhs_sampler=_sqrt_gamma_sum_sampler(pg),
         rhs_sampler=rhs,
         lhs_mellin=lambda s: _sqrt_gamma_sum_mellin(a, s, opts),
         rhs_mellin=rhs_mellin,
@@ -598,12 +711,13 @@ def cor34_spec(a: float, opts: EvalOptions = DEFAULT_OPTIONS) -> IdentitySpec:
     pg = GammaParams(a)
     ph = GammaParams(0.5)
 
-    def lhs(rng, n):
-        return sample_betaprime(p, rng, n) + sample_betaprime(p, rng, n)
+    sqrt_sum = _sqrt_gamma_sum_sampler(pg)
 
     def rhs(rng, n):
-        s = np.sqrt(sample_gamma(pg, rng, n)) + np.sqrt(sample_gamma(pg, rng, n))
-        return s * s / sample_gamma(ph, rng, n)
+        x = sqrt_sum(rng, n)
+        x *= x
+        x /= sample_gamma(ph, rng, n)
+        return x
 
     def rhs_mellin(s):
         return (_sqrt_gamma_sum_mellin(a, 2.0 * s, opts)
@@ -611,7 +725,7 @@ def cor34_spec(a: float, opts: EvalOptions = DEFAULT_OPTIONS) -> IdentitySpec:
 
     return IdentitySpec(
         name="cor34",
-        lhs_sampler=lhs,
+        lhs_sampler=_bp_sum_sampler(p),
         rhs_sampler=rhs,
         lhs_mellin=lambda s: mellin_sum(p, s, opts),
         rhs_mellin=rhs_mellin,
@@ -715,10 +829,13 @@ def _cjmain_representation_errors(a: float, b: float, s: float,
 
 def conjecture_cjmain_scan(grid, n: int, rng: RngState,
                            opts: EvalOptions = DEFAULT_OPTIONS,
-                           s_probe: float = 0.1) -> list[dict]:
+                           s_probe: float = 0.1,
+                           alpha: float = KS_ALPHA) -> list[dict]:
     """verify() on the general square-root spec over a parameter grid plus the
     two integral-representation checks; proven branches carry a verdict, the
-    rest is exploratory evidence."""
+    rest is exploratory evidence. An n without KS power at alpha raises
+    DomainError."""
+    require_ks_power(n, alpha)
     rows = []
     streams = rng.spawn(len(list(grid)))
     for (a, b), sub in zip(grid, streams):
@@ -727,7 +844,7 @@ def conjecture_cjmain_scan(grid, n: int, rng: RngState,
         proven = abs(a - 0.5) < 1e-9 or abs(a - (1.0 - b)) < 1e-9
         try:
             spec = cjmain_spec(a, b, opts)
-            rep = verify(spec, n, None, sub)
+            rep = verify(spec, n, None, sub, alpha=alpha)
             s_here = min(s_probe, 0.8 * b)
             r1, r2 = _cjmain_representation_errors(a, b, s_here, opts)
             rows.append({

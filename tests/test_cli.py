@@ -2,6 +2,7 @@
 
 import csv
 import os
+import threading
 
 import pytest
 
@@ -54,8 +55,8 @@ class TestVerifyCommand:
 
     def test_parameter_grid_rows(self, tmp_path):
         code, _, rows = _run_csv(
-            ["verify", "theorem-a", "--a", "0.5,1.0", "--n", "20000", "--seed", "9",
-             "--jobs", "2"], tmp_path)
+            ["verify", "theorem-a", "--a", "0.5,1.0", "--n", "20000", "--seed", "9"],
+            tmp_path)
         assert code == 0
         assert {r[1] for r in rows} == {"a=0.5", "a=1"}
 
@@ -234,6 +235,77 @@ class TestBadInputExitTwo:
                                   "--seed", "1"], tmp_path)
         assert code in (0, 1)
         assert float(rows[0][4]) < 1.0
+
+    @pytest.mark.parametrize("n", ["1", "5", "0", "-5"])
+    def test_scan_cjmain_n_without_ks_power(self, n, capsys):
+        # the scan runs verify at alpha = 0.01: threshold >= 1 up to n = 5
+        assert main(["scan", "cjmain", "--a", "0.5", "--b", "0.2", "--n-samples", n]) == 2
+        err = capsys.readouterr().err
+        assert "sample size" in err and "Traceback" not in err
+
+    def test_scan_cjmain_smallest_n_with_ks_power(self, tmp_path):
+        code, _, rows = _run_csv(["scan", "cjmain", "--a", "0.5", "--b", "0.2",
+                                  "--n-samples", "6", "--seed", "1"], tmp_path)
+        assert code in (0, 1)
+        assert [r[2] for r in rows] == ["ks", "mellin", "representation"]
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "theorem-a", "--a", "1"],
+        ["probe", "k0-e1"],
+        ["thorin", "--a", "0.5", "--x", "0.5", "--t", "0.1:10:5"],
+        ["scan", "cmmi"],
+    ], ids=["verify", "probe", "thorin", "scan"])
+    def test_jobs_flag_removed(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--jobs", "2"])
+        assert err.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_sampler_error_is_error_row(self, tmp_path, monkeypatch):
+        from bpl import cli
+        from bpl.errors import DomainError
+        from bpl.identities import identity_catalog
+
+        catalog = identity_catalog()
+        threads = []
+
+        def broken_theorem_a(a):
+            spec = catalog["theorem-a"](a)
+
+            def rhs(rng, n):
+                threads.append(threading.current_thread())
+                raise DomainError("rhs sampler refused")
+
+            spec.rhs_sampler = rhs
+            return spec
+
+        monkeypatch.setattr(cli, "identity_catalog",
+                            lambda: {**catalog, "theorem-a": broken_theorem_a})
+        code, _, rows = _run_csv(["verify", "theorem-a", "--a", "1", "--n", "1000",
+                                  "--seed", "1"], tmp_path)
+        assert code == 2
+        assert len(rows) == 1 and rows[0][2] == "error"
+        assert rows[0][3] == "DomainError: rhs sampler refused"
+        # draws stay on the calling thread; only the KS sorts and scans fan out
+        assert threads == [threading.main_thread()]
+
+    def test_error_in_ks_worker_thread_is_error_row(self, tmp_path, monkeypatch):
+        from bpl import identities
+        from bpl.errors import DomainError
+
+        threads = []
+
+        def refuse(own, other):
+            threads.append(threading.current_thread())
+            raise DomainError("side scan refused")
+
+        monkeypatch.setattr(identities, "_ks_side", refuse)
+        code, _, rows = _run_csv(["verify", "theorem-a", "--a", "1", "--n", "1000",
+                                  "--seed", "1"], tmp_path)
+        assert code == 2
+        assert len(rows) == 1 and rows[0][2] == "error"
+        assert rows[0][3] == "DomainError: side scan refused"
+        assert threads and threading.main_thread() not in threads
 
     def test_cmmi_non_integer_order(self, tmp_path, capsys):
         out = tmp_path / "c.csv"

@@ -11,6 +11,7 @@ from bpl.distributions import (
     BetaPrimeParams,
     GammaParams,
     RngState,
+    _gamma,
     beta_pdf,
     betaprime_laplace,
     betaprime_mellin,
@@ -174,6 +175,52 @@ class TestSamplerOracle:
     def test_betaprime(self):
         x = sample_betaprime(BetaPrimeParams(0.8, 1.4), RngState(43), self.N)
         assert st.kstest(x, "betaprime", args=(0.8, 1.4)).pvalue > 1e-6
+
+
+def _gamma_expr(gen, shape, n):
+    """The plain-expression form of the in-place _gamma, kept as a reference."""
+    if shape < 1.0:
+        return gen.standard_gamma(shape + 1.0, n) * gen.random(n) ** (1.0 / shape)
+    return gen.standard_gamma(shape, n)
+
+
+_SHAPES = [0.2, 0.5, 1.0, 4.0]
+
+
+class TestInPlaceSamplers:
+    """In-place arithmetic gives the bits of the plain expressions."""
+
+    N = 20_000
+
+    @pytest.mark.parametrize("t", _SHAPES)
+    def test_gamma(self, t):
+        got = _gamma(RngState(51).generator, t, self.N)
+        want = _gamma_expr(RngState(51).generator, t, self.N)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("p", _SHAPES)
+    @pytest.mark.parametrize("q", _SHAPES)
+    def test_beta(self, p, q):
+        got = sample_beta(BetaParams(p, q), RngState(52), self.N)
+        gen = RngState(52).generator
+        g1 = _gamma_expr(gen, p, self.N)
+        g2 = _gamma_expr(gen, q, self.N)
+        assert got.tobytes() == (g1 / (g1 + g2)).tobytes()
+
+    @pytest.mark.parametrize("a", _SHAPES)
+    @pytest.mark.parametrize("b", _SHAPES)
+    def test_betaprime(self, a, b):
+        got = sample_betaprime(BetaPrimeParams(a, b), RngState(53), self.N)
+        gen = RngState(53).generator
+        g1 = _gamma_expr(gen, a, self.N)
+        g2 = _gamma_expr(gen, b, self.N)
+        assert got.tobytes() == (g1 / g2).tobytes()
+
+    def test_scalar_draw(self):
+        got = sample_betaprime(BetaPrimeParams(0.5, 4.0), RngState(54))
+        gen = RngState(54).generator
+        g1 = _gamma_expr(gen, 0.5, 1)
+        assert isinstance(got, float) and got == float((g1 / _gamma_expr(gen, 4.0, 1))[0])
 
 
 class TestSizeBias:

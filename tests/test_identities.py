@@ -2,6 +2,7 @@
 lemma densities, conjecture scans."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from bpl.convolution import mellin_sum
 from bpl.distributions import BetaPrimeParams, RngState, betaprime_mellin
 from bpl.errors import DomainError
+from bpl import identities
 from bpl.identities import (
     ab_half_spec,
     cjmain_spec,
@@ -20,6 +22,7 @@ from bpl.identities import (
     free_spec,
     half_gaussian_spec,
     hypergeo_identity_check,
+    IdentitySpec,
     identity_catalog,
     ks_two_sample,
     lemma_densities,
@@ -46,6 +49,23 @@ def _ks_searchsorted(xs, ys):
     return float(np.max(np.abs(cdf_x - cdf_y)))
 
 
+def _ks_merge(xs, ys):
+    """Reference: the merge formula ks_two_sample used before its per-side
+    scan. One stable argsort merges the two sorted samples, and both counts
+    are read at the end of each run of equal values."""
+    xs = np.sort(np.asarray(xs, dtype=float))
+    ys = np.sort(np.asarray(ys, dtype=float))
+    n, m = xs.size, ys.size
+    merged = np.concatenate([xs, ys])
+    order = np.argsort(merged, kind="stable")
+    merged = merged[order]
+    count_x = np.cumsum(order < n)
+    ends = np.append(np.flatnonzero(merged[1:] != merged[:-1]), n + m - 1)
+    count_x = count_x[ends]
+    count_y = ends + 1 - count_x
+    return float(np.max(np.abs(count_x / n - count_y / m)))
+
+
 # few distinct values so that ties within and across the samples are common
 _KS_VALUES = st.one_of(st.sampled_from([-math.inf, math.inf, -1.0, 0.0, 0.5, 2.0]),
                        st.floats(-3.0, 3.0))
@@ -59,6 +79,40 @@ class TestKs:
     @example(xs=[math.inf, 0.0, math.inf], ys=[math.inf])
     @example(xs=[1.0], ys=[2.0])
     def test_merge_equals_searchsorted_formula(self, xs, ys):
+        assert ks_two_sample(xs, ys)[0] == _ks_searchsorted(xs, ys)
+
+    @settings(max_examples=300, deadline=None)
+    @given(xs=_KS_SAMPLE, ys=_KS_SAMPLE, bound_block=st.integers(1, 7),
+           block=st.integers(1, 20))
+    def test_small_blocks_equal_searchsorted_formula(self, xs, ys, bound_block, block):
+        # runs of ties that cross block boundaries, and skipped blocks; the
+        # side scans are called directly, without the two threads of
+        # ks_two_sample
+        xs, ys = np.sort(xs), np.sort(ys)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(identities, "_ks_bound_block", lambda n: bound_block)
+            mp.setattr(identities, "_KS_BLOCK", block)
+            stat = max(identities._ks_side(xs, ys), identities._ks_side(ys, xs))
+        assert stat == _ks_searchsorted(xs, ys)
+
+    def test_ties_across_default_blocks(self):
+        r1, r2 = RngState(8).spawn(2)
+        xs = np.round(r1.generator.normal(size=300_000), 2)
+        ys = np.round(r2.generator.normal(0.01, 1.0, size=200_000), 2)
+        assert ks_two_sample(xs, ys)[0] == _ks_searchsorted(xs, ys)
+
+    @pytest.mark.parametrize("shift", [0.0, 0.003, 0.05])
+    def test_skipped_blocks_on_large_samples(self, shift):
+        # continuous samples: all but a few bound blocks are skipped
+        r1, r2 = RngState(9).spawn(2)
+        xs = r1.generator.normal(size=250_000)
+        ys = r2.generator.normal(shift, 1.0, size=180_000)
+        assert ks_two_sample(xs, ys)[0] == _ks_searchsorted(xs, ys)
+
+    def test_run_of_ties_longer_than_a_block(self):
+        # underflowed draws of a tiny shape are a long run of zeros
+        xs = np.concatenate([np.zeros(200_000), np.linspace(0.1, 1.0, 7)])
+        ys = np.array([0.0, 0.5, 2.0])
         assert ks_two_sample(xs, ys)[0] == _ks_searchsorted(xs, ys)
 
     @pytest.mark.parametrize("xs, ys", [([1.0, math.nan], [1.0]), ([1.0], [math.nan])])
@@ -148,6 +202,87 @@ class TestEngine:
         spec = theorem_a_spec(1.0)
         rep = verify(spec, 1000, [0.7], RngState(64))
         assert rep.verdict == "fail" and rep.failure is not None
+
+
+# one parameter point per catalog identity
+_CATALOG_POINTS = {
+    "theorem-a": (0.5,),
+    "theorem-b": (0.5, 0.2),
+    "prop-b0": (1.0, 0.5, 1.5),
+    "ab-half": (0.25,),
+    "free": (1.0, 1.0, 1.0, 1.0),
+    "half-gaussian": (0.5,),
+    "cor34": (1.0,),
+}
+
+
+class TestTwoSidedVerify:
+    """verify draws both sides on the calling thread; ks_two_sample sorts and
+    scans each side on its own thread."""
+
+    @pytest.mark.parametrize("name, args, scale", [
+        *((name, None, 1.0) for name in sorted(identity_catalog())),
+        ("theorem-a", (1.0,), 1.1),
+    ])
+    def test_statistic_equals_serial_reference(self, name, args, scale):
+        spec = identity_catalog()[name](*(args or _CATALOG_POINTS[name]))
+        ks_only = IdentitySpec(name=name, lhs_sampler=spec.lhs_sampler,
+                               rhs_sampler=spec.rhs_sampler)
+        n = 3000
+        rep = verify(ks_only, n, None, RngState(17), rhs_scale=scale)
+        lhs_rng, rhs_rng = RngState(17).spawn(2)
+        xs = spec.lhs_sampler(lhs_rng, n)
+        ys = scale * spec.rhs_sampler(rhs_rng, n)
+        assert rep.ks_statistic == _ks_merge(xs, ys)
+
+    def test_unsorted_inputs_left_unchanged(self):
+        xs = np.array([3.0, 1.0, 2.0])
+        ys = np.array([2.5, 0.5])
+        ks_two_sample(xs, ys)
+        assert xs.tolist() == [3.0, 1.0, 2.0] and ys.tolist() == [2.5, 0.5]
+
+    @pytest.mark.parametrize("side", ["lhs", "rhs"])
+    def test_sampler_error_is_failure(self, side):
+        def refuse(rng, n):
+            raise DomainError("sampler refused")
+
+        samplers = {"lhs_sampler": theorem_a_spec(1.0).lhs_sampler,
+                    "rhs_sampler": theorem_a_spec(1.0).rhs_sampler,
+                    f"{side}_sampler": refuse}
+        rep = verify(IdentitySpec(name="refuse", **samplers), 1000, None, RngState(3))
+        assert rep.verdict == "fail" and rep.failure == "DomainError: sampler refused"
+
+    def test_error_in_worker_is_failure(self, monkeypatch):
+        def refuse(own, other):
+            raise DomainError("side scan refused")
+
+        monkeypatch.setattr(identities, "_ks_side", refuse)
+        rep = verify(theorem_a_spec(1.0), 1000, None, RngState(3))
+        assert rep.verdict == "fail" and rep.failure == "DomainError: side scan refused"
+
+    @pytest.mark.parametrize("side", ["lhs", "rhs"])
+    def test_nan_on_either_side_is_domain_error(self, side):
+        good = theorem_a_spec(1.0).lhs_sampler
+
+        def with_nan(rng, n):
+            x = good(rng, n)
+            x[n // 2] = math.nan
+            return x
+
+        samplers = {"lhs_sampler": good, "rhs_sampler": good, f"{side}_sampler": with_nan}
+        rep = verify(IdentitySpec(name="nan", **samplers), 1000, None, RngState(4))
+        assert rep.failure == "DomainError: KS test samples contain NaN"
+
+    def test_no_worker_outlives_verify(self):
+        before = threading.active_count()
+        verify(theorem_a_spec(1.0), 20_000, None, RngState(5))
+
+        def refuse(rng, n):
+            raise DomainError("sampler refused")
+
+        verify(IdentitySpec(name="refuse", lhs_sampler=refuse, rhs_sampler=refuse),
+               1000, None, RngState(6))
+        assert threading.active_count() == before
 
 
 class TestTheoremA:
@@ -368,6 +503,11 @@ class TestScans:
     def test_cjmain_domain(self):
         with pytest.raises(DomainError):
             conjecture_cjmain_scan([(0.5, 0.7)], 1000, RngState(85))
+
+    @pytest.mark.parametrize("n, alpha", [(5, 0.01), (0, 0.01), (10, 1e-6)])
+    def test_cjmain_n_without_ks_power(self, n, alpha):
+        with pytest.raises(DomainError, match="sample size"):
+            conjecture_cjmain_scan([(0.5, 0.2)], n, RngState(86), alpha=alpha)
 
     def test_conjhyp_limits_and_records(self):
         res = conjhyp_integral_check(0.25, [1e-7, 0.5, 0.9])
