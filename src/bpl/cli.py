@@ -6,9 +6,11 @@ measure and density) and scan (conjecture scans with exploratory rows).
 
 Exit codes: 0 = everything matched expectations, 1 = a proven statement was
 numerically violated (or an expected violation failed to appear), 2 = bad
-parameters or a numeric failure. CSV is RFC-4180 with a header row; every row
-carries the seed, the governing tolerance and the library version, and output
-is byte-identical for identical configuration and seed.
+parameters or a numeric failure; any other exception escaping a command is
+reported on one stderr line naming its type, without a traceback, and exits 2.
+CSV is RFC-4180 with a header row; every row carries the seed, the governing
+tolerance and the library version, and output is byte-identical for identical
+configuration and seed.
 """
 
 from __future__ import annotations
@@ -356,19 +358,18 @@ def cmd_thorin(args) -> int:
     try:
         p = ThorinParams(args.a, args.x)
         ts = _parse_grid(args.t)
-        rows = []
-        for t in ts:
-            fv = f_ax(p, float(t)) if p.a < 1.0 else math.nan
-            rows.append([args.a, args.x, float(t), fv,
-                         thorin_cdf(p, float(t)), thorin_density(p, float(t)),
-                         seed, EvalOptions().rel_tol, __version__])
+        fvs = f_ax(p, ts) if p.a < 1.0 else np.full(ts.shape, math.nan)
+        cdfs = thorin_cdf(p, ts)
+        densities = thorin_density(p, ts)
     except BplError as exc:
         sys.stderr.write(f"thorin evaluation failed: {exc}\n")
         return EXIT_NUMERIC
     header = ["a", "x", "t", "f_ax", "cdf", "density", "seed", "tolerance", "version"]
+    rows = [[args.a, args.x, t, fv, cdf, dens, seed, EvalOptions().rel_tol, __version__]
+            for t, fv, cdf, dens in zip(ts.tolist(), fvs.tolist(), cdfs.tolist(),
+                                        densities.tolist())]
     _write_csv(cfg.out_path, header, rows)
-    cdfs = [row[4] for row in rows]
-    return EXIT_OK if all(c2 >= c1 - 1e-9 for c1, c2 in zip(cdfs, cdfs[1:])) else EXIT_VIOLATION
+    return EXIT_OK if np.all(cdfs[1:] >= cdfs[:-1] - 1e-9) else EXIT_VIOLATION
 
 
 # ---------------------------------------------------------------------------
@@ -440,13 +441,14 @@ def cmd_scan(args) -> int:
             a_grid = _parse_floats(args.a)
             b = _parse_float(args.b) if args.b else 0.5
             ts = _parse_grid(args.t) if args.t else np.geomspace(0.2, 8.0, 5)
+            # a * cdf over the grid, once per a; one a alone has no pair
+            masses = ([a * thorin_cdf(ThorinParams(a, b), ts) for a in a_grid]
+                      if len(a_grid) > 1 else [])
             for i, a in enumerate(a_grid[:-1]):
                 a2 = a_grid[i + 1]
-                for t in ts:
-                    lo = a * thorin_cdf(ThorinParams(a, b), float(t))
-                    hi = a2 * thorin_cdf(ThorinParams(a2, b), float(t))
-                    rows.append(["thorin-order", f"a={_fmt(a)};a'={_fmt(a2)};b={_fmt(b)};t={_fmt(float(t))}",
-                                 "mass-gap", hi - lo, "EXPLORATORY",
+                for t, gap in zip(ts.tolist(), (masses[i + 1] - masses[i]).tolist()):
+                    rows.append(["thorin-order", f"a={_fmt(a)};a'={_fmt(a2)};b={_fmt(b)};t={_fmt(t)}",
+                                 "mass-gap", gap, "EXPLORATORY",
                                  seed, tol, __version__])
         elif args.conjecture == "kumma":
             # conjectured CM of the equal-shift quotient: recorded only
@@ -560,7 +562,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:  # noqa: BLE001 - any escaping failure is a numeric one
+        reason = " ".join(str(exc).split())
+        sys.stderr.write(f"bpl {args.command} failed: {type(exc).__name__}: {reason}\n")
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -15,7 +15,6 @@ below return such targets, built on the array-first special functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
@@ -25,6 +24,7 @@ from .distributions import BetaPrimeParams, betaprime_pdf
 from .errors import DomainError
 from .options import DEFAULT_OPTIONS, EvalOptions
 from .quadrature import integrate
+from .results import ProbeResult
 from .special import (
     expint_e1,
     gamma_ratio,
@@ -60,19 +60,6 @@ _WINDOW = 25
 _DEGREE = 12
 _SAFETY = 4.0       # sign slack in units of the noise floor
 _VIOLATION = 12.0   # a real counterexample must clear this many floors
-
-
-@dataclass
-class ProbeResult:
-    orders_checked: int
-    grid: np.ndarray
-    sign_table: np.ndarray  # (orders+1, npoints) booleans, True = consistent
-    first_violation: tuple[int, float] | None
-    verdict: str  # "holds" | "violated" | "inconclusive"
-    details: dict = field(default_factory=dict)
-
-    def __bool__(self):
-        return self.verdict == "holds"
 
 
 def geometric_grid(lo: float = 1e-2, hi: float = 50.0, n: int = 220) -> np.ndarray:

@@ -14,6 +14,13 @@ column j meets its own tolerance rel_tol*|total_j| + abs_tol. A (N,)
 integrand returns a float, an (N, m) one an array of shape (m,). Every entry
 point (integrate, power_weighted, beta_kernel, halfline_power) passes the
 columns through unchanged.
+
+Column blocks: a round over m columns may ask for at most _MAX_ROUND_VALUES
+integrand values, so the array-first functions of special and thorin hand
+their columns to column_blocks, which evaluates a long array in blocks of at
+most _BLOCK_COLUMNS columns (273), one shared mesh per block, and splits a
+block in halves if its mesh still grows past that cap. Arrays up to that
+width (the probe grids, the thorin tables) stay one block.
 """
 
 from __future__ import annotations
@@ -54,6 +61,14 @@ _GAUSS_IDX = np.arange(1, 15, 2)
 # every panel; this bound turns that doubling into a QuadratureError while the
 # arrays are still a few MB.
 _MAX_ROUND_VALUES = 1 << 19
+
+# Widest column block of column_blocks: a round over a full block may still
+# split 64 panels (2 * 15 * 64 * 273 values) within _MAX_ROUND_VALUES.
+_BLOCK_COLUMNS = _MAX_ROUND_VALUES // (2 * _XGK.size * 64)
+
+
+class _RoundTooWide(QuadratureError):
+    """A refinement round would ask for more than _MAX_ROUND_VALUES values."""
 
 
 def _along_nodes(w: np.ndarray, fx) -> np.ndarray:
@@ -135,7 +150,7 @@ def _adaptive(f, breakpoints, opts: EvalOptions):
         if split.size:
             k = split.size
             if 2 * k * _XGK.size * m > _MAX_ROUND_VALUES:
-                raise QuadratureError(
+                raise _RoundTooWide(
                     f"refinement round would split {k} of {n} panels over {m} columns"
                 )
             c_lo = np.concatenate((lo[split], mid))
@@ -158,6 +173,37 @@ def _adaptive(f, breakpoints, opts: EvalOptions):
     raise QuadratureError(
         f"refinement budget exhausted: error {total_err[j]:.3e} > tolerance {tol[j]:.3e}"
     )
+
+
+def column_blocks(fn, z, positive: str | None = None, width: int = 1):
+    """fn over the values of z, evaluated in blocks of columns.
+
+    fn maps a 1-d array of values to an array of the same length and spends
+    width quadrature columns on each value. z is flattened; with a message,
+    every value must be > 0 (NaN included) or DomainError is raised before
+    anything is evaluated. Blocks hold at most _BLOCK_COLUMNS // width values.
+    A block whose mesh grows so fine that a round over all its columns would
+    exceed _MAX_ROUND_VALUES (a t or z near a singular end can need thousands
+    of panels) is evaluated as two halves instead, down to single values.
+    The result has the shape of z, and a scalar z gives a float.
+    """
+    zs = np.asarray(z, dtype=float).ravel()
+    if positive is not None and not np.all(zs > 0.0):
+        raise DomainError(positive)
+    step = max(_BLOCK_COLUMNS // width, 1)
+    blocks = [zs[i:i + step] for i in range(0, zs.size, step)] or [zs]
+    vals = np.concatenate([_in_halves(fn, block) for block in blocks])
+    return float(vals[0]) if np.ndim(z) == 0 else vals.reshape(np.shape(z))
+
+
+def _in_halves(fn, zs: np.ndarray) -> np.ndarray:
+    try:
+        return np.asarray(fn(zs), dtype=float)
+    except _RoundTooWide:
+        if zs.size < 2:
+            raise
+        half = zs.size // 2
+        return np.concatenate((_in_halves(fn, zs[:half]), _in_halves(fn, zs[half:])))
 
 
 def _graded(n: int = 9) -> np.ndarray:

@@ -11,7 +11,8 @@ Array-first functions: tricomi_psi, hermite_h_neg, expint_e1 and
 macdonald_k0 accept an array of z and return an array of the same shape,
 computed by one quadrature over a mesh shared by every z (one column per z);
 a scalar z returns a float. parabolic_d, mills_ratio and mills_ratio_deriv
-accept arrays in the same way.
+accept arrays in the same way. Long arrays are evaluated in blocks of columns
+(quadrature.column_blocks), one shared mesh per block.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, NonConvergenceError
 from .options import DEFAULT_OPTIONS, EvalOptions, HypArgs
-from .quadrature import beta_kernel, halfline_power, integrate
+from .quadrature import beta_kernel, column_blocks, halfline_power, integrate
 
 __all__ = [
     "EvalOptions",
@@ -453,55 +454,47 @@ def kummer_phi(a: float, c: float, z: float, opts: EvalOptions = DEFAULT_OPTIONS
     raise NonConvergenceError(f"Kummer series stalled for z={z}")
 
 
-def _columns(z, positive: str | None = None) -> np.ndarray:
-    """z flattened to one quadrature column per value; with a message, every
-    value must be > 0 (NaN included) or DomainError is raised."""
-    zs = np.asarray(z, dtype=float).ravel()
-    if positive is not None and not np.all(zs > 0.0):
-        raise DomainError(positive)
-    return zs
-
-
-def _shaped(vals: np.ndarray, z):
-    """Column results back in the shape of z; a float for a scalar z."""
-    return float(vals[0]) if np.ndim(z) == 0 else vals.reshape(np.shape(z))
-
-
 def tricomi_psi(a: float, c: float, z, opts: EvalOptions = DEFAULT_OPTIONS):
     """Tricomi's function Psi(a, c, z) for a > 0, z > 0, by quadrature."""
     if not a > 0.0:
         raise DomainError("Psi integral representation needs a > 0")
-    zs = _columns(z, "Psi evaluated on (0, infinity) only")
-
     e = c - a - 1.0
+    o = opts.with_budget(80)
 
-    def smooth(t):
-        return np.exp(np.multiply.outer(t, -zs)) * ((1.0 + t) ** e)[:, None]
+    def block(zs):
+        def smooth(t):
+            return np.exp(np.multiply.outer(t, -zs)) * ((1.0 + t) ** e)[:, None]
 
-    val = halfline_power(smooth, a - 1.0, opts.with_budget(80))
-    return _shaped(math.exp(-gamma_ln(a)) * val, z)
+        return math.exp(-gamma_ln(a)) * halfline_power(smooth, a - 1.0, o)
+
+    return column_blocks(block, z, "Psi evaluated on (0, infinity) only")
 
 
 def hermite_h_neg(nu: float, z, opts: EvalOptions = DEFAULT_OPTIONS):
     """Hermite function H_{-nu}(z) for nu > 0, all real z."""
     if not nu > 0.0:
         raise DomainError("negative-order Hermite function needs nu > 0")
-    zs = _columns(z)
+    o = opts.with_budget(60)
 
-    def smooth(t):
-        return np.exp((-t * t)[:, None] - np.multiply.outer(2.0 * t, zs))
+    def block(zs):
+        def smooth(t):
+            return np.exp((-t * t)[:, None] - np.multiply.outer(2.0 * t, zs))
 
-    val = halfline_power(smooth, nu - 1.0, opts.with_budget(60))
-    return _shaped(math.exp(-gamma_ln(nu)) * val, z)
+        return math.exp(-gamma_ln(nu)) * halfline_power(smooth, nu - 1.0, o)
+
+    return column_blocks(block, z)
 
 
 def parabolic_d(nu: float, z, opts: EvalOptions = DEFAULT_OPTIONS):
     """Parabolic cylinder D_nu(z) for nu < 0, through the Hermite function."""
     if not nu < 0.0:
         raise DomainError("only negative orders are evaluated here")
-    zs = np.asarray(z, dtype=float)
-    val = 2.0 ** (-nu / 2.0) * np.exp(-zs * zs / 4.0) * hermite_h_neg(-nu, zs / math.sqrt(2.0), opts)
-    return float(val) if np.ndim(val) == 0 else val
+
+    def block(zs):
+        return (2.0 ** (-nu / 2.0) * np.exp(-zs * zs / 4.0)
+                * hermite_h_neg(-nu, zs / math.sqrt(2.0), opts))
+
+    return column_blocks(block, z)
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +516,10 @@ def mills_ratio(x):
     which stays accurate where exp(x^2/2) would overflow. Below -37.5,
     exp(x^2/2) exceeds float range and r(x) ~ sqrt(2 pi) e^{x^2/2} is inf.
     """
-    xs = np.asarray(x, dtype=float)
+    return column_blocks(_mills_block, x)
+
+
+def _mills_block(xs: np.ndarray) -> np.ndarray:
     out = np.full(xs.shape, math.inf)
     far = xs >= 8.0
     xf = xs[far]
@@ -534,7 +530,7 @@ def mills_ratio(x):
     mid = (xs > -37.5) & ~far
     xm = xs[mid]
     out[mid] = _SQRT_HALF_PI * _erfc(xm / math.sqrt(2.0)).astype(float) * np.exp(0.5 * xm * xm)
-    return float(out) if out.ndim == 0 else out
+    return out
 
 
 def mills_ratio_deriv(n: int, x):
@@ -553,23 +549,27 @@ def mills_ratio_deriv(n: int, x):
 
 def expint_e1(z, opts: EvalOptions = DEFAULT_OPTIONS):
     """Exponential integral E1(z) = integral_z^inf exp(-t)/t dt for z > 0."""
-    zs = _columns(z, "E1 needs z > 0")
+    o = opts.with_budget(60)
 
-    def f(u):
-        return np.exp(-u)[:, None] / np.add.outer(u, zs)
+    def block(zs):
+        def f(u):
+            return np.exp(-u)[:, None] / np.add.outer(u, zs)
 
-    val = integrate(f, 0.0, math.inf, opts.with_budget(60))
-    return _shaped(np.exp(-zs) * val, z)
+        return np.exp(-zs) * integrate(f, 0.0, math.inf, o)
+
+    return column_blocks(block, z, "E1 needs z > 0")
 
 
 def macdonald_k0(z, opts: EvalOptions = DEFAULT_OPTIONS):
     """Macdonald (modified Bessel second kind) K0(z) for z > 0."""
-    zs = _columns(z, "K0 needs z > 0")
+    o = opts.with_budget(60)
 
-    def f(u):
-        # exponent clipped far past the point where exp underflows to 0
-        s = np.sinh(np.minimum(u, 60.0) / 2.0)
-        return np.exp(np.multiply.outer(s, -2.0 * zs) * s[:, None])
+    def block(zs):
+        def f(u):
+            # exponent clipped far past the point where exp underflows to 0
+            s = np.sinh(np.minimum(u, 60.0) / 2.0)
+            return np.exp(np.multiply.outer(s, -2.0 * zs) * s[:, None])
 
-    val = integrate(f, 0.0, math.inf, opts.with_budget(60))
-    return _shaped(np.exp(-zs) * val, z)
+        return np.exp(-zs) * integrate(f, 0.0, math.inf, o)
+
+    return column_blocks(block, z, "K0 needs z > 0")

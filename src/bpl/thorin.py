@@ -5,6 +5,14 @@ integrals; the cumulative measure follows from it by an explicit arctangent
 primitive, the density by differentiating the ratio, and the a = 1 case by a
 separate Frullani-type integral. Everything is kept in log scale internally
 so arguments far beyond exp-overflow remain usable.
+
+Array-first: f_ax, thorin_cdf, thorin_density, gx_frullani and thorin_cdf_a1
+take an array of t and return an array of its shape, computed as one
+vector-valued quadrature pass with one column per t (a scalar t gives a
+float, and every t must be > 0). Each t keeps its own branch: columns with
+t > 50 use the rescaled integrands. The density's five-point stencil adds
+four columns per t to the same pass. Long arrays are evaluated in blocks of
+columns (quadrature.column_blocks), one shared mesh per block.
 """
 
 from __future__ import annotations
@@ -17,8 +25,8 @@ import numpy as np
 
 from .errors import DomainError
 from .options import DEFAULT_OPTIONS, EvalOptions
-from .probes import ProbeResult
-from .quadrature import beta_kernel, halfline_power, integrate
+from .quadrature import beta_kernel, column_blocks, halfline_power, integrate
+from .results import ProbeResult
 from .special import gamma_ln, kummer_phi, tricomi_psi
 
 __all__ = [
@@ -49,47 +57,82 @@ class ThorinParams:
             raise DomainError(f"x must be positive, got {self.x}")
 
 
-def _log_upper(a: float, x: float, t: float, opts: EvalOptions) -> float:
-    """log of integral_0^1 u^(-a) (1-u)^(a+x-1) e^(tu) du, computed as
-    t + log integral_0^1 (1-w)^(-a) w^(a+x-1) e^(-tw) dw."""
-    if t > 50.0:
+def _log_upper(a: float, x: float, ts: np.ndarray, opts: EvalOptions) -> np.ndarray:
+    """log of integral_0^1 u^(-a) (1-u)^(a+x-1) e^(tu) du at every t of ts,
+    computed as t + log integral_0^1 (1-w)^(-a) w^(a+x-1) e^(-tw) dw; one
+    quadrature column per t."""
+    out = np.empty(ts.shape)
+    far = ts > 50.0
+    near = ~far
+    if near.any():
+        tn = ts[near]
+        val = beta_kernel(lambda w: np.exp(np.multiply.outer(w, -tn)), a + x - 1.0, -a, opts)
+        out[near] = tn + np.log(val)
+    if far.any():
         # mass sits at w ~ 1/t: rescale w = r/t so no node underflows
+        tf = ts[far]
+
         def smooth(r):
-            frac = np.minimum(r / t, 0.99)
-            return (1.0 - frac) ** (-a) * np.exp(-r)
+            frac = np.minimum(np.divide.outer(r, tf), 0.99)
+            return (1.0 - frac) ** (-a) * np.exp(-r)[:, None]
 
         val = halfline_power(smooth, a + x - 1.0, opts)
-        return t - (a + x) * math.log(t) + math.log(val)
-    val = beta_kernel(lambda w: np.exp(-t * w), a + x - 1.0, -a, opts)
-    return t + math.log(val)
+        out[far] = tf - (a + x) * np.log(tf) + np.log(val)
+    return out
 
 
-def _log_lower(a: float, x: float, t: float, opts: EvalOptions) -> float:
-    """log of integral_0^inf u^(-a) (1+u)^(a+x-1) e^(-tu) du."""
-    if t > 50.0:
-        def smooth(r):
-            return (1.0 + r / t) ** (a + x - 1.0) * np.exp(-r)
+def _log_lower(a: float, x: float, ts: np.ndarray, opts: EvalOptions) -> np.ndarray:
+    """log of integral_0^inf u^(-a) (1+u)^(a+x-1) e^(-tu) du at every t of ts.
 
-        val = halfline_power(smooth, -a, opts)
-        return (a - 1.0) * math.log(t) + math.log(val)
-    val = halfline_power(lambda u: (1.0 + u) ** (a + x - 1.0) * np.exp(-t * u), -a, opts)
-    return math.log(val)
+    Column j integrates (1 + r/s_j)^(a+x-1) e^(-d_j r) against r^(-a): s = 1
+    and d = t for t <= 50, while t > 50 is rescaled, u = r/t, to s = t and
+    d = 1.
+    """
+    far = ts > 50.0
+    s = np.where(far, ts, 1.0)
+    d = np.where(far, 1.0, ts)
+
+    def smooth(r):
+        return (1.0 + np.divide.outer(r, s)) ** (a + x - 1.0) * np.exp(-np.multiply.outer(r, d))
+
+    val = halfline_power(smooth, -a, opts)
+    return np.where(far, (a - 1.0) * np.log(ts), 0.0) + np.log(val)
 
 
-def _log_f_ax(a: float, x: float, t: float, opts: EvalOptions) -> float:
-    if not t > 0.0:
-        raise DomainError("the ratio is defined for t > 0")
+def _log_f_ax(a: float, x: float, ts: np.ndarray, opts: EvalOptions) -> np.ndarray:
+    """log f at every t of the 1-d array ts, all t > 0."""
     o = opts.with_budget(80)
-    return _log_upper(a, x, t, o) - _log_lower(a, x, t, o)
+    return _log_upper(a, x, ts, o) - _log_lower(a, x, ts, o)
 
 
-def f_ax(p: ThorinParams, t: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+_T_DOMAIN = "the ratio is defined for t > 0"
+
+
+def _stencil(ts: np.ndarray):
+    """Rows t + k h, k = -2..2, of the five-point derivative, and the step
+    h = 1e-4 * max(1, t), clamped to 0.02 t so the stencil stays inside
+    (0, inf) with (h/t)^4 truncation error below 1e-6 even for microscopic t."""
+    h = np.minimum(1e-4 * np.maximum(1.0, ts), 0.02 * ts)
+    return ts + np.arange(-2.0, 3.0)[:, None] * h, h
+
+
+def _five_point(v: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """d/dt from the rows v[k] at the stencil points t + (k - 2) h."""
+    return (v[0] - 8.0 * v[1] + 8.0 * v[3] - v[4]) / (12.0 * h)
+
+
+def f_ax(p: ThorinParams, t, opts: EvalOptions = DEFAULT_OPTIONS):
     """Increasing bijection of (0, inf) given by the ratio of the two singular
     integrals; overflows to inf for t beyond roughly 700."""
     if p.a >= 1.0:
         raise DomainError("the integral ratio needs a < 1; a = 1 has its own route")
-    lf = _log_f_ax(p.a, p.x, t, opts)
-    return math.exp(lf) if lf < 709.0 else math.inf
+
+    def block(ts):
+        lf = _log_f_ax(p.a, p.x, ts, opts)
+        with np.errstate(over="ignore"):
+            return np.where(lf < 709.0, np.exp(lf), math.inf)
+
+    return column_blocks(block, t, _T_DOMAIN)
 
 
 def f_ax_hyp(p: ThorinParams, t: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
@@ -104,7 +147,7 @@ def f_ax_hyp(p: ThorinParams, t: float, opts: EvalOptions = DEFAULT_OPTIONS) -> 
     )
 
 
-def thorin_cdf(p: ThorinParams, t: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+def thorin_cdf(p: ThorinParams, t, opts: EvalOptions = DEFAULT_OPTIONS):
     """Cumulative Thorin measure: (sin pi a / pi a) times the integral of
     1/(u^2 + 2 cos(pi a) u + 1) from 0 to f(t), via the arctangent primitive."""
     if p.a >= 1.0:
@@ -112,79 +155,102 @@ def thorin_cdf(p: ThorinParams, t: float, opts: EvalOptions = DEFAULT_OPTIONS) -
     a = p.a
     s = math.sin(math.pi * a)
     c = math.cos(math.pi * a)
-    lf = _log_f_ax(a, p.x, t, opts)
     base = math.atan2(c, s)  # atan(c/s) on the principal branch, s > 0
-    if lf > 35.0:
+
+    def block(ts):
+        lf = _log_f_ax(a, p.x, ts, opts)
+        out = np.empty(lf.shape)
+        big = lf > 35.0
         # arctan((f+c)/s) = pi/2 - s e^(-log f) (1 + O(e^(-log f)))
-        return min(1.0, (0.5 * math.pi - base - s * math.exp(-lf)) / (math.pi * a))
-    f = math.exp(lf)
-    return (math.atan((f + c) / s) - base) / (math.pi * a)
+        out[big] = np.minimum(
+            1.0, (0.5 * math.pi - base - s * np.exp(-lf[big])) / (math.pi * a))
+        f = np.exp(lf[~big])
+        out[~big] = (np.arctan((f + c) / s) - base) / (math.pi * a)
+        return out
+
+    return column_blocks(block, t, _T_DOMAIN)
 
 
-def _dlog_f(p: ThorinParams, t: float, opts: EvalOptions) -> float:
-    """d/dt log f by 5-point central differences, step 1e-4 * max(1, t),
-    clamped to 0.02 t so the stencil stays inside (0, inf) with (h/t)^4
-    truncation error below 1e-6 even for microscopic t."""
-    h = min(1e-4 * max(1.0, t), 0.02 * t)
-    lf = [_log_f_ax(p.a, p.x, t + k * h, opts) for k in (-2, -1, 1, 2)]
-    return (lf[0] - 8.0 * lf[1] + 8.0 * lf[2] - lf[3]) / (12.0 * h)
+def thorin_density(p: ThorinParams, t, opts: EvalOptions = DEFAULT_OPTIONS):
+    """Density sin(pi a) f' / (pi a (f^2 + 2 cos(pi a) f + 1)) of the Thorin law.
 
-
-def thorin_density(p: ThorinParams, t: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
-    """Density sin(pi a) f' / (pi a (f^2 + 2 cos(pi a) f + 1)) of the Thorin law."""
+    d/dt log f comes from a five-point stencil whose four outer points are
+    four more columns per t of the same pass.
+    """
     if p.a >= 1.0:
         return _density_a1(p.x, t, opts)
     a = p.a
     s = math.sin(math.pi * a)
     c = math.cos(math.pi * a)
-    lf = _log_f_ax(a, p.x, t, opts)
-    dlf = _dlog_f(p, t, opts)
-    # f'/(f^2+2cf+1) = (dlog f) / (f + 2c + 1/f), overflow-free in log scale
-    if lf > 700.0:
-        return s * dlf * math.exp(-lf) / (math.pi * a)
-    f = math.exp(lf)
-    return s * dlf / (math.pi * a * (f + 2.0 * c + 1.0 / f))
+
+    def block(ts):
+        pts, h = _stencil(ts)
+        lfs = _log_f_ax(a, p.x, pts.ravel(), opts).reshape(pts.shape)
+        dlf = _five_point(lfs, h)
+        lf = lfs[2]
+        out = np.empty(lf.shape)
+        big = lf > 700.0
+        # f'/(f^2+2cf+1) = (dlog f) / (f + 2c + 1/f), overflow-free in log scale
+        out[big] = s * dlf[big] * np.exp(-lf[big]) / (math.pi * a)
+        f = np.exp(lf[~big])
+        out[~big] = s * dlf[~big] / (math.pi * a * (f + 2.0 * c + 1.0 / f))
+        return out
+
+    return column_blocks(block, t, _T_DOMAIN, width=5)
 
 
 # ---------------------------------------------------------------------------
 # The a = 1 (Frullani) case
 
+_GX_DOMAIN = "need x > 0 and t > 0"
 
-def gx_frullani(x: float, t: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
-    """(1/pi) integral_0^inf y^-1 ((1-y)_+^x e^(ty) - (1+y)^x e^(-ty)) dy.
 
-    The y -> 0 cancellation is handled by the quadratic series term below
-    y = 1e-3; the integrand is integrated directly elsewhere.
-    """
-    if not (x > 0.0 and t > 0.0):
-        raise DomainError("need x > 0 and t > 0")
+def _gx(x: float, ts: np.ndarray, opts: EvalOptions) -> np.ndarray:
+    """g_x at every t of the 1-d array ts, one quadrature column per t."""
+    if not x > 0.0:
+        raise DomainError(_GX_DOMAIN)
     eps = 1e-3
     o = opts.with_budget(120)
-    d = t - x
+    d = ts - x
     # y^-1 (...) = 2d + q y^2 + O(y^4)
     q = 2.0 * (d ** 3 / 6.0 - x * d / 2.0 - x / 3.0)
     head = 2.0 * d * eps + q * eps ** 3 / 3.0
 
     def mid(y):
-        return ((1.0 - y) ** x * np.exp(t * y) - (1.0 + y) ** x * np.exp(-t * y)) / y
+        ty = np.multiply.outer(y, ts)
+        with np.errstate(over="ignore"):  # an inf is reported by the quadrature
+            return (((1.0 - y) ** x)[:, None] * np.exp(ty)
+                    - ((1.0 + y) ** x)[:, None] * np.exp(-ty)) / y[:, None]
 
     def tail(y):
-        return -((1.0 + y) ** x) * np.exp(-t * y) / y
+        return -((1.0 + y) ** x)[:, None] * np.exp(-np.multiply.outer(y, ts)) / y[:, None]
 
     return (head + integrate(mid, eps, 1.0, o) + integrate(tail, 1.0, math.inf, o)) / math.pi
 
 
-def thorin_cdf_a1(x: float, t: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+def gx_frullani(x: float, t, opts: EvalOptions = DEFAULT_OPTIONS):
+    """(1/pi) integral_0^inf y^-1 ((1-y)_+^x e^(ty) - (1+y)^x e^(-ty)) dy.
+
+    The y -> 0 cancellation is handled by the quadratic series term below
+    y = 1e-3; the integrand is integrated directly elsewhere.
+    """
+    return column_blocks(lambda ts: _gx(x, ts, opts), t, _GX_DOMAIN)
+
+
+def thorin_cdf_a1(x: float, t, opts: EvalOptions = DEFAULT_OPTIONS):
     """Cumulative Thorin measure of the Pareto-type case a = 1:
     1/2 + arctan(g_x(t)) / pi."""
-    return 0.5 + math.atan(gx_frullani(x, t, opts)) / math.pi
+    return column_blocks(lambda ts: 0.5 + np.arctan(_gx(x, ts, opts)) / math.pi,
+                         t, _GX_DOMAIN)
 
 
-def _density_a1(x: float, t: float, opts: EvalOptions) -> float:
-    h = min(1e-4 * max(1.0, t), 0.02 * t)
-    g = [gx_frullani(x, t + k * h, opts) for k in (-2, -1, 0, 1, 2)]
-    dg = (g[0] - 8.0 * g[1] + 8.0 * g[3] - g[4]) / (12.0 * h)
-    return dg / (math.pi * (1.0 + g[2] ** 2))
+def _density_a1(x: float, t, opts: EvalOptions):
+    def block(ts):
+        pts, h = _stencil(ts)
+        g = _gx(x, pts.ravel(), opts).reshape(pts.shape)
+        return _five_point(g, h) / (math.pi * (1.0 + g[2] ** 2))
+
+    return column_blocks(block, t, _GX_DOMAIN, width=5)
 
 
 # ---------------------------------------------------------------------------
@@ -202,26 +268,32 @@ class _CdfTable:
         self.tau_lo, self.tau_hi = math.log(lo), math.log(hi)
 
         def g(xi):
-            xi = np.atleast_1d(xi)
             taus = 0.5 * (self.tau_lo + self.tau_hi) + 0.5 * (self.tau_hi - self.tau_lo) * xi
-            return np.array([thorin_cdf(p, math.exp(tau), opts) for tau in taus])
+            return thorin_cdf(p, np.exp(taus), opts)
 
         self.coef = np.polynomial.chebyshev.chebinterpolate(g, deg)
         self.cdf_lo = thorin_cdf(p, lo, opts)
         self.cdf_hi = thorin_cdf(p, hi, opts)
         self.tail_power = 2.0 * p.a + p.x - 1.0
 
-    def __call__(self, t: float) -> float:
-        if t <= 0.0:
-            return 0.0
-        if t < self.lo:
-            return self.cdf_lo * (t / self.lo) ** self.p.x
-        if t > self.hi:
-            tail = (1.0 - self.cdf_hi) * (t / self.hi) ** self.tail_power * math.exp(
-                self.hi - t)
-            return 1.0 - tail
-        xi = (2.0 * math.log(t) - self.tau_lo - self.tau_hi) / (self.tau_hi - self.tau_lo)
-        return float(np.polynomial.chebyshev.chebval(xi, self.coef))
+    def __call__(self, t):
+        """P[G <= t] at every t of an array; a float for a scalar t."""
+        ts = np.asarray(t, dtype=float)
+        nonpos = ts <= 0.0
+        low = (ts < self.lo) & ~nonpos
+        high = ts > self.hi
+        mid = ~(nonpos | low | high)
+        out = np.zeros(ts.shape)
+        out[low] = self.cdf_lo * (ts[low] / self.lo) ** self.p.x
+        th = ts[high]
+        out[high] = 1.0 - (1.0 - self.cdf_hi) * (th / self.hi) ** self.tail_power * np.exp(
+            self.hi - th)
+        xi = (2.0 * np.log(ts[mid]) - self.tau_lo - self.tau_hi) / (self.tau_hi - self.tau_lo)
+        # T_k(cos theta) = cos(k theta): one (points, degree) product, where
+        # chebval's Clenshaw loop takes a numpy step per degree
+        theta = np.arccos(np.clip(xi, -1.0, 1.0))
+        out[mid] = np.cos(np.multiply.outer(theta, np.arange(self.coef.size))) @ self.coef
+        return float(out) if out.ndim == 0 else out
 
 
 _CDF_TABLES: dict[tuple, _CdfTable] = {}
@@ -244,12 +316,7 @@ def levy_density(p: ThorinParams, y: float, opts: EvalOptions = DEFAULT_OPTIONS)
     loose = EvalOptions(rel_tol=max(opts.rel_tol, 1e-10), abs_tol=1e-14,
                         max_terms=opts.max_terms,
                         max_quad_refinements=max(opts.max_quad_refinements, 80))
-
-    def integrand(u):
-        u = np.atleast_1d(u)
-        return np.array([math.exp(-ui) * cdf(ui / y) for ui in u])
-
-    return p.a / y * integrate(integrand, 0.0, math.inf, loose)
+    return p.a / y * integrate(lambda u: np.exp(-u) * cdf(u / y), 0.0, math.inf, loose)
 
 
 def awk_density(c: float, t: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
@@ -288,9 +355,6 @@ def ordering_g1_g2(a: float, t_grid, opts: EvalOptions = DEFAULT_OPTIONS) -> Pro
     o = opts.with_budget(80)
     ts = np.asarray(t_grid, dtype=float)
 
-    def g2(t):
-        return math.exp(_log_f_ax(a, 0.5, t, o))
-
     def g1(t):
         def num_smooth(y):
             return np.exp(-t * (1.0 - y)) * _phi_weight(a, t * (y - 1.0), o)
@@ -310,7 +374,7 @@ def ordering_g1_g2(a: float, t_grid, opts: EvalOptions = DEFAULT_OPTIONS) -> Pro
         return math.exp(t) * num / den
 
     g1v = np.array([g1(t) for t in ts])
-    g2v = np.array([g2(t) for t in ts])
+    g2v = f_ax(ThorinParams(a, 0.5), ts, o)
     ok_ratio = g1v >= g2v * (1.0 - 1e-8)
 
     # bound chain Phi(a, a+1/2, t(y-1)) >= Phi(a, a+1/2, -t) >= Phi(a, a+1/2, -t(y+1))
@@ -325,10 +389,9 @@ def ordering_g1_g2(a: float, t_grid, opts: EvalOptions = DEFAULT_OPTIONS) -> Pro
     # implied stochastic ordering of the doubled-parameter Thorin laws
     cdf_ok = True
     if 2.0 * a < 1.0:
-        for t in ts:
-            lo = thorin_cdf(ThorinParams(2.0 * a, 0.5), t, o)
-            hi = thorin_cdf(ThorinParams(a, 0.5), t, o)
-            cdf_ok &= lo <= hi + 1e-7
+        lo = thorin_cdf(ThorinParams(2.0 * a, 0.5), ts, o)
+        hi = thorin_cdf(ThorinParams(a, 0.5), ts, o)
+        cdf_ok = bool(np.all(lo <= hi + 1e-7))
     verdict = "holds" if (ok_ratio.all() and chain_ok and cdf_ok) else "violated"
     first = None if verdict == "holds" else (0, float(ts[int(np.argmin(ok_ratio))]))
     return ProbeResult(0, ts, ok_ratio[None, :], first, verdict,

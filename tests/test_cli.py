@@ -1,10 +1,15 @@
 """Command line front end: CSV schema, exit codes, determinism, seed fallback."""
 
+import contextlib
 import csv
+import io
 import os
 import threading
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bpl.cli import main
 
@@ -106,6 +111,33 @@ class TestThorinCommand:
         assert header[:6] == ["a", "x", "t", "f_ax", "cdf", "density"]
         cdf = [float(r[4]) for r in rows]
         assert all(b >= a for a, b in zip(cdf, cdf[1:]))
+
+    def test_long_grid_in_column_blocks(self, tmp_path):
+        code, _, rows = _run_csv(
+            ["thorin", "--a", "0.5", "--x", "0.5", "--t", "0.1:10:2000"], tmp_path)
+        assert code == 0
+        assert len(rows) == 2000
+        cdf = [float(r[4]) for r in rows]
+        assert all(b >= a for a, b in zip(cdf, cdf[1:]))
+
+    def test_fine_mesh_near_zero(self, tmp_path):
+        # t = 1e-9 needs thousands of panels: its stencil columns share a
+        # mesh with fewer other columns instead of exceeding the round cap
+        code, _, rows = _run_csv(
+            ["thorin", "--a", "0.6", "--x", "0.5", "--t", "1e-9:10:5"], tmp_path)
+        assert code == 0
+        assert all(float(r[5]) > 0.0 for r in rows)
+
+    def test_pareto_case_and_far_branch(self, tmp_path):
+        # a = 1 has no f_ax column; t ends straddle the t = 50 switch
+        code, _, rows = _run_csv(
+            ["thorin", "--a", "1", "--x", "0.5", "--t", "40:60:7"], tmp_path)
+        assert code == 0
+        assert all(r[3] == "nan" for r in rows)
+        code, _, rows = _run_csv(
+            ["thorin", "--a", "0.5", "--x", "0.5", "--t", "40:60:7"], tmp_path)
+        assert code == 0
+        assert all(float(r[3]) > 0.0 for r in rows)
 
 
 class TestScanCommand:
@@ -313,3 +345,84 @@ class TestBadInputExitTwo:
         err = capsys.readouterr().err
         assert "integers" in err and "Traceback" not in err
         assert not out.exists()
+
+
+class TestUnexpectedErrors:
+    """An exception escaping a command exits 2 with one stderr line."""
+
+    @pytest.mark.parametrize("exc", [ValueError("bad\nvalue"), ZeroDivisionError("x"),
+                                     OverflowError("math range error")])
+    def test_exception_exits_2_without_traceback(self, exc, monkeypatch, capsys):
+        from bpl import cli
+
+        def boom(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "thorin_cdf", boom)
+        assert main(["thorin", "--a", "0.5", "--x", "0.5", "--t", "0.1:10:5"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.count("\n") == 1 and type(exc).__name__ in err
+
+
+_BAD_NUMBERS = ["0", "-1", "nan", "inf", "-inf", "1.5"]
+_SHAPES = st.one_of(st.floats(min_value=0.01, max_value=1.0).map(repr),
+                    st.sampled_from(["1", "0.999999"]))
+_X = st.one_of(st.floats(min_value=0.01, max_value=5.0).map(repr),
+               st.sampled_from(["1e-9", "40"]))
+
+
+@st.composite
+def _t_grids(draw):
+    """Well-formed --t specs lo:hi:n, some near t = 0, some straddling t = 50."""
+    lo = draw(st.one_of(st.floats(min_value=1e-3, max_value=120.0),
+                        st.sampled_from([1e-12, 45.0, 49.5, 50.0])))
+    hi = lo + draw(st.one_of(st.floats(min_value=1e-3, max_value=100.0),
+                             st.sampled_from([1.0, 250.0, 800.0])))
+    return f"{lo!r}:{hi!r}:{draw(st.integers(1, 6))}"
+
+
+_ANY_END = st.one_of(st.floats(min_value=1e-3, max_value=120.0).map(repr),
+                     st.sampled_from(["50", "300"] + _BAD_NUMBERS))
+
+
+class TestThorinFuzz:
+    """Exit code contract of thorin over a, x and --t grids: exit code in
+    {0, 1, 2}, no traceback, bounded time, and exit 1 only for a decreasing
+    cdf column."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=_SHAPES, x=_X, grid=_t_grids())
+    def test_valid_parameters(self, a, x, grid):
+        self._check(a, x, grid)
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=st.one_of(_SHAPES, st.sampled_from(_BAD_NUMBERS)),
+           x=st.one_of(_X, st.sampled_from(_BAD_NUMBERS)),
+           lo=_ANY_END, hi=_ANY_END, n=st.integers(-1, 6))
+    def test_any_parameters(self, a, x, lo, hi, n):
+        self._check(a, x, f"{lo}:{hi}:{n}")
+
+    @staticmethod
+    def _check(a, x, grid):
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(["thorin", f"--a={a}", f"--x={x}", f"--t={grid}"])
+            except SystemExit as exc:  # argparse rejects non-finite float flags
+                code = exc.code
+        assert time.perf_counter() - start < 20.0
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        rows = list(csv.reader(io.StringIO(out.getvalue())))[1:]
+        if code == 2:
+            assert rows == []
+            return
+        cdf = [float(r[4]) for r in rows]
+        drops = [c1 - c2 for c1, c2 in zip(cdf, cdf[1:])]
+        # the CLI's slack is 1e-9; the CSV rounds to 12 significant digits
+        if code == 1:
+            assert max(drops) > 1e-9 - 1e-11
+        else:
+            assert all(d <= 1e-9 + 1e-11 for d in drops)

@@ -7,7 +7,17 @@ import pytest
 
 from bpl.errors import DomainError, QuadratureError
 from bpl.options import EvalOptions
-from bpl.quadrature import beta_kernel, halfline_power, integrate, jacobi_rule, power_weighted
+from bpl.quadrature import (
+    _BLOCK_COLUMNS,
+    _MAX_ROUND_VALUES,
+    _RoundTooWide,
+    beta_kernel,
+    column_blocks,
+    halfline_power,
+    integrate,
+    jacobi_rule,
+    power_weighted,
+)
 
 
 def test_plain_polynomial():
@@ -142,3 +152,87 @@ class TestVectorValued:
         assert type(got) is float
         assert got == pytest.approx(6.0, rel=1e-14)
         assert beta_kernel(lambda x: 1.0, 0.0, 0.0) == pytest.approx(1.0, rel=1e-14)
+
+
+class TestColumnBlocks:
+    """column_blocks: long arrays in blocks of columns, shape kept."""
+
+    def test_block_width(self):
+        assert _BLOCK_COLUMNS >= 256
+        # a round over a full block may split 64 panels within the value cap
+        assert 2 * 15 * 64 * _BLOCK_COLUMNS <= _MAX_ROUND_VALUES
+
+    @pytest.mark.parametrize("width", [1, 5])
+    def test_blocks_cover_the_array_in_order(self, width):
+        seen = []
+
+        def fn(block):
+            seen.append(block.size)
+            return 2.0 * block
+
+        z = np.arange(1.0, 1001.0).reshape(10, 100)
+        got = column_blocks(fn, z, width=width)
+        assert got.shape == z.shape and np.array_equal(got, 2.0 * z)
+        step = _BLOCK_COLUMNS // width
+        assert seen == [step] * (1000 // step) + ([1000 % step] if 1000 % step else [])
+
+    def test_short_array_is_one_block(self):
+        sizes = []
+        column_blocks(lambda b: sizes.append(b.size) or b, np.ones(_BLOCK_COLUMNS))
+        assert sizes == [_BLOCK_COLUMNS]
+
+    def test_scalar_and_empty(self):
+        assert type(column_blocks(lambda b: b + 1.0, 2.0)) is float
+        assert column_blocks(lambda b: b + 1.0, np.array([])).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+    def test_domain_checked_before_any_block(self, bad):
+        calls = []
+        z = np.append(np.ones(600), bad)
+        with pytest.raises(DomainError, match="z > 0"):
+            column_blocks(lambda b: calls.append(b) or b, z, "z > 0")
+        assert calls == []
+
+    def test_too_wide_block_is_halved(self):
+        sizes = []
+
+        def fn(block):
+            sizes.append(block.size)
+            if block.size > 3:
+                raise _RoundTooWide("refinement round would split too many panels")
+            return block + 1.0
+
+        z = np.arange(10.0)
+        assert np.array_equal(column_blocks(fn, z), z + 1.0)
+        assert sizes == [10, 5, 2, 3, 5, 2, 3]
+
+    def test_single_value_past_the_cap_raises(self):
+        def fn(block):
+            raise _RoundTooWide("refinement round would split too many panels")
+
+        with pytest.raises(QuadratureError, match="refinement round"):
+            column_blocks(fn, np.ones(4))
+
+    def test_other_errors_are_not_retried(self):
+        sizes = []
+
+        def fn(block):
+            sizes.append(block.size)
+            raise QuadratureError("refinement budget exhausted")
+
+        with pytest.raises(QuadratureError, match="budget"):
+            column_blocks(fn, np.ones(4))
+        assert sizes == [4]
+
+    def test_wide_integrand_over_blocks(self):
+        ks = np.linspace(0.5, 40.0, 20000)
+
+        def block(kb):
+            return integrate(lambda x: np.exp(-np.multiply.outer(x, kb)), 0.0, 1.0)
+
+        # one mesh over all 20,000 columns exceeds the value cap in its first split
+        with pytest.raises(QuadratureError, match="refinement round"):
+            block(ks)
+        got = column_blocks(block, ks)
+        want = -np.expm1(-ks) / ks
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))

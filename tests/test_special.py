@@ -375,6 +375,18 @@ class TestArrayFirst:
         with pytest.raises(DomainError):
             tricomi_psi(-0.5, 0.3, np.array([1.0]))
 
+    @pytest.mark.parametrize("fn, z", [
+        (lambda z: tricomi_psi(0.7, 0.5, z), np.geomspace(1e-2, 50.0, 20000)),
+        (lambda z: hermite_h_neg(1.3, z), np.linspace(-3.0, 6.0, 20000)),
+    ], ids=["psi", "hermite"])
+    def test_long_array_in_column_blocks(self, fn, z):
+        # one shared mesh over 20,000 columns would exceed the per-round value
+        # cap; the array runs in blocks of columns instead
+        got = fn(z)
+        idx = np.unique(np.concatenate((np.arange(0, z.size, 997), [272, 273, z.size - 1])))
+        want = np.array([fn(float(z[i])) for i in idx])
+        assert np.all(np.abs(got[idx] - want) <= 1e-14 * np.abs(want))
+
     def test_mills_ratio_elementwise(self):
         x = np.array([-40.0, -10.0, -3.0, 0.0, 0.7, 7.9, 8.1, 31.0, 200.0])
         got = mills_ratio(x)

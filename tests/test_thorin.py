@@ -13,6 +13,7 @@ from bpl.quadrature import integrate
 from bpl.special import gamma_ln, tricomi_psi
 from bpl.thorin import (
     ThorinParams,
+    _cdf_table,
     awk_density,
     f_ax,
     f_ax_hyp,
@@ -176,3 +177,132 @@ class TestOrdering:
         r = ordering_g1_g2(0.4, [0.5, 2.0])
         assert r.verdict == "holds"
         assert r.details["chain_ok"] and r.details["cdf_ok"]
+
+
+# t grid straddling the t = 50 switch to the rescaled integrands
+T_GRID = np.concatenate((np.geomspace(1e-3, 49.9, 12), [49.999, 50.0, 50.001],
+                         np.geomspace(50.1, 300.0, 6)))
+SHAPES = [ThorinParams(0.5, 0.5), ThorinParams(0.05, 0.5), ThorinParams(0.95, 0.5),
+          ThorinParams(0.3, 3.0), ThorinParams(1.0, 0.5)]
+
+
+def _scalar_calls(fn, ts):
+    return np.array([fn(float(t)) for t in ts])
+
+
+class TestArrayThorin:
+    """Array t: one shared-mesh pass, one column per t (five for the density)."""
+
+    @pytest.mark.parametrize("p", [p for p in SHAPES if p.a < 1.0], ids=str)
+    def test_ratio_array_equals_scalar_calls(self, p):
+        got = f_ax(p, T_GRID)
+        assert isinstance(got, np.ndarray) and got.shape == T_GRID.shape
+        want = _scalar_calls(lambda t: f_ax(p, t), T_GRID)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+    @pytest.mark.parametrize("p", SHAPES, ids=str)
+    def test_cdf_array_equals_scalar_calls(self, p):
+        got = thorin_cdf(p, T_GRID)
+        want = _scalar_calls(lambda t: thorin_cdf(p, t), T_GRID)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+    @pytest.mark.parametrize("p", SHAPES, ids=str)
+    def test_density_array_equals_scalar_calls(self, p):
+        got = thorin_density(p, T_GRID)
+        want = _scalar_calls(lambda t: thorin_density(p, t), T_GRID)
+        assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
+
+    def test_frullani_array_equals_scalar_calls(self):
+        got = gx_frullani(0.5, T_GRID)
+        want = _scalar_calls(lambda t: gx_frullani(0.5, t), T_GRID)
+        # g_x changes sign on the grid: relative to the scale of the integrals
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(np.abs(want), 1.0))
+        got = thorin_cdf_a1(0.5, T_GRID)
+        want = _scalar_calls(lambda t: thorin_cdf_a1(0.5, t), T_GRID)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+    @pytest.mark.parametrize("p", [p for p in SHAPES if p.a < 1.0], ids=str)
+    def test_ratio_matches_confluent_form(self, p):
+        ts = np.geomspace(1e-3, 200.0, 15)
+        got = f_ax(p, ts)
+        for g, t in zip(got, ts):
+            assert rel_err(g, f_ax_hyp(p, float(t))) < 1e-11
+
+    def test_scalar_in_float_out_and_shape_kept(self):
+        pa1 = ThorinParams(1.0, 0.5)
+        for fn in (lambda t: f_ax(P, t), lambda t: thorin_cdf(P, t),
+                   lambda t: thorin_density(P, t), lambda t: gx_frullani(0.5, t),
+                   lambda t: thorin_cdf(pa1, t), lambda t: thorin_density(pa1, t)):
+            assert type(fn(0.7)) is float
+            assert type(fn(np.float64(0.7))) is float
+            assert fn(T_GRID[:6].reshape(2, 3)).shape == (2, 3)
+
+    @pytest.mark.parametrize("bad", [0.0, -2.0, np.nan])
+    def test_nonpositive_t_in_array(self, bad):
+        ts = np.array([0.5, bad, 2.0])
+        pa1 = ThorinParams(1.0, 0.5)
+        for fn in (lambda t: f_ax(P, t), lambda t: thorin_cdf(P, t),
+                   lambda t: thorin_density(P, t), lambda t: gx_frullani(0.5, t),
+                   lambda t: thorin_cdf_a1(0.5, t), lambda t: thorin_cdf(pa1, t),
+                   lambda t: thorin_density(pa1, t)):
+            with pytest.raises(DomainError):
+                fn(ts)
+            with pytest.raises(DomainError):
+                fn(bad)
+
+    def test_long_grid_in_column_blocks(self):
+        ts = np.geomspace(0.1, 10.0, 2000)
+        cdf = thorin_cdf(P, ts)
+        assert np.all(np.diff(cdf) >= 0.0)
+        idx = [0, 272, 273, 1000, 1999]
+        want = _scalar_calls(lambda t: thorin_cdf(P, t), ts[idx])
+        assert np.all(np.abs(cdf[idx] - want) <= 1e-13 * want)
+
+
+def _table_value_scalar(tb, t):
+    """The former scalar evaluation of _CdfTable, kept as a reference."""
+    if t <= 0.0:
+        return 0.0
+    if t < tb.lo:
+        return tb.cdf_lo * (t / tb.lo) ** tb.p.x
+    if t > tb.hi:
+        tail = (1.0 - tb.cdf_hi) * (t / tb.hi) ** tb.tail_power * math.exp(tb.hi - t)
+        return 1.0 - tail
+    xi = (2.0 * math.log(t) - tb.tau_lo - tb.tau_hi) / (tb.tau_hi - tb.tau_lo)
+    return float(np.polynomial.chebyshev.chebval(xi, tb.coef))
+
+
+class TestCdfTable:
+    @pytest.mark.parametrize("p", [P, ThorinParams(0.3, 0.8)], ids=str)
+    def test_vectorised_matches_scalar_evaluation(self, p):
+        tb = _cdf_table(p, EvalOptions())
+        below = [1e-12, 1e-9, 5e-7, 9.99e-7]
+        inside = [1e-6, 3e-6, 1e-3, 0.2, 1.0, 7.5, 30.0, 45.0]
+        above = [45.0001, 50.0, 80.0, 200.0]
+        ts = np.array([-1.0, 0.0] + below + inside + above)
+        got = tb(ts)
+        want = np.array([_table_value_scalar(tb, float(t)) for t in ts])
+        assert np.all(np.abs(got - want) <= 1e-14)
+        outside = np.isin(ts, below + above)
+        assert np.all(np.abs(got - want)[outside] <= 1e-13 * np.abs(want[outside]))
+        assert got[0] == got[1] == 0.0
+        assert type(tb(0.5)) is float
+
+    def test_table_matches_cdf(self):
+        tb = _cdf_table(P, EvalOptions())
+        ts = np.geomspace(1e-5, 40.0, 17)
+        assert np.all(np.abs(tb(ts) - thorin_cdf(P, ts)) <= 1e-10)
+
+
+def test_thorin_does_not_import_probes():
+    import subprocess
+    import sys
+
+    code = "import sys, bpl.thorin; print('bpl.probes' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "False"
+
+    from bpl.probes import ProbeResult as FromProbes
+    from bpl.results import ProbeResult
+    assert FromProbes is ProbeResult
