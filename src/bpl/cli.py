@@ -4,30 +4,41 @@ Four subcommands: verify (identity-in-law checks), probe (monotonicity /
 complete-monotonicity probes), thorin (tables of the Thorin ratio, cumulative
 measure and density) and scan (conjecture scans with exploratory rows).
 
+Each target of verify, probe and scan is declared once: an identity by its
+builder in identity_catalog(), a ratio by its entry in _ratios(), a
+conjecture by its row function in _SCANS. The parameters of those callables,
+up to `opts` or the first keyword-only one, are the flags the target reads,
+and their defaults stand in for absent flags. A flag of the subcommand that
+the chosen target does not read, or one it reads that is absent and has no
+default, exits 2.
+
 Exit codes: 0 = everything matched expectations, 1 = a proven statement was
 numerically violated (or an expected violation failed to appear), 2 = bad
-parameters or a numeric failure; any other exception escaping a command is
-reported on one stderr line naming its type, without a traceback, and exits 2.
-CSV is RFC-4180 with a header row; every row carries the seed, the governing
-tolerance and the library version, and output is byte-identical for identical
-configuration and seed.
+parameters or a numeric failure, also when the parameters leave nothing to
+check; every failure escaping a command, a library error or any other
+exception, is reported on one stderr line naming its type, without a
+traceback, and exits 2. CSV is RFC-4180 with a header row; every row carries
+the seed, the governing tolerance and the library version, and output is
+byte-identical for identical configuration and seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
+import itertools
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .distributions import RngState
-from .errors import BplError, DomainError
+from .errors import DomainError
 from .identities import (
     KS_ALPHA,
     conjecture_cjmain_scan,
@@ -63,36 +74,11 @@ EXIT_VIOLATION = 1
 EXIT_NUMERIC = 2
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved invocation: command, raw parameters, seed, budgets, output."""
-
-    command: str
-    parameters: dict = field(default_factory=dict)
-    seed: int = 0
-    samples: int | None = None
-    out_path: str | None = None
-    alpha: float | None = None
-    mellin_rtol: float | None = None
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        skip = {"func", "command", "seed", "n", "out", "alpha", "mellin_rtol"}
-        params = {k: v for k, v in vars(args).items() if k not in skip and v is not None}
-        if args.seed is not None:
-            seed = int(args.seed)
-        else:
-            env = os.environ.get("BPL_SEED")
-            seed = int(env) if env else 0
-        return cls(
-            command=args.command,
-            parameters=params,
-            seed=seed,
-            samples=getattr(args, "n", None),
-            out_path=args.out,
-            alpha=getattr(args, "alpha", None),
-            mellin_rtol=getattr(args, "mellin_rtol", None),
-        )
+def _seed(args) -> int:
+    """--seed, else the BPL_SEED environment variable, else 0."""
+    if args.seed is not None:
+        return args.seed
+    return int(os.environ.get("BPL_SEED") or 0)
 
 
 def _fmt(v) -> str:
@@ -119,11 +105,21 @@ def _write_csv(path: str | None, header: list[str], rows: list[list]) -> None:
             fh.write(data)
 
 
+def _exit_code(rows: list[list], failed) -> int:
+    """2 when a row reports an error (channel "error"), else 1 when failed(row)
+    holds for a row, else 0."""
+    if any(row[2] == "error" for row in rows):
+        return EXIT_NUMERIC
+    return EXIT_VIOLATION if any(failed(row) for row in rows) else EXIT_OK
+
+
 def _parse_floats(text: str) -> list[float]:
     try:
         values = [float(tok) for tok in text.split(",") if tok != ""]
     except ValueError:
         raise DomainError(f"expected comma-separated numbers, got {text!r}") from None
+    if not values:
+        raise DomainError(f"expected at least one number, got {text!r}")
     if not all(math.isfinite(v) for v in values):
         raise DomainError(f"parameters must be finite, got {text!r}")
     return values
@@ -168,162 +164,160 @@ def _parse_grid(text: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# target flags
+
+
+def _reads(fn) -> dict:
+    """The flags a target callable reads, by argparse destination: its
+    parameters up to `opts` or the first keyword-only one, each with its
+    default (None when it has none)."""
+    reads = {}
+    for p in inspect.signature(fn).parameters.values():
+        if p.name == "opts" or p.kind is not p.POSITIONAL_OR_KEYWORD:
+            break
+        reads[p.name] = None if p.default is p.empty else p.default
+    return reads
+
+
+def _target_values(args, what: str, *fns) -> list[dict]:
+    """Per callable in fns, the values of the flags it reads, in the parser's
+    order of declaration; a default stands in for an absent flag.
+
+    A target flag of the subcommand (args.flags) that none of fns reads, or a
+    flag one of them reads that is absent and has no default, is a
+    DomainError naming the flag.
+    """
+    reads = [_reads(fn) for fn in fns]
+    for dest, flag in args.flags.items():
+        if getattr(args, dest) is not None and not any(dest in r for r in reads):
+            raise DomainError(f"{what} does not take {flag}")
+    out = []
+    for r in reads:
+        values = {}
+        for dest, flag in args.flags.items():
+            if dest in r:
+                values[dest] = r[dest] if getattr(args, dest) is None else getattr(args, dest)
+                if values[dest] is None:
+                    raise DomainError(f"{what} needs {flag}")
+        out.append(values)
+    return out
+
+
+def _declare(parser, *actions) -> None:
+    """Record a subcommand's target flags: argparse destination -> option string."""
+    parser.set_defaults(flags={a.dest: a.option_strings[0] for a in actions})
+
+
+# ---------------------------------------------------------------------------
 # verify
 
 
-def _identity_args(name: str, args) -> tuple:
-    need = {
-        "theorem-a": ("a",),
-        "theorem-b": ("a", "b"),
-        "prop-b0": ("a", "b", "b_prime"),
-        "ab-half": ("a",),
-        "free": ("a", "b", "c", "d"),
-        "half-gaussian": ("a",),
-        "cor34": ("a",),
-    }[name]
-    lists = []
-    for key in need:
-        raw = getattr(args, key)
-        if raw is None:
-            raise DomainError(f"identity {name} needs --{key.replace('_', '-')}")
-        lists.append(_parse_floats(raw))
-    points = [()]
-    for values in lists:
-        points = [p + (v,) for p in points for v in values]
-    return need, points
-
-
 def cmd_verify(args) -> int:
-    catalog = identity_catalog()
-    if args.identity not in catalog:
-        sys.stderr.write(f"unknown identity {args.identity!r}; "
-                         f"choose from {sorted(catalog)}\n")
-        return EXIT_NUMERIC
-    cfg = RunConfig.from_args(args)
-    seed = cfg.seed
-    try:
-        require_ks_power(args.n, args.alpha, "--n")
-        keys, points = _identity_args(args.identity, args)
-        builder = catalog[args.identity]
-        specs = [builder(*point) for point in points]
-    except BplError as exc:
-        sys.stderr.write(f"parameter error: {exc}\n")
-        return EXIT_NUMERIC
-    streams = RngState(seed).spawn(len(specs))
-    # points run in order; verify itself sorts and scans its two sides on two threads
-    reports = [verify(spec, args.n, None, stream, alpha=args.alpha,
-                      mellin_rtol=args.mellin_rtol, rhs_scale=args.negative_control)
-               for spec, stream in zip(specs, streams)]
-
+    builder = identity_catalog()[args.identity]
+    require_ks_power(args.n, args.alpha, "--n")
+    (values,) = _target_values(args, f"identity {args.identity}", builder)
+    points = list(itertools.product(*(_parse_floats(v) for v in values.values())))
+    specs = [builder(**dict(zip(values, point))) for point in points]
+    seed = _seed(args)
     header = ["identity", "params", "channel", "statistic", "threshold",
               "verdict", "seed", "tolerance", "version"]
     rows = []
-    worst = EXIT_OK
-    for point, rep in zip(points, reports):
-        params = ";".join(f"{k}={_fmt(v)}" for k, v in zip(keys, point))
+    # points run in order; verify itself sorts and scans its two sides on two threads
+    for point, spec, stream in zip(points, specs, RngState(seed).spawn(len(specs))):
+        rep = verify(spec, args.n, None, stream, alpha=args.alpha,
+                     mellin_rtol=args.mellin_rtol, rhs_scale=args.negative_control)
+        params = ";".join(f"{k}={_fmt(v)}" for k, v in zip(values, point))
         if rep.failure is not None:
             rows.append([args.identity, params, "error", rep.failure, "",
                          "fail", seed, "", __version__])
-            worst = max(worst, EXIT_NUMERIC)
             continue
-        ks_ok = rep.ks_statistic < rep.ks_threshold
-        rows.append([args.identity, params, "ks", rep.ks_statistic,
-                     rep.ks_threshold, "pass" if ks_ok else "fail",
-                     seed, args.alpha, __version__])
-        if rep.mellin_max_relerr is not None:
-            ok = rep.mellin_max_relerr < args.mellin_rtol
-            rows.append([args.identity, params, "mellin", rep.mellin_max_relerr,
-                         args.mellin_rtol, "pass" if ok else "fail",
-                         seed, args.mellin_rtol, __version__])
-        if rep.density_max_relerr is not None:
-            ok = rep.density_max_relerr < args.mellin_rtol
-            rows.append([args.identity, params, "density", rep.density_max_relerr,
-                         args.mellin_rtol, "pass" if ok else "fail",
-                         seed, args.mellin_rtol, __version__])
-        if rep.verdict != "pass":
-            worst = max(worst, EXIT_VIOLATION)
-    _write_csv(cfg.out_path, header, rows)
-    return worst
+        for channel, stat, threshold, tol in (
+                ("ks", rep.ks_statistic, rep.ks_threshold, args.alpha),
+                ("mellin", rep.mellin_max_relerr, args.mellin_rtol, args.mellin_rtol),
+                ("density", rep.density_max_relerr, args.mellin_rtol, args.mellin_rtol)):
+            if stat is not None:
+                rows.append([args.identity, params, channel, stat, threshold,
+                             "pass" if stat < threshold else "fail", seed, tol, __version__])
+    _write_csv(args.out, header, rows)
+    return _exit_code(rows, lambda row: row[5] == "fail")
 
 
 # ---------------------------------------------------------------------------
 # probe
 
 
-# flags each probe ratio needs, by argparse destination
-_PROBE_FLAGS = {
-    "psi-cc": ("a", "c", "c_prime"),
-    "psi-doubling": ("a", "c"),
-    "hermite-doubling": ("nu",),
-    "k0-e1": (),
-    "turan-hermite": ("nu", "c"),
-    "turan-psi": ("a", "c", "lam"),
-}
-_FLAG_NAMES = {"c_prime": "--c-prime", "lam": "--lambda"}
+class _Ratio(NamedTuple):
+    """One probe target. The parameters of builder and grid are the ratio's
+    flags; expected is the verdict the probe should reach, or a function of
+    (kind, flag values) giving it; bounds, given flag values, returns the
+    sharp bounds of the ratio's values."""
+
+    builder: Callable
+    grid: Callable
+    kinds: tuple[str, ...]  # probes the ratio takes; the first is the default
+    expected: str | Callable
+    bounds: Callable | None = None
 
 
-def _probe_target(args):
-    """Build (callable, grid, probe kind, expected verdict, bounds) from flags."""
-    name = args.ratio
-    for key in _PROBE_FLAGS.get(name, ()):
-        if getattr(args, key) is None:
-            flag = _FLAG_NAMES.get(key, f"--{key}")
-            raise DomainError(f"ratio {name} needs {flag}")
-    opts = EvalOptions()
-    if name == "psi-cc":
-        return (psi_cc(args.a, args.c, args.c_prime, opts),
-                geometric_grid(args.z_lo, args.z_hi, args.z_n),
-                "lcm" if args.lcm else "cm", "holds", None)
-    if name == "psi-doubling":
-        kind = "monotone" if args.monotone else ("lcm" if args.lcm else "cm")
-        expected = "holds" if kind == "monotone" and 0.5 <= args.c <= 1.0 else (
-            expected_psi_doubling_verdict(args.a, args.c) if kind == "cm" else None)
-        return (psi_doubling(args.a, args.c, opts),
-                geometric_grid(args.z_lo, args.z_hi, args.z_n),
-                kind, expected, None)
-    if name == "hermite-doubling":
-        expected = "holds"
-        return (hermite_doubling(args.nu, opts),
-                geometric_grid(args.z_lo, args.z_hi, args.z_n),
-                "lcm" if args.lcm else "cm", expected,
-                hermite_doubling_bounds(args.nu))
-    if name == "k0-e1":
-        return (k0_e1(opts), geometric_grid(args.z_lo, min(args.z_hi, 30.0), args.z_n),
-                "cm", "holds", None)
-    if name == "turan-hermite":
-        grid = np.linspace(-4.0, 6.0, args.z_n)
-        return (turan_hermite(args.nu, args.c, opts), grid, "monotone", "holds",
-                turan_hermite_bounds(args.nu, args.c))
-    if name == "turan-psi":
-        return (turan_psi(args.a, args.c, args.lam, opts),
-                geometric_grid(args.z_lo, args.z_hi, args.z_n),
-                "monotone", "holds", turan_psi_bounds(args.c, args.lam))
-    raise DomainError(f"unknown ratio {name!r}")
+def _z_grid(z_lo=1e-2, z_hi=50.0, z_n=220):
+    return geometric_grid(z_lo, z_hi, z_n)
+
+
+def _k0_grid(z_lo=1e-2, z_hi=50.0, z_n=220):
+    return geometric_grid(z_lo, min(z_hi, 30.0), z_n)
+
+
+def _line_grid(z_n=220):
+    return np.linspace(-4.0, 6.0, z_n)
+
+
+def _psi_doubling_expected(kind, values):
+    if kind == "monotone":
+        return "holds" if 0.5 <= values["c"] <= 1.0 else None
+    return expected_psi_doubling_verdict(values["a"], values["c"]) if kind == "cm" else None
+
+
+def _ratios() -> dict[str, _Ratio]:
+    """The probe targets; built on each call, so the builders are the ones
+    bound in this module at that time."""
+    return {
+        "psi-cc": _Ratio(psi_cc, _z_grid, ("cm", "lcm"), "holds"),
+        "psi-doubling": _Ratio(psi_doubling, _z_grid, ("cm", "lcm", "monotone"),
+                               _psi_doubling_expected),
+        "hermite-doubling": _Ratio(hermite_doubling, _z_grid, ("cm", "lcm"), "holds",
+                                   lambda v: hermite_doubling_bounds(v["nu"])),
+        "k0-e1": _Ratio(k0_e1, _k0_grid, ("cm",), "holds"),
+        "turan-hermite": _Ratio(turan_hermite, _line_grid, ("monotone",), "holds",
+                                lambda v: turan_hermite_bounds(v["nu"], v["c"])),
+        "turan-psi": _Ratio(turan_psi, _z_grid, ("monotone",), "holds",
+                            lambda v: turan_psi_bounds(v["c"], v["lam"])),
+    }
 
 
 def cmd_probe(args) -> int:
-    cfg = RunConfig.from_args(args)
-    seed = cfg.seed
-    try:
-        target, grid, kind, expected, bounds = _probe_target(args)
-        if kind == "cm":
-            result = cm_probe(target, grid, max_order=args.order)
-        elif kind == "lcm":
-            result = lcm_probe(target, grid, max_order=min(args.order, 6))
-        else:
-            result = monotone_probe(target, grid)
-    except BplError as exc:
-        sys.stderr.write(f"probe failed: {exc}\n")
-        return EXIT_NUMERIC
+    ratio = _ratios()[args.ratio]
+    what = f"ratio {args.ratio}"
+    kind = "monotone" if args.monotone else "lcm" if args.lcm else ratio.kinds[0]
+    if kind not in ratio.kinds:
+        raise DomainError(f"{what} does not take --{kind}")
+    if not 0 <= args.order <= 10:
+        raise DomainError(f"--order must lie in 0..10, got {args.order}")
+    values, grid_values = _target_values(args, what, ratio.builder, ratio.grid)
+    target = ratio.builder(**values)
+    grid = ratio.grid(**grid_values)
+    if kind == "cm":
+        result = cm_probe(target, grid, max_order=args.order)
+    elif kind == "lcm":
+        result = lcm_probe(target, grid, max_order=min(args.order, 6))
+    else:
+        result = monotone_probe(target, grid)
+    expected = ratio.expected if isinstance(ratio.expected, str) else ratio.expected(kind, values)
 
+    seed = _seed(args)
     header = ["ratio", "params", "kind", "order", "n_ok", "n_total", "verdict",
               "expected", "first_violation_order", "first_violation_z",
               "seed", "tolerance", "version"]
-    params = ";".join(
-        f"{k}={_fmt(getattr(args, k))}"
-        for k in ("a", "b", "c", "c_prime", "nu", "lam")
-        if getattr(args, k, None) is not None
-    )
+    params = ";".join(f"{k}={_fmt(v)}" for k, v in values.items())
     fv_order = result.first_violation[0] if result.first_violation else None
     fv_z = result.first_violation[1] if result.first_violation else None
     rows = []
@@ -332,20 +326,15 @@ def cmd_probe(args) -> int:
         rows.append([args.ratio, params, kind, order, int(ok_row.sum()),
                      int(ok_row.size), result.verdict, expected or "",
                      fv_order, fv_z, seed, args.order, __version__])
-    exit_code = EXIT_OK
-    if expected is not None and result.verdict != expected:
-        exit_code = EXIT_VIOLATION
-    if bounds is not None:
-        lo_b, hi_b = bounds
+    if ratio.bounds is not None:
+        lo_b, hi_b = ratio.bounds(values)
         vals = result.details["values"]
         inside = bool(np.all(vals > lo_b) and np.all(vals < hi_b))
         rows.append([args.ratio, params, "bounds", "", int(inside), 1,
                      "holds" if inside else "violated", "holds",
                      None, None, seed, args.order, __version__])
-        if not inside:
-            exit_code = EXIT_VIOLATION
-    _write_csv(cfg.out_path, header, rows)
-    return exit_code
+    _write_csv(args.out, header, rows)
+    return _exit_code(rows, lambda row: row[7] != "" and row[6] != row[7])
 
 
 # ---------------------------------------------------------------------------
@@ -353,129 +342,111 @@ def cmd_probe(args) -> int:
 
 
 def cmd_thorin(args) -> int:
-    cfg = RunConfig.from_args(args)
-    seed = cfg.seed
-    try:
-        p = ThorinParams(args.a, args.x)
-        ts = _parse_grid(args.t)
-        fvs = f_ax(p, ts) if p.a < 1.0 else np.full(ts.shape, math.nan)
-        cdfs = thorin_cdf(p, ts)
-        densities = thorin_density(p, ts)
-    except BplError as exc:
-        sys.stderr.write(f"thorin evaluation failed: {exc}\n")
-        return EXIT_NUMERIC
+    p = ThorinParams(args.a, args.x)
+    ts = _parse_grid(args.t)
+    fvs = f_ax(p, ts) if p.a < 1.0 else np.full(ts.shape, math.nan)
+    cdfs = thorin_cdf(p, ts)
+    densities = thorin_density(p, ts)
+    seed = _seed(args)
     header = ["a", "x", "t", "f_ax", "cdf", "density", "seed", "tolerance", "version"]
     rows = [[args.a, args.x, t, fv, cdf, dens, seed, EvalOptions().rel_tol, __version__]
             for t, fv, cdf, dens in zip(ts.tolist(), fvs.tolist(), cdfs.tolist(),
                                         densities.tolist())]
-    _write_csv(cfg.out_path, header, rows)
+    _write_csv(args.out, header, rows)
     return EXIT_OK if np.all(cdfs[1:] >= cdfs[:-1] - 1e-9) else EXIT_VIOLATION
 
 
 # ---------------------------------------------------------------------------
-# scan
+# scan: each row function yields (params, channel, value, status); cmd_scan
+# passes seed and tol by keyword, and a function needing neither takes **_
+
+
+def _scan_cjmain(a="0.5", b=None, n_samples=30_000, *, seed, tol):
+    grid = [(x, y) for x in _parse_floats(a) for y in _parse_floats(b)]
+    for r in conjecture_cjmain_scan(grid, n_samples, RngState(seed)):
+        params = f"a={_fmt(r['a'])};b={_fmt(r['b'])}"
+        if r["failure"] is not None:
+            yield params, "error", r["failure"], "FAIL" if r["proven"] else "EXPLORATORY"
+            continue
+        rep_err = max(r["rep1_relerr"], r["rep2_relerr"])
+        ok = (r["ks_statistic"] < r["ks_threshold"]
+              and (r["mellin_max_relerr"] or 0.0) < tol and rep_err < 1e-5)
+        status = ("PASS" if ok else "FAIL") if r["proven"] else "EXPLORATORY"
+        yield params, "ks", r["ks_statistic"], status
+        yield params, "mellin", r["mellin_max_relerr"], status
+        yield params, "representation", rep_err, status
+
+
+def _scan_cmcj(a="0.5", c="-0.5,0.2,0.5,0.8,1.1", **_):
+    for r in conjecture_cmcj_scan(_parse_floats(a), _parse_floats(c)):
+        expected = r["expected"]
+        status = ("EXPLORATORY" if expected is None
+                  else "PASS" if r["verdict"] == expected else "FAIL")
+        yield f"a={_fmt(r['a'])};c={_fmt(r['c'])}", "cm-verdict", r["verdict"], status
+
+
+def _scan_cmmi(n="0,1,2", **_):
+    orders = _parse_floats(n)
+    if not all(v.is_integer() for v in orders):
+        raise DomainError(f"cmmi scan orders must be integers, got {n!r}")
+    res = mills_suite()
+    for order in map(int, orders):
+        key = f"cmmi-scan-{order}"
+        if key not in res:
+            raise DomainError(f"cmmi scan order {order} not available (0, 1, 2)")
+        yield f"n={order}", "cm-verdict", res[key].verdict, "EXPLORATORY"
+
+
+def _scan_thorin_order(a=None, b="0.5", t="0.2:8:5", **_):
+    a_grid, b, ts = _parse_floats(a), _parse_float(b), _parse_grid(t)
+    if len(a_grid) < 2:
+        raise DomainError(f"thorin-order compares neighbouring values of --a and "
+                          f"needs two or more, got {a!r}")
+    # a * cdf over the grid, once per a
+    masses = [x * thorin_cdf(ThorinParams(x, b), ts) for x in a_grid]
+    for i, (a1, a2) in enumerate(zip(a_grid, a_grid[1:])):
+        for tv, gap in zip(ts.tolist(), (masses[i + 1] - masses[i]).tolist()):
+            yield (f"a={_fmt(a1)};a'={_fmt(a2)};b={_fmt(b)};t={_fmt(tv)}",
+                   "mass-gap", gap, "EXPLORATORY")
+
+
+def _scan_conjhyp(a="0.5", **_):
+    for x in _parse_floats(a):
+        res = conjhyp_integral_check(x)
+        yield f"a={_fmt(x)}", "printed-form", res["max_relerr"], "EXPLORATORY"
+        yield (f"a={_fmt(x)}", "with-zp1-factor", res["max_relerr_with_zp1_factor"],
+               "EXPLORATORY")
+
+
+def _scan_kumma(a="0.5", c="0.5", c_prime="0", **_):
+    # conjectured CM of the equal-shift quotient: recorded only
+    c, cp = _parse_float(c), _parse_float(c_prime)
+    for x in _parse_floats(a):
+        res = cm_probe(kumma_ratio(x, c, cp), geometric_grid(1e-2, 50.0, 200), max_order=6)
+        yield f"a={_fmt(x)};c={_fmt(c)};c'={_fmt(cp)}", "cm-verdict", res.verdict, "EXPLORATORY"
+
+
+_SCANS = {
+    "cjmain": _scan_cjmain,
+    "cmcj": _scan_cmcj,
+    "cmmi": _scan_cmmi,
+    "thorin-order": _scan_thorin_order,
+    "conjhyp": _scan_conjhyp,
+    "kumma": _scan_kumma,
+}
 
 
 def cmd_scan(args) -> int:
-    cfg = RunConfig.from_args(args)
-    seed = cfg.seed
+    scan = _SCANS[args.conjecture]
+    (values,) = _target_values(args, f"conjecture {args.conjecture}", scan)
+    seed = _seed(args)
+    tol = args.mellin_rtol
     header = ["conjecture", "params", "channel", "value", "status",
               "seed", "tolerance", "version"]
-    rows: list[list] = []
-    code = EXIT_OK
-    tol = args.mellin_rtol
-    try:
-        if args.conjecture == "cjmain":
-            grid = [(a, b) for a in _parse_floats(args.a) for b in _parse_floats(args.b)]
-            results = conjecture_cjmain_scan(grid, args.n, RngState(seed))
-            for r in results:
-                params = f"a={_fmt(r['a'])};b={_fmt(r['b'])}"
-                if r["failure"] is not None:
-                    rows.append(["cjmain", params, "error", r["failure"],
-                                 "FAIL" if r["proven"] else "EXPLORATORY",
-                                 seed, tol, __version__])
-                    code = max(code, EXIT_NUMERIC)
-                    continue
-                ks_ok = r["ks_statistic"] < r["ks_threshold"]
-                mell_ok = (r["mellin_max_relerr"] or 0.0) < tol
-                rep_ok = max(r["rep1_relerr"], r["rep2_relerr"]) < 1e-5
-                point_ok = ks_ok and mell_ok and rep_ok
-                status = ("PASS" if point_ok else "FAIL") if r["proven"] else "EXPLORATORY"
-                rows.append(["cjmain", params, "ks", r["ks_statistic"], status,
-                             seed, tol, __version__])
-                rows.append(["cjmain", params, "mellin", r["mellin_max_relerr"],
-                             status, seed, tol, __version__])
-                rows.append(["cjmain", params, "representation",
-                             max(r["rep1_relerr"], r["rep2_relerr"]), status,
-                             seed, tol, __version__])
-                if r["proven"] and not point_ok:
-                    code = max(code, EXIT_VIOLATION)
-        elif args.conjecture == "cmcj":
-            a_grid = _parse_floats(args.a)
-            c_grid = _parse_floats(args.c) if args.c else [-0.5, 0.2, 0.5, 0.8, 1.1]
-            results = conjecture_cmcj_scan(a_grid, c_grid)
-            for r in results:
-                params = f"a={_fmt(r['a'])};c={_fmt(r['c'])}"
-                expected = r["expected"]
-                if expected is None:
-                    status = "EXPLORATORY"
-                else:
-                    status = "PASS" if r["verdict"] == expected else "FAIL"
-                    if status == "FAIL":
-                        code = max(code, EXIT_VIOLATION)
-                rows.append(["cmcj", params, "cm-verdict", r["verdict"], status,
-                             seed, tol, __version__])
-        elif args.conjecture == "cmmi":
-            orders = _parse_floats(args.n_orders)
-            if not all(v.is_integer() for v in orders):
-                raise DomainError(f"cmmi scan orders must be integers, got {args.n_orders!r}")
-            orders = [int(v) for v in orders]
-            res = mills_suite()
-            for n in orders:
-                key = f"cmmi-scan-{n}"
-                if key not in res:
-                    raise DomainError(f"cmmi scan order {n} not available (0, 1, 2)")
-                rows.append(["cmmi", f"n={n}", "cm-verdict", res[key].verdict,
-                             "EXPLORATORY", seed, tol, __version__])
-        elif args.conjecture == "thorin-order":
-            a_grid = _parse_floats(args.a)
-            b = _parse_float(args.b) if args.b else 0.5
-            ts = _parse_grid(args.t) if args.t else np.geomspace(0.2, 8.0, 5)
-            # a * cdf over the grid, once per a; one a alone has no pair
-            masses = ([a * thorin_cdf(ThorinParams(a, b), ts) for a in a_grid]
-                      if len(a_grid) > 1 else [])
-            for i, a in enumerate(a_grid[:-1]):
-                a2 = a_grid[i + 1]
-                for t, gap in zip(ts.tolist(), (masses[i + 1] - masses[i]).tolist()):
-                    rows.append(["thorin-order", f"a={_fmt(a)};a'={_fmt(a2)};b={_fmt(b)};t={_fmt(t)}",
-                                 "mass-gap", gap, "EXPLORATORY",
-                                 seed, tol, __version__])
-        elif args.conjecture == "kumma":
-            # conjectured CM of the equal-shift quotient: recorded only
-            c = _parse_float(args.c) if args.c else 0.5
-            cp = _parse_float(args.c_prime) if args.c_prime else 0.0
-            for a in _parse_floats(args.a):
-                res = cm_probe(kumma_ratio(a, c, cp), geometric_grid(1e-2, 50.0, 200),
-                               max_order=6)
-                rows.append(["kumma", f"a={_fmt(a)};c={_fmt(c)};c'={_fmt(cp)}",
-                             "cm-verdict", res.verdict, "EXPLORATORY",
-                             seed, tol, __version__])
-        elif args.conjecture == "conjhyp":
-            for a in _parse_floats(args.a):
-                res = conjhyp_integral_check(a)
-                rows.append(["conjhyp", f"a={_fmt(a)}", "printed-form",
-                             res["max_relerr"], "EXPLORATORY", seed, tol, __version__])
-                rows.append(["conjhyp", f"a={_fmt(a)}", "with-zp1-factor",
-                             res["max_relerr_with_zp1_factor"], "EXPLORATORY",
-                             seed, tol, __version__])
-        else:
-            sys.stderr.write(f"unknown conjecture {args.conjecture!r}\n")
-            return EXIT_NUMERIC
-    except BplError as exc:
-        sys.stderr.write(f"scan failed: {exc}\n")
-        return EXIT_NUMERIC
-    _write_csv(cfg.out_path, header, rows)
-    return code
+    rows = [[args.conjecture, params, channel, value, status, seed, tol, __version__]
+            for params, channel, value, status in scan(**values, seed=seed, tol=tol)]
+    _write_csv(args.out, header, rows)
+    return _exit_code(rows, lambda row: row[4] == "FAIL")
 
 
 # ---------------------------------------------------------------------------
@@ -494,10 +465,12 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="verify an identity in law",
                         description="CSV columns: identity,params,channel,"
                                     "statistic,threshold,verdict,seed,tolerance,version")
-    pv.add_argument("identity", choices=sorted(identity_catalog()))
-    for flag in ("--a", "--b", "--c", "--d", "--b-prime"):
-        pv.add_argument(flag, type=str, default=None,
-                        help="parameter value(s), comma separated")
+    catalog = identity_catalog()
+    pv.add_argument("identity", choices=sorted(catalog))
+    keys = dict.fromkeys(key for builder in catalog.values() for key in _reads(builder))
+    _declare(pv, *(pv.add_argument("--" + key.replace("_", "-"),
+                                   help="parameter value(s), comma separated")
+                   for key in keys))
     pv.add_argument("--n", type=int, default=100_000, help="samples per side")
     pv.add_argument("--alpha", type=_finite_float, default=KS_ALPHA, help="KS level")
     pv.add_argument("--mellin-rtol", type=_finite_float, default=1e-6)
@@ -511,20 +484,17 @@ def build_parser() -> argparse.ArgumentParser:
                         description="CSV columns: ratio,params,kind,order,n_ok,"
                                     "n_total,verdict,expected,first_violation_order,"
                                     "first_violation_z,seed,tolerance,version")
-    pp.add_argument("ratio", choices=["psi-cc", "psi-doubling", "hermite-doubling",
-                                      "k0-e1", "turan-hermite", "turan-psi"])
-    pp.add_argument("--a", type=_finite_float, default=None)
-    pp.add_argument("--b", type=_finite_float, default=None)
-    pp.add_argument("--c", type=_finite_float, default=None)
-    pp.add_argument("--c-prime", type=_finite_float, default=None)
-    pp.add_argument("--nu", type=_finite_float, default=None)
-    pp.add_argument("--lambda", dest="lam", type=_finite_float, default=None)
+    pp.add_argument("ratio", choices=list(_ratios()))
+    _declare(pp, *(pp.add_argument(flag, type=_finite_float)
+                   for flag in ("--a", "--c", "--c-prime", "--nu")),
+             pp.add_argument("--lambda", dest="lam", type=_finite_float),
+             pp.add_argument("--z-lo", type=_finite_float),
+             pp.add_argument("--z-hi", type=_finite_float),
+             pp.add_argument("--z-n", type=int))
     pp.add_argument("--order", type=int, default=8)
-    pp.add_argument("--lcm", action="store_true", help="probe the log-derivative instead")
-    pp.add_argument("--monotone", action="store_true", help="decrease check instead of CM")
-    pp.add_argument("--z-lo", type=_finite_float, default=1e-2)
-    pp.add_argument("--z-hi", type=_finite_float, default=50.0)
-    pp.add_argument("--z-n", type=int, default=220)
+    kinds = pp.add_mutually_exclusive_group()
+    kinds.add_argument("--lcm", action="store_true", help="probe the log-derivative instead")
+    kinds.add_argument("--monotone", action="store_true", help="decrease check instead of CM")
     pp.add_argument("--seed", type=int, default=None)
     pp.add_argument("--out", type=str, default=None)
     pp.set_defaults(func=cmd_probe)
@@ -543,16 +513,10 @@ def build_parser() -> argparse.ArgumentParser:
                         description="CSV columns: conjecture,params,channel,value,"
                                     "status,seed,tolerance,version; proven points "
                                     "carry PASS/FAIL, open ones EXPLORATORY")
-    ps.add_argument("conjecture", choices=["cjmain", "cmcj", "cmmi",
-                                           "thorin-order", "conjhyp", "kumma"])
-    ps.add_argument("--a", type=str, default="0.5")
-    ps.add_argument("--b", type=str, default=None)
-    ps.add_argument("--c", type=str, default=None)
-    ps.add_argument("--c-prime", type=str, default=None)
-    ps.add_argument("--t", type=str, default=None)
-    ps.add_argument("--n", dest="n_orders", type=str, default="0,1,2",
-                    help="derivative orders for the cmmi scan")
-    ps.add_argument("--n-samples", dest="n", type=int, default=30_000)
+    ps.add_argument("conjecture", choices=list(_SCANS))
+    _declare(ps, *(ps.add_argument(flag) for flag in ("--a", "--b", "--c", "--c-prime", "--t")),
+             ps.add_argument("--n", help="derivative orders for the cmmi scan"),
+             ps.add_argument("--n-samples", type=int, help="KS samples per side (cjmain)"))
     ps.add_argument("--mellin-rtol", type=_finite_float, default=1e-6)
     ps.add_argument("--seed", type=int, default=None)
     ps.add_argument("--out", type=str, default=None)
@@ -564,7 +528,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except Exception as exc:  # noqa: BLE001 - any escaping failure is a numeric one
+    except Exception as exc:  # noqa: BLE001 - bad input or any escaping failure exits 2
         reason = " ".join(str(exc).split())
         sys.stderr.write(f"bpl {args.command} failed: {type(exc).__name__}: {reason}\n")
         return EXIT_NUMERIC

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .distributions import BetaParams, BetaPrimeParams
-from .errors import DomainError, QuadratureError
+from .errors import DomainError
 from .options import DEFAULT_OPTIONS, EvalOptions, HypArgs
 from .quadrature import beta_kernel
 from .special import appell_f1, gamma_ln, gamma_ratio, gauss_2f1, hyp_3f2
@@ -50,10 +50,7 @@ def sum_density_appell(spec: SumSpec, x: float, opts: EvalOptions = DEFAULT_OPTI
     a, b = spec.p1.a, spec.p1.b
     c, d = spec.p2.a, spec.p2.b
     lam, mu = spec.lam, spec.mu
-    try:
-        f1 = appell_f1(a, a + b, c + d, a + c, -x / lam, x / (x + mu), opts)
-    except QuadratureError:
-        return sum_density_direct(spec, x, opts)
+    f1 = appell_f1(a, a + b, c + d, a + c, -x / lam, x / (x + mu), opts)
     # prefactor from folding the convolution integral through the Picard
     # representation: Gamma(a+b) Gamma(c+d) / (Gamma(b) Gamma(d) Gamma(a+c))
     log_pref = (

@@ -186,8 +186,8 @@ def cm_probe(f, z_grid, max_order: int = 8) -> ProbeResult:
     exp of the fitted log; this keeps ten-decade decays within reach of a
     degree-12 window polynomial.
     """
-    if max_order > 10:
-        raise DomainError("max_order capped at 10")
+    if not 0 <= max_order <= 10:
+        raise DomainError(f"max_order must lie in 0..10, got {max_order}")
     zs = np.asarray(z_grid, dtype=float)
     fs = _eval_grid(f, zs)
     centers, dh, floors_h = _log_taylor_table(zs, fs, max_order)
@@ -204,8 +204,8 @@ def lcm_probe(f, z_grid, max_order: int = 6) -> ProbeResult:
     Equivalent to alternating signs of the log-derivatives one order up:
     (-1)^n (-h^(n+1)) >= 0 for h = log f.
     """
-    if max_order > 10:
-        raise DomainError("max_order capped at 10")
+    if not 0 <= max_order <= 10:
+        raise DomainError(f"max_order must lie in 0..10, got {max_order}")
     zs = np.asarray(z_grid, dtype=float)
     fs = _eval_grid(f, zs)
     centers, dh, floors_h = _log_taylor_table(zs, fs, max_order + 1)

@@ -4,8 +4,10 @@ import contextlib
 import csv
 import io
 import os
+import shlex
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -71,6 +73,16 @@ class TestVerifyCommand:
         main(argv + ["--out", str(tmp_path / "b.csv")])
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    def test_density_row_failure_exits_1(self, tmp_path):
+        # the density channel is held to --mellin-rtol, like the row it prints:
+        # here Mellin error ~1.2e-16 passes and density error ~1.7e-15 fails
+        code, _, rows = _run_csv(
+            ["verify", "prop-b0", "--a", "1", "--b", "0.5", "--b-prime", "1.5",
+             "--n", "1000", "--seed", "1", "--mellin-rtol", "5e-16"], tmp_path)
+        assert [(r[2], r[5]) for r in rows] == [("ks", "pass"), ("mellin", "pass"),
+                                                ("density", "fail")]
+        assert code == 1
+
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BPL_SEED", "123")
         code, _, rows = _run_csv(
@@ -94,6 +106,13 @@ class TestProbeCommand:
              "--z-n", "120"], tmp_path)
         assert code == 0
         assert all(r[6] == "holds" for r in rows)
+
+    def test_params_in_declaration_order(self, tmp_path):
+        # the params column lists a, c, c', nu, lambda in that order
+        code, _, rows = _run_csv(
+            ["probe", "turan-hermite", "--nu", "1.3", "--c", "0.4", "--z-n", "60"], tmp_path)
+        assert code == 0
+        assert {r[1] for r in rows} == {"c=0.4;nu=1.3"}
 
     def test_turan_psi_bounds_row(self, tmp_path):
         code, _, rows = _run_csv(
@@ -195,6 +214,60 @@ class TestBadInputExitTwo:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "needs --" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["verify", "theorem-a", "--a", "1", "--b", "1"], "--b"),
+        (["verify", "free", "--a", "1", "--b", "1", "--c", "1", "--d", "1",
+          "--b-prime", "2"], "--b-prime"),
+        (["probe", "k0-e1", "--nu", "1"], "--nu"),
+        (["probe", "psi-doubling", "--a", "0.7", "--c", "-0.5", "--lambda", "0.4"],
+         "--lambda"),
+        (["probe", "turan-hermite", "--nu", "1", "--c", "0.4", "--z-lo", "0.1"], "--z-lo"),
+        (["probe", "k0-e1", "--lcm"], "--lcm"),
+        (["probe", "hermite-doubling", "--nu", "1", "--monotone"], "--monotone"),
+        (["scan", "cjmain", "--a", "0.5", "--b", "0.2", "--c", "7"], "--c"),
+        (["scan", "thorin-order", "--a", "0.3,0.6", "--n", "1"], "--n"),
+        (["scan", "cmmi", "--n-samples", "100"], "--n-samples"),
+        (["scan", "kumma", "--a", "0.6", "--b", "1"], "--b"),
+    ], ids=["verify-b", "verify-b-prime", "probe-nu", "probe-lambda", "probe-z-lo",
+            "probe-lcm", "probe-monotone", "scan-c", "scan-n", "scan-n-samples", "scan-b"])
+    def test_flag_the_target_does_not_read(self, argv, flag, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.endswith(f"does not take {flag}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--b", "3"], ["--lcm", "--monotone"]],
+                             ids=["removed-b", "lcm-and-monotone"])
+    def test_probe_flag_rejected_by_parser(self, flags, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["probe", "psi-doubling", "--a", "0.7", "--c", "0.7", *flags])
+        assert err.value.code == 2
+        assert flags[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--order", "-1"], ["--order", "11"],
+                                       ["--lcm", "--order", "11"]],
+                             ids=["negative", "above-10", "lcm-above-10"])
+    def test_probe_order_out_of_range(self, flags, capsys):
+        assert main(["probe", "psi-doubling", "--a", "0.7", "--c", "-0.5", *flags]) == 2
+        err = capsys.readouterr().err
+        assert "--order must lie in 0..10" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "theorem-a", "--a="], "at least one number"),
+        (["scan", "conjhyp", "--a=,"], "at least one number"),
+        (["scan", "thorin-order", "--a", "0.3"], "two or more"),
+        (["scan", "thorin-order"], "needs --a"),
+        (["scan", "cjmain", "--a", "0.5"], "needs --b"),
+    ], ids=["verify-empty-list", "scan-empty-list", "thorin-order-one-a",
+            "thorin-order-no-a", "cjmain-no-b"])
+    def test_run_that_checks_nothing(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("spec", ["1:0:5", "0.1:10:0", "0.1:10:-3", "2:2:4",
                                       "-1:-2:5", "a:1:3", "0.1:10", "0.1:inf:5",
@@ -347,6 +420,25 @@ class TestBadInputExitTwo:
         assert not out.exists()
 
 
+def _readme_commands() -> list[str]:
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    return [line for line in block.splitlines() if line.startswith("bpl ")]
+
+
+class TestReadmeCommands:
+    """Every command of README's command-line block runs as documented."""
+
+    def test_block_found(self):
+        assert len(_readme_commands()) >= 10
+
+    @pytest.mark.parametrize("line", _readme_commands())
+    def test_command(self, line, tmp_path):
+        command, _, comment = line.partition("#")
+        code = main(shlex.split(command)[1:] + ["--out", str(tmp_path / "o.csv")])
+        assert code == (1 if "exits 1" in comment else 0)
+
+
 class TestUnexpectedErrors:
     """An exception escaping a command exits 2 with one stderr line."""
 
@@ -363,6 +455,22 @@ class TestUnexpectedErrors:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.count("\n") == 1 and type(exc).__name__ in err
+
+
+def _run_checked(argv):
+    """main(argv) in this process: exit code in {0, 1, 2}, no traceback on
+    stderr, bounded time; returns the exit code and the CSV rows."""
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects malformed flags
+            code = exc.code
+    assert time.perf_counter() - start < 20.0
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    return code, list(csv.reader(io.StringIO(out.getvalue())))[1:]
 
 
 _BAD_NUMBERS = ["0", "-1", "nan", "inf", "-inf", "1.5"]
@@ -405,17 +513,7 @@ class TestThorinFuzz:
 
     @staticmethod
     def _check(a, x, grid):
-        out, err = io.StringIO(), io.StringIO()
-        start = time.perf_counter()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(["thorin", f"--a={a}", f"--x={x}", f"--t={grid}"])
-            except SystemExit as exc:  # argparse rejects non-finite float flags
-                code = exc.code
-        assert time.perf_counter() - start < 20.0
-        assert code in (0, 1, 2)
-        assert "Traceback" not in err.getvalue()
-        rows = list(csv.reader(io.StringIO(out.getvalue())))[1:]
+        code, rows = _run_checked(["thorin", f"--a={a}", f"--x={x}", f"--t={grid}"])
         if code == 2:
             assert rows == []
             return
@@ -426,3 +524,139 @@ class TestThorinFuzz:
             assert max(drops) > 1e-9 - 1e-11
         else:
             assert all(d <= 1e-9 + 1e-11 for d in drops)
+
+
+def _values(lo, hi):
+    return st.floats(min_value=lo, max_value=hi).map(repr)
+
+
+def _lists(lo, hi, min_size=1):
+    return st.lists(st.floats(min_value=lo, max_value=hi), min_size=min_size,
+                    max_size=3).map(lambda vs: ",".join(map(repr, vs)))
+
+
+_BAD_VALUES = ["0", "-1", "nan", "inf", "abc", "", ",", "0.5,0.5,", "1,2"]
+
+# each target's flags with values inside its domain
+_VERIFY_DOMAINS = {
+    "theorem-a": {"--a": _lists(0.05, 4.0)},
+    "theorem-b": {"--a": st.just("0.5"), "--b": _values(0.05, 0.45)},
+    "prop-b0": {"--a": _values(0.2, 3.0), "--b": _values(0.2, 1.0),
+                "--b-prime": _values(1.2, 3.0)},
+    "ab-half": {"--a": _values(0.05, 0.45)},
+    "free": {flag: _values(0.3, 3.0) for flag in ("--a", "--b", "--c", "--d")},
+    "half-gaussian": {"--a": _values(0.05, 4.0)},
+    "cor34": {"--a": _values(0.05, 4.0)},
+}
+_PROBE_DOMAINS = {
+    "psi-cc": {"--a": _values(0.1, 3.0), "--c": _values(-1.0, 0.9),
+               "--c-prime": _values(-2.0, -1.0)},
+    "psi-doubling": {"--a": _values(0.1, 3.0), "--c": _values(-1.0, 1.5)},
+    "hermite-doubling": {"--nu": _values(0.2, 3.0)},
+    "k0-e1": {},
+    "turan-hermite": {"--nu": _values(0.2, 3.0), "--c": _values(0.1, 2.0)},
+    "turan-psi": {"--a": _values(0.1, 3.0), "--c": _values(-1.0, 0.9),
+                  "--lambda": _values(0.1, 1.0)},
+}
+_SCAN_DOMAINS = {
+    "cjmain": {"--a": _lists(0.3, 2.5), "--b": _values(0.05, 0.45),
+               "--n-samples": st.integers(6, 60).map(str)},
+    "cmcj": {"--a": _values(0.2, 2.0), "--c": _lists(-1.0, 1.5)},
+    "cmmi": {"--n": st.lists(st.sampled_from("012"), min_size=1, max_size=3,
+                             unique=True).map(",".join)},
+    "thorin-order": {"--a": _lists(0.1, 1.0, min_size=2), "--b": _values(0.2, 2.0),
+                     "--t": st.sampled_from(["0.5:4:3", "0.2:8:2", "1:2:1"])},
+    "conjhyp": {"--a": _lists(0.05, 0.45)},
+    "kumma": {"--a": _values(0.2, 2.0), "--c": _values(0.2, 0.9),
+              "--c-prime": _values(-0.5, 0.1)},
+}
+
+
+@st.composite
+def _invocations(draw, command, domains, valid, common):
+    """argv for one target: its flags in its domain, and unless valid also
+    bad values, omitted flags and up to two flags of other targets."""
+    target = draw(st.sampled_from(sorted(domains)))
+    argv = [command, target]
+    for flag, values in domains[target].items():
+        choice = "valid" if valid else draw(st.sampled_from(["valid", "bad", "omit"]))
+        if choice == "valid":
+            argv.append(f"{flag}={draw(values)}")
+        elif choice == "bad":
+            argv.append(f"{flag}={draw(st.sampled_from(_BAD_VALUES))}")
+    others = sorted({f for d in domains.values() for f in d} - set(domains[target]))
+    if not valid and others:
+        for flag in draw(st.lists(st.sampled_from(others), max_size=2, unique=True)):
+            argv.append(f"{flag}={draw(st.sampled_from(['0.5', '1', '-1']))}")
+    return argv + draw(common)
+
+
+def _check_contract(argv, failed, errored=lambda row: False):
+    """Exit 0: rows, none failing; exit 1: a failing row and no error row;
+    exit 2: no CSV, or an error row."""
+    code, rows = _run_checked(argv)
+    if code == 0:
+        assert rows and not any(failed(r) or errored(r) for r in rows)
+    elif code == 1:
+        assert any(failed(r) for r in rows) and not any(errored(r) for r in rows)
+    else:
+        assert rows == [] or any(errored(r) for r in rows)
+
+
+# --n near the smallest sample size with KS power keeps each case short
+_VERIFY_COMMON = st.tuples(
+    st.integers(6, 200), st.integers(0, 3),
+    st.sampled_from(["1e-15", "1e-6", "1e-3"]), st.sampled_from(["1", "1.1"]),
+).map(lambda t: ["--n", str(t[0]), "--seed", str(t[1]), "--mellin-rtol", t[2],
+                 "--negative-control", t[3]])
+_PROBE_COMMON = st.tuples(
+    st.sampled_from([[], [], ["--lcm"], ["--monotone"]]),
+    st.one_of(st.just([]), st.integers(-2, 12).map(lambda n: ["--order", str(n)])),
+    st.integers(-1, 60),
+).map(lambda t: [*t[0], *t[1], "--z-n", str(t[2])])
+_SCAN_COMMON = st.integers(0, 3).map(lambda s: ["--seed", str(s)])
+
+
+def _verify_failed(row):
+    return row[2] != "error" and row[5] == "fail"
+
+
+def _probe_failed(row):
+    return row[7] != "" and row[6] != row[7]
+
+
+class TestCommandFuzz:
+    """Exit code contract of verify, probe and scan over targets, values in
+    and out of each target's domain, and flags other targets read: exit code
+    in {0, 1, 2}, no traceback, bounded time, exit 1 only with a failing row
+    and exit 0 only with rows that all pass."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(argv=_invocations("verify", _VERIFY_DOMAINS, True, _VERIFY_COMMON))
+    def test_verify_valid(self, argv):
+        _check_contract(argv, _verify_failed, lambda r: r[2] == "error")
+
+    @settings(max_examples=30, deadline=None)
+    @given(argv=_invocations("verify", _VERIFY_DOMAINS, False, _VERIFY_COMMON))
+    def test_verify_any(self, argv):
+        _check_contract(argv, _verify_failed, lambda r: r[2] == "error")
+
+    @settings(max_examples=15, deadline=None)
+    @given(argv=_invocations("probe", _PROBE_DOMAINS, True, _PROBE_COMMON))
+    def test_probe_valid(self, argv):
+        _check_contract(argv, _probe_failed)
+
+    @settings(max_examples=30, deadline=None)
+    @given(argv=_invocations("probe", _PROBE_DOMAINS, False, _PROBE_COMMON))
+    def test_probe_any(self, argv):
+        _check_contract(argv, _probe_failed)
+
+    @settings(max_examples=15, deadline=None)
+    @given(argv=_invocations("scan", _SCAN_DOMAINS, True, _SCAN_COMMON))
+    def test_scan_valid(self, argv):
+        _check_contract(argv, lambda r: r[4] == "FAIL", lambda r: r[2] == "error")
+
+    @settings(max_examples=30, deadline=None)
+    @given(argv=_invocations("scan", _SCAN_DOMAINS, False, _SCAN_COMMON))
+    def test_scan_any(self, argv):
+        _check_contract(argv, lambda r: r[4] == "FAIL", lambda r: r[2] == "error")

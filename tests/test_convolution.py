@@ -24,7 +24,7 @@ from bpl.distributions import (
     sample_beta,
     sample_betaprime,
 )
-from bpl.errors import DomainError
+from bpl.errors import DomainError, QuadratureError
 from bpl.quadrature import integrate
 from conftest import rel_err
 
@@ -92,6 +92,19 @@ class TestAppellForm:
         s2 = SumSpec(0.5, BetaPrimeParams(0.5, 1.5), 2.0, BetaPrimeParams(1.0, 2.0))
         for x in (0.4, 1.3, 6.0):
             assert rel_err(sum_density_appell(s1, x), sum_density_appell(s2, x)) < 1e-9
+
+    def test_quadrature_failure_is_raised(self, monkeypatch):
+        # no silent switch to the direct route: the Appell-vs-direct
+        # cross-check must never compare the direct form with itself
+        from bpl import convolution
+
+        def refuse(*args, **kwargs):
+            raise QuadratureError("appell_f1 refused")
+
+        monkeypatch.setattr(convolution, "appell_f1", refuse)
+        spec = SumSpec(1.0, BetaPrimeParams(1, 1), 1.0, BetaPrimeParams(1, 1))
+        with pytest.raises(QuadratureError, match="appell_f1 refused"):
+            sum_density_appell(spec, 1.0)
 
 
 class TestGaussForm:

@@ -59,8 +59,10 @@ class TestCalibration:
         assert monotone_probe(lambda z: np.sin(z) + 2.0, GRID).verdict == "violated"
 
     def test_max_order_guard(self):
-        with pytest.raises(DomainError):
-            cm_probe(lambda z: np.exp(-z), GRID, max_order=11)
+        for probe in (cm_probe, lcm_probe):
+            for order in (-1, 11):
+                with pytest.raises(DomainError, match="0..10"):
+                    probe(lambda z: np.exp(-z), GRID, max_order=order)
 
     def test_irregular_grid_rejected(self):
         # the sliding-window operators assume a self-similar node layout
