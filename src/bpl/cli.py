@@ -7,10 +7,10 @@ measure and density) and scan (conjecture scans with exploratory rows).
 Each target of verify, probe and scan is declared once: an identity by its
 builder in identity_catalog(), a ratio by its entry in _ratios(), a
 conjecture by its row function in _SCANS. The parameters of those callables,
-up to `opts` or the first keyword-only one, are the flags the target reads,
-and their defaults stand in for absent flags. A flag of the subcommand that
-the chosen target does not read, or one it reads that is absent and has no
-default, exits 2.
+up to the first keyword-only one, are the flags the target reads, and their
+defaults stand in for absent flags. A flag of the subcommand that the chosen
+target does not read, or one it reads that is absent and has no default,
+exits 2.
 
 Exit codes: 0 = everything matched expectations, 1 = a proven statement was
 numerically violated (or an expected violation failed to appear), 2 = bad
@@ -47,7 +47,7 @@ from .identities import (
     require_ks_power,
     verify,
 )
-from .options import EvalOptions
+from .options import DEFAULT_OPTIONS
 from .probes import (
     cm_probe,
     conjecture_cmcj_scan,
@@ -169,11 +169,11 @@ def _parse_grid(text: str) -> np.ndarray:
 
 def _reads(fn) -> dict:
     """The flags a target callable reads, by argparse destination: its
-    parameters up to `opts` or the first keyword-only one, each with its
-    default (None when it has none)."""
+    parameters up to the first keyword-only one, each with its default (None
+    when it has none)."""
     reads = {}
     for p in inspect.signature(fn).parameters.values():
-        if p.name == "opts" or p.kind is not p.POSITIONAL_OR_KEYWORD:
+        if p.kind is not p.POSITIONAL_OR_KEYWORD:
             break
         reads[p.name] = None if p.default is p.empty else p.default
     return reads
@@ -349,7 +349,7 @@ def cmd_thorin(args) -> int:
     densities = thorin_density(p, ts)
     seed = _seed(args)
     header = ["a", "x", "t", "f_ax", "cdf", "density", "seed", "tolerance", "version"]
-    rows = [[args.a, args.x, t, fv, cdf, dens, seed, EvalOptions().rel_tol, __version__]
+    rows = [[args.a, args.x, t, fv, cdf, dens, seed, DEFAULT_OPTIONS.rel_tol, __version__]
             for t, fv, cdf, dens in zip(ts.tolist(), fvs.tolist(), cdfs.tolist(),
                                         densities.tolist())]
     _write_csv(args.out, header, rows)

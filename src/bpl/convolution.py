@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .distributions import BetaParams, BetaPrimeParams
 from .errors import DomainError
-from .options import DEFAULT_OPTIONS, EvalOptions, HypArgs
+from .options import HypArgs
 from .quadrature import beta_kernel
 from .special import appell_f1, gamma_ln, gamma_ratio, gauss_2f1, hyp_3f2
 
@@ -43,14 +43,14 @@ class SumSpec:
             raise DomainError("scales must be positive")
 
 
-def sum_density_appell(spec: SumSpec, x: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+def sum_density_appell(spec: SumSpec, x: float) -> float:
     """Density of lam*X1 + mu*X2 at x > 0, through the Appell F1 closed form."""
     if not x > 0.0:
         raise DomainError("the sum lives on (0, infinity)")
     a, b = spec.p1.a, spec.p1.b
     c, d = spec.p2.a, spec.p2.b
     lam, mu = spec.lam, spec.mu
-    f1 = appell_f1(a, a + b, c + d, a + c, -x / lam, x / (x + mu), opts)
+    f1 = appell_f1(a, a + b, c + d, a + c, -x / lam, x / (x + mu))
     # prefactor from folding the convolution integral through the Picard
     # representation: Gamma(a+b) Gamma(c+d) / (Gamma(b) Gamma(d) Gamma(a+c))
     log_pref = (
@@ -61,7 +61,7 @@ def sum_density_appell(spec: SumSpec, x: float, opts: EvalOptions = DEFAULT_OPTI
     return math.exp(log_pref) * f1
 
 
-def sum_density_direct(spec: SumSpec, x: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+def sum_density_direct(spec: SumSpec, x: float) -> float:
     """Same density by direct numerical convolution of the two factors."""
     if not x > 0.0:
         raise DomainError("the sum lives on (0, infinity)")
@@ -72,7 +72,7 @@ def sum_density_direct(spec: SumSpec, x: float, opts: EvalOptions = DEFAULT_OPTI
     def smooth(y):
         return (lam + x * y) ** (-a - b) * (x + mu - x * y) ** (-c - d)
 
-    val = beta_kernel(smooth, a - 1.0, c - 1.0, opts)
+    val = beta_kernel(smooth, a - 1.0, c - 1.0)
     log_pref = (
         gamma_ln(a + b) + gamma_ln(c + d)
         - gamma_ln(a) - gamma_ln(b) - gamma_ln(c) - gamma_ln(d)
@@ -88,33 +88,33 @@ def _phi_prefactor(p: BetaPrimeParams, x: float) -> float:
     )
 
 
-def sum_density_2f1(p: BetaPrimeParams, x: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+def sum_density_2f1(p: BetaPrimeParams, x: float) -> float:
     """Density of BetaPrime(a,b) + BetaPrime(a,b) at x > 0 (Gauss form)."""
     if not x > 0.0:
         raise DomainError("the sum lives on (0, infinity)")
     a, b = p.a, p.b
     z = -x * x / (4.0 * (x + 1.0))
-    hyp = gauss_2f1(a + b, a, a + 0.5, z, opts)
+    hyp = gauss_2f1(a + b, a, a + 0.5, z)
     return _phi_prefactor(p, x) * (x + 1.0) ** (-a - b) * hyp
 
 
-def sum_density_pfaff1(p: BetaPrimeParams, x: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+def sum_density_pfaff1(p: BetaPrimeParams, x: float) -> float:
     """Pfaff-transformed variant with argument (x/(x+2))^2; stable for large x."""
     if not x > 0.0:
         raise DomainError("the sum lives on (0, infinity)")
     a, b = p.a, p.b
     z = (x / (x + 2.0)) ** 2
-    hyp = gauss_2f1(a + b, 0.5, a + 0.5, z, opts)
+    hyp = gauss_2f1(a + b, 0.5, a + 0.5, z)
     return _phi_prefactor(p, x) * 4.0 ** (a + b) * (x + 2.0) ** (-2.0 * (a + b)) * hyp
 
 
-def sum_density_pfaff2(p: BetaPrimeParams, x: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+def sum_density_pfaff2(p: BetaPrimeParams, x: float) -> float:
     """Second Pfaff variant, the starting point of the Mellin evaluation."""
     if not x > 0.0:
         raise DomainError("the sum lives on (0, infinity)")
     a, b = p.a, p.b
     z = (x / (x + 2.0)) ** 2
-    hyp = gauss_2f1(0.5 - b, a, a + 0.5, z, opts)
+    hyp = gauss_2f1(0.5 - b, a, a + 0.5, z)
     return (
         _phi_prefactor(p, x)
         * 4.0 ** a * (x + 1.0) ** (-b) * (x + 2.0) ** (-2.0 * a)
@@ -133,7 +133,7 @@ def sum_density_bhalf(a: float, x: float) -> float:
     )
 
 
-def beta_sum_density(p: BetaParams, x: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+def beta_sum_density(p: BetaParams, x: float) -> float:
     """Density of Beta(a,b) + Beta(a,b) on (0,2).
 
     The closed form holds on (0,1); on (1,2) the same expression applies after
@@ -154,7 +154,7 @@ def beta_sum_density(p: BetaParams, x: float, opts: EvalOptions = DEFAULT_OPTION
             * 4.0 ** (1.0 - b)
         )
     z = -x * x / (4.0 * (1.0 - x))
-    hyp = gauss_2f1(1.0 - b, a, a + 0.5, z, opts)
+    hyp = gauss_2f1(1.0 - b, a, a + 0.5, z)
     pref = math.exp(
         2.0 * gamma_ln(a + b) - gamma_ln(2.0 * a) - 2.0 * gamma_ln(b)
         + (2.0 * a - 1.0) * math.log(x) + (b - 1.0) * math.log(1.0 - x)
@@ -162,7 +162,7 @@ def beta_sum_density(p: BetaParams, x: float, opts: EvalOptions = DEFAULT_OPTION
     return pref * hyp
 
 
-def mellin_sum(p: BetaPrimeParams, s: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+def mellin_sum(p: BetaPrimeParams, s: float) -> float:
     """Mellin transform E[(X + X')^s] of the iid beta prime sum.
 
     Finite exactly on the strip s in (-2a, b); evaluated through the single
@@ -172,9 +172,7 @@ def mellin_sum(p: BetaPrimeParams, s: float, opts: EvalOptions = DEFAULT_OPTIONS
     if not (-2.0 * a < s < b):
         raise DomainError(f"Mellin argument {s} outside the strip ({-2 * a}, {b})")
     hyp = hyp_3f2(
-        HypArgs((a + s / 2.0, a + (s + 1.0) / 2.0, 0.5), (a + 0.5, a + b + 0.5), 1.0),
-        opts,
-    )
+        HypArgs((a + s / 2.0, a + (s + 1.0) / 2.0, 0.5), (a + 0.5, a + b + 0.5), 1.0))
     log_pref = (
         (2.0 * a + s) * math.log(2.0)
         + 2.0 * gamma_ln(a + b) + gamma_ln(2.0 * b - s) + gamma_ln(2.0 * a + s)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, QuadratureError
-from .options import DEFAULT_OPTIONS, EvalOptions
+from .options import DIVERGENCE_CHECK
 from .quadrature import halfline_power
 from .special import gamma_ln, tricomi_psi
 
@@ -115,13 +115,13 @@ def betaprime_mellin(p: BetaPrimeParams, s: float) -> float:
     return math.exp(gamma_ln(p.a + s) + gamma_ln(p.b - s) - gamma_ln(p.a) - gamma_ln(p.b))
 
 
-def betaprime_laplace(p: BetaPrimeParams, z: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+def betaprime_laplace(p: BetaPrimeParams, z: float) -> float:
     """E[exp(-z X)] = Gamma(a+b)/Gamma(b) * Psi(a, 1-b, z) for z >= 0."""
     if z < 0.0:
         raise DomainError("Laplace transform evaluated on z >= 0")
     if z == 0.0:
         return 1.0
-    return math.exp(gamma_ln(p.a + p.b) - gamma_ln(p.b)) * tricomi_psi(p.a, 1.0 - p.b, z, opts)
+    return math.exp(gamma_ln(p.a + p.b) - gamma_ln(p.b)) * tricomi_psi(p.a, 1.0 - p.b, z)
 
 
 def beta_pdf(p: BetaParams, x):
@@ -199,12 +199,14 @@ def mc_mean(values) -> tuple[float, float]:
 # Size-biasing
 
 
-def size_bias_norm(base_pdf, t: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
-    """E[X^t] for a density on (0, inf); DomainError if the integral diverges."""
+def size_bias_norm(base_pdf, t: float) -> float:
+    """E[X^t] for a density on (0, inf); DomainError if the integral diverges,
+    which DIVERGENCE_CHECK's small refinement budget detects."""
     if t == 0.0:
         return 1.0
     try:
-        norm = halfline_power(lambda x: np.asarray(base_pdf(x), dtype=float), t, opts)
+        norm = halfline_power(lambda x: np.asarray(base_pdf(x), dtype=float), t,
+                              DIVERGENCE_CHECK)
     except QuadratureError as exc:
         raise DomainError(f"size-bias normalization of order {t} diverges") from exc
     if not math.isfinite(norm) or norm <= 0.0:
@@ -212,11 +214,10 @@ def size_bias_norm(base_pdf, t: float, opts: EvalOptions = DEFAULT_OPTIONS) -> f
     return norm
 
 
-def size_bias_pdf(base_pdf, t: float, x, norm: float | None = None,
-                  opts: EvalOptions = DEFAULT_OPTIONS):
+def size_bias_pdf(base_pdf, t: float, x, norm: float | None = None):
     """Density of the order-t size bias: x^t f(x) / E[X^t]."""
     if norm is None:
-        norm = size_bias_norm(base_pdf, t, opts)
+        norm = size_bias_norm(base_pdf, t)
     x = np.asarray(x, dtype=float)
     out = x ** t * np.asarray(base_pdf(x), dtype=float) / norm
     return float(out) if out.ndim == 0 else out

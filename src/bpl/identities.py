@@ -36,7 +36,7 @@ from .distributions import (
     sample_gamma,
 )
 from .errors import BplError, DomainError
-from .options import DEFAULT_OPTIONS, EvalOptions, HypArgs
+from .options import NESTED, HypArgs
 from .quadrature import beta_kernel, halfline_power, jacobi_rule, power_weighted
 from .special import gamma_ln, gamma_ratio, gauss_2f1, hyp_3f2
 
@@ -212,10 +212,10 @@ def verify(
     *,
     alpha: float = KS_ALPHA,
     mellin_rtol: float = 1e-6,
-    density_rtol: float = 1e-6,
     rhs_scale: float = 1.0,
 ) -> VerificationReport:
-    """Run the KS channel and, when transforms are present, the Mellin channel.
+    """Run the KS channel and, when transforms or densities are present, the
+    Mellin and density channels; mellin_rtol judges both deterministic ones.
 
     rhs_scale exists for negative controls: scaling one side must flip the
     verdict to fail when the engine has power.
@@ -260,7 +260,7 @@ def verify(
                 rv = spec.rhs_density(float(x))
                 errs.append(abs(lv - rv) / max(abs(rv), 1e-300))
             density_err = float(max(errs))
-            ok = ok and density_err < density_rtol
+            ok = ok and density_err < mellin_rtol
 
         return VerificationReport(
             ks_statistic=stat,
@@ -290,21 +290,21 @@ def verify(
 # Quadrature helpers for the Mellin factors of the right-hand sides
 
 
-def _one_plus_sqrt_beta_factor(a: float, s: float, n_nodes: int = 80) -> float:
-    """E[(1 + sqrt(B_{a,1/2}))^s] by Gauss-Jacobi quadrature.
+def _one_plus_sqrt_beta_factor(a: float, s: float) -> float:
+    """E[(1 + sqrt(B_{a,1/2}))^s] by 80-node Gauss-Jacobi quadrature.
 
     After w = sqrt(u) the expectation is
     int_0^1 w^(2a-1) (1-w)^(-1/2) (1+w)^(s-1/2) dw / B(a, 1/2) up to the
     doubling of the density.
     """
-    xw, ww = jacobi_rule(n_nodes, -0.5, 2.0 * a - 1.0)
+    xw, ww = jacobi_rule(80, -0.5, 2.0 * a - 1.0)
     val = float(np.sum(ww * (1.0 + xw) ** (s - 0.5)))
     lognorm = gamma_ln(a) + gamma_ln(0.5) - gamma_ln(a + 0.5)
     return 2.0 * val / math.exp(lognorm)
 
 
-def _tb_factor(a: float, b: float, s: float, n_nodes: int = 150) -> float:
-    """E[(1 + sqrt(B_{a,1/2} / B_{b,1/2-b}))^s] by tensor Gauss-Jacobi.
+def _tb_factor(a: float, b: float, s: float) -> float:
+    """E[(1 + sqrt(B_{a,1/2} / B_{b,1/2-b}))^s] by 150 x 150 tensor Gauss-Jacobi.
 
     With u, v the square roots of the two beta factors this is 4 x the double
     integral of u^(2a-1) (1-u^2)^(-1/2) v^(2b-s-1) (1-v^2)^(-b-1/2) (u+v)^s
@@ -312,8 +312,8 @@ def _tb_factor(a: float, b: float, s: float, n_nodes: int = 150) -> float:
     """
     if not s < 2.0 * b:
         raise DomainError("factor finite only for s < 2b")
-    xu, wu = jacobi_rule(n_nodes, -0.5, 2.0 * a - 1.0)
-    xv, wv = jacobi_rule(n_nodes, -b - 0.5, 2.0 * b - s - 1.0)
+    xu, wu = jacobi_rule(150, -0.5, 2.0 * a - 1.0)
+    xv, wv = jacobi_rule(150, -b - 0.5, 2.0 * b - s - 1.0)
     gu = wu * (1.0 + xu) ** (-0.5)
     gv = wv * (1.0 + xv) ** (-b - 0.5)
     grid = (xu[:, None] + xv[None, :]) ** s
@@ -325,13 +325,14 @@ def _tb_factor(a: float, b: float, s: float, n_nodes: int = 150) -> float:
     return val / math.exp(lognorm)
 
 
-def _ab_half_factor(a: float, b: float, s: float, n_nodes: int = 80) -> float:
-    """E[(B_{a,1/2} + 1/B_{b,1/2})^s]; the y^(-s) weight is absorbed into the
-    Jacobi exponent so the remaining integrand (1+xy)^s is polynomial-smooth."""
+def _ab_half_factor(a: float, b: float, s: float) -> float:
+    """E[(B_{a,1/2} + 1/B_{b,1/2})^s] by 80 x 80 tensor Gauss-Jacobi; the
+    y^(-s) weight is absorbed into the Jacobi exponent so the remaining
+    integrand (1+xy)^s is polynomial-smooth."""
     if not s < b:
         raise DomainError("factor finite only for s < b")
-    xx, wx = jacobi_rule(n_nodes, -0.5, a - 1.0)
-    xy, wy = jacobi_rule(n_nodes, -0.5, b - s - 1.0)
+    xx, wx = jacobi_rule(80, -0.5, a - 1.0)
+    xy, wy = jacobi_rule(80, -0.5, b - s - 1.0)
     grid = (1.0 + xx[:, None] * xy[None, :]) ** s
     val = float(wx @ grid @ wy)
     lognorm = (
@@ -373,7 +374,7 @@ def _one_plus_sqrt(w: np.ndarray) -> np.ndarray:
     return w
 
 
-def theorem_a_spec(a: float, opts: EvalOptions = DEFAULT_OPTIONS) -> IdentitySpec:
+def theorem_a_spec(a: float) -> IdentitySpec:
     """Sum of two iid BetaPrime(a, 1/2) against BetaPrime(2a, 1/2) times
     (1 + sqrt Beta(a, 1/2))."""
     if not a > 0.0:
@@ -398,13 +399,13 @@ def theorem_a_spec(a: float, opts: EvalOptions = DEFAULT_OPTIONS) -> IdentitySpe
             return np.exp(lognorm) * (1.0 + u) ** (-0.5) * betaprime_pdf(
                 p2, x / w) / w
 
-        return beta_kernel(smooth, 2.0 * a - 1.0, -0.5, opts)
+        return beta_kernel(smooth, 2.0 * a - 1.0, -0.5)
 
     return IdentitySpec(
         name="theorem-a",
         lhs_sampler=_bp_sum_sampler(p),
         rhs_sampler=rhs,
-        lhs_mellin=lambda s: mellin_sum(p, s, opts),
+        lhs_mellin=lambda s: mellin_sum(p, s),
         rhs_mellin=lambda s: betaprime_mellin(p2, s) * _one_plus_sqrt_beta_factor(a, s),
         mellin_strip=(-2.0 * a, 0.5),
         param_domain="a > 0",
@@ -413,7 +414,7 @@ def theorem_a_spec(a: float, opts: EvalOptions = DEFAULT_OPTIONS) -> IdentitySpe
     )
 
 
-def cjmain_spec(a: float, b: float, opts: EvalOptions = DEFAULT_OPTIONS) -> IdentitySpec:
+def cjmain_spec(a: float, b: float) -> IdentitySpec:
     """General (a, b) version of the square-root product construction; proven
     for a = 1/2 or a = 1 - b, conjectured for the rest of b in (0, 1/2)."""
     if not (a > 0.0 and 0.0 < b < 0.5):
@@ -434,27 +435,26 @@ def cjmain_spec(a: float, b: float, opts: EvalOptions = DEFAULT_OPTIONS) -> Iden
         name="cjmain",
         lhs_sampler=_bp_sum_sampler(p),
         rhs_sampler=rhs,
-        lhs_mellin=lambda s: mellin_sum(p, s, opts),
+        lhs_mellin=lambda s: mellin_sum(p, s),
         rhs_mellin=lambda s: betaprime_mellin(p2, s) * _tb_factor(a, b, s),
         mellin_strip=(0.0, b),  # the 2-D factor is evaluated for s >= 0
         param_domain="a > 0, b in (0, 1/2)",
     )
 
 
-def theorem_b_spec(a: float, b: float, opts: EvalOptions = DEFAULT_OPTIONS) -> IdentitySpec:
+def theorem_b_spec(a: float, b: float) -> IdentitySpec:
     """The two proven branches: b in (0, 1/2) with a = 1 - b or a = 1/2."""
     if not 0.0 < b < 0.5:
         raise DomainError(f"need b in (0, 1/2), got {b}")
     if not (abs(a - 0.5) < 1e-9 or abs(a - (1.0 - b)) < 1e-9):
         raise DomainError(f"(a, b)=({a}, {b}) is outside the proven branches "
                           "a = 1/2 or a = 1 - b")
-    spec = cjmain_spec(a, b, opts)
+    spec = cjmain_spec(a, b)
     spec.name = "theorem-b"
     return spec
 
 
-def prop_b0_spec(a: float, b: float, b_prime: float,
-                 opts: EvalOptions = DEFAULT_OPTIONS) -> IdentitySpec:
+def prop_b0_spec(a: float, b: float, b_prime: float) -> IdentitySpec:
     """BetaPrime(a,b) against BetaPrime(a,b') (1 + BetaPrime(b'-b, b))."""
     if not (b_prime > b > 0.0 and a > 0.0):
         raise DomainError("need b' > b > 0 and a > 0")
@@ -476,7 +476,7 @@ def prop_b0_spec(a: float, b: float, b_prime: float,
             w = 1.0 + u
             return math.exp(log_norm_m) * w ** (-e - b) * betaprime_pdf(pr, x / w) / w
 
-        return halfline_power(smooth, e - 1.0, opts)
+        return halfline_power(smooth, e - 1.0)
 
     def rhs(rng, n):
         x = sample_betaprime(pr, rng, n)
@@ -498,7 +498,7 @@ def prop_b0_spec(a: float, b: float, b_prime: float,
     )
 
 
-def ab_half_spec(a: float, opts: EvalOptions = DEFAULT_OPTIONS) -> IdentitySpec:
+def ab_half_spec(a: float) -> IdentitySpec:
     """a + b = 1/2 case: the sum against BetaPrime(2a,2b) (Beta + 1/Beta)."""
     if not 0.0 < a < 0.5:
         raise DomainError("need a in (0, 1/2)")
@@ -520,15 +520,14 @@ def ab_half_spec(a: float, opts: EvalOptions = DEFAULT_OPTIONS) -> IdentitySpec:
         name="ab-half",
         lhs_sampler=_bp_sum_sampler(p),
         rhs_sampler=rhs,
-        lhs_mellin=lambda s: mellin_sum(p, s, opts),
+        lhs_mellin=lambda s: mellin_sum(p, s),
         rhs_mellin=lambda s: betaprime_mellin(p2, s) * _ab_half_factor(a, b, s),
         mellin_strip=(-2.0 * a, b),
         param_domain="a + b = 1/2, a in (0, 1/2)",
     )
 
 
-def free_spec(a: float, b: float, c: float, d: float,
-              opts: EvalOptions = DEFAULT_OPTIONS, *, swap: bool = False) -> IdentitySpec:
+def free_spec(a: float, b: float, c: float, d: float, *, swap: bool = False) -> IdentitySpec:
     """(1+BetaPrime(a,b))(1+BetaPrime(c,d)) - 1 against
     BetaPrime(a+c,d) (1 + Beta(a,c) BetaPrime(c+d-b,b)); needs b < c+d.
 
@@ -539,7 +538,7 @@ def free_spec(a: float, b: float, c: float, d: float,
         raise DomainError("all four shapes must be positive")
     if not b < c + d:
         if swap and d < a + b:
-            return free_spec(c, d, a, b, opts)
+            return free_spec(c, d, a, b)
         raise DomainError(f"need b < c + d (b={b}, c+d={c + d}); "
                           "swap the factor roles for the complementary case")
     p1 = BetaPrimeParams(a, b)
@@ -570,27 +569,23 @@ def free_spec(a: float, b: float, c: float, d: float,
         if not -(a + c) < s < min(b, d):
             raise DomainError("s outside the product strip")
         pref = gamma_ratio([b - s, d - s, a + b, c + d], [b, d, a + b - s, c + d - s])
-        return pref * hyp_3f2(
-            HypArgs((-s, b - s, d - s), (a + b - s, c + d - s), 1.0), opts
-        )
+        return pref * hyp_3f2(HypArgs((-s, b - s, d - s), (a + b - s, c + d - s), 1.0))
 
     def factor_mellin(s):
         # E[(1 + Beta(a,c) W)^s], W ~ BetaPrime(c+d-b, b). Conditionally on
         # Beta(a,c) = x the expectation is an Euler-type integral and folds to
         # E[(1+xW)^s] = B(e,b-s)/B(e,b) 2F1(-s, e; e+b-s; 1-x), which the
         # outer quadrature then averages over the beta weight.
-        outer_opts = EvalOptions(rel_tol=1e-10, abs_tol=1e-30,
-                                 max_quad_refinements=max(opts.max_quad_refinements, 60))
         inner_pref = gamma_ratio([b - s, e + b], [b, e + b - s])
 
         def x_smooth(x):
             x = np.atleast_1d(x)
             return np.array([
-                inner_pref * gauss_2f1(-s, e, e + b - s, 1.0 - float(xi), opts)
+                inner_pref * gauss_2f1(-s, e, e + b - s, 1.0 - float(xi))
                 for xi in x
             ])
 
-        val = beta_kernel(x_smooth, a - 1.0, c - 1.0, outer_opts)
+        val = beta_kernel(x_smooth, a - 1.0, c - 1.0, NESTED)
         return val / math.exp(gamma_ln(a) + gamma_ln(c) - gamma_ln(a + c))
 
     def rhs_mellin(s):
@@ -607,8 +602,7 @@ def free_spec(a: float, b: float, c: float, d: float,
     )
 
 
-def hypergeo_identity_check(a: float, b: float, c: float, d: float,
-                            x_grid=None, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+def hypergeo_identity_check(a: float, b: float, c: float, d: float, x_grid=None) -> float:
     """Pointwise comparison of the two density expressions behind the
     multiplicative identity; returns the maximal relative discrepancy.
 
@@ -623,13 +617,12 @@ def hypergeo_identity_check(a: float, b: float, c: float, d: float,
         x_grid = np.linspace(0.08, 0.92, 9)
 
     def kernel(x):
-        return np.array([gauss_2f1(a + b, a + b - d, a + b + c, float(xi), opts)
+        return np.array([gauss_2f1(a + b, a + b - d, a + b + c, float(xi))
                          for xi in np.atleast_1d(x)])
 
     # term-by-term Euler integration of the kernel against the beta weight
     norm = math.exp(gamma_ln(b) + gamma_ln(a) - gamma_ln(a + b)) * hyp_3f2(
-        HypArgs((a + b, a + b - d, b), (a + b + c, a + b), 1.0), opts
-    )
+        HypArgs((a + b, a + b - d, b), (a + b + c, a + b), 1.0))
 
     def lhs_density(x):
         return float(x ** (b - 1.0) * (1.0 - x) ** (a - 1.0) * kernel(x)[0] / norm)
@@ -640,7 +633,7 @@ def hypergeo_identity_check(a: float, b: float, c: float, d: float,
     )
 
     def rhs_density(x):
-        hyp = gauss_2f1(a + b, c + d, a + b + c, x / (x - 1.0), opts)
+        hyp = gauss_2f1(a + b, c + d, a + b + c, x / (x - 1.0))
         return float(math.exp(log_pref) * x ** (b - 1.0) * (1.0 - x) ** (-b - 1.0) * hyp)
 
     errs = [abs(lhs_density(float(x)) - rhs_density(float(x)))
@@ -648,7 +641,7 @@ def hypergeo_identity_check(a: float, b: float, c: float, d: float,
     return float(max(errs))
 
 
-def _sqrt_gamma_sum_mellin(a: float, s: float, opts: EvalOptions) -> float:
+def _sqrt_gamma_sum_mellin(a: float, s: float) -> float:
     """E[(sqrt G_a + sqrt G_a)^s] = Gamma(2a + s/2)/Gamma(a)^2 * J(s) with
     J(s) = int_0^1 (sqrt w + sqrt(1-w))^s (w(1-w))^(a-1) dw."""
     if not s > -4.0 * a:
@@ -658,7 +651,7 @@ def _sqrt_gamma_sum_mellin(a: float, s: float, opts: EvalOptions) -> float:
         return (1.0 - w) ** (a - 1.0) * (np.sqrt(w) + np.sqrt(1.0 - w)) ** s
 
     # the integrand is symmetric about 1/2 and singular only at w = 0 there
-    j = 2.0 * power_weighted(smooth, a - 1.0, 0.5, opts)
+    j = 2.0 * power_weighted(smooth, a - 1.0, 0.5)
     return math.exp(gamma_ln(2.0 * a + s / 2.0) - 2.0 * gamma_ln(a)) * j
 
 
@@ -675,7 +668,7 @@ def _sqrt_gamma_sum_sampler(pg: GammaParams):
     return draw
 
 
-def half_gaussian_spec(a: float, opts: EvalOptions = DEFAULT_OPTIONS) -> IdentitySpec:
+def half_gaussian_spec(a: float) -> IdentitySpec:
     """sqrt G_a + sqrt G_a against sqrt(G_2a (1 + sqrt Beta(a, 1/2)))."""
     if not a > 0.0:
         raise DomainError("need a > 0")
@@ -696,14 +689,14 @@ def half_gaussian_spec(a: float, opts: EvalOptions = DEFAULT_OPTIONS) -> Identit
         name="half-gaussian",
         lhs_sampler=_sqrt_gamma_sum_sampler(pg),
         rhs_sampler=rhs,
-        lhs_mellin=lambda s: _sqrt_gamma_sum_mellin(a, s, opts),
+        lhs_mellin=lambda s: _sqrt_gamma_sum_mellin(a, s),
         rhs_mellin=rhs_mellin,
         mellin_strip=(-min(4.0 * a, 3.0), 4.0),
         param_domain="a > 0",
     )
 
 
-def cor34_spec(a: float, opts: EvalOptions = DEFAULT_OPTIONS) -> IdentitySpec:
+def cor34_spec(a: float) -> IdentitySpec:
     """The iid beta prime sum at b = 1/2 against (sqrt G_a + sqrt G_a)^2 / G_{1/2}."""
     if not a > 0.0:
         raise DomainError("need a > 0")
@@ -720,14 +713,14 @@ def cor34_spec(a: float, opts: EvalOptions = DEFAULT_OPTIONS) -> IdentitySpec:
         return x
 
     def rhs_mellin(s):
-        return (_sqrt_gamma_sum_mellin(a, 2.0 * s, opts)
+        return (_sqrt_gamma_sum_mellin(a, 2.0 * s)
                 * math.exp(gamma_ln(0.5 - s) - gamma_ln(0.5)))
 
     return IdentitySpec(
         name="cor34",
         lhs_sampler=_bp_sum_sampler(p),
         rhs_sampler=rhs,
-        lhs_mellin=lambda s: mellin_sum(p, s, opts),
+        lhs_mellin=lambda s: mellin_sum(p, s),
         rhs_mellin=rhs_mellin,
         mellin_strip=(-2.0 * a, 0.5),
         param_domain="a > 0",
@@ -738,8 +731,7 @@ def cor34_spec(a: float, opts: EvalOptions = DEFAULT_OPTIONS) -> IdentitySpec:
 # Auxiliary size-bias densities behind the a = 1 - b branch
 
 
-def lemma_densities(kind: str, param: float, x: float,
-                    opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+def lemma_densities(kind: str, param: float, x: float) -> float:
     """Closed 2F1 forms of the four auxiliary densities on (1,2) u (2,inf).
 
     kinds: betastr_f / betastr_g need a in (1/2, 1); betastrb_f / betastrb_g
@@ -752,13 +744,13 @@ def lemma_densities(kind: str, param: float, x: float,
         if not 0.5 < a < 1.0:
             raise DomainError(f"need a in (1/2, 1), got {a}")
         if x < 2.0:
-            hyp = gauss_2f1(0.5, 1.0, a + 0.5, (x - 1.0) ** 2, opts)
+            hyp = gauss_2f1(0.5, 1.0, a + 0.5, (x - 1.0) ** 2)
             if kind == "betastr_g":
                 return 2.0 * (x - 1.0) ** (2.0 * a - 1.0) * hyp / math.exp(
                     gamma_ln(a) + gamma_ln(1.0 - a))
             return (math.exp(gamma_ln(1.0 + a) - gamma_ln(1.0 - a) - gamma_ln(2.0 * a))
                     * x ** (1.0 - a) * (x - 1.0) ** (2.0 * a - 1.0) * hyp)
-        hyp = gauss_2f1(0.5, a, 1.5, (x - 1.0) ** (-2.0), opts)
+        hyp = gauss_2f1(0.5, a, 1.5, (x - 1.0) ** (-2.0))
         core = (x * x - 2.0 * x) ** (a - 1.0) * hyp / (x - 1.0)
         if kind == "betastr_g":
             return 2.0 * (2.0 * a - 1.0) * core / math.exp(
@@ -771,12 +763,12 @@ def lemma_densities(kind: str, param: float, x: float,
         if not 0.0 < b < 0.5:
             raise DomainError(f"need b in (0, 1/2), got {b}")
         if x < 2.0:
-            hyp = gauss_2f1(0.5, b + 0.5, 1.0, (x - 1.0) ** 2, opts)
+            hyp = gauss_2f1(0.5, b + 0.5, 1.0, (x - 1.0) ** 2)
             if kind == "betastrb_g":
                 return 2.0 * math.exp(gamma_ln(b + 0.5) - gamma_ln(b)
                                       - 0.5 * math.log(math.pi)) * hyp
             return b * x ** b * hyp
-        hyp = gauss_2f1(b + 0.5, b + 0.5, b + 1.0, (x - 1.0) ** (-2.0), opts)
+        hyp = gauss_2f1(b + 0.5, b + 0.5, b + 1.0, (x - 1.0) ** (-2.0))
         core = (x - 1.0) ** (-2.0 * b - 1.0) * hyp
         if kind == "betastrb_g":
             return 2.0 * math.exp(gamma_ln(b + 0.5) - gamma_ln(b) - gamma_ln(1.0 + b)
@@ -790,51 +782,47 @@ def lemma_densities(kind: str, param: float, x: float,
 # Conjecture scans
 
 
-def _cjmain_representation_errors(a: float, b: float, s: float,
-                                  opts: EvalOptions) -> tuple[float, float]:
+def _cjmain_representation_errors(a: float, b: float, s: float) -> tuple[float, float]:
     """Relative errors of the two double-integral representations of the
-    3F2(1) behind the general square-root identity."""
+    3F2(1) behind the general square-root identity, for 0 < s < 2b."""
     hyp = hyp_3f2(
-        HypArgs((a + s / 2.0, a + (s + 1.0) / 2.0, 0.5), (a + 0.5, a + b + 0.5), 1.0),
-        opts,
-    )
+        HypArgs((a + s / 2.0, a + (s + 1.0) / 2.0, 0.5), (a + 0.5, a + b + 0.5), 1.0))
     log_pref = (
         gamma_ln(b - s) + gamma_ln(a + 0.5) + gamma_ln(a + b + 0.5)
         - gamma_ln(a) - gamma_ln(0.5 - b) - gamma_ln(a + b)
         - gamma_ln(b - s / 2.0) - gamma_ln(b + (1.0 - s) / 2.0)
     )
     pref = math.exp(log_pref)
-    deep = opts.with_budget(150)
 
-    # first display: weights in the original beta variables; the inner
-    # integral is vector-valued, one column per outer node v
+    # first display: weights in the original beta variables. The factor
+    # (1 + sqrt(u/v))^s = v^(-s/2) (sqrt u + sqrt v)^s leaves its v^(-s/2) to
+    # the outer weight (exponent b - 1 - s/2 > -1), so no node divides by v.
+    # The inner integral is vector-valued, one column per outer node v.
     def inner_u(v):
         def u_smooth(u):
-            return (1.0 + np.sqrt(np.divide.outer(u, v))) ** s
+            return np.add.outer(np.sqrt(u), np.sqrt(v)) ** s
 
-        return beta_kernel(u_smooth, a - 1.0, -0.5, deep)
+        return beta_kernel(u_smooth, a - 1.0, -0.5)
 
-    rep1 = pref * beta_kernel(inner_u, b - 1.0, -b - 0.5, deep)
+    rep1 = pref * beta_kernel(inner_u, b - 1.0 - s / 2.0, -b - 0.5)
 
     # second display: square-root substitution u -> u^2, v -> v^2
     def inner_u2(v):
         def u_smooth(u):
             return ((1.0 + u) ** (-0.5))[:, None] * np.add.outer(u, v) ** s
 
-        return (1.0 + v) ** (-b - 0.5) * beta_kernel(u_smooth, 2.0 * a - 1.0, -0.5, deep)
+        return (1.0 + v) ** (-b - 0.5) * beta_kernel(u_smooth, 2.0 * a - 1.0, -0.5)
 
-    rep2 = 4.0 * pref * beta_kernel(inner_u2, 2.0 * b - s - 1.0, -b - 0.5, deep)
+    rep2 = 4.0 * pref * beta_kernel(inner_u2, 2.0 * b - s - 1.0, -b - 0.5)
     return abs(rep1 - hyp) / abs(hyp), abs(rep2 - hyp) / abs(hyp)
 
 
 def conjecture_cjmain_scan(grid, n: int, rng: RngState,
-                           opts: EvalOptions = DEFAULT_OPTIONS,
-                           s_probe: float = 0.1,
                            alpha: float = KS_ALPHA) -> list[dict]:
     """verify() on the general square-root spec over a parameter grid plus the
-    two integral-representation checks; proven branches carry a verdict, the
-    rest is exploratory evidence. An n without KS power at alpha raises
-    DomainError."""
+    two integral-representation checks at s = min(0.1, 0.8 b); proven
+    branches carry a verdict, the rest is exploratory evidence. An n without
+    KS power at alpha raises DomainError."""
     require_ks_power(n, alpha)
     rows = []
     streams = rng.spawn(len(list(grid)))
@@ -843,10 +831,9 @@ def conjecture_cjmain_scan(grid, n: int, rng: RngState,
             raise DomainError(f"b={b} outside (0, 1/2)")
         proven = abs(a - 0.5) < 1e-9 or abs(a - (1.0 - b)) < 1e-9
         try:
-            spec = cjmain_spec(a, b, opts)
+            spec = cjmain_spec(a, b)
             rep = verify(spec, n, None, sub, alpha=alpha)
-            s_here = min(s_probe, 0.8 * b)
-            r1, r2 = _cjmain_representation_errors(a, b, s_here, opts)
+            r1, r2 = _cjmain_representation_errors(a, b, min(0.1, 0.8 * b))
             rows.append({
                 "a": a, "b": b, "proven": proven,
                 "ks_statistic": rep.ks_statistic,
@@ -870,8 +857,7 @@ def conjecture_cjmain_scan(grid, n: int, rng: RngState,
     return rows
 
 
-def conjhyp_integral_check(a: float, z_grid=None,
-                           opts: EvalOptions = DEFAULT_OPTIONS) -> dict:
+def conjhyp_integral_check(a: float, z_grid=None) -> dict:
     """Candidate fractional-integral identity at a + b = 1/2: quadrature LHS
     against the quadratic-transform RHS over z in (0, 1); reported, never
     asserted."""
@@ -887,15 +873,15 @@ def conjhyp_integral_check(a: float, z_grid=None,
             y = np.atleast_1d(y)
             return np.array([
                 (1.0 - z * yi) ** (-b)
-                * gauss_2f1(a, a, a + 0.5, (z * yi) ** 2, opts)
+                * gauss_2f1(a, a, a + 0.5, (z * yi) ** 2)
                 for yi in y
             ])
 
-        return pref * beta_kernel(smooth, 2.0 * a - 1.0, b - 1.0, opts)
+        return pref * beta_kernel(smooth, 2.0 * a - 1.0, b - 1.0)
 
     def rhs(z):
         return ((z + 1.0) / 2.0) ** (2.0 * b) * gauss_2f1(
-            0.5, a, a + 0.5, 4.0 * z / (z + 1.0) ** 2, opts)
+            0.5, a, a + 0.5, 4.0 * z / (z + 1.0) ** 2)
 
     zg = np.asarray(z_grid, dtype=float)
     discrepancies = {}

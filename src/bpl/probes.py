@@ -22,7 +22,7 @@ from numpy.polynomial import chebyshev as _cheb
 from .convolution import sum_density_2f1
 from .distributions import BetaPrimeParams, betaprime_pdf
 from .errors import DomainError
-from .options import DEFAULT_OPTIONS, EvalOptions
+from .options import NESTED
 from .quadrature import integrate
 from .results import ProbeResult
 from .special import (
@@ -241,84 +241,84 @@ def monotone_probe(f, z_grid, *, require_decreasing: bool = True) -> ProbeResult
 # Ratio builders
 
 
-def psi_cc(a: float, c: float, c_prime: float, opts: EvalOptions = DEFAULT_OPTIONS):
+def psi_cc(a: float, c: float, c_prime: float):
     """z -> Psi(a,c,z)/Psi(a,c',z); completely monotone for c' < c < 1."""
     if not (a > 0.0 and c < 1.0 and c_prime < 1.0):
         raise DomainError("need a > 0 and both second parameters below 1")
 
     def ratio(z):
-        return tricomi_psi(a, c, z, opts) / tricomi_psi(a, c_prime, z, opts)
+        return tricomi_psi(a, c, z) / tricomi_psi(a, c_prime, z)
 
     return ratio
 
 
-def psi_doubling(a: float, c: float, opts: EvalOptions = DEFAULT_OPTIONS):
+def psi_doubling(a: float, c: float):
     """z -> Psi(a,c,z)^2 / Psi(2a,c,z); any real c (scans probe past c = 1)."""
     if not a > 0.0:
         raise DomainError("need a > 0")
 
     def ratio(z):
-        return tricomi_psi(a, c, z, opts) ** 2 / tricomi_psi(2.0 * a, c, z, opts)
+        return tricomi_psi(a, c, z) ** 2 / tricomi_psi(2.0 * a, c, z)
 
     return ratio
 
 
-def kumma_ratio(a: float, c: float, c_prime: float, opts: EvalOptions = DEFAULT_OPTIONS):
+def kumma_ratio(a: float, c: float, c_prime: float):
     """z -> Psi(a+c-c', c, z) / Psi(a, c', z): the conjectured-CM quotient with
     equal parameter shifts; scan-only, no proven verdict."""
     if not (a > 0.0 and c_prime < c < 1.0 and a + c - c_prime > 0.0):
         raise DomainError("need a > 0 and c' < c < 1")
 
     def ratio(z):
-        return tricomi_psi(a + c - c_prime, c, z, opts) / tricomi_psi(a, c_prime, z, opts)
+        return tricomi_psi(a + c - c_prime, c, z) / tricomi_psi(a, c_prime, z)
 
     return ratio
 
 
-def hermite_doubling(nu: float, opts: EvalOptions = DEFAULT_OPTIONS):
+def hermite_doubling(nu: float):
     """z -> H_{-nu}(sqrt z)^2 / H_{-2 nu}(sqrt z)."""
     if not nu > 0.0:
         raise DomainError("need nu > 0")
 
     def ratio(z):
         r = np.sqrt(z)
-        return hermite_h_neg(nu, r, opts) ** 2 / hermite_h_neg(2.0 * nu, r, opts)
+        return hermite_h_neg(nu, r) ** 2 / hermite_h_neg(2.0 * nu, r)
 
     return ratio
 
 
-def k0_e1(opts: EvalOptions = DEFAULT_OPTIONS):
+def k0_e1():
     """z -> K0(z)^2 / E1(2z)."""
 
     def ratio(z):
-        return macdonald_k0(z, opts) ** 2 / expint_e1(2.0 * z, opts)
+        return macdonald_k0(z) ** 2 / expint_e1(2.0 * z)
 
     return ratio
 
 
-def turan_hermite(nu: float, c: float, opts: EvalOptions = DEFAULT_OPTIONS):
+def turan_hermite(nu: float, c: float):
     """z -> H_{-nu-c}(z)^2 / (H_{-nu}(z) H_{-nu-2c}(z)) on the whole line."""
     if not (nu > 0.0 and c > 0.0):
         raise DomainError("need nu > 0 and c > 0")
 
     def ratio(z):
-        return hermite_h_neg(nu + c, z, opts) ** 2 / (
-            hermite_h_neg(nu, z, opts) * hermite_h_neg(nu + 2.0 * c, z, opts)
+        return hermite_h_neg(nu + c, z) ** 2 / (
+            hermite_h_neg(nu, z) * hermite_h_neg(nu + 2.0 * c, z)
         )
 
     return ratio
 
 
-def turan_psi(a: float, c: float, lam: float, opts: EvalOptions = DEFAULT_OPTIONS):
+def turan_psi(a: float, c: float, lam: float):
     """z -> Psi(a,c-2l,z) Psi(a+2l,c,z) / Psi(a+l,c-l,z)^2."""
     if not (a > 0.0 and lam > 0.0 and c < 1.0):
         raise DomainError("need a, lambda > 0 and c < 1")
 
     def ratio(z):
         return (
-            tricomi_psi(a, c - 2.0 * lam, z, opts)
-            * tricomi_psi(a + 2.0 * lam, c, z, opts)
-            / tricomi_psi(a + lam, c - lam, z, opts) ** 2
+            tricomi_psi(a, c - 2.0 * lam, z)
+            * tricomi_psi(a + 2.0 * lam, c, z)
+            / tricomi_psi(a + lam, c - lam, z) ** 2
         )
 
     return ratio
@@ -343,8 +343,7 @@ def hermite_doubling_bounds(nu: float) -> tuple[float, float]:
 # Laplace/Stieltjes monotone-ratio implication
 
 
-def ltmon_property_test(f_pdf, g_pdf, support, mu: float, z_grid,
-                        opts: EvalOptions = DEFAULT_OPTIONS) -> ProbeResult:
+def ltmon_property_test(f_pdf, g_pdf, support, mu: float, z_grid) -> ProbeResult:
     """If f/g is non-decreasing then the Laplace-transform ratio is
     non-increasing, and so is the generalized Stieltjes ratio of order mu.
 
@@ -362,14 +361,11 @@ def ltmon_property_test(f_pdf, g_pdf, support, mu: float, z_grid,
         return ProbeResult(0, np.asarray(z_grid, float), np.zeros((1, 0), bool),
                            None, "inconclusive", details={"hypothesis": False})
 
-    q_opts = EvalOptions(rel_tol=max(opts.rel_tol, 1e-10), abs_tol=1e-300,
-                         max_quad_refinements=max(opts.max_quad_refinements, 60))
-
     def lt(h, z):
-        return integrate(lambda x: h(x) * np.exp(-z * x), lo, hi, q_opts)
+        return integrate(lambda x: h(x) * np.exp(-z * x), lo, hi, NESTED)
 
     def st(h, z):
-        return integrate(lambda x: h(x) / (1.0 + x * z) ** mu, lo, hi, q_opts)
+        return integrate(lambda x: h(x) / (1.0 + x * z) ** mu, lo, hi, NESTED)
 
     zg = np.asarray(z_grid, dtype=float)
     lt_ratio = np.array([lt(f_pdf, z) / lt(g_pdf, z) for z in zg])
@@ -399,8 +395,7 @@ def stoo_lambda_cap(a: float, b: float) -> float:
     return 4.0 ** a * gamma_ratio([a + 0.5, a + b], [0.5, 2.0 * a + b])
 
 
-def stoo_check(a: float, b: float, x_grid=None,
-               opts: EvalOptions = DEFAULT_OPTIONS) -> ProbeResult:
+def stoo_check(a: float, b: float, x_grid=None) -> ProbeResult:
     """Single-crossing and stochastic-dominance check of the iid sum against
     the doubled-first-parameter law; dominance holds exactly when b <= 1.
     """
@@ -411,17 +406,17 @@ def stoo_check(a: float, b: float, x_grid=None,
     if x_grid is None:
         x_grid = np.geomspace(1e-3, 1e3, 121)
     xs = np.asarray(x_grid, dtype=float)
-    diff = np.array([betaprime_pdf(p2, x) - sum_density_2f1(p, x, opts) for x in xs])
+    diff = np.array([betaprime_pdf(p2, x) - sum_density_2f1(p, x) for x in xs])
     signs = np.sign(diff)
     nz = signs[signs != 0.0]
     crossings = int(np.sum(nz[1:] != nz[:-1]))
 
     def cdf_sum(x):
-        return integrate(lambda t: np.array([sum_density_2f1(p, ti, opts) for ti in np.atleast_1d(t)]),
-                         1e-12, x, opts)
+        return integrate(lambda t: np.array([sum_density_2f1(p, ti) for ti in np.atleast_1d(t)]),
+                         1e-12, x)
 
     def cdf_two(x):
-        return integrate(lambda t: betaprime_pdf(p2, t), 1e-12, x, opts)
+        return integrate(lambda t: betaprime_pdf(p2, t), 1e-12, x)
 
     probe_xs = np.geomspace(0.05, 200.0, 13)
     gaps = np.array([cdf_two(x) - cdf_sum(x) for x in probe_xs])  # >= 0 iff dominance
@@ -472,7 +467,7 @@ def _shape_pattern(values: np.ndarray, pattern: str, tol: float) -> bool:
     raise DomainError(f"unknown pattern {pattern}")
 
 
-def mills_suite(opts: EvalOptions = DEFAULT_OPTIONS) -> dict[str, ProbeResult]:
+def mills_suite() -> dict[str, ProbeResult]:
     """Monotonicity, convexity, Sampford bound, Turan chain and CM probes for
     Mill's ratio; the keys ending in '-scan' are exploratory only.
     """
@@ -514,8 +509,7 @@ def mills_suite(opts: EvalOptions = DEFAULT_OPTIONS) -> dict[str, ProbeResult]:
 
     # Turan chain for the parabolic cylinder triple
     tx = np.linspace(-4.0, 6.0, 41)
-    tvals = parabolic_d(-2.0, tx, opts) ** 2 / (parabolic_d(-1.0, tx, opts)
-                                                 * parabolic_d(-3.0, tx, opts))
+    tvals = parabolic_d(-2.0, tx) ** 2 / (parabolic_d(-1.0, tx) * parabolic_d(-3.0, tx))
     ok = bool(np.all(tvals > 1.0))
     out["turan-chain"] = ProbeResult(0, tx, (tvals > 1.0)[None, :],
                                      None if ok else (0, float(tx[int(np.argmax(tvals <= 1.0))])),
@@ -569,8 +563,7 @@ def expected_psi_doubling_verdict(a: float, c: float) -> str | None:
     return None
 
 
-def conjecture_cmcj_scan(a_grid, c_grid, z_grid=None,
-                         opts: EvalOptions = DEFAULT_OPTIONS) -> list[dict]:
+def conjecture_cmcj_scan(a_grid, c_grid, z_grid=None) -> list[dict]:
     """cm_probe of the doubling ratio over a parameter grid.
 
     Expected pattern: holds on c in [0,1], violated for c < 0; boundary strips
@@ -581,7 +574,7 @@ def conjecture_cmcj_scan(a_grid, c_grid, z_grid=None,
     rows = []
     for a in a_grid:
         for c in c_grid:
-            res = cm_probe(psi_doubling(a, c, opts), z_grid, max_order=6)
+            res = cm_probe(psi_doubling(a, c), z_grid, max_order=6)
             rows.append({
                 "a": a,
                 "c": c,

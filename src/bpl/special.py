@@ -22,11 +22,10 @@ import math
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError
-from .options import DEFAULT_OPTIONS, EvalOptions, HypArgs
+from .options import DEFAULT_OPTIONS, HypArgs
 from .quadrature import beta_kernel, column_blocks, halfline_power, integrate
 
 __all__ = [
-    "EvalOptions",
     "HypArgs",
     "gamma_ln",
     "gammaln_signed",
@@ -58,6 +57,12 @@ _LANCZOS = (
     1.5056327351493116e-7,
 )
 _LOG_SQRT_2PI = 0.9189385332046727418
+
+# Series stop once |term| < _RTOL*|sum| + _ATOL (the quadrature's own
+# tolerances) and give up after _MAX_TERMS terms.
+_RTOL = DEFAULT_OPTIONS.rel_tol
+_ATOL = DEFAULT_OPTIONS.abs_tol
+_MAX_TERMS = 100_000
 
 
 def gamma_ln(x: float) -> float:
@@ -130,14 +135,14 @@ def digamma(x: float) -> float:
 # Gauss hypergeometric function
 
 
-def _series_2f1(a: float, b: float, c: float, z: float, opts: EvalOptions) -> float:
+def _series_2f1(a: float, b: float, c: float, z: float) -> float:
     term = 1.0
     total = 1.0
     small = 0
-    for n in range(opts.max_terms):
+    for n in range(_MAX_TERMS):
         term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
         total += term
-        if abs(term) < opts.rel_tol * abs(total) + opts.abs_tol:
+        if abs(term) < _RTOL * abs(total) + _ATOL:
             small += 1
             if small == 3:
                 return total
@@ -154,22 +159,22 @@ def _coeff_or_zero(numerator, denominator) -> float:
     return gamma_ratio(numerator, denominator)
 
 
-def _connection_integer(a, b, c, z, m: int, opts) -> float:
+def _connection_integer(a, b, c, z, m: int) -> float:
     """z -> 1 connection formula when m = c - a - b is an integer (log case)."""
     w = 1.0 - z
     if m < 0:
-        return w ** m * _connection_integer(c - a, c - b, c, z, -m, opts)
+        return w ** m * _connection_integer(c - a, c - b, c, z, -m)
     lw = math.log(w)
     if m == 0:
         pref = gamma_ratio([c], [a, b])
         term = 1.0
         total = 0.0
-        for n in range(opts.max_terms):
+        for n in range(_MAX_TERMS):
             bracket = (2.0 * digamma(n + 1.0) - digamma(a + n) - digamma(b + n) - lw)
             piece = term * bracket
             total += piece
             term *= (a + n) * (b + n) / ((n + 1.0) ** 2) * w
-            if abs(piece) < opts.rel_tol * abs(total) + opts.abs_tol and n > 3:
+            if abs(piece) < _RTOL * abs(total) + _ATOL and n > 3:
                 return pref * total
         raise NonConvergenceError("logarithmic 2F1 connection stalled")
     head = 0.0
@@ -182,39 +187,39 @@ def _connection_integer(a, b, c, z, m: int, opts) -> float:
     pref = -((-w) ** m) * gamma_ratio([c], [a, b])
     tail = 0.0
     term = 1.0 / math.factorial(m)
-    for n in range(opts.max_terms):
+    for n in range(_MAX_TERMS):
         bracket = (lw - digamma(n + 1.0) - digamma(n + m + 1.0)
                    + digamma(a + n + m) + digamma(b + n + m))
         piece = term * bracket
         tail += piece
         term *= (a + m + n) * (b + m + n) / ((n + 1.0) * (n + m + 1.0)) * w
-        if abs(piece) < opts.rel_tol * abs(tail) + opts.abs_tol and n > 3:
+        if abs(piece) < _RTOL * abs(tail) + _ATOL and n > 3:
             return head + pref * tail
     raise NonConvergenceError("logarithmic 2F1 connection stalled")
 
 
-def _eval_2f1_unit_interval(a, b, c, z, opts) -> float:
+def _eval_2f1_unit_interval(a, b, c, z) -> float:
     """2F1 on z in [0, 1): series, Euler transform, connection formula."""
     if a == c:
         return (1.0 - z) ** (-b)
     if b == c:
         return (1.0 - z) ** (-a)
     if z <= 0.5:
-        return _series_2f1(a, b, c, z, opts)
+        return _series_2f1(a, b, c, z)
     if z <= 0.9:
-        return (1.0 - z) ** (c - a - b) * _series_2f1(c - a, c - b, c, z, opts)
+        return (1.0 - z) ** (c - a - b) * _series_2f1(c - a, c - b, c, z)
     m = c - a - b
     if abs(m - round(m)) < 1e-9:
-        return _connection_integer(a, b, c, z, int(round(m)), opts)
+        return _connection_integer(a, b, c, z, int(round(m)))
     g1 = _coeff_or_zero([c, m], [c - a, c - b])
     g2 = _coeff_or_zero([c, -m], [a, b])
     w = 1.0 - z
-    left = g1 * _series_2f1(a, b, 1.0 - m, w, opts) if g1 != 0.0 else 0.0
-    right = g2 * w ** m * _series_2f1(c - a, c - b, 1.0 + m, w, opts) if g2 != 0.0 else 0.0
+    left = g1 * _series_2f1(a, b, 1.0 - m, w) if g1 != 0.0 else 0.0
+    right = g2 * w ** m * _series_2f1(c - a, c - b, 1.0 + m, w) if g2 != 0.0 else 0.0
     return left + right
 
 
-def gauss_2f1(a: float, b: float, c: float, z: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
     """2F1(a, b; c; z) for real z < 1, or z = 1 when c - a - b > 0."""
     if _is_nonpositive_int(c, 1e-12):
         raise DomainError(f"2F1 pole: c={c} is a non-positive integer")
@@ -225,15 +230,15 @@ def gauss_2f1(a: float, b: float, c: float, z: float, opts: EvalOptions = DEFAUL
             raise DomainError("2F1 diverges at z=1 when c-a-b <= 0")
         return gamma_ratio([c, c - a - b], [c - a, c - b])
     if _is_nonpositive_int(a) or _is_nonpositive_int(b):
-        return _series_2f1(a, b, c, z, opts)  # terminating polynomial
+        return _series_2f1(a, b, c, z)  # terminating polynomial
     if abs(z) <= 0.5:
-        return _series_2f1(a, b, c, z, opts)
+        return _series_2f1(a, b, c, z)
     if z < 0.0:
         w = z / (z - 1.0)
         if a > 0.0 or b <= 0.0:
-            return (1.0 - z) ** (-a) * _eval_2f1_unit_interval(a, c - b, c, w, opts)
-        return (1.0 - z) ** (-b) * _eval_2f1_unit_interval(b, c - a, c, w, opts)
-    return _eval_2f1_unit_interval(a, b, c, z, opts)
+            return (1.0 - z) ** (-a) * _eval_2f1_unit_interval(a, c - b, c, w)
+        return (1.0 - z) ** (-b) * _eval_2f1_unit_interval(b, c - a, c, w)
+    return _eval_2f1_unit_interval(a, b, c, z)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +269,7 @@ def _aitken(partial: np.ndarray, rtol: float):
     return best, err
 
 
-def hyp_3f2(args: HypArgs, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+def hyp_3f2(args: HypArgs) -> float:
     """3F2(a1,a2,a3; b1,b2; z) for z in {1, -1}.
 
     Unit argument uses partial sums at geometrically spaced lengths combined
@@ -286,7 +291,7 @@ def hyp_3f2(args: HypArgs, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
             if anum == bden:
                 rest_n = [v for k, v in enumerate(nums) if k != i]
                 rest_d = [v for k, v in enumerate(dens) if k != j]
-                return gauss_2f1(rest_n[0], rest_n[1], rest_d[0], z, opts)
+                return gauss_2f1(rest_n[0], rest_n[1], rest_d[0], z)
 
     def ratio(n):
         return (
@@ -303,38 +308,38 @@ def hyp_3f2(args: HypArgs, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
             total += term
         return total
 
-    target = max(opts.rel_tol, 1e-13)
     if z == 1.0:
-        return _sum_3f2_unit(ratio, args.unit_margin, target, opts)
+        return _sum_3f2_unit(ratio, args.unit_margin)
 
     term, total = 1.0, 1.0
     partial = [total]
     n = 0
     best_prev = None
-    while n < opts.max_terms:
+    while n < _MAX_TERMS:
         chunk = max(32, n)
         for _ in range(chunk):
             term *= ratio(n)
             total += term
             partial.append(total)
             n += 1
-        val, err = _aitken(np.array(partial[-128:]), target)
-        if err <= 20.0 * target * max(abs(val), 1e-300):
+        val, err = _aitken(np.array(partial[-128:]), _RTOL)
+        if err <= 20.0 * _RTOL * max(abs(val), 1e-300):
             return val
-        if best_prev is not None and abs(val - best_prev) <= 2.0 * target * abs(val):
+        if best_prev is not None and abs(val - best_prev) <= 2.0 * _RTOL * abs(val):
             return val
         best_prev = val
     raise NonConvergenceError(f"3F2(-1) acceleration stalled after {n} terms")
 
 
-def _sum_3f2_unit(ratio, margin: float, target: float, opts: EvalOptions) -> float:
-    """Richardson-extrapolated summation of a 3F2 at z = 1."""
+def _sum_3f2_unit(ratio, margin: float) -> float:
+    """Richardson-extrapolated summation of a 3F2 at z = 1; NonConvergenceError
+    when _MAX_TERMS terms do not settle the extrapolated diagonal."""
     n0 = 16
     term, total = 1.0, 1.0
     n = 0
     samples = []  # S_{n0 * 2^i}
     prev_diag = None
-    while n < opts.max_terms:
+    while n < _MAX_TERMS:
         goal = n0 * 2 ** len(samples)
         while n < goal:
             term *= ratio(n)
@@ -350,12 +355,11 @@ def _sum_3f2_unit(ratio, margin: float, target: float, opts: EvalOptions) -> flo
         diag = col[0]
         if prev_diag is not None:
             err = abs(diag - prev_diag)
-            if err <= 10.0 * target * max(abs(diag), 1e-300):
+            if err <= 10.0 * _RTOL * max(abs(diag), 1e-300):
                 return diag
         prev_diag = diag
-    if prev_diag is not None and abs(term) < 1e-3 * abs(prev_diag):
-        return prev_diag  # budget hit after substantial extrapolation
-    raise NonConvergenceError(f"3F2(1) extrapolation stalled (margin {margin:.3g})")
+    raise NonConvergenceError(f"3F2(1) extrapolation stalled after {n} terms "
+                              f"(margin {margin:.3g})")
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +373,6 @@ def appell_f1(
     gamma: float,
     x: float,
     y: float,
-    opts: EvalOptions = DEFAULT_OPTIONS,
 ) -> float:
     """First Appell series F1 via its one-dimensional Euler-type integral.
 
@@ -384,11 +387,11 @@ def appell_f1(
     def smooth(u):
         return (1.0 - u * x) ** (-beta) * (1.0 - u * y) ** (-beta_p)
 
-    val = beta_kernel(smooth, alpha - 1.0, gamma - alpha - 1.0, opts.with_budget(60))
+    val = beta_kernel(smooth, alpha - 1.0, gamma - alpha - 1.0)
     return gamma_ratio([gamma], [alpha, gamma - alpha]) * val
 
 
-def appell_f1_series(alpha, beta, beta_p, gamma, x, y, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+def appell_f1_series(alpha, beta, beta_p, gamma, x, y) -> float:
     """Truncated double series for F1; only sensible for |x|, |y| <= ~0.5."""
     if max(abs(x), abs(y)) > 0.75:
         raise DomainError("double series restricted to small arguments")
@@ -401,11 +404,11 @@ def appell_f1_series(alpha, beta, beta_p, gamma, x, y, opts: EvalOptions = DEFAU
         for n in range(2000):
             inner_sum += inner
             inner *= (alpha + m + n) * (beta_p + n) / ((gamma + m + n) * (n + 1.0)) * y
-            if abs(inner) < opts.rel_tol * (abs(total) + abs(inner_sum)) + opts.abs_tol and n > 3:
+            if abs(inner) < _RTOL * (abs(total) + abs(inner_sum)) + _ATOL and n > 3:
                 break
         total += inner_sum
         outer *= (alpha + m) * (beta + m) / ((gamma + m) * (m + 1.0)) * x
-        if abs(inner_sum) < opts.rel_tol * abs(total) + opts.abs_tol and m > 3:
+        if abs(inner_sum) < _RTOL * abs(total) + _ATOL and m > 3:
             small += 1
             if small == 2:
                 return total
@@ -418,7 +421,7 @@ def appell_f1_series(alpha, beta, beta_p, gamma, x, y, opts: EvalOptions = DEFAU
 # Confluent hypergeometric functions
 
 
-def kummer_phi(a: float, c: float, z: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+def kummer_phi(a: float, c: float, z: float) -> float:
     """Kummer's confluent function Phi(a, c, z) = 1F1(a; c; z)."""
     if _is_nonpositive_int(c, 1e-12):
         raise DomainError(f"Phi pole: c={c} is a non-positive integer")
@@ -433,19 +436,19 @@ def kummer_phi(a: float, c: float, z: float, opts: EvalOptions = DEFAULT_OPTIONS
                 break
             total += nxt
             term = nxt
-            if abs(term) < opts.rel_tol * abs(total):
+            if abs(term) < _RTOL * abs(total):
                 break
         return pref * total
     if z < 0.0:
         # Kummer transform avoids the catastrophic cancellation of the raw
         # alternating series
-        return math.exp(z) * kummer_phi(c - a, c, -z, opts)
+        return math.exp(z) * kummer_phi(c - a, c, -z)
     term, total = 1.0, 1.0
     small = 0
-    for n in range(opts.max_terms):
+    for n in range(_MAX_TERMS):
         term *= (a + n) / ((c + n) * (n + 1.0)) * z
         total += term
-        if abs(term) < opts.rel_tol * abs(total) + opts.abs_tol:
+        if abs(term) < _RTOL * abs(total) + _ATOL:
             small += 1
             if small == 3:
                 return total
@@ -454,45 +457,43 @@ def kummer_phi(a: float, c: float, z: float, opts: EvalOptions = DEFAULT_OPTIONS
     raise NonConvergenceError(f"Kummer series stalled for z={z}")
 
 
-def tricomi_psi(a: float, c: float, z, opts: EvalOptions = DEFAULT_OPTIONS):
+def tricomi_psi(a: float, c: float, z):
     """Tricomi's function Psi(a, c, z) for a > 0, z > 0, by quadrature."""
     if not a > 0.0:
         raise DomainError("Psi integral representation needs a > 0")
     e = c - a - 1.0
-    o = opts.with_budget(80)
 
     def block(zs):
         def smooth(t):
             return np.exp(np.multiply.outer(t, -zs)) * ((1.0 + t) ** e)[:, None]
 
-        return math.exp(-gamma_ln(a)) * halfline_power(smooth, a - 1.0, o)
+        return math.exp(-gamma_ln(a)) * halfline_power(smooth, a - 1.0)
 
     return column_blocks(block, z, "Psi evaluated on (0, infinity) only")
 
 
-def hermite_h_neg(nu: float, z, opts: EvalOptions = DEFAULT_OPTIONS):
+def hermite_h_neg(nu: float, z):
     """Hermite function H_{-nu}(z) for nu > 0, all real z."""
     if not nu > 0.0:
         raise DomainError("negative-order Hermite function needs nu > 0")
-    o = opts.with_budget(60)
 
     def block(zs):
         def smooth(t):
             return np.exp((-t * t)[:, None] - np.multiply.outer(2.0 * t, zs))
 
-        return math.exp(-gamma_ln(nu)) * halfline_power(smooth, nu - 1.0, o)
+        return math.exp(-gamma_ln(nu)) * halfline_power(smooth, nu - 1.0)
 
     return column_blocks(block, z)
 
 
-def parabolic_d(nu: float, z, opts: EvalOptions = DEFAULT_OPTIONS):
+def parabolic_d(nu: float, z):
     """Parabolic cylinder D_nu(z) for nu < 0, through the Hermite function."""
     if not nu < 0.0:
         raise DomainError("only negative orders are evaluated here")
 
     def block(zs):
         return (2.0 ** (-nu / 2.0) * np.exp(-zs * zs / 4.0)
-                * hermite_h_neg(-nu, zs / math.sqrt(2.0), opts))
+                * hermite_h_neg(-nu, zs / math.sqrt(2.0)))
 
     return column_blocks(block, z)
 
@@ -547,22 +548,20 @@ def mills_ratio_deriv(n: int, x):
     return cur
 
 
-def expint_e1(z, opts: EvalOptions = DEFAULT_OPTIONS):
+def expint_e1(z):
     """Exponential integral E1(z) = integral_z^inf exp(-t)/t dt for z > 0."""
-    o = opts.with_budget(60)
 
     def block(zs):
         def f(u):
             return np.exp(-u)[:, None] / np.add.outer(u, zs)
 
-        return np.exp(-zs) * integrate(f, 0.0, math.inf, o)
+        return np.exp(-zs) * integrate(f, 0.0, math.inf)
 
     return column_blocks(block, z, "E1 needs z > 0")
 
 
-def macdonald_k0(z, opts: EvalOptions = DEFAULT_OPTIONS):
+def macdonald_k0(z):
     """Macdonald (modified Bessel second kind) K0(z) for z > 0."""
-    o = opts.with_budget(60)
 
     def block(zs):
         def f(u):
@@ -570,6 +569,6 @@ def macdonald_k0(z, opts: EvalOptions = DEFAULT_OPTIONS):
             s = np.sinh(np.minimum(u, 60.0) / 2.0)
             return np.exp(np.multiply.outer(s, -2.0 * zs) * s[:, None])
 
-        return np.exp(-zs) * integrate(f, 0.0, math.inf, o)
+        return np.exp(-zs) * integrate(f, 0.0, math.inf)
 
     return column_blocks(block, z, "K0 needs z > 0")

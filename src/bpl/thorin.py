@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .options import DEFAULT_OPTIONS, EvalOptions
+from .options import NESTED
 from .quadrature import beta_kernel, column_blocks, halfline_power, integrate
 from .results import ProbeResult
 from .special import gamma_ln, kummer_phi, tricomi_psi
@@ -57,7 +57,7 @@ class ThorinParams:
             raise DomainError(f"x must be positive, got {self.x}")
 
 
-def _log_upper(a: float, x: float, ts: np.ndarray, opts: EvalOptions) -> np.ndarray:
+def _log_upper(a: float, x: float, ts: np.ndarray) -> np.ndarray:
     """log of integral_0^1 u^(-a) (1-u)^(a+x-1) e^(tu) du at every t of ts,
     computed as t + log integral_0^1 (1-w)^(-a) w^(a+x-1) e^(-tw) dw; one
     quadrature column per t."""
@@ -66,7 +66,7 @@ def _log_upper(a: float, x: float, ts: np.ndarray, opts: EvalOptions) -> np.ndar
     near = ~far
     if near.any():
         tn = ts[near]
-        val = beta_kernel(lambda w: np.exp(np.multiply.outer(w, -tn)), a + x - 1.0, -a, opts)
+        val = beta_kernel(lambda w: np.exp(np.multiply.outer(w, -tn)), a + x - 1.0, -a)
         out[near] = tn + np.log(val)
     if far.any():
         # mass sits at w ~ 1/t: rescale w = r/t so no node underflows
@@ -76,12 +76,12 @@ def _log_upper(a: float, x: float, ts: np.ndarray, opts: EvalOptions) -> np.ndar
             frac = np.minimum(np.divide.outer(r, tf), 0.99)
             return (1.0 - frac) ** (-a) * np.exp(-r)[:, None]
 
-        val = halfline_power(smooth, a + x - 1.0, opts)
+        val = halfline_power(smooth, a + x - 1.0)
         out[far] = tf - (a + x) * np.log(tf) + np.log(val)
     return out
 
 
-def _log_lower(a: float, x: float, ts: np.ndarray, opts: EvalOptions) -> np.ndarray:
+def _log_lower(a: float, x: float, ts: np.ndarray) -> np.ndarray:
     """log of integral_0^inf u^(-a) (1+u)^(a+x-1) e^(-tu) du at every t of ts.
 
     Column j integrates (1 + r/s_j)^(a+x-1) e^(-d_j r) against r^(-a): s = 1
@@ -95,14 +95,13 @@ def _log_lower(a: float, x: float, ts: np.ndarray, opts: EvalOptions) -> np.ndar
     def smooth(r):
         return (1.0 + np.divide.outer(r, s)) ** (a + x - 1.0) * np.exp(-np.multiply.outer(r, d))
 
-    val = halfline_power(smooth, -a, opts)
+    val = halfline_power(smooth, -a)
     return np.where(far, (a - 1.0) * np.log(ts), 0.0) + np.log(val)
 
 
-def _log_f_ax(a: float, x: float, ts: np.ndarray, opts: EvalOptions) -> np.ndarray:
+def _log_f_ax(a: float, x: float, ts: np.ndarray) -> np.ndarray:
     """log f at every t of the 1-d array ts, all t > 0."""
-    o = opts.with_budget(80)
-    return _log_upper(a, x, ts, o) - _log_lower(a, x, ts, o)
+    return _log_upper(a, x, ts) - _log_lower(a, x, ts)
 
 
 _T_DOMAIN = "the ratio is defined for t > 0"
@@ -121,44 +120,42 @@ def _five_point(v: np.ndarray, h: np.ndarray) -> np.ndarray:
     return (v[0] - 8.0 * v[1] + 8.0 * v[3] - v[4]) / (12.0 * h)
 
 
-def f_ax(p: ThorinParams, t, opts: EvalOptions = DEFAULT_OPTIONS):
+def f_ax(p: ThorinParams, t):
     """Increasing bijection of (0, inf) given by the ratio of the two singular
     integrals; overflows to inf for t beyond roughly 700."""
     if p.a >= 1.0:
         raise DomainError("the integral ratio needs a < 1; a = 1 has its own route")
 
     def block(ts):
-        lf = _log_f_ax(p.a, p.x, ts, opts)
+        lf = _log_f_ax(p.a, p.x, ts)
         with np.errstate(over="ignore"):
             return np.where(lf < 709.0, np.exp(lf), math.inf)
 
     return column_blocks(block, t, _T_DOMAIN)
 
 
-def f_ax_hyp(p: ThorinParams, t: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+def f_ax_hyp(p: ThorinParams, t: float) -> float:
     """Alternative closed form via the confluent pair:
     Gamma(a+x) Phi(1-a, 1+x, t) / (Gamma(1+x) Psi(1-a, 1+x, t))."""
     if p.a >= 1.0:
         raise DomainError("needs a < 1")
     a, x = p.a, p.x
     lg = gamma_ln(a + x) - gamma_ln(1.0 + x)
-    return math.exp(lg) * kummer_phi(1.0 - a, 1.0 + x, t, opts) / tricomi_psi(
-        1.0 - a, 1.0 + x, t, opts
-    )
+    return math.exp(lg) * kummer_phi(1.0 - a, 1.0 + x, t) / tricomi_psi(1.0 - a, 1.0 + x, t)
 
 
-def thorin_cdf(p: ThorinParams, t, opts: EvalOptions = DEFAULT_OPTIONS):
+def thorin_cdf(p: ThorinParams, t):
     """Cumulative Thorin measure: (sin pi a / pi a) times the integral of
     1/(u^2 + 2 cos(pi a) u + 1) from 0 to f(t), via the arctangent primitive."""
     if p.a >= 1.0:
-        return thorin_cdf_a1(p.x, t, opts)
+        return thorin_cdf_a1(p.x, t)
     a = p.a
     s = math.sin(math.pi * a)
     c = math.cos(math.pi * a)
     base = math.atan2(c, s)  # atan(c/s) on the principal branch, s > 0
 
     def block(ts):
-        lf = _log_f_ax(a, p.x, ts, opts)
+        lf = _log_f_ax(a, p.x, ts)
         out = np.empty(lf.shape)
         big = lf > 35.0
         # arctan((f+c)/s) = pi/2 - s e^(-log f) (1 + O(e^(-log f)))
@@ -171,21 +168,21 @@ def thorin_cdf(p: ThorinParams, t, opts: EvalOptions = DEFAULT_OPTIONS):
     return column_blocks(block, t, _T_DOMAIN)
 
 
-def thorin_density(p: ThorinParams, t, opts: EvalOptions = DEFAULT_OPTIONS):
+def thorin_density(p: ThorinParams, t):
     """Density sin(pi a) f' / (pi a (f^2 + 2 cos(pi a) f + 1)) of the Thorin law.
 
     d/dt log f comes from a five-point stencil whose four outer points are
     four more columns per t of the same pass.
     """
     if p.a >= 1.0:
-        return _density_a1(p.x, t, opts)
+        return _density_a1(p.x, t)
     a = p.a
     s = math.sin(math.pi * a)
     c = math.cos(math.pi * a)
 
     def block(ts):
         pts, h = _stencil(ts)
-        lfs = _log_f_ax(a, p.x, pts.ravel(), opts).reshape(pts.shape)
+        lfs = _log_f_ax(a, p.x, pts.ravel()).reshape(pts.shape)
         dlf = _five_point(lfs, h)
         lf = lfs[2]
         out = np.empty(lf.shape)
@@ -205,12 +202,11 @@ def thorin_density(p: ThorinParams, t, opts: EvalOptions = DEFAULT_OPTIONS):
 _GX_DOMAIN = "need x > 0 and t > 0"
 
 
-def _gx(x: float, ts: np.ndarray, opts: EvalOptions) -> np.ndarray:
+def _gx(x: float, ts: np.ndarray) -> np.ndarray:
     """g_x at every t of the 1-d array ts, one quadrature column per t."""
     if not x > 0.0:
         raise DomainError(_GX_DOMAIN)
     eps = 1e-3
-    o = opts.with_budget(120)
     d = ts - x
     # y^-1 (...) = 2d + q y^2 + O(y^4)
     q = 2.0 * (d ** 3 / 6.0 - x * d / 2.0 - x / 3.0)
@@ -225,29 +221,29 @@ def _gx(x: float, ts: np.ndarray, opts: EvalOptions) -> np.ndarray:
     def tail(y):
         return -((1.0 + y) ** x)[:, None] * np.exp(-np.multiply.outer(y, ts)) / y[:, None]
 
-    return (head + integrate(mid, eps, 1.0, o) + integrate(tail, 1.0, math.inf, o)) / math.pi
+    return (head + integrate(mid, eps, 1.0) + integrate(tail, 1.0, math.inf)) / math.pi
 
 
-def gx_frullani(x: float, t, opts: EvalOptions = DEFAULT_OPTIONS):
+def gx_frullani(x: float, t):
     """(1/pi) integral_0^inf y^-1 ((1-y)_+^x e^(ty) - (1+y)^x e^(-ty)) dy.
 
     The y -> 0 cancellation is handled by the quadratic series term below
     y = 1e-3; the integrand is integrated directly elsewhere.
     """
-    return column_blocks(lambda ts: _gx(x, ts, opts), t, _GX_DOMAIN)
+    return column_blocks(lambda ts: _gx(x, ts), t, _GX_DOMAIN)
 
 
-def thorin_cdf_a1(x: float, t, opts: EvalOptions = DEFAULT_OPTIONS):
+def thorin_cdf_a1(x: float, t):
     """Cumulative Thorin measure of the Pareto-type case a = 1:
     1/2 + arctan(g_x(t)) / pi."""
-    return column_blocks(lambda ts: 0.5 + np.arctan(_gx(x, ts, opts)) / math.pi,
+    return column_blocks(lambda ts: 0.5 + np.arctan(_gx(x, ts)) / math.pi,
                          t, _GX_DOMAIN)
 
 
-def _density_a1(x: float, t, opts: EvalOptions):
+def _density_a1(x: float, t):
     def block(ts):
         pts, h = _stencil(ts)
-        g = _gx(x, pts.ravel(), opts).reshape(pts.shape)
+        g = _gx(x, pts.ravel()).reshape(pts.shape)
         return _five_point(g, h) / (math.pi * (1.0 + g[2] ** 2))
 
     return column_blocks(block, t, _GX_DOMAIN, width=5)
@@ -259,21 +255,22 @@ def _density_a1(x: float, t, opts: EvalOptions):
 
 class _CdfTable:
     """Chebyshev interpolant of t -> P[G <= t] in log t, with the exact
-    power-law behaviour below the table and the exponential tail above it."""
+    power-law behaviour below the table and the exponential tail above it.
+    The table spans [lo, hi] with a degree-180 interpolant."""
 
-    def __init__(self, p: ThorinParams, opts: EvalOptions,
-                 lo: float = 1e-6, hi: float = 45.0, deg: int = 180):
+    lo, hi = 1e-6, 45.0
+
+    def __init__(self, p: ThorinParams):
         self.p = p
-        self.lo, self.hi = lo, hi
-        self.tau_lo, self.tau_hi = math.log(lo), math.log(hi)
+        self.tau_lo, self.tau_hi = math.log(self.lo), math.log(self.hi)
 
         def g(xi):
             taus = 0.5 * (self.tau_lo + self.tau_hi) + 0.5 * (self.tau_hi - self.tau_lo) * xi
-            return thorin_cdf(p, np.exp(taus), opts)
+            return thorin_cdf(p, np.exp(taus))
 
-        self.coef = np.polynomial.chebyshev.chebinterpolate(g, deg)
-        self.cdf_lo = thorin_cdf(p, lo, opts)
-        self.cdf_hi = thorin_cdf(p, hi, opts)
+        self.coef = np.polynomial.chebyshev.chebinterpolate(g, 180)
+        self.cdf_lo = thorin_cdf(p, self.lo)
+        self.cdf_hi = thorin_cdf(p, self.hi)
         self.tail_power = 2.0 * p.a + p.x - 1.0
 
     def __call__(self, t):
@@ -296,30 +293,26 @@ class _CdfTable:
         return float(out) if out.ndim == 0 else out
 
 
-_CDF_TABLES: dict[tuple, _CdfTable] = {}
+_CDF_TABLES: dict[ThorinParams, _CdfTable] = {}
 _CDF_LOCK = threading.Lock()
 
 
-def _cdf_table(p: ThorinParams, opts: EvalOptions) -> _CdfTable:
-    key = (p.a, p.x, opts.rel_tol)
+def _cdf_table(p: ThorinParams) -> _CdfTable:
     with _CDF_LOCK:
-        if key not in _CDF_TABLES:
-            _CDF_TABLES[key] = _CdfTable(p, opts.with_budget(80))
-        return _CDF_TABLES[key]
+        if p not in _CDF_TABLES:
+            _CDF_TABLES[p] = _CdfTable(p)
+        return _CDF_TABLES[p]
 
 
-def levy_density(p: ThorinParams, y: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+def levy_density(p: ThorinParams, y: float) -> float:
     """Levy measure density a * integral_0^inf e^(-yt) P[G <= t] dt at y > 0."""
     if not y > 0.0:
         raise DomainError("need y > 0")
-    cdf = _cdf_table(p, opts)
-    loose = EvalOptions(rel_tol=max(opts.rel_tol, 1e-10), abs_tol=1e-14,
-                        max_terms=opts.max_terms,
-                        max_quad_refinements=max(opts.max_quad_refinements, 80))
-    return p.a / y * integrate(lambda u: np.exp(-u) * cdf(u / y), 0.0, math.inf, loose)
+    cdf = _cdf_table(p)
+    return p.a / y * integrate(lambda u: np.exp(-u) * cdf(u / y), 0.0, math.inf, NESTED)
 
 
-def awk_density(c: float, t: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+def awk_density(c: float, t: float) -> float:
     """Symmetric density w_c(t) = |t| rho(t^2/2) / 2 with rho the Thorin
     density at (c/2, 1/2); even in t, Gaussian in the c -> 0 limit."""
     if not (0.0 < c < 2.0):
@@ -332,7 +325,7 @@ def awk_density(c: float, t: float, opts: EvalOptions = DEFAULT_OPTIONS) -> floa
         cc = math.exp(gamma_ln(1.0 - a) + gamma_ln(a + 0.5)
                       - gamma_ln(1.5) - gamma_ln(0.5))
         return math.sin(math.pi * a) / (math.pi * a) * cc * math.sqrt(2.0) / 4.0
-    rho = thorin_density(ThorinParams(a, 0.5), s, opts)
+    rho = thorin_density(ThorinParams(a, 0.5), s)
     return abs(t) * rho / 2.0
 
 
@@ -340,24 +333,23 @@ def awk_density(c: float, t: float, opts: EvalOptions = DEFAULT_OPTIONS) -> floa
 # Ordering of the doubled-parameter Thorin variables
 
 
-def _phi_weight(a: float, z, opts: EvalOptions):
+def _phi_weight(a: float, z):
     """Vectorized Kummer Phi(a, a+1/2, z) for z <= 0 arrays."""
     z = np.atleast_1d(z)
-    return np.array([kummer_phi(a, a + 0.5, zi, opts) for zi in z])
+    return np.array([kummer_phi(a, a + 0.5, zi) for zi in z])
 
 
-def ordering_g1_g2(a: float, t_grid, opts: EvalOptions = DEFAULT_OPTIONS) -> ProbeResult:
+def ordering_g1_g2(a: float, t_grid) -> ProbeResult:
     """Checks g1(t) >= g2(t) for the two Dirichlet-mean ratios, the chain of
     confluent-function bounds it rests on, and the implied CDF ordering of the
     doubled-parameter Thorin variables."""
     if not (0.0 < a < 1.0):
         raise DomainError("need a in (0, 1)")
-    o = opts.with_budget(80)
     ts = np.asarray(t_grid, dtype=float)
 
     def g1(t):
         def num_smooth(y):
-            return np.exp(-t * (1.0 - y)) * _phi_weight(a, t * (y - 1.0), o)
+            return np.exp(-t * (1.0 - y)) * _phi_weight(a, t * (y - 1.0))
 
         def den_smooth(y):
             y = np.atleast_1d(y)
@@ -366,31 +358,31 @@ def ordering_g1_g2(a: float, t_grid, opts: EvalOptions = DEFAULT_OPTIONS) -> Pro
             if np.any(live):
                 yl = y[live]
                 out[live] = ((1.0 + yl) ** (a - 0.5) * np.exp(-t * yl)
-                             * _phi_weight(a, -t * (yl + 1.0), o))
+                             * _phi_weight(a, -t * (yl + 1.0)))
             return out
 
-        num = beta_kernel(num_smooth, -a, a - 0.5, o)
-        den = halfline_power(den_smooth, -a, o)
+        num = beta_kernel(num_smooth, -a, a - 0.5)
+        den = halfline_power(den_smooth, -a)
         return math.exp(t) * num / den
 
     g1v = np.array([g1(t) for t in ts])
-    g2v = f_ax(ThorinParams(a, 0.5), ts, o)
+    g2v = f_ax(ThorinParams(a, 0.5), ts)
     ok_ratio = g1v >= g2v * (1.0 - 1e-8)
 
     # bound chain Phi(a, a+1/2, t(y-1)) >= Phi(a, a+1/2, -t) >= Phi(a, a+1/2, -t(y+1))
     chain_ok = True
     for t in ts[:3]:
         for y in (0.2, 0.5, 0.9):
-            top = kummer_phi(a, a + 0.5, t * (y - 1.0), o)
-            mid = kummer_phi(a, a + 0.5, -t, o)
-            bot = kummer_phi(a, a + 0.5, -t * (y + 1.0), o)
+            top = kummer_phi(a, a + 0.5, t * (y - 1.0))
+            mid = kummer_phi(a, a + 0.5, -t)
+            bot = kummer_phi(a, a + 0.5, -t * (y + 1.0))
             chain_ok &= top >= mid >= bot > 0.0
 
     # implied stochastic ordering of the doubled-parameter Thorin laws
     cdf_ok = True
     if 2.0 * a < 1.0:
-        lo = thorin_cdf(ThorinParams(2.0 * a, 0.5), ts, o)
-        hi = thorin_cdf(ThorinParams(a, 0.5), ts, o)
+        lo = thorin_cdf(ThorinParams(2.0 * a, 0.5), ts)
+        hi = thorin_cdf(ThorinParams(a, 0.5), ts)
         cdf_ok = bool(np.all(lo <= hi + 1e-7))
     verdict = "holds" if (ok_ratio.all() and chain_ok and cdf_ok) else "violated"
     first = None if verdict == "holds" else (0, float(ts[int(np.argmin(ok_ratio))]))

@@ -1,19 +1,12 @@
 import mpmath as mp
 import pytest
 
-from bpl.options import EvalOptions
-
 
 @pytest.fixture(scope="session", autouse=True)
 def _mpmath_precision():
     mp.mp.dps = 30
     yield
     mp.mp.dps = 15
-
-
-@pytest.fixture
-def opts():
-    return EvalOptions()
 
 
 def rel_err(got, want):

@@ -7,6 +7,7 @@ import os
 import shlex
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -459,10 +460,13 @@ class TestUnexpectedErrors:
 
 def _run_checked(argv):
     """main(argv) in this process: exit code in {0, 1, 2}, no traceback on
-    stderr, bounded time; returns the exit code and the CSV rows."""
+    stderr, no warning (a CLI user sees each one as an extra stderr line),
+    bounded time; returns the exit code and the CSV rows."""
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse rejects malformed flags
@@ -470,7 +474,31 @@ def _run_checked(argv):
     assert time.perf_counter() - start < 20.0
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+    assert [f"{w.category.__name__}: {w.message}" for w in caught] == []
     return code, list(csv.reader(io.StringIO(out.getvalue())))[1:]
+
+
+class TestEdgeShapes:
+    """Shapes near an integrability edge that used to end in an error row or
+    a failed evaluation (exit 2)."""
+
+    def test_theorem_a_small_a(self):
+        code, rows = _run_checked(["verify", "theorem-a", "--a", "1e-3", "--n", "2000"])
+        assert code == 0
+        assert [r[2] for r in rows] == ["ks", "mellin", "density"]
+        assert all(r[5] == "pass" for r in rows)
+
+    @pytest.mark.parametrize("b", ["0.05", "0.075"])
+    def test_cjmain_small_b(self, b):
+        code, rows = _run_checked(["scan", "cjmain", "--a", "0.5", "--b", b,
+                                   "--n-samples", "2000"])
+        assert code == 0
+        assert [r[2] for r in rows] == ["ks", "mellin", "representation"]
+        assert float(rows[2][3]) < 1e-12
+
+    def test_thorin_near_unit_a(self):
+        code, rows = _run_checked(["thorin", "--a", "0.999", "--x", "0.5", "--t", "1:10:3"])
+        assert code == 0 and len(rows) == 3
 
 
 _BAD_NUMBERS = ["0", "-1", "nan", "inf", "-inf", "1.5"]

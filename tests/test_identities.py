@@ -30,10 +30,11 @@ from bpl.identities import (
     theorem_a_spec,
     theorem_b_spec,
     verify,
+    _cjmain_representation_errors,
     _one_plus_sqrt_beta_factor,
     _sqrt_gamma_sum_mellin,
 )
-from bpl.options import DEFAULT_OPTIONS, EvalOptions
+from bpl.options import EvalOptions
 from bpl.quadrature import integrate
 from bpl.special import gamma_ln
 from conftest import rel_err
@@ -202,6 +203,22 @@ class TestEngine:
         spec = theorem_a_spec(1.0)
         rep = verify(spec, 1000, [0.7], RngState(64))
         assert rep.verdict == "fail" and rep.failure is not None
+
+    @pytest.mark.parametrize("rtol, verdict", [(1e-3, "pass"), (1e-5, "fail")])
+    def test_mellin_rtol_judges_the_density_channel(self, rtol, verdict):
+        # densities 1e-4 apart: a density tolerance of its own (1e-6) failed
+        # the report at rtol = 1e-3 while the CLI's density row, judged at
+        # rtol, passed
+        from bpl.distributions import betaprime_pdf, sample_betaprime
+        p = BetaPrimeParams(0.8, 1.2)
+        sampler = lambda rng, n: sample_betaprime(p, rng, n)
+        spec = IdentitySpec(name="density-gap", lhs_sampler=sampler, rhs_sampler=sampler,
+                            lhs_density=lambda x: betaprime_pdf(p, x),
+                            rhs_density=lambda x: (1.0 + 1e-4) * betaprime_pdf(p, x))
+        rep = verify(spec, 20_000, None, RngState(67), mellin_rtol=rtol)
+        assert rep.ks_statistic < rep.ks_threshold
+        assert rep.density_max_relerr == pytest.approx(1e-4, rel=1e-3)
+        assert rep.verdict == verdict
 
 
 # one parameter point per catalog identity
@@ -401,7 +418,7 @@ class TestOtherIdentities:
     def test_half_gaussian_second_moment(self):
         # E[(sqrt G_a + sqrt G_a)^2] = 2a + 2 (Gamma(a+1/2)/Gamma(a))^2; a = 1
         want = 2.0 + math.pi / 2.0
-        got = _sqrt_gamma_sum_mellin(1.0, 2.0, DEFAULT_OPTIONS)
+        got = _sqrt_gamma_sum_mellin(1.0, 2.0)
         assert got == pytest.approx(want, rel=1e-10)
         n = 2_000_000
         rng = RngState(80)
@@ -499,6 +516,14 @@ class TestScans:
         rows = conjecture_cjmain_scan([(2.0, 0.3)], 20_000, RngState(84))
         assert rows[0]["exploratory"] and rows[0]["verdict"] == ""
         assert np.isfinite(rows[0]["ks_statistic"])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("b", [0.01, 0.05, 0.075])
+    def test_cjmain_representations_small_b(self, b):
+        # the first display once divided by the outer variable v, which
+        # reaches 0 at these b
+        r1, r2 = _cjmain_representation_errors(0.5, b, min(0.1, 0.8 * b))
+        assert r1 < 1e-12 and r2 < 1e-12
 
     def test_cjmain_domain(self):
         with pytest.raises(DomainError):

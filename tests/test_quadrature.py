@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bpl.errors import DomainError, QuadratureError
 from bpl.options import EvalOptions
@@ -65,6 +67,37 @@ def test_budget_exhaustion_raises():
     tight = EvalOptions(rel_tol=1e-13, max_quad_refinements=1)
     with pytest.raises(QuadratureError):
         integrate(lambda x: np.abs(np.sin(50.0 * x)), 0.0, 10.0, tight)
+
+
+# one integral per entry point, (N,)- and (N, m)-valued, with an oscillation
+# w and an endpoint exponent or decay p
+_BUDGET_CASES = {
+    "integrate": lambda w, p, o: integrate(
+        lambda x: np.cos(w * x) * np.exp(-p * x), 0.0, 3.0, o),
+    "integrate-tail": lambda w, p, o: integrate(
+        lambda x: np.cos(w * x) / (1.0 + x) ** (1.0 + p), 0.0, math.inf, o),
+    "power_weighted": lambda w, p, o: power_weighted(np.cos, p - 1.0, w / 10.0 + 0.1, o),
+    "beta_kernel": lambda w, p, o: beta_kernel(
+        lambda x: np.cos(np.multiply.outer(x, w * np.arange(1.0, 4.0))), p - 1.0, -0.5, o),
+    "halfline_power": lambda w, p, o: halfline_power(
+        lambda t: np.exp(-t) * np.cos(w * t), p - 1.0, o),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=st.sampled_from(sorted(_BUDGET_CASES)), w=st.floats(0.0, 40.0),
+       p=st.floats(0.01, 3.0), rel_tol=st.sampled_from([1e-12, 1e-10, 1e-6]),
+       budget=st.integers(1, 40), extra=st.integers(1, 150))
+def test_larger_budget_never_changes_a_converged_value(case, w, p, rel_tol, budget, extra):
+    """The refinement loop stops on the round where every column converges,
+    so any budget past that round gives the same value, bit for bit."""
+    integral = _BUDGET_CASES[case]
+    try:
+        got = integral(w, p, EvalOptions(rel_tol=rel_tol, max_quad_refinements=budget))
+    except QuadratureError:
+        assume(False)
+    more = EvalOptions(rel_tol=rel_tol, max_quad_refinements=budget + extra)
+    assert np.array_equal(integral(w, p, more), got)
 
 
 def test_nonintegrable_exponent_rejected():

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bpl.errors import DomainError
-from bpl.options import EvalOptions, HypArgs
+from bpl import special
+from bpl.errors import DomainError, NonConvergenceError
+from bpl.options import HypArgs
 from bpl.special import (
     appell_f1,
     appell_f1_series,
@@ -137,6 +138,16 @@ class TestHyp3F2:
     def test_divergent_margin_rejected(self):
         with pytest.raises(DomainError):
             HypArgs((1.0, 1.0, 1.0), (1.0, 1.0), 1.0)
+
+    def test_unit_argument_term_budget_exhaustion_raises(self, monkeypatch):
+        # 64 terms leave this margin-1.5 sum 3e-7 short of its limit, where the
+        # extrapolated diagonal used to be returned anyway
+        args = HypArgs((0.5, 0.5, 0.5), (1.5, 1.5), 1.0)
+        # sum of C(2n,n) 4^-n (2n+1)^-2 = integral_0^1 arcsin(x)/x dx
+        assert rel_err(hyp_3f2(args), math.pi / 2.0 * math.log(2.0)) < 1e-12
+        monkeypatch.setattr(special, "_MAX_TERMS", 64)
+        with pytest.raises(NonConvergenceError, match="3F2\\(1\\) extrapolation stalled"):
+            hyp_3f2(args)
 
     def test_total_mass_normalization(self):
         # the 3F2 value forced by M_{a,b}(0) = 1 through the closed prefactor
