@@ -10,6 +10,11 @@ reports a violation whose magnitude is inside that floor.
 Probe targets are vectorized: a target maps the whole z-grid (an array) to an
 array of values in one call, and a scalar z to a float. The ratio builders
 below return such targets, built on the array-first special functions.
+
+The fit is whole-grid as well: every window is a row of a sliding-window view
+of log f, so the fits, residual floors and derivative tables of all windows
+are matrix products, and the Taylor rebuild of f runs on every center at
+once. The only loops left run over the derivative orders (at most 11).
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial import chebyshev as _cheb
 
 from .convolution import sum_density_2f1
@@ -76,10 +82,13 @@ def _eval_grid(f, zs) -> np.ndarray:
 
 
 def _window_operators(zs: np.ndarray, max_order: int):
-    """Per-window linear maps from window values to centered Taylor derivatives.
+    """Linear maps from window values to the centered Taylor derivatives.
 
     Windows of a geometric (or uniform) grid share one normalized node layout,
-    so the pseudo-inverse is built once; only the length scale varies.
+    so the pseudo-inverse is built once; only the length scale varies. Returns
+    the derivative rows (row k takes a window to its k-th derivative at the
+    center, per half-width^k), the Chebyshev Vandermonde matrix and its
+    pseudo-inverse.
     """
     n = zs.size
     if n < _WINDOW:
@@ -93,14 +102,13 @@ def _window_operators(zs: np.ndarray, max_order: int):
     xi = 2.0 * (t0 - t0[0]) / (t0[-1] - t0[0]) - 1.0
     vand = _cheb.chebvander(xi, _DEGREE)
     pinv = np.linalg.pinv(vand)
-    center = _WINDOW // 2
-    eye = np.eye(_DEGREE + 1)
-    rows = []
-    for order in range(max_order + 1):
-        der = np.stack([_cheb.chebval(xi[center], _cheb.chebder(eye[:, j], order))
-                        for j in range(_DEGREE + 1)])
-        rows.append(der @ pinv)
-    return np.array(rows), vand, pinv, center
+    # column j of der is the k-th derivative of T_j; chebder(eye, k) is k
+    # single steps, so each order takes one more step from the last
+    der, rows = np.eye(_DEGREE + 1), []
+    for _ in range(max_order + 1):
+        rows.append(_cheb.chebval(xi[_WINDOW // 2], der))
+        der = _cheb.chebder(der)
+    return np.array(rows) @ pinv, vand, pinv
 
 
 def _log_taylor_table(zs: np.ndarray, fs: np.ndarray, max_order: int):
@@ -108,59 +116,42 @@ def _log_taylor_table(zs: np.ndarray, fs: np.ndarray, max_order: int):
 
     Fitting the logarithm keeps the window dynamic range tame for both
     exponential and algebraic decay; returns (centers, dh[k, i], floors[k, i])
-    for k = 0..max_order.
+    for k = 0..max_order, every window i of the grid in one matrix product.
     """
     if np.any(fs <= 0.0):
         raise DomainError("probe target must be positive on the grid")
-    hs = np.log(fs)
-    rows, vand, pinv, center = _window_operators(zs, max_order)
-    row_norms = np.linalg.norm(rows, axis=1)
-    m = zs.size - _WINDOW + 1
-    centers = np.empty(m)
-    dh = np.empty((max_order + 1, m))
-    floors = np.empty((max_order + 1, m))
-    for i in range(m):
-        z_win = zs[i:i + _WINDOW]
-        h_win = hs[i:i + _WINDOW]
-        half = 0.5 * (z_win[-1] - z_win[0])
-        coef = pinv @ h_win
-        resid = h_win - vand @ coef
-        scale = max(float(np.sqrt(np.mean(resid ** 2))), 3e-14)
-        centers[i] = z_win[center]
-        for k in range(max_order + 1):
-            fac = half ** (-k)
-            dh[k, i] = float(rows[k] @ h_win) * fac
-            floors[k, i] = scale * row_norms[k] * fac
-    return centers, dh, floors
+    rows, vand, pinv = _window_operators(zs, max_order)
+    h_win = sliding_window_view(np.log(fs), _WINDOW)
+    z_win = sliding_window_view(zs, _WINDOW)
+    # stacked per-window fits, (m, 25, 1): each residual rounds as one
+    # window's fit does, so the noise floors do not depend on the grid size
+    coef = pinv @ h_win[:, :, None]
+    resid = h_win - (vand @ coef)[:, :, 0]
+    scale = np.maximum(np.sqrt(np.mean(resid ** 2, axis=1)), 3e-14)
+    half = 0.5 * (z_win[:, -1] - z_win[:, 0])
+    fac = half ** -np.arange(max_order + 1.0)[:, None]
+    row_norms = np.linalg.norm(rows, axis=1)[:, None]
+    return z_win[:, _WINDOW // 2], (rows @ h_win.T) * fac, scale * row_norms * fac
 
 
 def _exp_series(coeffs: np.ndarray) -> np.ndarray:
-    """Power-series coefficients of exp(sum_k c_k x^k), c_0 ignored."""
-    m = coeffs.size
-    out = np.zeros(m)
+    """Power-series coefficients of exp(sum_k c_k x^k), c_0 ignored, for
+    every column of coeffs (one series per column)."""
+    k = np.arange(coeffs.shape[0], dtype=float)[:, None]
+    out = np.zeros(coeffs.shape)
     out[0] = 1.0
-    for n in range(1, m):
-        acc = 0.0
-        for k in range(1, n + 1):
-            acc += k * coeffs[k] * out[n - k]
-        out[n] = acc / n
+    for n in range(1, coeffs.shape[0]):
+        out[n] = np.sum(k[1:n + 1] * coeffs[1:n + 1] * out[n - 1::-1], axis=0) / n
     return out
 
 
 def _f_taylor_with_floors(dh: np.ndarray, floors: np.ndarray):
     """Taylor coefficients of f/f(z0) = exp(h - h0) and propagated floors."""
-    orders = dh.shape[0]
-    hmat = dh / np.array([math.factorial(k) for k in range(orders)])[:, None]
-    fmat = floors / np.array([math.factorial(k) for k in range(orders)])[:, None]
-    m = dh.shape[1]
-    fc = np.empty((orders, m))
-    fl = np.empty((orders, m))
-    for i in range(m):
-        base = _exp_series(np.abs(hmat[:, i]))
-        bumped = _exp_series(np.abs(hmat[:, i]) + fmat[:, i])
-        fc[:, i] = _exp_series(hmat[:, i])
-        fl[:, i] = np.maximum(bumped - base, 1e-18 * base)
-    return fc, fl
+    fact = np.array([math.factorial(k) for k in range(dh.shape[0])], dtype=float)[:, None]
+    hmat = dh / fact
+    base = _exp_series(np.abs(hmat))
+    bumped = _exp_series(np.abs(hmat) + floors / fact)
+    return _exp_series(hmat), np.maximum(bumped - base, 1e-18 * base)
 
 
 def _verdict_from_signs(signed: np.ndarray, floors: np.ndarray, centers: np.ndarray):
@@ -352,24 +343,25 @@ def ltmon_property_test(f_pdf, g_pdf, support, mu: float, z_grid) -> ProbeResult
     """
     lo, hi = support
     xs = np.linspace(lo + 1e-9 * (hi - lo), hi - 1e-9 * (hi - lo), 257)
-    fr = np.array([float(f_pdf(x)) for x in xs])
-    gr = np.array([float(g_pdf(x)) for x in xs])
+    fr = _eval_grid(f_pdf, xs)
+    gr = _eval_grid(g_pdf, xs)
     if np.any(gr <= 0.0) or np.any(fr < 0.0):
         raise DomainError("densities must be positive on the support")
     ratio = fr / gr
     if np.any(np.diff(ratio) < -1e-9 * np.max(ratio)):
         return ProbeResult(0, np.asarray(z_grid, float), np.zeros((1, 0), bool),
                            None, "inconclusive", details={"hypothesis": False})
-
-    def lt(h, z):
-        return integrate(lambda x: h(x) * np.exp(-z * x), lo, hi, NESTED)
-
-    def st(h, z):
-        return integrate(lambda x: h(x) / (1.0 + x * z) ** mu, lo, hi, NESTED)
-
     zg = np.asarray(z_grid, dtype=float)
-    lt_ratio = np.array([lt(f_pdf, z) / lt(g_pdf, z) for z in zg])
-    st_ratio = np.array([st(f_pdf, z) / st(g_pdf, z) for z in zg])
+
+    def transforms(h):
+        # Laplace columns exp(-z x), then Stieltjes columns (1 + x z)^(-mu)
+        def kernel(x):
+            xz = np.multiply.outer(x, zg)
+            return _eval_grid(h, x)[:, None] * np.hstack((np.exp(-xz), (1.0 + xz) ** -mu))
+        return np.split(integrate(kernel, lo, hi, NESTED), 2)
+
+    (lt_f, st_f), (lt_g, st_g) = transforms(f_pdf), transforms(g_pdf)
+    lt_ratio, st_ratio = lt_f / lt_g, st_f / st_g
     tol = 1e-9
     ok_lt = np.all(np.diff(lt_ratio) <= tol * np.abs(lt_ratio[:-1]))
     ok_st = np.all(np.diff(st_ratio) <= tol * np.abs(st_ratio[:-1]))
@@ -467,6 +459,15 @@ def _shape_pattern(values: np.ndarray, pattern: str, tol: float) -> bool:
     raise DomainError(f"unknown pattern {pattern}")
 
 
+def _pointwise(xs: np.ndarray, ok, details: dict) -> ProbeResult:
+    """Order-0 result of a pointwise check: ok is one flag per point of xs, or
+    a single flag for the whole grid (its first violation is then xs[0])."""
+    ok = np.atleast_1d(ok)
+    holds = bool(ok.all())
+    first = None if holds else (0, float(xs[int(np.argmin(ok))]))
+    return ProbeResult(0, xs, ok[None, :], first, "holds" if holds else "violated", details)
+
+
 def mills_suite() -> dict[str, ProbeResult]:
     """Monotonicity, convexity, Sampford bound, Turan chain and CM probes for
     Mill's ratio; the keys ending in '-scan' are exploratory only.
@@ -476,58 +477,38 @@ def mills_suite() -> dict[str, ProbeResult]:
 
     # power-weighted shapes of r and r'
     for alpha, pattern in ((0.0, "decreasing"), (0.5, "updown"), (1.0, "increasing")):
-        vals = xs ** alpha * mills_ratio(xs)
-        ok = _shape_pattern(vals, pattern, 1e-12)
-        out[f"barr-a-{alpha}"] = ProbeResult(
-            0, xs, np.array([[ok]]), None if ok else (0, float(xs[0])),
-            "holds" if ok else "violated", {"pattern": pattern})
+        ok = _shape_pattern(xs ** alpha * mills_ratio(xs), pattern, 1e-12)
+        out[f"barr-a-{alpha}"] = _pointwise(xs, ok, {"pattern": pattern})
     for alpha, pattern in ((0.0, "increasing"), (1.0, "downup"), (2.0, "decreasing")):
-        vals = xs ** alpha * mills_ratio_deriv(1, xs)
-        ok = _shape_pattern(vals, pattern, 1e-12)
-        out[f"barr-b-{alpha}"] = ProbeResult(
-            0, xs, np.array([[ok]]), None if ok else (0, float(xs[0])),
-            "holds" if ok else "violated", {"pattern": pattern})
+        ok = _shape_pattern(xs ** alpha * mills_ratio_deriv(1, xs), pattern, 1e-12)
+        out[f"barr-b-{alpha}"] = _pointwise(xs, ok, {"pattern": pattern})
 
     # Sampford bound r(x) < 4 / (3x + sqrt(x^2 + 8)) on (-1, 30]
     sx = np.linspace(-1.0 + 1e-6, 30.0, 200)
     bound = 4.0 / (3.0 * sx + np.sqrt(sx * sx + 8.0))
     rv = mills_ratio(sx)
-    ok = bool(np.all(rv < bound))
-    out["sampford"] = ProbeResult(0, sx, (rv < bound)[None, :],
-                                  None if ok else (0, float(sx[int(np.argmax(rv >= bound))])),
-                                  "holds" if ok else "violated",
-                                  {"margin": float(np.min(bound - rv))})
+    out["sampford"] = _pointwise(sx, rv < bound, {"margin": float(np.min(bound - rv))})
 
     # strict convexity of 1/r via the exact derivative recursion
     cx = np.linspace(-10.0, 10.0, 401)
     conv = 2.0 * mills_ratio_deriv(1, cx) ** 2 - mills_ratio(cx) * mills_ratio_deriv(2, cx)
-    ok = bool(np.all(conv > 0.0))
-    out["inverse-convexity"] = ProbeResult(0, cx, (conv > 0.0)[None, :],
-                                           None if ok else (0, float(cx[int(np.argmax(conv <= 0.0))])),
-                                           "holds" if ok else "violated",
-                                           {"min_margin": float(np.min(conv))})
+    out["inverse-convexity"] = _pointwise(cx, conv > 0.0, {"min_margin": float(np.min(conv))})
 
     # Turan chain for the parabolic cylinder triple
     tx = np.linspace(-4.0, 6.0, 41)
     tvals = parabolic_d(-2.0, tx) ** 2 / (parabolic_d(-1.0, tx) * parabolic_d(-3.0, tx))
-    ok = bool(np.all(tvals > 1.0))
-    out["turan-chain"] = ProbeResult(0, tx, (tvals > 1.0)[None, :],
-                                     None if ok else (0, float(tx[int(np.argmax(tvals <= 1.0))])),
-                                     "holds" if ok else "violated",
-                                     {"min": float(np.min(tvals))})
+    out["turan-chain"] = _pointwise(tx, tvals > 1.0, {"min": float(np.min(tvals))})
 
     # CM of -(r^(n)(sqrt z))^2 / r^(2n+1)(sqrt z)
     grid = geometric_grid(1e-2, 50.0, 200)
     for n in (0, 1, 2):
-        f = _cmmill_sqrt_ratio(n)
-        out[f"cmmill-{n}"] = cm_probe(f, grid, max_order=6)
+        out[f"cmmill-{n}"] = cm_probe(_cmmill_sqrt_ratio(n), grid, max_order=6)
     for n in (0, 1):
-        f = _cmmill_sqrt_ratio(n)
-        out[f"cmmill-lcm-{n}"] = lcm_probe(f, grid, max_order=4)
+        out[f"cmmill-lcm-{n}"] = lcm_probe(_cmmill_sqrt_ratio(n), grid, max_order=4)
     # conjectured variant without the square root: recorded, not asserted
     for n in (0, 1, 2):
-        f = _cmmill_plain_ratio(n)
-        out[f"cmmi-scan-{n}"] = cm_probe(f, np.linspace(0.05, 8.0, 200), max_order=6)
+        out[f"cmmi-scan-{n}"] = cm_probe(_cmmill_plain_ratio(n), np.linspace(0.05, 8.0, 200),
+                                         max_order=6)
     return out
 
 

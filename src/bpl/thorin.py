@@ -93,7 +93,8 @@ def _log_lower(a: float, x: float, ts: np.ndarray) -> np.ndarray:
     d = np.where(far, 1.0, ts)
 
     def smooth(r):
-        return (1.0 + np.divide.outer(r, s)) ** (a + x - 1.0) * np.exp(-np.multiply.outer(r, d))
+        # one exponential, so a large power times a vanishing factor is no inf * 0
+        return np.exp((a + x - 1.0) * np.log1p(np.divide.outer(r, s)) - np.multiply.outer(r, d))
 
     val = halfline_power(smooth, -a)
     return np.where(far, (a - 1.0) * np.log(ts), 0.0) + np.log(val)
@@ -219,7 +220,7 @@ def _gx(x: float, ts: np.ndarray) -> np.ndarray:
                     - ((1.0 + y) ** x)[:, None] * np.exp(-ty)) / y[:, None]
 
     def tail(y):
-        return -((1.0 + y) ** x)[:, None] * np.exp(-np.multiply.outer(y, ts)) / y[:, None]
+        return -np.exp((x * np.log1p(y))[:, None] - np.multiply.outer(y, ts)) / y[:, None]
 
     return (head + integrate(mid, eps, 1.0) + integrate(tail, 1.0, math.inf)) / math.pi
 

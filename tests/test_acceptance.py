@@ -202,20 +202,20 @@ def test_criterion_08_monotonicity_turan():
     # Turan-type Hermite ratios decrease on [-4, 6], with sharp bounds
     rgrid = np.linspace(-4.0, 6.0, 220)
     for (nu, c) in ((1.3, 0.6), (0.5, 1.0), (2.0, 0.35)):
-        ratio = turan_hermite(nu, c)
-        ok &= monotone_probe(ratio, rgrid).verdict == "holds"
+        r = monotone_probe(turan_hermite(nu, c), rgrid)
+        ok &= r.verdict == "holds"
         lo, hi = turan_hermite_bounds(nu, c)
-        vals = np.array([ratio(z) for z in rgrid])
+        vals = r.details["values"]
         ok &= bool(np.all(vals > lo) and np.all(vals < hi))
     # Turan-type confluent ratio decreases with sharp bounds
-    ratio = turan_psi(0.5, 0.3, 0.4)
-    ok &= monotone_probe(ratio, GRID).verdict == "holds"
+    r = monotone_probe(turan_psi(0.5, 0.3, 0.4), GRID)
+    ok &= r.verdict == "holds"
     lo, hi = turan_psi_bounds(0.3, 0.4)
-    vals = np.array([ratio(z) for z in GRID])
+    vals = r.details["values"]
     ok &= bool(np.all(vals > lo) and np.all(vals < hi))
     # doubling-ratio bounds
     lo, hi = hermite_doubling_bounds(1.0)
-    vals = np.array([hermite_doubling(1.0)(z) for z in GRID])
+    vals = hermite_doubling(1.0)(GRID)
     ok &= bool(np.all(vals > lo) and np.all(vals < hi))
     # bound constants match their gamma-ratio closed forms to 1e-10
     ok &= abs(turan_psi_bounds(0.3, 0.4)[1]

@@ -500,6 +500,11 @@ class TestEdgeShapes:
         code, rows = _run_checked(["thorin", "--a", "0.999", "--x", "0.5", "--t", "1:10:3"])
         assert code == 0 and len(rows) == 3
 
+    @pytest.mark.parametrize("a", ["0.01", "0.5", "0.9", "1"])
+    def test_thorin_large_x(self, a):
+        code, rows = _run_checked(["thorin", "--a", a, "--x", "40", "--t", "0.1:10:4"])
+        assert code == 0 and len(rows) == 4
+
 
 _BAD_NUMBERS = ["0", "-1", "nan", "inf", "-inf", "1.5"]
 _SHAPES = st.one_of(st.floats(min_value=0.01, max_value=1.0).map(repr),

@@ -85,6 +85,34 @@ class TestNearUnitShape:
             assert rel_err(dens[i], want) < 1e-8
 
 
+class TestLargeX:
+    """x = 40: (1 + u)^(a+x-1) e^(-tu) and (1+y)^x e^(-ty) used to be inf * 0
+    on the last tail panel of the mapped half-line."""
+
+    X = 40.0
+    TS = np.array([0.1, 1.0, 10.0])
+
+    @pytest.mark.parametrize("a", [0.01, 0.5, 0.9])
+    def test_ratio_against_confluent_oracle(self, a):
+        p = ThorinParams(a, self.X)
+        am, x = mp.mpf(a), mp.mpf(self.X)
+        for t, got in zip(self.TS, f_ax(p, self.TS)):
+            want = (mp.gamma(am + x) * mp.hyp1f1(1 - am, 1 + x, t)
+                    / (mp.gamma(1 + x) * mp.hyperu(1 - am, 1 + x, t)))
+            assert rel_err(got, want) < 1e-12
+
+    def test_frullani_against_direct_quadrature(self):
+        x = mp.mpf(self.X)
+        for t, got in zip(self.TS, gx_frullani(self.X, self.TS)):
+            t = mp.mpf(t)
+            head = mp.quad(lambda y: ((1 - y) ** x * mp.exp(t * y)
+                                      - (1 + y) ** x * mp.exp(-t * y)) / y, [0, 0.5, 1])
+            peak = x / t  # the tail's mass sits near y = x / t
+            tail = mp.quad(lambda y: (1 + y) ** x * mp.exp(-t * y) / y,
+                           [1, peak / 4, peak, 4 * peak, mp.inf])
+            assert rel_err(got, (head - tail) / mp.pi) < 1e-12
+
+
 class TestCdf:
     def test_total_mass(self):
         assert thorin_cdf(P, 1e3) == pytest.approx(1.0, abs=1e-4)
