@@ -16,10 +16,11 @@ Exit codes: 0 = everything matched expectations, 1 = a proven statement was
 numerically violated (or an expected violation failed to appear), 2 = bad
 parameters or a numeric failure, also when the parameters leave nothing to
 check; every failure escaping a command, a library error or any other
-exception, is reported on one stderr line naming its type, without a
-traceback, and exits 2. CSV is RFC-4180 with a header row; every row carries
-the seed, the governing tolerance and the library version, and output is
-byte-identical for identical configuration and seed.
+exception, is reported on one stderr line naming its nearest public class
+(errors.describe), without a traceback, and exits 2. CSV is RFC-4180 with a
+header row; every row carries the seed, the governing tolerance and the
+library version, and output is byte-identical for identical configuration
+and seed.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 
 from . import __version__
 from .distributions import RngState
-from .errors import DomainError
+from .errors import DomainError, describe
 from .identities import (
     KS_ALPHA,
     conjecture_cjmain_scan,
@@ -529,8 +530,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - bad input or any escaping failure exits 2
-        reason = " ".join(str(exc).split())
-        sys.stderr.write(f"bpl {args.command} failed: {type(exc).__name__}: {reason}\n")
+        sys.stderr.write(f"bpl {args.command} failed: {describe(exc)}\n")
         return EXIT_NUMERIC
 
 

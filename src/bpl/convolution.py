@@ -2,7 +2,9 @@
 
 Several independently derived expressions for the same objects live side by
 side (Appell-integral form, Gauss-hypergeometric form, two Pfaff-transformed
-variants) and are used as mutually cross-checking implementations.
+variants) and are used as mutually cross-checking implementations. The
+Gauss and Pfaff forms take an array of x and return an array of its shape (a
+float for a scalar x), with every x > 0.
 """
 
 from __future__ import annotations
@@ -10,10 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .distributions import BetaParams, BetaPrimeParams
 from .errors import DomainError
 from .options import HypArgs
-from .quadrature import beta_kernel
+from .quadrature import beta_kernel, column_blocks
 from .special import appell_f1, gamma_ln, gamma_ratio, gauss_2f1, hyp_3f2
 
 __all__ = [
@@ -81,45 +85,50 @@ def sum_density_direct(spec: SumSpec, x: float) -> float:
     return math.exp(log_pref) * val
 
 
-def _phi_prefactor(p: BetaPrimeParams, x: float) -> float:
-    return math.exp(
+def _phi_prefactor(p: BetaPrimeParams, x: np.ndarray) -> np.ndarray:
+    return np.exp(
         2.0 * gamma_ln(p.a + p.b) - gamma_ln(2.0 * p.a) - 2.0 * gamma_ln(p.b)
-        + (2.0 * p.a - 1.0) * math.log(x)
+        + (2.0 * p.a - 1.0) * np.log(x)
     )
 
 
-def sum_density_2f1(p: BetaPrimeParams, x: float) -> float:
-    """Density of BetaPrime(a,b) + BetaPrime(a,b) at x > 0 (Gauss form)."""
-    if not x > 0.0:
-        raise DomainError("the sum lives on (0, infinity)")
+_SUM_SUPPORT = "the sum lives on (0, infinity)"
+
+
+def sum_density_2f1(p: BetaPrimeParams, x):
+    """Density of BetaPrime(a,b) + BetaPrime(a,b) at every x > 0 of an array
+    (Gauss form; a float for a scalar x)."""
     a, b = p.a, p.b
-    z = -x * x / (4.0 * (x + 1.0))
-    hyp = gauss_2f1(a + b, a, a + 0.5, z)
-    return _phi_prefactor(p, x) * (x + 1.0) ** (-a - b) * hyp
+
+    def block(xs):
+        z = -xs * xs / (4.0 * (xs + 1.0))
+        hyp = gauss_2f1(a + b, a, a + 0.5, z)
+        return _phi_prefactor(p, xs) * (xs + 1.0) ** (-a - b) * hyp
+
+    return column_blocks(block, x, _SUM_SUPPORT)
 
 
-def sum_density_pfaff1(p: BetaPrimeParams, x: float) -> float:
+def sum_density_pfaff1(p: BetaPrimeParams, x):
     """Pfaff-transformed variant with argument (x/(x+2))^2; stable for large x."""
-    if not x > 0.0:
-        raise DomainError("the sum lives on (0, infinity)")
     a, b = p.a, p.b
-    z = (x / (x + 2.0)) ** 2
-    hyp = gauss_2f1(a + b, 0.5, a + 0.5, z)
-    return _phi_prefactor(p, x) * 4.0 ** (a + b) * (x + 2.0) ** (-2.0 * (a + b)) * hyp
+
+    def block(xs):
+        hyp = gauss_2f1(a + b, 0.5, a + 0.5, (xs / (xs + 2.0)) ** 2)
+        return _phi_prefactor(p, xs) * 4.0 ** (a + b) * (xs + 2.0) ** (-2.0 * (a + b)) * hyp
+
+    return column_blocks(block, x, _SUM_SUPPORT)
 
 
-def sum_density_pfaff2(p: BetaPrimeParams, x: float) -> float:
+def sum_density_pfaff2(p: BetaPrimeParams, x):
     """Second Pfaff variant, the starting point of the Mellin evaluation."""
-    if not x > 0.0:
-        raise DomainError("the sum lives on (0, infinity)")
     a, b = p.a, p.b
-    z = (x / (x + 2.0)) ** 2
-    hyp = gauss_2f1(0.5 - b, a, a + 0.5, z)
-    return (
-        _phi_prefactor(p, x)
-        * 4.0 ** a * (x + 1.0) ** (-b) * (x + 2.0) ** (-2.0 * a)
-        * hyp
-    )
+
+    def block(xs):
+        hyp = gauss_2f1(0.5 - b, a, a + 0.5, (xs / (xs + 2.0)) ** 2)
+        return (_phi_prefactor(p, xs)
+                * 4.0 ** a * (xs + 1.0) ** (-b) * (xs + 2.0) ** (-2.0 * a) * hyp)
+
+    return column_blocks(block, x, _SUM_SUPPORT)
 
 
 def sum_density_bhalf(a: float, x: float) -> float:

@@ -398,14 +398,13 @@ def stoo_check(a: float, b: float, x_grid=None) -> ProbeResult:
     if x_grid is None:
         x_grid = np.geomspace(1e-3, 1e3, 121)
     xs = np.asarray(x_grid, dtype=float)
-    diff = np.array([betaprime_pdf(p2, x) - sum_density_2f1(p, x) for x in xs])
+    diff = betaprime_pdf(p2, xs) - sum_density_2f1(p, xs)
     signs = np.sign(diff)
     nz = signs[signs != 0.0]
     crossings = int(np.sum(nz[1:] != nz[:-1]))
 
     def cdf_sum(x):
-        return integrate(lambda t: np.array([sum_density_2f1(p, ti) for ti in np.atleast_1d(t)]),
-                         1e-12, x)
+        return integrate(lambda t: sum_density_2f1(p, t), 1e-12, x)
 
     def cdf_two(x):
         return integrate(lambda t: betaprime_pdf(p2, t), 1e-12, x)

@@ -2,7 +2,7 @@
 
 Everything is evaluated from scratch in float64: log-gamma by a Lanczos sum,
 the Gauss hypergeometric function by series plus Pfaff/Euler/connection
-transformations, 3F2 at unit modulus by accelerated summation, Appell F1 by
+transformations, 3F2 at unit argument by accelerated summation, Appell F1 by
 its one-dimensional Euler-type integral, the Kummer and Tricomi confluent
 functions, Hermite functions of negative order, parabolic cylinder functions,
 Mill's ratio, the exponential integral and the order-zero Macdonald function.
@@ -12,7 +12,10 @@ macdonald_k0 accept an array of z and return an array of the same shape,
 computed by one quadrature over a mesh shared by every z (one column per z);
 a scalar z returns a float. parabolic_d, mills_ratio and mills_ratio_deriv
 accept arrays in the same way. Long arrays are evaluated in blocks of columns
-(quadrature.column_blocks), one shared mesh per block.
+(quadrature.column_blocks), one shared mesh per block. gauss_2f1 and
+kummer_phi accept arrays of z at fixed parameters too: every z takes its own
+route by mask, and each route is one numpy recurrence in which every element
+stops on its own term, so a value does not depend on the other elements.
 """
 
 from __future__ import annotations
@@ -135,20 +138,50 @@ def digamma(x: float) -> float:
 # Gauss hypergeometric function
 
 
-def _series_2f1(a: float, b: float, c: float, z: float) -> float:
-    term = 1.0
-    total = 1.0
-    small = 0
+def _masked_series(coef, x: np.ndarray, bracket=None, first: float = 1.0) -> np.ndarray:
+    """sum_n t_n at every element of the 1-d array x, with t_0 = first and
+    t_(n+1) = t_n coef(n) x; with bracket, sum_n t_n bracket(n, log x).
+
+    Each element stops on its own term, as a lone scalar sum would: a plain
+    series once three terms in a row fall below the tolerance, a bracketed
+    one at its first small piece past n = 3. Finished elements leave the
+    recurrence, so an element's value does not depend on the others.
+    """
+    out = np.empty(x.shape)
+    live = np.arange(x.size)
+    term, total = np.full(x.size, first), np.zeros(x.size)
+    small = np.zeros(x.size, dtype=int)
+    lx = np.log(x) if bracket is not None else None
     for n in range(_MAX_TERMS):
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
-        total += term
-        if abs(term) < _RTOL * abs(total) + _ATOL:
-            small += 1
-            if small == 3:
-                return total
-        else:
-            small = 0
-    raise NonConvergenceError(f"2F1 series stalled for z={z}")
+        if not live.size:
+            return out
+        piece = term if lx is None else term * bracket(n, lx)
+        total += piece
+        hit = np.abs(piece) < _RTOL * np.abs(total) + _ATOL
+        small = np.where(hit, small + 1, 0)
+        done = small == 3 if lx is None else hit & (n > 3)
+        if done.any():
+            out[live[done]] = total[done]
+            keep = ~done
+            live, term, total, small, x = live[keep], term[keep], total[keep], small[keep], x[keep]
+            if lx is not None:
+                lx = lx[keep]
+        term *= coef(n) * x
+    raise NonConvergenceError(f"hypergeometric series stalled at {x[0]}")
+
+
+def _by_route(z: np.ndarray, routes) -> np.ndarray:
+    """Values at every element of the 1-d array z, where routes is a list of
+    (mask, fn) pairs partitioning z; fn only ever sees a non-empty subset."""
+    out = np.empty(z.shape)
+    for mask, fn in routes:
+        if mask.any():
+            out[mask] = fn(z[mask])
+    return out
+
+
+def _series_2f1(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
+    return _masked_series(lambda n: (a + n) * (b + n) / ((c + n) * (n + 1.0)), z)
 
 
 def _coeff_or_zero(numerator, denominator) -> float:
@@ -159,131 +192,114 @@ def _coeff_or_zero(numerator, denominator) -> float:
     return gamma_ratio(numerator, denominator)
 
 
-def _connection_integer(a, b, c, z, m: int) -> float:
-    """z -> 1 connection formula when m = c - a - b is an integer (log case)."""
+def _connection_integer(a, b, c, z: np.ndarray, m: int) -> np.ndarray:
+    """z -> 1 connection formula when m = c - a - b is an integer (log case).
+    The digamma terms depend only on n and are computed once per term."""
     w = 1.0 - z
     if m < 0:
         return w ** m * _connection_integer(c - a, c - b, c, z, -m)
-    lw = math.log(w)
     if m == 0:
-        pref = gamma_ratio([c], [a, b])
-        term = 1.0
-        total = 0.0
-        for n in range(_MAX_TERMS):
-            bracket = (2.0 * digamma(n + 1.0) - digamma(a + n) - digamma(b + n) - lw)
-            piece = term * bracket
-            total += piece
-            term *= (a + n) * (b + n) / ((n + 1.0) ** 2) * w
-            if abs(piece) < _RTOL * abs(total) + _ATOL and n > 3:
-                return pref * total
-        raise NonConvergenceError("logarithmic 2F1 connection stalled")
-    head = 0.0
-    term = 1.0
+        return gamma_ratio([c], [a, b]) * _masked_series(
+            lambda n: (a + n) * (b + n) / ((n + 1.0) ** 2), w,
+            lambda n, lw: 2.0 * digamma(n + 1.0) - digamma(a + n) - digamma(b + n) - lw)
+    head = np.zeros(w.shape)
+    term = np.ones(w.shape)
     for n in range(m):
         head += term
         if n < m - 1:
             term *= (a + n) * (b + n) / ((n + 1.0) * (1.0 - m + n)) * w
     head *= gamma_ratio([float(m), c], [a + m, b + m])
     pref = -((-w) ** m) * gamma_ratio([c], [a, b])
-    tail = 0.0
-    term = 1.0 / math.factorial(m)
-    for n in range(_MAX_TERMS):
-        bracket = (lw - digamma(n + 1.0) - digamma(n + m + 1.0)
-                   + digamma(a + n + m) + digamma(b + n + m))
-        piece = term * bracket
-        tail += piece
-        term *= (a + m + n) * (b + m + n) / ((n + 1.0) * (n + m + 1.0)) * w
-        if abs(piece) < _RTOL * abs(tail) + _ATOL and n > 3:
-            return head + pref * tail
-    raise NonConvergenceError("logarithmic 2F1 connection stalled")
+    tail = _masked_series(
+        lambda n: (a + m + n) * (b + m + n) / ((n + 1.0) * (n + m + 1.0)), w,
+        lambda n, lw: (lw - digamma(n + 1.0) - digamma(n + m + 1.0)
+                       + digamma(a + n + m) + digamma(b + n + m)),
+        1.0 / math.factorial(m))
+    return head + pref * tail
 
 
-def _eval_2f1_unit_interval(a, b, c, z) -> float:
-    """2F1 on z in [0, 1): series, Euler transform, connection formula."""
-    if a == c:
-        return (1.0 - z) ** (-b)
-    if b == c:
-        return (1.0 - z) ** (-a)
-    if z <= 0.5:
-        return _series_2f1(a, b, c, z)
-    if z <= 0.9:
-        return (1.0 - z) ** (c - a - b) * _series_2f1(c - a, c - b, c, z)
+def _connection(a, b, c, z: np.ndarray) -> np.ndarray:
+    """2F1 near z = 1 through the two series in w = 1 - z."""
     m = c - a - b
     if abs(m - round(m)) < 1e-9:
         return _connection_integer(a, b, c, z, int(round(m)))
     g1 = _coeff_or_zero([c, m], [c - a, c - b])
     g2 = _coeff_or_zero([c, -m], [a, b])
     w = 1.0 - z
-    left = g1 * _series_2f1(a, b, 1.0 - m, w) if g1 != 0.0 else 0.0
+    left = g1 * _series_2f1(a, b, 1.0 - m, w) if g1 != 0.0 else np.zeros(w.shape)
     right = g2 * w ** m * _series_2f1(c - a, c - b, 1.0 + m, w) if g2 != 0.0 else 0.0
     return left + right
 
 
-def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
-    """2F1(a, b; c; z) for real z < 1, or z = 1 when c - a - b > 0."""
+def _eval_2f1_unit_interval(a, b, c, z: np.ndarray) -> np.ndarray:
+    """2F1 on z in [0, 1): series, Euler transform, connection formula."""
+    if a == c:
+        return (1.0 - z) ** (-b)
+    if b == c:
+        return (1.0 - z) ** (-a)
+    return _by_route(z, [
+        (z <= 0.5, lambda x: _series_2f1(a, b, c, x)),
+        ((z > 0.5) & (z <= 0.9),
+         lambda x: (1.0 - x) ** (c - a - b) * _series_2f1(c - a, c - b, c, x)),
+        (z > 0.9, lambda x: _connection(a, b, c, x)),
+    ])
+
+
+def _pfaff(a, b, c, z: np.ndarray) -> np.ndarray:
+    """2F1 for z < -1/2 through w = z / (z - 1) in (1/3, 1)."""
+    w = z / (z - 1.0)
+    if a > 0.0 or b <= 0.0:
+        return (1.0 - z) ** (-a) * _eval_2f1_unit_interval(a, c - b, c, w)
+    return (1.0 - z) ** (-b) * _eval_2f1_unit_interval(b, c - a, c, w)
+
+
+def gauss_2f1(a: float, b: float, c: float, z):
+    """2F1(a, b; c; z) for real z < 1, or z = 1 when c - a - b > 0, at every z
+    of an array (a float for a scalar z).
+
+    Each z takes its own route: the series for |z| <= 1/2, a Pfaff transform
+    for z < -1/2, then the series, Euler transform or connection formula on
+    [0, 1); a terminating a or b always sums the polynomial.
+    """
     if _is_nonpositive_int(c, 1e-12):
         raise DomainError(f"2F1 pole: c={c} is a non-positive integer")
-    if z > 1.0:
-        raise DomainError(f"2F1 argument {z} > 1 unsupported")
-    if z == 1.0:
-        if c - a - b <= 0.0:
-            raise DomainError("2F1 diverges at z=1 when c-a-b <= 0")
-        return gamma_ratio([c, c - a - b], [c - a, c - b])
-    if _is_nonpositive_int(a) or _is_nonpositive_int(b):
-        return _series_2f1(a, b, c, z)  # terminating polynomial
-    if abs(z) <= 0.5:
-        return _series_2f1(a, b, c, z)
-    if z < 0.0:
-        w = z / (z - 1.0)
-        if a > 0.0 or b <= 0.0:
-            return (1.0 - z) ** (-a) * _eval_2f1_unit_interval(a, c - b, c, w)
-        return (1.0 - z) ** (-b) * _eval_2f1_unit_interval(b, c - a, c, w)
-    return _eval_2f1_unit_interval(a, b, c, z)
+    zs = np.asarray(z, dtype=float).ravel()
+    bad = ~(zs <= 1.0) | np.isinf(zs)
+    if bad.any():
+        raise DomainError(f"2F1 argument {zs[bad][0]} unsupported: need finite z <= 1")
+    if np.any(zs == 1.0) and c - a - b <= 0.0:
+        raise DomainError("2F1 diverges at z=1 when c-a-b <= 0")
+
+    def block(x):
+        if _is_nonpositive_int(a) or _is_nonpositive_int(b):
+            routes = [(x < 1.0, lambda v: _series_2f1(a, b, c, v))]  # terminating polynomial
+        else:
+            routes = [(np.abs(x) <= 0.5, lambda v: _series_2f1(a, b, c, v)),
+                      (x < -0.5, lambda v: _pfaff(a, b, c, v)),
+                      ((x > 0.5) & (x < 1.0), lambda v: _eval_2f1_unit_interval(a, b, c, v))]
+        at_one = (x == 1.0, lambda v: np.full(v.shape, gamma_ratio([c, c - a - b], [c - a, c - b])))
+        return _by_route(x, [at_one, *routes])
+
+    return column_blocks(block, z)
 
 
 # ---------------------------------------------------------------------------
-# 3F2 at unit modulus
-
-
-def _aitken(partial: np.ndarray, rtol: float):
-    """Iterated Aitken extrapolation; returns (value, error estimate)."""
-    tab = np.asarray(partial, dtype=float)
-    best = tab[-1]
-    err = abs(tab[-1] - tab[-2]) if tab.size > 1 else math.inf
-    for _ in range(14):
-        if tab.size < 5:
-            break
-        d1 = np.diff(tab)
-        d2 = np.diff(d1)
-        # a relatively tiny second difference means the correction d1^2/d2 is
-        # pure noise; keep the raw entry there
-        safe = np.abs(d2) > 1e-14 * (np.abs(d1[1:]) + np.abs(d1[:-1])) + 1e-300
-        corr = np.divide(d1[1:] ** 2, d2, where=safe, out=np.zeros_like(d2))
-        tab = np.where(safe, tab[2:] - corr, tab[2:])
-        change = abs(tab[-1] - best)
-        if change < err:
-            err = change
-            best = tab[-1]
-        if err <= rtol * max(abs(best), 1e-300):
-            break
-    return best, err
+# 3F2 at unit argument
 
 
 def hyp_3f2(args: HypArgs) -> float:
-    """3F2(a1,a2,a3; b1,b2; z) for z in {1, -1}.
+    """3F2(a1,a2,a3; b1,b2; 1).
 
-    Unit argument uses partial sums at geometrically spaced lengths combined
-    by Richardson extrapolation with the exact tail exponents (the partial
-    sum lags the limit by n^(-margin) times a power series in 1/n); z = -1
-    uses iterated Aitken acceleration of the alternating partial sums.
+    Partial sums at geometrically spaced lengths are combined by Richardson
+    extrapolation with the exact tail exponents (the partial sum lags the
+    limit by n^(-margin) times a power series in 1/n).
     """
-    if args.z not in (1.0, -1.0):
-        raise DomainError("3F2 evaluation supported only at z = 1 or z = -1")
+    if args.z != 1.0:
+        raise DomainError("3F2 evaluation supported only at z = 1")
     if len(args.numerator) != 3 or len(args.denominator) != 2:
         raise DomainError("expected 3 numerator and 2 denominator parameters")
     nums = list(args.numerator)
     dens = list(args.denominator)
-    z = args.z
 
     # upper/lower cancellation reduces to a Gauss function
     for i, anum in enumerate(nums):
@@ -291,14 +307,11 @@ def hyp_3f2(args: HypArgs) -> float:
             if anum == bden:
                 rest_n = [v for k, v in enumerate(nums) if k != i]
                 rest_d = [v for k, v in enumerate(dens) if k != j]
-                return gauss_2f1(rest_n[0], rest_n[1], rest_d[0], z)
+                return gauss_2f1(rest_n[0], rest_n[1], rest_d[0], 1.0)
 
     def ratio(n):
-        return (
-            (nums[0] + n) * (nums[1] + n) * (nums[2] + n)
-            / ((dens[0] + n) * (dens[1] + n) * (n + 1.0))
-            * z
-        )
+        return ((nums[0] + n) * (nums[1] + n) * (nums[2] + n)
+                / ((dens[0] + n) * (dens[1] + n) * (n + 1.0)))
 
     if any(_is_nonpositive_int(v) for v in nums):
         n_stop = int(-min(round(v) for v in nums if _is_nonpositive_int(v)))
@@ -308,27 +321,7 @@ def hyp_3f2(args: HypArgs) -> float:
             total += term
         return total
 
-    if z == 1.0:
-        return _sum_3f2_unit(ratio, args.unit_margin)
-
-    term, total = 1.0, 1.0
-    partial = [total]
-    n = 0
-    best_prev = None
-    while n < _MAX_TERMS:
-        chunk = max(32, n)
-        for _ in range(chunk):
-            term *= ratio(n)
-            total += term
-            partial.append(total)
-            n += 1
-        val, err = _aitken(np.array(partial[-128:]), _RTOL)
-        if err <= 20.0 * _RTOL * max(abs(val), 1e-300):
-            return val
-        if best_prev is not None and abs(val - best_prev) <= 2.0 * _RTOL * abs(val):
-            return val
-        best_prev = val
-    raise NonConvergenceError(f"3F2(-1) acceleration stalled after {n} terms")
+    return _sum_3f2_unit(ratio, args.unit_margin)
 
 
 def _sum_3f2_unit(ratio, margin: float) -> float:
@@ -421,40 +414,43 @@ def appell_f1_series(alpha, beta, beta_p, gamma, x, y) -> float:
 # Confluent hypergeometric functions
 
 
-def kummer_phi(a: float, c: float, z: float) -> float:
-    """Kummer's confluent function Phi(a, c, z) = 1F1(a; c; z)."""
+def _phi_large_negative(a: float, c: float, w: np.ndarray) -> np.ndarray:
+    """Phi(a, c, -w) for w > 40 by the algebraic large-argument expansion, each
+    element truncated where its terms stop shrinking or settle; error ~ e^(-w)."""
+    term, total = np.ones(w.shape), np.ones(w.shape)
+    live = np.ones(w.shape, dtype=bool)
+    for k in range(200):
+        nxt = term * (a + k) * (1.0 + a - c + k) / ((k + 1.0) * w)
+        live &= np.abs(nxt) < np.abs(term)
+        total = np.where(live, total + nxt, total)
+        term = np.where(live, nxt, term)
+        live &= ~(np.abs(term) < _RTOL * np.abs(total))
+        if not live.any():
+            break
+    return gamma_ratio([c], [c - a]) * w ** (-a) * total
+
+
+def kummer_phi(a: float, c: float, z):
+    """Kummer's confluent function Phi(a, c, z) = 1F1(a; c; z) at every finite
+    z of an array (a float for a scalar z).
+
+    z < -40 takes the large-argument expansion, -40 <= z < 0 the Kummer
+    transform e^z Phi(c - a, c, -z), which avoids the cancellation of the
+    alternating series, and z >= 0 the series.
+    """
     if _is_nonpositive_int(c, 1e-12):
         raise DomainError(f"Phi pole: c={c} is a non-positive integer")
-    if z < -40.0:
-        # algebraic large-argument expansion; optimally truncated error ~ e^z
-        w = -z
-        pref = gamma_ratio([c], [c - a]) * w ** (-a)
-        term, total = 1.0, 1.0
-        for k in range(200):
-            nxt = term * (a + k) * (1.0 + a - c + k) / ((k + 1.0) * w)
-            if abs(nxt) >= abs(term):
-                break
-            total += nxt
-            term = nxt
-            if abs(term) < _RTOL * abs(total):
-                break
-        return pref * total
-    if z < 0.0:
-        # Kummer transform avoids the catastrophic cancellation of the raw
-        # alternating series
-        return math.exp(z) * kummer_phi(c - a, c, -z)
-    term, total = 1.0, 1.0
-    small = 0
-    for n in range(_MAX_TERMS):
-        term *= (a + n) / ((c + n) * (n + 1.0)) * z
-        total += term
-        if abs(term) < _RTOL * abs(total) + _ATOL:
-            small += 1
-            if small == 3:
-                return total
-        else:
-            small = 0
-    raise NonConvergenceError(f"Kummer series stalled for z={z}")
+    if not np.all(np.isfinite(np.asarray(z, dtype=float))):
+        raise DomainError("Phi needs a finite z")
+
+    def series(a_, x):
+        return _masked_series(lambda n: (a_ + n) / ((c + n) * (n + 1.0)), x)
+
+    return column_blocks(lambda x: _by_route(x, [
+        (x < -40.0, lambda v: _phi_large_negative(a, c, -v)),
+        ((x >= -40.0) & (x < 0.0), lambda v: np.exp(v) * series(c - a, -v)),
+        (x >= 0.0, lambda v: series(a, v)),
+    ]), z)
 
 
 def tricomi_psi(a: float, c: float, z):

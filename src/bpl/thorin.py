@@ -17,8 +17,8 @@ columns (quadrature.column_blocks), one shared mesh per block.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,8 +162,9 @@ def thorin_cdf(p: ThorinParams, t):
         # arctan((f+c)/s) = pi/2 - s e^(-log f) (1 + O(e^(-log f)))
         out[big] = np.minimum(
             1.0, (0.5 * math.pi - base - s * np.exp(-lf[big])) / (math.pi * a))
+        # arctan((f+c)/s) - arctan(c/s) without the cancellation at small f
         f = np.exp(lf[~big])
-        out[~big] = (np.arctan((f + c) / s) - base) / (math.pi * a)
+        out[~big] = np.arctan2(f * s, 1.0 + c * f) / (math.pi * a)
         return out
 
     return column_blocks(block, t, _T_DOMAIN)
@@ -294,15 +295,9 @@ class _CdfTable:
         return float(out) if out.ndim == 0 else out
 
 
-_CDF_TABLES: dict[ThorinParams, _CdfTable] = {}
-_CDF_LOCK = threading.Lock()
-
-
+@functools.lru_cache(maxsize=None)
 def _cdf_table(p: ThorinParams) -> _CdfTable:
-    with _CDF_LOCK:
-        if p not in _CDF_TABLES:
-            _CDF_TABLES[p] = _CdfTable(p)
-        return _CDF_TABLES[p]
+    return _CdfTable(p)
 
 
 def levy_density(p: ThorinParams, y: float) -> float:
@@ -334,12 +329,6 @@ def awk_density(c: float, t: float) -> float:
 # Ordering of the doubled-parameter Thorin variables
 
 
-def _phi_weight(a: float, z):
-    """Vectorized Kummer Phi(a, a+1/2, z) for z <= 0 arrays."""
-    z = np.atleast_1d(z)
-    return np.array([kummer_phi(a, a + 0.5, zi) for zi in z])
-
-
 def ordering_g1_g2(a: float, t_grid) -> ProbeResult:
     """Checks g1(t) >= g2(t) for the two Dirichlet-mean ratios, the chain of
     confluent-function bounds it rests on, and the implied CDF ordering of the
@@ -348,36 +337,35 @@ def ordering_g1_g2(a: float, t_grid) -> ProbeResult:
         raise DomainError("need a in (0, 1)")
     ts = np.asarray(t_grid, dtype=float)
 
-    def g1(t):
+    def g1(tv):
+        """g1 at every t of tv, one quadrature column per t."""
         def num_smooth(y):
-            return np.exp(-t * (1.0 - y)) * _phi_weight(a, t * (y - 1.0))
+            return (np.exp(np.multiply.outer(1.0 - y, -tv))
+                    * kummer_phi(a, a + 0.5, np.multiply.outer(y - 1.0, tv)))
 
         def den_smooth(y):
-            y = np.atleast_1d(y)
-            out = np.zeros_like(y)
-            live = t * y < 700.0  # the e^(-ty) factor kills everything beyond
-            if np.any(live):
-                yl = y[live]
-                out[live] = ((1.0 + yl) ** (a - 0.5) * np.exp(-t * yl)
-                             * _phi_weight(a, -t * (yl + 1.0)))
+            ty = np.multiply.outer(y, tv)
+            out = np.zeros(ty.shape)
+            live = ty < 700.0  # the e^(-ty) factor kills everything beyond
+            yl = np.broadcast_to(y[:, None], ty.shape)[live]
+            out[live] = ((1.0 + yl) ** (a - 0.5) * np.exp(-ty[live])
+                         * kummer_phi(a, a + 0.5, np.multiply.outer(y + 1.0, -tv)[live]))
             return out
 
         num = beta_kernel(num_smooth, -a, a - 0.5)
         den = halfline_power(den_smooth, -a)
-        return math.exp(t) * num / den
+        return np.exp(tv) * num / den
 
-    g1v = np.array([g1(t) for t in ts])
+    g1v = column_blocks(g1, ts)
     g2v = f_ax(ThorinParams(a, 0.5), ts)
     ok_ratio = g1v >= g2v * (1.0 - 1e-8)
 
     # bound chain Phi(a, a+1/2, t(y-1)) >= Phi(a, a+1/2, -t) >= Phi(a, a+1/2, -t(y+1))
-    chain_ok = True
-    for t in ts[:3]:
-        for y in (0.2, 0.5, 0.9):
-            top = kummer_phi(a, a + 0.5, t * (y - 1.0))
-            mid = kummer_phi(a, a + 0.5, -t)
-            bot = kummer_phi(a, a + 0.5, -t * (y + 1.0))
-            chain_ok &= top >= mid >= bot > 0.0
+    tc, yc = ts[:3, None], np.array([0.2, 0.5, 0.9])
+    top = kummer_phi(a, a + 0.5, tc * (yc - 1.0))
+    mid = kummer_phi(a, a + 0.5, -tc)
+    bot = kummer_phi(a, a + 0.5, -tc * (yc + 1.0))
+    chain_ok = bool(np.all((top >= mid) & (mid >= bot) & (bot > 0.0)))
 
     # implied stochastic ordering of the doubled-parameter Thorin laws
     cdf_ok = True

@@ -457,6 +457,25 @@ class TestUnexpectedErrors:
         assert "Traceback" not in err
         assert err.count("\n") == 1 and type(exc).__name__ in err
 
+    def test_private_error_class_is_reported_by_its_public_class(self, monkeypatch, capsys,
+                                                                   tmp_path):
+        from bpl import cli, identities
+        from bpl.quadrature import _RoundTooWide
+
+        def boom(*args, **kwargs):
+            raise _RoundTooWide("refinement round would split 9 of 10 panels")
+
+        monkeypatch.setattr(cli, "thorin_cdf", boom)
+        assert main(["thorin", "--a", "0.5", "--x", "0.5", "--t", "0.1:10:5"]) == 2
+        err = capsys.readouterr().err
+        assert "failed: QuadratureError: refinement round" in err and "_Round" not in err
+        monkeypatch.setattr(identities, "beta_kernel", boom)
+        code, _, rows = _run_csv(["verify", "free", "--a", "1", "--b", "1", "--c", "1",
+                                  "--d", "1", "--n", "300", "--seed", "1"], tmp_path)
+        assert code == 2
+        assert [r[3] for r in rows if r[2] == "error"] == [
+            "QuadratureError: refinement round would split 9 of 10 panels"]
+
 
 def _run_checked(argv):
     """main(argv) in this process: exit code in {0, 1, 2}, no traceback on

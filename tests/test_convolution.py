@@ -120,6 +120,18 @@ class TestGaussForm:
             assert rel_err(sum_density_pfaff1(p, x), d0) < 1e-9
             assert rel_err(sum_density_pfaff2(p, x), d0) < 1e-9
 
+    @pytest.mark.parametrize("density", [sum_density_2f1, sum_density_pfaff1,
+                                         sum_density_pfaff2])
+    def test_array_equals_scalar_calls(self, density):
+        p = BetaPrimeParams(0.6, 0.8)
+        xs = np.geomspace(1e-3, 1e3, 25)
+        got = density(p, xs)
+        assert np.array_equal(got, [density(p, float(x)) for x in xs])
+        assert density(p, xs.reshape(5, 5)).shape == (5, 5)
+        assert type(density(p, 2.0)) is float
+        with pytest.raises(DomainError):
+            density(p, np.array([1.0, 0.0]))
+
     def test_four_way_agreement_random_cloud(self):
         rng = np.random.default_rng(77)
         for _ in range(12):

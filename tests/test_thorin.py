@@ -101,6 +101,18 @@ class TestLargeX:
                     / (mp.gamma(1 + x) * mp.hyperu(1 - am, 1 + x, t)))
             assert rel_err(got, want) < 1e-12
 
+    def test_cdf_against_confluent_oracle(self):
+        # the cdf is atan2(f s, 1 + c f) / (pi a); written as the difference of
+        # two arctangents it cancelled to 0 at t = 0.1, where f ~ 1e-87
+        a = 0.5
+        ts = np.geomspace(0.1, 10.0, 4)
+        am, x = mp.mpf(a), mp.mpf(self.X)
+        s, c = mp.sinpi(am), mp.cospi(am)
+        for t, got in zip(ts, thorin_cdf(ThorinParams(a, self.X), ts)):
+            f = (mp.gamma(am + x) * mp.hyp1f1(1 - am, 1 + x, t)
+                 / (mp.gamma(1 + x) * mp.hyperu(1 - am, 1 + x, t)))
+            assert rel_err(got, mp.atan2(f * s, 1 + c * f) / (mp.pi * am)) < 1e-10
+
     def test_frullani_against_direct_quadrature(self):
         x = mp.mpf(self.X)
         for t, got in zip(self.TS, gx_frullani(self.X, self.TS)):
@@ -232,6 +244,13 @@ class TestOrdering:
         r = ordering_g1_g2(0.4, [0.5, 2.0])
         assert r.verdict == "holds"
         assert r.details["chain_ok"] and r.details["cdf_ok"]
+
+    def test_g1_columns_match_lone_t(self):
+        # one quadrature column per t: the shared mesh agrees with each t's own
+        ts = [0.5, 1.0, 5.0, 20.0]
+        g1 = ordering_g1_g2(0.3, ts).details["g1"]
+        for t, got in zip(ts, g1):
+            assert rel_err(got, ordering_g1_g2(0.3, [t]).details["g1"][0]) < 1e-12
 
 
 # t grid straddling the t = 50 switch to the rescaled integrands
