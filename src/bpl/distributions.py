@@ -10,6 +10,15 @@ are deterministic per seed, but they differ from those of the earlier
 pure-Python Marsaglia-Tsang loop, so sampled statistics (KS values) changed
 when that loop was replaced.
 
+A gamma draw of 2^17 values or more is split in two halves: the caller's
+generator fills the first on the calling thread, and a child generator
+(``gen.spawn(1)[0]``, made before the worker starts) fills the second on one
+short-lived worker thread. numpy's fills release the GIL, so the halves run
+at once. The values are a function of the seed and the size alone, whatever
+the thread timing or the machine's core count; smaller draws come from the
+caller's generator as before. The split moved the KS statistics of sampling
+runs at 2^17 values per side or more, and nothing below that size.
+
 The samplers do their arithmetic in place on the arrays they draw, in the
 order the plain expressions would (``g * u`` becomes ``g *= u``), so every
 value keeps its bits while at most three draw-sized arrays are live per
@@ -20,6 +29,7 @@ and this keeps its peak memory down. Each returned array is fresh and owned by t
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,18 +162,65 @@ def gamma_pdf(p: GammaParams, x):
 # Samplers
 
 
-def _gamma(gen: np.random.Generator, shape: float, n: int) -> np.ndarray:
-    """Marsaglia-Tsang draws from numpy's compiled ``standard_gamma``. Shapes
-    below 1 use the U^(1/t) boost: at t = 0.5 it measured 54 ms per 10^6
-    draws against 83 ms for numpy's own small-shape path (numpy 2.4, 2-vCPU
-    Xeon VM)."""
+def _on_two_threads(worker, here):
+    """(worker(), here()), with worker run on one short-lived thread and here
+    on the calling one. The worker is joined before this returns or raises,
+    and an exception it raised is raised again here, so nothing reaches the
+    thread's excepthook."""
+    result = []
+
+    def run():
+        try:
+            result.append((True, worker()))
+        except BaseException as exc:
+            result.append((False, exc))
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    try:
+        mine = here()
+    finally:
+        thread.join()
+    ok, theirs = result[0]
+    if not ok:
+        raise theirs
+    return theirs, mine
+
+
+# draws of this many values or more are split over two threads: half a draw
+# then costs about 1.3 ms against about 0.1 ms to start a thread, and the CLI
+# default --n 100000 and scan cjmain's 30,000 stay below it
+_SPLIT = 1 << 17
+
+
+def _fill_gamma(gen: np.random.Generator, shape: float, out: np.ndarray) -> None:
     if shape < 1.0:
-        g = gen.standard_gamma(shape + 1.0, n)
-        u = gen.random(n)
+        gen.standard_gamma(shape + 1.0, out=out)
+        u = gen.random(out.size)
         u **= 1.0 / shape
-        g *= u
-        return g
-    return gen.standard_gamma(shape, n)
+        out *= u
+    else:
+        gen.standard_gamma(shape, out=out)
+
+
+def _gamma(gen: np.random.Generator, shape: float, n: int) -> np.ndarray:
+    """n Marsaglia-Tsang draws from numpy's compiled ``standard_gamma``.
+    Shapes below 1 use the U^(1/t) boost: at t = 0.5 it measured 54 ms per
+    10^6 draws against 83 ms for numpy's own small-shape path (numpy 2.4,
+    2-vCPU Xeon VM).
+
+    From _SPLIT values on, gen fills out[:n // 2] on this thread while the
+    child gen.spawn(1)[0] fills out[n // 2:] on a worker thread, each half
+    with its own boost, so the result depends on the seed and n only."""
+    out = np.empty(n)
+    if n < _SPLIT:
+        _fill_gamma(gen, shape, out)
+        return out
+    child = gen.spawn(1)[0]
+    half = n // 2
+    _on_two_threads(lambda: _fill_gamma(child, shape, out[half:]),
+                    lambda: _fill_gamma(gen, shape, out[:half]))
+    return out
 
 
 def sample_gamma(p: GammaParams, rng: RngState, size: int | None = None):

@@ -6,18 +6,20 @@ densities. verify() runs two independent channels: a two-sample
 Kolmogorov-Smirnov test on fresh sample streams and a relative comparison of
 the transforms over a grid inside the common Mellin strip; both must pass.
 
-verify() draws the two sides of the KS test on the calling thread, each from
-its own spawned stream; ks_two_sample then sorts each side and scans it
-against the other (_ks_side) on two threads, one per side. numpy's sorts and
-searchsorted release the GIL, so the sides run at once, and the statistic
-does not depend on thread timing. The thread count is two by construction,
-not a setting.
+verify() calls the two samplers of the KS test on the calling thread, each
+with its own spawned stream; a gamma draw of 2^17 values or more fills half
+its array on one worker thread (see bpl.distributions). ks_two_sample then
+sorts each side and scans it against the other (_ks_side), one side on a
+worker thread and one on the calling thread. numpy's fills, sorts and
+searchsorted release the GIL, so the halves and sides run at once, and no
+value depends on thread timing. The thread count is two by construction,
+not a setting, and every public function of the package runs on the
+calling thread.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -29,6 +31,7 @@ from .distributions import (
     BetaPrimeParams,
     GammaParams,
     RngState,
+    _on_two_threads,
     betaprime_mellin,
     betaprime_pdf,
     sample_beta,
@@ -183,20 +186,20 @@ def ks_two_sample(xs, ys):
 
     The statistic is max |F_x(g) - F_y(g)| over every sample point g, with
     F_x(g) = #{x <= g} / n. Each sample is sorted (a copy) and scanned
-    against the other by _ks_side, the two sides on two threads; the larger
-    of the two one-sided maxima equals the searchsorted formula bit for bit.
+    against the other by _ks_side, one side on a worker thread and one on
+    the calling thread; the larger of the two one-sided maxima equals the
+    searchsorted formula bit for bit.
     threshold_at(alpha) is ks_threshold(alpha, n, m). A NaN in either sample
     raises DomainError.
     """
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        xs, ys = pool.map(np.sort, (np.asarray(xs, dtype=float),
-                                    np.asarray(ys, dtype=float)))
-        n, m = xs.size, ys.size
-        if n == 0 or m == 0:
-            raise DomainError("KS test needs non-empty samples")
-        if np.isnan(xs[-1]) or np.isnan(ys[-1]):  # NaN sorts last
-            raise DomainError("KS test samples contain NaN")
-        stat = max(pool.map(_ks_side, (xs, ys), (ys, xs)))
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    xs, ys = _on_two_threads(lambda: np.sort(xs), lambda: np.sort(ys))
+    n, m = xs.size, ys.size
+    if n == 0 or m == 0:
+        raise DomainError("KS test needs non-empty samples")
+    if np.isnan(xs[-1]) or np.isnan(ys[-1]):  # NaN sorts last
+        raise DomainError("KS test samples contain NaN")
+    stat = max(_on_two_threads(lambda: _ks_side(xs, ys), lambda: _ks_side(ys, xs)))
 
     def threshold_at(alpha: float) -> float:
         return ks_threshold(alpha, n, m)
@@ -224,9 +227,10 @@ def verify(
         rng = RngState(0)
     seed = rng.seed
     try:
-        # the draws stay on this thread, one after the other: the benchmark's
-        # span tracer keeps one span stack for all threads. ks_two_sample
-        # sorts and scans the two sides on two threads.
+        # the samplers run on this thread, one after the other: the
+        # benchmark's span tracer keeps one span stack for all threads. Only
+        # the private fills of a large gamma draw and the sorts and scans of
+        # ks_two_sample use a worker thread.
         lhs_rng, rhs_rng = rng.spawn(2)
         xs = spec.lhs_sampler(lhs_rng, n)
         ys = rhs_scale * np.asarray(spec.rhs_sampler(rhs_rng, n), dtype=float)

@@ -414,20 +414,37 @@ def appell_f1_series(alpha, beta, beta_p, gamma, x, y) -> float:
 # Confluent hypergeometric functions
 
 
-def _phi_large_negative(a: float, c: float, w: np.ndarray) -> np.ndarray:
-    """Phi(a, c, -w) for w > 40 by the algebraic large-argument expansion, each
-    element truncated where its terms stop shrinking or settle; error ~ e^(-w)."""
-    term, total = np.ones(w.shape), np.ones(w.shape)
-    live = np.ones(w.shape, dtype=bool)
+def _asymptotic_sum(p: float, q: float, x: np.ndarray) -> np.ndarray:
+    """sum_k (p)_k (q)_k / k! x^(-k) at every element of x (|x| > 40), each
+    element truncated where its terms stop shrinking or settle."""
+    term, total = np.ones(x.shape), np.ones(x.shape)
+    live = np.ones(x.shape, dtype=bool)
     for k in range(200):
-        nxt = term * (a + k) * (1.0 + a - c + k) / ((k + 1.0) * w)
+        nxt = term * (p + k) * (q + k) / ((k + 1.0) * x)
         live &= np.abs(nxt) < np.abs(term)
         total = np.where(live, total + nxt, total)
         term = np.where(live, nxt, term)
         live &= ~(np.abs(term) < _RTOL * np.abs(total))
         if not live.any():
             break
-    return gamma_ratio([c], [c - a]) * w ** (-a) * total
+    return total
+
+
+def _phi_large_negative(a: float, c: float, w: np.ndarray) -> np.ndarray:
+    """Phi(a, c, -w) for w > 40 by the large-argument expansion (DLMF 13.7.2
+    after Kummer's transform): the algebraic series
+    Gamma(c)/Gamma(c-a) w^(-a) sum (a)_k (1+a-c)_k / k! w^(-k) plus the
+    exponentially small Gamma(c)/Gamma(a) cos(pi (c-a)) e^(-w) w^(a-c)
+    sum (c-a)_k (1-a)_k / k! (-w)^(-k). The negative axis is a Stokes line of
+    the second term, where it takes the mean of its two complex continuations,
+    hence the cosine. c - a must not be a non-positive integer, and for a a
+    non-positive integer the algebraic series is the whole polynomial."""
+    out = gamma_ratio([c], [c - a]) * w ** (-a) * _asymptotic_sum(a, 1.0 + a - c, w)
+    if not _is_nonpositive_int(a):
+        scale = gamma_ratio([c], [a]) * math.cos(math.pi * (c - a))
+        out += (scale * np.exp((a - c) * np.log(w) - w)
+                * _asymptotic_sum(c - a, 1.0 - a, -w))
+    return out
 
 
 def kummer_phi(a: float, c: float, z):
@@ -436,19 +453,22 @@ def kummer_phi(a: float, c: float, z):
 
     z < -40 takes the large-argument expansion, -40 <= z < 0 the Kummer
     transform e^z Phi(c - a, c, -z), which avoids the cancellation of the
-    alternating series, and z >= 0 the series.
+    alternating series, and z >= 0 the series. Where c - a is a non-positive
+    integer the transformed series is a polynomial and the expansion's
+    algebraic part vanishes, so every z < 0 takes the transform.
     """
     if _is_nonpositive_int(c, 1e-12):
         raise DomainError(f"Phi pole: c={c} is a non-positive integer")
     if not np.all(np.isfinite(np.asarray(z, dtype=float))):
         raise DomainError("Phi needs a finite z")
+    far = -math.inf if _is_nonpositive_int(c - a) else -40.0
 
     def series(a_, x):
         return _masked_series(lambda n: (a_ + n) / ((c + n) * (n + 1.0)), x)
 
     return column_blocks(lambda x: _by_route(x, [
-        (x < -40.0, lambda v: _phi_large_negative(a, c, -v)),
-        ((x >= -40.0) & (x < 0.0), lambda v: np.exp(v) * series(c - a, -v)),
+        (x < far, lambda v: _phi_large_negative(a, c, -v)),
+        ((x >= far) & (x < 0.0), lambda v: np.exp(v) * series(c - a, -v)),
         (x >= 0.0, lambda v: series(a, v)),
     ]), z)
 

@@ -392,7 +392,8 @@ class TestBadInputExitTwo:
         assert code == 2
         assert len(rows) == 1 and rows[0][2] == "error"
         assert rows[0][3] == "DomainError: rhs sampler refused"
-        # draws stay on the calling thread; only the KS sorts and scans fan out
+        # samplers run on the calling thread; only numpy fills, sorts and
+        # scans use a worker
         assert threads == [threading.main_thread()]
 
     def test_error_in_ks_worker_thread_is_error_row(self, tmp_path, monkeypatch):
@@ -401,8 +402,12 @@ class TestBadInputExitTwo:
 
         threads = []
 
+        # one side scans on the calling thread and succeeds; only the
+        # worker's side fails, so the row can only come from the worker
         def refuse(own, other):
             threads.append(threading.current_thread())
+            if threading.current_thread() is threading.main_thread():
+                return 0.0
             raise DomainError("side scan refused")
 
         monkeypatch.setattr(identities, "_ks_side", refuse)
@@ -411,7 +416,7 @@ class TestBadInputExitTwo:
         assert code == 2
         assert len(rows) == 1 and rows[0][2] == "error"
         assert rows[0][3] == "DomainError: side scan refused"
-        assert threads and threading.main_thread() not in threads
+        assert len(threads) == 2 and threads.count(threading.main_thread()) == 1
 
     def test_cmmi_non_integer_order(self, tmp_path, capsys):
         out = tmp_path / "c.csv"

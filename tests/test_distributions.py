@@ -1,17 +1,21 @@
 """Distribution toolkit: densities, transforms, seeded samplers, size-biasing."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
 import scipy.stats as st
 
+from bpl import distributions
 from bpl.distributions import (
     BetaParams,
     BetaPrimeParams,
     GammaParams,
     RngState,
+    _SPLIT,
     _gamma,
+    _on_two_threads,
     beta_pdf,
     betaprime_laplace,
     betaprime_mellin,
@@ -221,6 +225,93 @@ class TestInPlaceSamplers:
         gen = RngState(54).generator
         g1 = _gamma_expr(gen, 0.5, 1)
         assert isinstance(got, float) and got == float((g1 / _gamma_expr(gen, 4.0, 1))[0])
+
+
+def _split_plan(seed, shape, n):
+    """_gamma's split draw done in sequence: the first n // 2 values from the
+    generator, the rest from its first spawned child; then the generator's
+    next values."""
+    gen = RngState(seed).generator
+    child = gen.spawn(1)[0]
+    half = n // 2
+    values = np.concatenate([_gamma_expr(gen, shape, half), _gamma_expr(child, shape, n - half)])
+    return values, gen.random(4)
+
+
+class TestSplitDraw:
+    """From _SPLIT values on, _gamma fills its two halves on two threads."""
+
+    N = 1 << 18
+
+    @pytest.mark.parametrize("t", [0.5, 2.5])
+    def test_same_seed_same_bytes(self, t):
+        got = [_gamma(RngState(61).generator, t, self.N) for _ in range(2)]
+        assert got[0].tobytes() == got[1].tobytes()
+
+    @pytest.mark.parametrize("n", [N, _SPLIT + 1])
+    @pytest.mark.parametrize("t", [0.3, 1.0, 2.5])
+    def test_equals_sequential_plan(self, t, n):
+        gen = RngState(62).generator
+        got = _gamma(gen, t, n)
+        want, want_next = _split_plan(62, t, n)
+        assert got.tobytes() == want.tobytes()
+        assert gen.random(4).tobytes() == want_next.tobytes()
+
+    @pytest.mark.parametrize("t", [0.3, 2.5])
+    def test_below_split_is_one_stream(self, t):
+        n = _SPLIT - 1
+        got = _gamma(RngState(63).generator, t, n)
+        assert got.tobytes() == _gamma_expr(RngState(63).generator, t, n).tobytes()
+
+    def test_worker_error_raised_in_caller(self, monkeypatch, capfd):
+        fill = distributions._fill_gamma
+
+        def refuse_off_main(gen, shape, out):
+            if threading.current_thread() is not threading.main_thread():
+                raise DomainError("worker fill refused")
+            fill(gen, shape, out)
+
+        monkeypatch.setattr(distributions, "_fill_gamma", refuse_off_main)
+        before = threading.active_count()
+        with pytest.raises(DomainError, match="worker fill refused"):
+            _gamma(RngState(64).generator, 0.5, self.N)
+        assert threading.active_count() == before
+        assert capfd.readouterr().err == ""
+
+    def test_caller_error_joins_worker(self):
+        done = []
+
+        def refuse():
+            raise DomainError("caller refused")
+
+        before = threading.active_count()
+        with pytest.raises(DomainError, match="caller refused"):
+            _on_two_threads(lambda: done.append(1), refuse)
+        assert done == [1] and threading.active_count() == before
+
+    def test_no_thread_outlives_a_draw(self):
+        before = threading.active_count()
+        sample_betaprime(BetaPrimeParams(0.5, 2.5), RngState(65), self.N)
+        assert threading.active_count() == before
+
+
+class TestSplitDrawLaw:
+    """Each half of a split draw follows the gamma law on its own, and the
+    two halves agree: an unfilled half (np.empty) or a child stream that
+    repeats its parent fails at alpha = 1e-6."""
+
+    N = 1 << 18
+
+    @pytest.mark.parametrize("t", [0.3, 0.5, 1.0, 2.5])
+    def test_halves(self, t):
+        g = _gamma(RngState(66).generator, t, self.N)
+        first, second = g[:self.N // 2], g[self.N // 2:]
+        for half in (first, second):
+            assert st.kstest(half, "gamma", args=(t,)).pvalue > 1e-6
+        # two-sided at 1e-6: a repeated stream gives a statistic of 0
+        stat, _ = ks_two_sample(first, second)
+        scaled = stat * math.sqrt(first.size * second.size / (first.size + second.size))
+        assert st.kstwobign.ppf(5e-7) < scaled < st.kstwobign.isf(5e-7)
 
 
 class TestSizeBias:

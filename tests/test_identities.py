@@ -1,7 +1,9 @@
 """Verification engine: KS calibration, every identity spec, negative controls,
 lemma densities, conjecture scans."""
 
+import inspect
 import math
+import sys
 import threading
 
 import numpy as np
@@ -234,8 +236,8 @@ _CATALOG_POINTS = {
 
 
 class TestTwoSidedVerify:
-    """verify draws both sides on the calling thread; ks_two_sample sorts and
-    scans each side on its own thread."""
+    """verify calls both samplers on the calling thread; ks_two_sample sorts
+    and scans one side on a worker thread and one on the calling thread."""
 
     @pytest.mark.parametrize("name, args, scale", [
         *((name, None, 1.0) for name in sorted(identity_catalog())),
@@ -271,6 +273,8 @@ class TestTwoSidedVerify:
 
     def test_error_in_worker_is_failure(self, monkeypatch):
         def refuse(own, other):
+            if threading.current_thread() is threading.main_thread():
+                return 0.0
             raise DomainError("side scan refused")
 
         monkeypatch.setattr(identities, "_ks_side", refuse)
@@ -300,6 +304,55 @@ class TestTwoSidedVerify:
         verify(IdentitySpec(name="refuse", lhs_sampler=refuse, rhs_sampler=refuse),
                1000, None, RngState(6))
         assert threading.active_count() == before
+
+
+def _record_threads(monkeypatch, module, seen):
+    """Wrap every public function of module, in every bpl namespace that
+    bound it, so that each call records its name and thread in seen."""
+    namespaces = [m for name, m in sys.modules.items()
+                  if m is not None and (name == "bpl" or name.startswith("bpl."))]
+    for attr, fn in list(vars(module).items()):
+        if attr.startswith("_") or not inspect.isfunction(fn) or fn.__module__ != module.__name__:
+            continue
+        wrapped = _recording(fn, f"{module.__name__}.{attr}", seen)
+        for ns in namespaces:
+            for key, val in list(vars(ns).items()):
+                if val is fn:
+                    monkeypatch.setattr(ns, key, wrapped)
+
+
+def _recording(fn, name, seen):
+    def call(*args, **kwargs):
+        seen.append((name, threading.current_thread()))
+        return fn(*args, **kwargs)
+    return call
+
+
+class TestCallingThreadOnly:
+    """The benchmark's span tracer keeps one span stack for all threads, so
+    every function it wraps must run on the calling thread: the public
+    functions of distributions and identities and a spec's callables."""
+
+    def test_split_draw_verify(self, monkeypatch):
+        from bpl import distributions
+
+        seen = []
+        _record_threads(monkeypatch, distributions, seen)
+        _record_threads(monkeypatch, identities, seen)
+        spec = identities.theorem_a_spec(0.5)
+        for field in ("lhs_sampler", "rhs_sampler", "lhs_mellin", "rhs_mellin",
+                      "lhs_density", "rhs_density"):
+            fn = getattr(spec, field)
+            if fn is not None:
+                setattr(spec, field, _recording(fn, f"spec.{field}", seen))
+        n = 2 ** 18
+        assert n >= distributions._SPLIT
+        rep = identities.verify(spec, n, None, RngState(81))
+        assert rep.passed, rep
+        names = {name for name, _ in seen}
+        assert {"bpl.identities.ks_two_sample", "bpl.distributions.sample_betaprime",
+                "spec.lhs_sampler", "spec.rhs_sampler", "spec.lhs_mellin"} <= names
+        assert {thread for _, thread in seen} == {threading.main_thread()}
 
 
 class TestTheoremA:

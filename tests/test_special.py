@@ -412,7 +412,10 @@ class TestArrayFirst:
 
 # ---------------------------------------------------------------------------
 # Scalar reference: the one-z-at-a-time 2F1 and 1F1 that the array-first
-# gauss_2f1 and kummer_phi replaced, kept unchanged but for its names.
+# gauss_2f1 and kummer_phi replaced, kept unchanged but for its names and
+# the z < -40 route of 1F1, which follows kummer_phi's: the exponentially
+# small second term, and the Kummer transform where c - a is a non-positive
+# integer.
 
 _RTOL, _ATOL, _MAX_TERMS = special._RTOL, special._ATOL, special._MAX_TERMS
 _is_nonpositive_int, gamma_ratio = special._is_nonpositive_int, special.gamma_ratio
@@ -520,22 +523,29 @@ def _ref_gauss_2f1(a, b, c, z):
     return _ref_unit_interval(a, b, c, z)
 
 
+def _ref_asymptotic_sum(p, q, x):
+    term, total = 1.0, 1.0
+    for k in range(200):
+        nxt = term * (p + k) * (q + k) / ((k + 1.0) * x)
+        if abs(nxt) >= abs(term):
+            break
+        total += nxt
+        term = nxt
+        if abs(term) < _RTOL * abs(total):
+            break
+    return total
+
+
 def _ref_kummer_phi(a, c, z):
     if _is_nonpositive_int(c, 1e-12):
         raise DomainError(f"Phi pole: c={c} is a non-positive integer")
-    if z < -40.0:
+    if z < -40.0 and not _is_nonpositive_int(c - a):
         w = -z
-        pref = gamma_ratio([c], [c - a]) * w ** (-a)
-        term, total = 1.0, 1.0
-        for k in range(200):
-            nxt = term * (a + k) * (1.0 + a - c + k) / ((k + 1.0) * w)
-            if abs(nxt) >= abs(term):
-                break
-            total += nxt
-            term = nxt
-            if abs(term) < _RTOL * abs(total):
-                break
-        return pref * total
+        out = gamma_ratio([c], [c - a]) * w ** (-a) * _ref_asymptotic_sum(a, 1.0 + a - c, w)
+        if not _is_nonpositive_int(a):
+            out += (gamma_ratio([c], [a]) * math.cos(math.pi * (c - a))
+                    * math.exp((a - c) * math.log(w) - w) * _ref_asymptotic_sum(c - a, 1.0 - a, -w))
+        return out
     if z < 0.0:
         return math.exp(z) * _ref_kummer_phi(c - a, c, -z)
     term, total = 1.0, 1.0
@@ -681,6 +691,29 @@ class TestArrayHypergeometric:
             for g, zi in zip(gauss_2f1(a, b, c, z), z):
                 worst = max(worst, rel_err(g, mp.hyp2f1(a, b, c, zi)))
         assert worst < 1e-10
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=st.floats(-2.5, 3.0), c=st.floats(0.1, 4.0), m=st.integers(0, 3),
+           integer_gap=st.booleans(), u=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+    def test_kummer_mpmath_below_minus_40(self, a, c, m, integer_gap, u):
+        # the algebraic expansion plus its exponentially small term; what is
+        # left is the remainder of the optimally truncated algebraic series,
+        # about e^(-w) w^(2a-c) relative, largest at z = -40 and a - c near 3
+        if integer_gap:
+            c = a - m
+        assume(not _is_nonpositive_int(c, 1e-12) and c > 0.05)
+        z = -40.0 - 160.0 * np.array(u)
+        bound = 1e-9 if a - c > 1.0 else 1e-11
+        for g, zi in zip(kummer_phi(a, c, z), z):
+            assert rel_err(g, mp.hyp1f1(a, c, zi)) < bound
+
+    def test_kummer_below_minus_40_anchors(self):
+        # the second term, dropped before: 5.8e-9 off mpmath without it
+        a, c, z = 2.9748151922277404, 0.9621152425817097, -40.00000000000001
+        assert rel_err(kummer_phi(a, c, z), mp.hyp1f1(a, c, z)) < 1e-10
+        # c - a = 0 and -2: the Kummer transform terminates
+        assert kummer_phi(1.0, 1.0, -50.0) == pytest.approx(math.exp(-50.0), rel=1e-15)
+        assert rel_err(kummer_phi(3.0, 1.0, -50.0), 1151.0 * math.exp(-50.0)) < 1e-14
 
     def test_kummer_mpmath_sweep_across_minus_40(self):
         # c - a >= 1/4 as in every use here (c = a + 1/2, or 1 - a and 1 + x)
