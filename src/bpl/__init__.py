@@ -8,7 +8,7 @@ complete-monotonicity probes, with a CSV-reporting command line front end.
 __version__ = "0.1.0"
 
 from .errors import BplError, DomainError, NonConvergenceError, QuadratureError
-from .options import DEFAULT_OPTIONS, EvalOptions, HypArgs
+from .options import DEFAULT_OPTIONS, EvalOptions
 
 __all__ = [
     "__version__",
@@ -18,5 +18,4 @@ __all__ = [
     "QuadratureError",
     "DEFAULT_OPTIONS",
     "EvalOptions",
-    "HypArgs",
 ]

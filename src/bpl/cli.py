@@ -225,7 +225,7 @@ def cmd_verify(args) -> int:
     rows = []
     # points run in order; verify itself sorts and scans its two sides on two threads
     for point, spec, stream in zip(points, specs, RngState(seed).spawn(len(specs))):
-        rep = verify(spec, args.n, None, stream, alpha=args.alpha,
+        rep = verify(spec, args.n, stream, alpha=args.alpha,
                      mellin_rtol=args.mellin_rtol, rhs_scale=args.negative_control)
         params = ";".join(f"{k}={_fmt(v)}" for k, v in zip(values, point))
         if rep.failure is not None:

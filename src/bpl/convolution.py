@@ -2,9 +2,14 @@
 
 Several independently derived expressions for the same objects live side by
 side (Appell-integral form, Gauss-hypergeometric form, two Pfaff-transformed
-variants) and are used as mutually cross-checking implementations. The
-Gauss and Pfaff forms take an array of x and return an array of its shape (a
-float for a scalar x), with every x > 0.
+variants) and are used as mutually cross-checking implementations.
+
+Array contract: every density takes an array of x and returns an array of
+its shape (a float for a scalar x). Every x must lie in the support, or
+DomainError is raised before anything is evaluated; each closed-form branch
+is a mask over the array, and the Appell form spends one quadrature column
+per x (quadrature.column_blocks). mellin_sum stays scalar in s: each s moves
+the parameters of its 3F2.
 """
 
 from __future__ import annotations
@@ -16,14 +21,12 @@ import numpy as np
 
 from .distributions import BetaParams, BetaPrimeParams
 from .errors import DomainError
-from .options import HypArgs
-from .quadrature import beta_kernel, column_blocks
+from .quadrature import column_blocks
 from .special import appell_f1, gamma_ln, gamma_ratio, gauss_2f1, hyp_3f2
 
 __all__ = [
     "SumSpec",
     "sum_density_appell",
-    "sum_density_direct",
     "sum_density_2f1",
     "sum_density_pfaff1",
     "sum_density_pfaff2",
@@ -47,42 +50,27 @@ class SumSpec:
             raise DomainError("scales must be positive")
 
 
-def sum_density_appell(spec: SumSpec, x: float) -> float:
-    """Density of lam*X1 + mu*X2 at x > 0, through the Appell F1 closed form."""
-    if not x > 0.0:
-        raise DomainError("the sum lives on (0, infinity)")
+_SUM_SUPPORT = "the sum lives on (0, infinity)"
+
+
+def sum_density_appell(spec: SumSpec, x):
+    """Density of lam*X1 + mu*X2 at every x > 0, through the Appell F1 closed
+    form (one quadrature column per x)."""
     a, b = spec.p1.a, spec.p1.b
     c, d = spec.p2.a, spec.p2.b
     lam, mu = spec.lam, spec.mu
-    f1 = appell_f1(a, a + b, c + d, a + c, -x / lam, x / (x + mu))
     # prefactor from folding the convolution integral through the Picard
     # representation: Gamma(a+b) Gamma(c+d) / (Gamma(b) Gamma(d) Gamma(a+c))
-    log_pref = (
+    log_const = (
         gamma_ln(a + b) + gamma_ln(c + d) - gamma_ln(b) - gamma_ln(d) - gamma_ln(a + c)
         - a * math.log(lam) + d * math.log(mu)
-        + (a + c - 1.0) * math.log(x) - (c + d) * math.log(x + mu)
     )
-    return math.exp(log_pref) * f1
 
+    def block(xs):
+        f1 = appell_f1(a, a + b, c + d, a + c, -xs / lam, xs / (xs + mu))
+        return np.exp(log_const + (a + c - 1.0) * np.log(xs) - (c + d) * np.log(xs + mu)) * f1
 
-def sum_density_direct(spec: SumSpec, x: float) -> float:
-    """Same density by direct numerical convolution of the two factors."""
-    if not x > 0.0:
-        raise DomainError("the sum lives on (0, infinity)")
-    a, b = spec.p1.a, spec.p1.b
-    c, d = spec.p2.a, spec.p2.b
-    lam, mu = spec.lam, spec.mu
-
-    def smooth(y):
-        return (lam + x * y) ** (-a - b) * (x + mu - x * y) ** (-c - d)
-
-    val = beta_kernel(smooth, a - 1.0, c - 1.0)
-    log_pref = (
-        gamma_ln(a + b) + gamma_ln(c + d)
-        - gamma_ln(a) - gamma_ln(b) - gamma_ln(c) - gamma_ln(d)
-        + b * math.log(lam) + d * math.log(mu) + (a + c - 1.0) * math.log(x)
-    )
-    return math.exp(log_pref) * val
+    return column_blocks(block, x, _SUM_SUPPORT)
 
 
 def _phi_prefactor(p: BetaPrimeParams, x: np.ndarray) -> np.ndarray:
@@ -90,9 +78,6 @@ def _phi_prefactor(p: BetaPrimeParams, x: np.ndarray) -> np.ndarray:
         2.0 * gamma_ln(p.a + p.b) - gamma_ln(2.0 * p.a) - 2.0 * gamma_ln(p.b)
         + (2.0 * p.a - 1.0) * np.log(x)
     )
-
-
-_SUM_SUPPORT = "the sum lives on (0, infinity)"
 
 
 def sum_density_2f1(p: BetaPrimeParams, x):
@@ -131,44 +116,50 @@ def sum_density_pfaff2(p: BetaPrimeParams, x):
     return column_blocks(block, x, _SUM_SUPPORT)
 
 
-def sum_density_bhalf(a: float, x: float) -> float:
+def sum_density_bhalf(a: float, x):
     """b = 1/2 case: the hypergeometric factor collapses by the binomial theorem."""
-    if not (a > 0.0 and x > 0.0):
-        raise DomainError("need a > 0 and x > 0")
-    return math.exp(
-        math.log(2.0) + gamma_ln(a + 0.5) - gamma_ln(a) - 0.5 * math.log(math.pi)
-        + (2.0 * a - 1.0) * math.log(x)
-        - 0.5 * math.log(x + 1.0) - 2.0 * a * math.log(x + 2.0)
-    )
+    if not a > 0.0:
+        raise DomainError("need a > 0")
+    log_const = math.log(2.0) + gamma_ln(a + 0.5) - gamma_ln(a) - 0.5 * math.log(math.pi)
+    return column_blocks(
+        lambda xs: np.exp(log_const + (2.0 * a - 1.0) * np.log(xs)
+                          - 0.5 * np.log(xs + 1.0) - 2.0 * a * np.log(xs + 2.0)),
+        x, _SUM_SUPPORT)
 
 
-def beta_sum_density(p: BetaParams, x: float) -> float:
+def beta_sum_density(p: BetaParams, x):
     """Density of Beta(a,b) + Beta(a,b) on (0,2).
 
-    The closed form holds on (0,1); on (1,2) the same expression applies after
+    The closed form holds on (0,1]; on (1,2) the same expression applies after
     swapping the two shape parameters and reflecting x to 2-x.
     """
-    a, b = p.p, p.q
-    if not (0.0 < x < 2.0):
+    xs = np.asarray(x, dtype=float)
+    if not np.all((xs > 0.0) & (xs < 2.0)):
         raise DomainError("the beta sum lives on (0, 2)")
-    if x > 1.0:
-        a, b = b, a
-        x = 2.0 - x
-    if x == 1.0:
-        if a + b <= 1.0:
-            return math.inf
-        return (
-            gamma_ratio([a + b, a + b, a + 0.5, a + b - 1.0],
-                        [2.0 * a, b, b, a + b - 0.5, a])
-            * 4.0 ** (1.0 - b)
-        )
-    z = -x * x / (4.0 * (1.0 - x))
-    hyp = gauss_2f1(1.0 - b, a, a + 0.5, z)
-    pref = math.exp(
-        2.0 * gamma_ln(a + b) - gamma_ln(2.0 * a) - 2.0 * gamma_ln(b)
-        + (2.0 * a - 1.0) * math.log(x) + (b - 1.0) * math.log(1.0 - x)
-    )
-    return pref * hyp
+
+    def left(a, b, v):
+        """The closed form at every v in (0, 1]."""
+        out = np.empty(v.shape)
+        mid = v == 1.0
+        out[mid] = math.inf if a + b <= 1.0 else (
+            gamma_ratio([a + b, a + b, a + 0.5, a + b - 1.0], [2.0 * a, b, b, a + b - 0.5, a])
+            * 4.0 ** (1.0 - b))
+        w = v[~mid]
+        hyp = gauss_2f1(1.0 - b, a, a + 0.5, -w * w / (4.0 * (1.0 - w)))
+        out[~mid] = np.exp(
+            2.0 * gamma_ln(a + b) - gamma_ln(2.0 * a) - 2.0 * gamma_ln(b)
+            + (2.0 * a - 1.0) * np.log(w) + (b - 1.0) * np.log(1.0 - w)
+        ) * hyp
+        return out
+
+    def block(xs):
+        out = np.empty(xs.shape)
+        up = xs > 1.0
+        out[~up] = left(p.p, p.q, xs[~up])
+        out[up] = left(p.q, p.p, 2.0 - xs[up])
+        return out
+
+    return column_blocks(block, x)
 
 
 def mellin_sum(p: BetaPrimeParams, s: float) -> float:
@@ -180,8 +171,7 @@ def mellin_sum(p: BetaPrimeParams, s: float) -> float:
     a, b = p.a, p.b
     if not (-2.0 * a < s < b):
         raise DomainError(f"Mellin argument {s} outside the strip ({-2 * a}, {b})")
-    hyp = hyp_3f2(
-        HypArgs((a + s / 2.0, a + (s + 1.0) / 2.0, 0.5), (a + 0.5, a + b + 0.5), 1.0))
+    hyp = hyp_3f2((a + s / 2.0, a + (s + 1.0) / 2.0, 0.5), (a + 0.5, a + b + 0.5))
     log_pref = (
         (2.0 * a + s) * math.log(2.0)
         + 2.0 * gamma_ln(a + b) + gamma_ln(2.0 * b - s) + gamma_ln(2.0 * a + s)

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import DomainError, QuadratureError
 from .options import DIVERGENCE_CHECK
-from .quadrature import halfline_power
+from .quadrature import column_blocks, halfline_power
 from .special import gamma_ln, tricomi_psi
 
 __all__ = [
@@ -55,7 +55,6 @@ __all__ = [
     "size_bias_pdf",
     "size_bias_norm",
     "size_bias_sample",
-    "mc_mean",
 ]
 
 
@@ -125,13 +124,20 @@ def betaprime_mellin(p: BetaPrimeParams, s: float) -> float:
     return math.exp(gamma_ln(p.a + s) + gamma_ln(p.b - s) - gamma_ln(p.a) - gamma_ln(p.b))
 
 
-def betaprime_laplace(p: BetaPrimeParams, z: float) -> float:
-    """E[exp(-z X)] = Gamma(a+b)/Gamma(b) * Psi(a, 1-b, z) for z >= 0."""
-    if z < 0.0:
+def betaprime_laplace(p: BetaPrimeParams, z):
+    """E[exp(-z X)] = Gamma(a+b)/Gamma(b) * Psi(a, 1-b, z) at every z >= 0 of
+    an array (a float for a scalar z); 1 at z = 0."""
+    if not np.all(np.asarray(z, dtype=float) >= 0.0):
         raise DomainError("Laplace transform evaluated on z >= 0")
-    if z == 0.0:
-        return 1.0
-    return math.exp(gamma_ln(p.a + p.b) - gamma_ln(p.b)) * tricomi_psi(p.a, 1.0 - p.b, z)
+    scale = math.exp(gamma_ln(p.a + p.b) - gamma_ln(p.b))
+
+    def block(zs):
+        out = np.ones(zs.shape)
+        pos = zs > 0.0
+        out[pos] = scale * tricomi_psi(p.a, 1.0 - p.b, zs[pos])
+        return out
+
+    return column_blocks(block, z)
 
 
 def beta_pdf(p: BetaParams, x):
@@ -242,14 +248,6 @@ def sample_betaprime(p: BetaPrimeParams, rng: RngState, size: int | None = None)
     g1 = _gamma(rng.generator, p.a, n)
     g1 /= _gamma(rng.generator, p.b, n)
     return float(g1[0]) if size is None else g1
-
-
-def mc_mean(values) -> tuple[float, float]:
-    """Mean of a Monte Carlo batch with its delta-method standard error."""
-    v = np.asarray(values, dtype=float)
-    if v.size < 2:
-        raise DomainError("need at least two samples for an error bar")
-    return float(v.mean()), float(v.std(ddof=1) / math.sqrt(v.size))
 
 
 # ---------------------------------------------------------------------------

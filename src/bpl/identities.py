@@ -2,9 +2,16 @@
 
 Each identity is packaged as an IdentitySpec carrying samplers for both sides
 plus, where available, deterministic Mellin-transform evaluators and closed
-densities. verify() runs two independent channels: a two-sample
-Kolmogorov-Smirnov test on fresh sample streams and a relative comparison of
-the transforms over a grid inside the common Mellin strip; both must pass.
+densities. verify() runs up to three channels: a two-sample
+Kolmogorov-Smirnov test on fresh sample streams, a relative comparison of
+the transforms over a grid inside the common Mellin strip, and one of the
+densities over a fixed x grid; all that are present must pass.
+
+Array contract: the densities of a spec and lemma_densities take an array of
+x and return an array of its shape (a float for a scalar x), with every x
+checked against the support before anything is evaluated; a density given by
+an integral spends one quadrature column per x. The Mellin transforms stay
+scalar in s (see IdentitySpec).
 
 verify() calls the two samplers of the KS test on the calling thread, each
 with its own spawned stream; a gamma draw of 2^17 values or more fills half
@@ -39,8 +46,8 @@ from .distributions import (
     sample_gamma,
 )
 from .errors import BplError, DomainError, describe
-from .options import NESTED, HypArgs
-from .quadrature import beta_kernel, halfline_power, jacobi_rule, power_weighted
+from .options import NESTED
+from .quadrature import beta_kernel, column_blocks, halfline_power, jacobi_rule, power_weighted
 from .special import gamma_ln, gamma_ratio, gauss_2f1, hyp_3f2
 
 __all__ = [
@@ -69,7 +76,16 @@ __all__ = [
 
 @dataclass
 class IdentitySpec:
-    """One identity in law, with everything the engine needs to test it."""
+    """One identity in law, with everything the engine needs to test it.
+
+    The densities follow the package's array contract: an array of x in, an
+    array of its shape out, one call per side for verify's whole grid. The
+    Mellin transforms stay scalar in s, because each s moves the parameters
+    of what they evaluate (the 3F2 of mellin_sum and free, the Jacobi rules
+    of _tb_factor and _ab_half_factor, free's nested 2F1), while the
+    array-first special functions take arrays of z at fixed parameters; an
+    s-grid callable would only move the loop over s into every builder.
+    """
 
     name: str
     lhs_sampler: Callable[[RngState, int], np.ndarray]
@@ -77,16 +93,8 @@ class IdentitySpec:
     lhs_mellin: Callable[[float], float] | None = None
     rhs_mellin: Callable[[float], float] | None = None
     mellin_strip: tuple[float, float] | None = None
-    param_domain: str = ""
-    lhs_density: Callable[[float], float] | None = None
-    rhs_density: Callable[[float], float] | None = None
-    density_grid: np.ndarray | None = None
-
-    def default_s_grid(self, k: int = 5) -> np.ndarray:
-        if self.mellin_strip is None:
-            raise DomainError(f"{self.name}: no Mellin strip declared")
-        lo, hi = self.mellin_strip
-        return lo + (hi - lo) * np.linspace(0.2, 0.85, k)
+    lhs_density: Callable[[np.ndarray], np.ndarray] | None = None
+    rhs_density: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 @dataclass
@@ -210,7 +218,6 @@ def ks_two_sample(xs, ys):
 def verify(
     spec: IdentitySpec,
     n: int,
-    s_grid=None,
     rng: RngState | None = None,
     *,
     alpha: float = KS_ALPHA,
@@ -219,6 +226,9 @@ def verify(
 ) -> VerificationReport:
     """Run the KS channel and, when transforms or densities are present, the
     Mellin and density channels; mellin_rtol judges both deterministic ones.
+    The transforms are compared at five points across the middle of the
+    Mellin strip (0.2 to 0.85 of its width), the densities on a geometric
+    grid of nine points from 0.05 to 20.
 
     rhs_scale exists for negative controls: scaling one side must flip the
     verdict to fail when the engine has power.
@@ -240,30 +250,18 @@ def verify(
 
         mellin_err = None
         if spec.lhs_mellin is not None and spec.rhs_mellin is not None:
-            if s_grid is None:
-                s_grid = spec.default_s_grid()
-            lo, hi = spec.mellin_strip if spec.mellin_strip else (-math.inf, math.inf)
-            errs = []
-            for s in np.asarray(s_grid, dtype=float):
-                if not lo < s < hi:
-                    raise DomainError(f"s={s} outside the declared strip {spec.mellin_strip}")
-                lv = spec.lhs_mellin(float(s))
-                rv = spec.rhs_mellin(float(s))
-                errs.append(abs(lv - rv) / max(abs(rv), 1e-300))
-            mellin_err = float(max(errs))
+            if spec.mellin_strip is None:
+                raise DomainError(f"{spec.name}: no Mellin strip declared")
+            lo, hi = spec.mellin_strip
+            pairs = np.array([(spec.lhs_mellin(s), spec.rhs_mellin(s))
+                              for s in (lo + (hi - lo) * np.linspace(0.2, 0.85, 5)).tolist()])
+            mellin_err = _max_relerr(pairs[:, 0], pairs[:, 1])
             ok = ok and mellin_err < mellin_rtol
 
         density_err = None
         if spec.lhs_density is not None and spec.rhs_density is not None:
-            grid = spec.density_grid
-            if grid is None:
-                grid = np.geomspace(0.05, 20.0, 9)
-            errs = []
-            for x in grid:
-                lv = spec.lhs_density(float(x))
-                rv = spec.rhs_density(float(x))
-                errs.append(abs(lv - rv) / max(abs(rv), 1e-300))
-            density_err = float(max(errs))
+            grid = np.geomspace(0.05, 20.0, 9)
+            density_err = _max_relerr(spec.lhs_density(grid), spec.rhs_density(grid))
             ok = ok and density_err < mellin_rtol
 
         return VerificationReport(
@@ -288,6 +286,10 @@ def verify(
             failure=describe(exc),
             name=spec.name,
         )
+
+
+def _max_relerr(lhs: np.ndarray, rhs: np.ndarray) -> float:
+    return float(np.max(np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300)))
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +351,8 @@ def _ab_half_factor(a: float, b: float, s: float) -> float:
 # ---------------------------------------------------------------------------
 # Identity builders
 
+_DENSITY_SUPPORT = "the densities live on (0, infinity)"
+
 
 # The samplers below work in place on the arrays they draw, in the order of
 # the plain expression they stand for (x + y is x += y, u * (1 + sqrt(w)) is
@@ -392,16 +396,16 @@ def theorem_a_spec(a: float) -> IdentitySpec:
         x *= _one_plus_sqrt(sample_beta(pb, rng, n))
         return x
 
-    def rhs_density(x):
-        # multiplier 1 + sqrt(Beta(a,1/2)) has density C u^(2a-1)(1-u^2)^(-1/2)
-        # in u = w - 1; the u^(2a-1) factor rides in the kernel weight
-        lognorm = (math.log(2.0) + gamma_ln(a + 0.5) - gamma_ln(a)
-                   - 0.5 * math.log(math.pi))
+    # multiplier 1 + sqrt(Beta(a,1/2)) has density C u^(2a-1)(1-u^2)^(-1/2)
+    # in u = w - 1; the u^(2a-1) factor rides in the kernel weight
+    lognorm = (math.log(2.0) + gamma_ln(a + 0.5) - gamma_ln(a)
+               - 0.5 * math.log(math.pi))
 
+    def rhs_block(xs):
         def smooth(u):
             w = 1.0 + u
-            return np.exp(lognorm) * (1.0 + u) ** (-0.5) * betaprime_pdf(
-                p2, x / w) / w
+            return ((np.exp(lognorm) * (1.0 + u) ** (-0.5))[:, None]
+                    * betaprime_pdf(p2, xs / w[:, None]) / w[:, None])
 
         return beta_kernel(smooth, 2.0 * a - 1.0, -0.5)
 
@@ -412,9 +416,8 @@ def theorem_a_spec(a: float) -> IdentitySpec:
         lhs_mellin=lambda s: mellin_sum(p, s),
         rhs_mellin=lambda s: betaprime_mellin(p2, s) * _one_plus_sqrt_beta_factor(a, s),
         mellin_strip=(-2.0 * a, 0.5),
-        param_domain="a > 0",
         lhs_density=lambda x: sum_density_bhalf(a, x),
-        rhs_density=rhs_density,
+        rhs_density=lambda x: column_blocks(rhs_block, x, _DENSITY_SUPPORT),
     )
 
 
@@ -442,7 +445,6 @@ def cjmain_spec(a: float, b: float) -> IdentitySpec:
         lhs_mellin=lambda s: mellin_sum(p, s),
         rhs_mellin=lambda s: betaprime_mellin(p2, s) * _tb_factor(a, b, s),
         mellin_strip=(0.0, b),  # the 2-D factor is evaluated for s >= 0
-        param_domain="a > 0, b in (0, 1/2)",
     )
 
 
@@ -473,12 +475,13 @@ def prop_b0_spec(a: float, b: float, b_prime: float) -> IdentitySpec:
     e = b_prime - b
     log_norm_m = gamma_ln(e + b) - gamma_ln(e) - gamma_ln(b)
 
-    def rhs_density(x):
+    def rhs_block(xs):
         # multiplier 1 + BetaPrime(e, b): its u^(e-1) factor rides in the
         # half-line kernel weight
         def smooth(u):
             w = 1.0 + u
-            return math.exp(log_norm_m) * w ** (-e - b) * betaprime_pdf(pr, x / w) / w
+            return ((math.exp(log_norm_m) * w ** (-e - b))[:, None]
+                    * betaprime_pdf(pr, xs / w[:, None]) / w[:, None])
 
         return halfline_power(smooth, e - 1.0)
 
@@ -496,9 +499,8 @@ def prop_b0_spec(a: float, b: float, b_prime: float) -> IdentitySpec:
         lhs_mellin=lambda s: betaprime_mellin(p, s),
         rhs_mellin=rhs_mellin,
         mellin_strip=(-a, b),
-        param_domain="b' > b > 0, a > 0",
         lhs_density=lambda x: betaprime_pdf(p, x),
-        rhs_density=rhs_density,
+        rhs_density=lambda x: column_blocks(rhs_block, x, _DENSITY_SUPPORT),
     )
 
 
@@ -527,7 +529,6 @@ def ab_half_spec(a: float) -> IdentitySpec:
         lhs_mellin=lambda s: mellin_sum(p, s),
         rhs_mellin=lambda s: betaprime_mellin(p2, s) * _ab_half_factor(a, b, s),
         mellin_strip=(-2.0 * a, b),
-        param_domain="a + b = 1/2, a in (0, 1/2)",
     )
 
 
@@ -573,7 +574,7 @@ def free_spec(a: float, b: float, c: float, d: float, *, swap: bool = False) -> 
         if not -(a + c) < s < min(b, d):
             raise DomainError("s outside the product strip")
         pref = gamma_ratio([b - s, d - s, a + b, c + d], [b, d, a + b - s, c + d - s])
-        return pref * hyp_3f2(HypArgs((-s, b - s, d - s), (a + b - s, c + d - s), 1.0))
+        return pref * hyp_3f2((-s, b - s, d - s), (a + b - s, c + d - s))
 
     def factor_mellin(s):
         # E[(1 + Beta(a,c) W)^s], W ~ BetaPrime(c+d-b, b). Conditionally on
@@ -598,7 +599,6 @@ def free_spec(a: float, b: float, c: float, d: float, *, swap: bool = False) -> 
         lhs_mellin=lhs_mellin,
         rhs_mellin=rhs_mellin,
         mellin_strip=(0.0, min(b, d)),  # nested quadrature kept on s >= 0
-        param_domain="a,b,c,d > 0 with b < c+d",
     )
 
 
@@ -617,7 +617,7 @@ def hypergeo_identity_check(a: float, b: float, c: float, d: float, x_grid=None)
 
     # term-by-term Euler integration of the kernel against the beta weight
     norm = math.exp(gamma_ln(b) + gamma_ln(a) - gamma_ln(a + b)) * hyp_3f2(
-        HypArgs((a + b, a + b - d, b), (a + b + c, a + b), 1.0))
+        (a + b, a + b - d, b), (a + b + c, a + b))
     lhs = (x ** (b - 1.0) * (1.0 - x) ** (a - 1.0)
            * gauss_2f1(a + b, a + b - d, a + b + c, x) / norm)
 
@@ -681,7 +681,6 @@ def half_gaussian_spec(a: float) -> IdentitySpec:
         lhs_mellin=lambda s: _sqrt_gamma_sum_mellin(a, s),
         rhs_mellin=rhs_mellin,
         mellin_strip=(-min(4.0 * a, 3.0), 4.0),
-        param_domain="a > 0",
     )
 
 
@@ -712,7 +711,6 @@ def cor34_spec(a: float) -> IdentitySpec:
         lhs_mellin=lambda s: mellin_sum(p, s),
         rhs_mellin=rhs_mellin,
         mellin_strip=(-2.0 * a, 0.5),
-        param_domain="a > 0",
     )
 
 
@@ -720,51 +718,67 @@ def cor34_spec(a: float) -> IdentitySpec:
 # Auxiliary size-bias densities behind the a = 1 - b branch
 
 
-def lemma_densities(kind: str, param: float, x: float) -> float:
-    """Closed 2F1 forms of the four auxiliary densities on (1,2) u (2,inf).
+def lemma_densities(kind: str, param: float, x):
+    """Closed 2F1 forms of the four auxiliary densities on (1,2) u (2,inf), at
+    every x of an array (a float for a scalar x).
 
     kinds: betastr_f / betastr_g need a in (1/2, 1); betastrb_f / betastrb_g
-    need b in (0, 1/2). x = 2 is a logarithmic singularity of every branch.
+    need b in (0, 1/2). x = 2 is a logarithmic singularity of every branch;
+    the two branches are masks x < 2 and x > 2 over the array.
     """
-    if x <= 1.0 or x == 2.0:
+    xs = np.asarray(x, dtype=float)
+    if not np.all((xs > 1.0) & (xs != 2.0)):
         raise DomainError("the densities live on (1,2) u (2,inf)")
     if kind in ("betastr_f", "betastr_g"):
         a = param
         if not 0.5 < a < 1.0:
             raise DomainError(f"need a in (1/2, 1), got {a}")
-        if x < 2.0:
-            hyp = gauss_2f1(0.5, 1.0, a + 0.5, (x - 1.0) ** 2)
+        norm_g = math.exp(gamma_ln(a) + gamma_ln(1.0 - a))
+        norm_f = math.exp(gamma_ln(1.0 + a) - gamma_ln(1.0 - a) - gamma_ln(2.0 * a))
+
+        def near(v):
+            hyp = gauss_2f1(0.5, 1.0, a + 0.5, (v - 1.0) ** 2)
             if kind == "betastr_g":
-                return 2.0 * (x - 1.0) ** (2.0 * a - 1.0) * hyp / math.exp(
-                    gamma_ln(a) + gamma_ln(1.0 - a))
-            return (math.exp(gamma_ln(1.0 + a) - gamma_ln(1.0 - a) - gamma_ln(2.0 * a))
-                    * x ** (1.0 - a) * (x - 1.0) ** (2.0 * a - 1.0) * hyp)
-        hyp = gauss_2f1(0.5, a, 1.5, (x - 1.0) ** (-2.0))
-        core = (x * x - 2.0 * x) ** (a - 1.0) * hyp / (x - 1.0)
-        if kind == "betastr_g":
-            return 2.0 * (2.0 * a - 1.0) * core / math.exp(
-                gamma_ln(a) + gamma_ln(1.0 - a))
-        return ((2.0 * a - 1.0)
-                * math.exp(gamma_ln(1.0 + a) - gamma_ln(1.0 - a) - gamma_ln(2.0 * a))
-                * x ** (1.0 - a) * core)
-    if kind in ("betastrb_f", "betastrb_g"):
+                return 2.0 * (v - 1.0) ** (2.0 * a - 1.0) * hyp / norm_g
+            return norm_f * v ** (1.0 - a) * (v - 1.0) ** (2.0 * a - 1.0) * hyp
+
+        def far(v):
+            hyp = gauss_2f1(0.5, a, 1.5, (v - 1.0) ** (-2.0))
+            core = (v * v - 2.0 * v) ** (a - 1.0) * hyp / (v - 1.0)
+            if kind == "betastr_g":
+                return 2.0 * (2.0 * a - 1.0) * core / norm_g
+            return (2.0 * a - 1.0) * norm_f * v ** (1.0 - a) * core
+    elif kind in ("betastrb_f", "betastrb_g"):
         b = param
         if not 0.0 < b < 0.5:
             raise DomainError(f"need b in (0, 1/2), got {b}")
-        if x < 2.0:
-            hyp = gauss_2f1(0.5, b + 0.5, 1.0, (x - 1.0) ** 2)
+
+        def near(v):
+            hyp = gauss_2f1(0.5, b + 0.5, 1.0, (v - 1.0) ** 2)
             if kind == "betastrb_g":
                 return 2.0 * math.exp(gamma_ln(b + 0.5) - gamma_ln(b)
                                       - 0.5 * math.log(math.pi)) * hyp
-            return b * x ** b * hyp
-        hyp = gauss_2f1(b + 0.5, b + 0.5, b + 1.0, (x - 1.0) ** (-2.0))
-        core = (x - 1.0) ** (-2.0 * b - 1.0) * hyp
-        if kind == "betastrb_g":
-            return 2.0 * math.exp(gamma_ln(b + 0.5) - gamma_ln(b) - gamma_ln(1.0 + b)
-                                  - gamma_ln(0.5 - b)) * core
-        return (math.exp(0.5 * math.log(math.pi) - gamma_ln(b) - gamma_ln(0.5 - b))
-                * x ** b * core)
-    raise DomainError(f"unknown density kind {kind!r}")
+            return b * v ** b * hyp
+
+        def far(v):
+            hyp = gauss_2f1(b + 0.5, b + 0.5, b + 1.0, (v - 1.0) ** (-2.0))
+            core = (v - 1.0) ** (-2.0 * b - 1.0) * hyp
+            if kind == "betastrb_g":
+                return 2.0 * math.exp(gamma_ln(b + 0.5) - gamma_ln(b) - gamma_ln(1.0 + b)
+                                      - gamma_ln(0.5 - b)) * core
+            return (math.exp(0.5 * math.log(math.pi) - gamma_ln(b) - gamma_ln(0.5 - b))
+                    * v ** b * core)
+    else:
+        raise DomainError(f"unknown density kind {kind!r}")
+
+    def block(v):
+        out = np.empty(v.shape)
+        low = v < 2.0
+        out[low] = near(v[low])
+        out[~low] = far(v[~low])
+        return out
+
+    return column_blocks(block, x)
 
 
 # ---------------------------------------------------------------------------
@@ -774,8 +788,7 @@ def lemma_densities(kind: str, param: float, x: float) -> float:
 def _cjmain_representation_errors(a: float, b: float, s: float) -> tuple[float, float]:
     """Relative errors of the two double-integral representations of the
     3F2(1) behind the general square-root identity, for 0 < s < 2b."""
-    hyp = hyp_3f2(
-        HypArgs((a + s / 2.0, a + (s + 1.0) / 2.0, 0.5), (a + 0.5, a + b + 0.5), 1.0))
+    hyp = hyp_3f2((a + s / 2.0, a + (s + 1.0) / 2.0, 0.5), (a + 0.5, a + b + 0.5))
     log_pref = (
         gamma_ln(b - s) + gamma_ln(a + 0.5) + gamma_ln(a + b + 0.5)
         - gamma_ln(a) - gamma_ln(0.5 - b) - gamma_ln(a + b)
@@ -821,7 +834,7 @@ def conjecture_cjmain_scan(grid, n: int, rng: RngState,
         proven = abs(a - 0.5) < 1e-9 or abs(a - (1.0 - b)) < 1e-9
         try:
             spec = cjmain_spec(a, b)
-            rep = verify(spec, n, None, sub, alpha=alpha)
+            rep = verify(spec, n, sub, alpha=alpha)
             r1, r2 = _cjmain_representation_errors(a, b, min(0.1, 0.8 * b))
             rows.append({
                 "a": a, "b": b, "proven": proven,
@@ -856,15 +869,13 @@ def conjhyp_integral_check(a: float, z_grid=None) -> dict:
     if z_grid is None:
         z_grid = np.linspace(0.1, 0.9, 5)
     pref = math.exp(0.5 * math.log(math.pi) - gamma_ln(a) - gamma_ln(b))
-
-    def lhs(z):
-        def smooth(y):
-            return (1.0 - z * y) ** (-b) * gauss_2f1(a, a, a + 0.5, (z * y) ** 2)
-
-        return pref * beta_kernel(smooth, 2.0 * a - 1.0, b - 1.0)
-
     zg = np.asarray(z_grid, dtype=float)
-    lv = np.array([lhs(float(z)) for z in zg])
+
+    def smooth(y):
+        zy = np.multiply.outer(y, zg)
+        return (1.0 - zy) ** (-b) * gauss_2f1(a, a, a + 0.5, zy ** 2)
+
+    lv = pref * beta_kernel(smooth, 2.0 * a - 1.0, b - 1.0)
     rv = ((zg + 1.0) / 2.0) ** (2.0 * b) * gauss_2f1(0.5, a, a + 0.5, 4.0 * zg / (zg + 1.0) ** 2)
     err = np.abs(lv - rv) / np.abs(rv)
     # the two underlying densities agree numerically once the candidate

@@ -1,4 +1,4 @@
-"""The package's one tolerance policy and generic hypergeometric argument records.
+"""The package's one tolerance policy.
 
 Only the four quadrature entry points take an EvalOptions. Every computation
 above them runs at DEFAULT_OPTIONS, whose rel_tol and abs_tol also stop the
@@ -46,29 +46,3 @@ NESTED = EvalOptions(rel_tol=1e-10, abs_tol=1e-14)
 # within 30 rounds, while more rounds can let it pass for a finite value.
 DIVERGENCE_CHECK = EvalOptions(max_quad_refinements=30)
 
-
-@dataclass(frozen=True)
-class HypArgs:
-    """Parameters of a generalized hypergeometric series pFq(numerator; denominator; z)."""
-
-    numerator: tuple[float, ...]
-    denominator: tuple[float, ...]
-    z: float
-
-    def __init__(self, numerator, denominator, z):
-        object.__setattr__(self, "numerator", tuple(float(a) for a in numerator))
-        object.__setattr__(self, "denominator", tuple(float(b) for b in denominator))
-        object.__setattr__(self, "z", float(z))
-        for b in self.denominator:
-            if b <= 0 and b == round(b):
-                raise DomainError(f"denominator parameter {b} is a non-positive integer")
-        if self.z == 1.0:
-            margin = sum(self.denominator) - sum(self.numerator)
-            if margin <= 0:
-                raise DomainError(
-                    f"series at unit argument diverges: parameter margin {margin} <= 0"
-                )
-
-    @property
-    def unit_margin(self) -> float:
-        return sum(self.denominator) - sum(self.numerator)

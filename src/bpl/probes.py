@@ -206,15 +206,14 @@ def lcm_probe(f, z_grid, max_order: int = 6) -> ProbeResult:
                        details={"log_derivs": dh, "floors": floors_h, "values": fs})
 
 
-def monotone_probe(f, z_grid, *, require_decreasing: bool = True) -> ProbeResult:
-    """Strict-decrease (or increase) check with a noise floor; f > 0."""
+def monotone_probe(f, z_grid) -> ProbeResult:
+    """Strict-decrease check with a noise floor; f > 0."""
     zs = np.asarray(z_grid, dtype=float)
     fs = _eval_grid(f, zs)
     centers, dh, floors_h = _log_taylor_table(zs, fs, 1)
-    sgn = 1.0 if require_decreasing else -1.0
-    d1 = sgn * dh[1]
+    d1 = dh[1]
     ok = d1 <= _SAFETY * floors_h[1]
-    strict = fs[0] * sgn > fs[-1] * sgn
+    strict = fs[0] > fs[-1]
     first = None
     if np.all(ok) and strict:
         verdict = "holds"
@@ -403,14 +402,18 @@ def stoo_check(a: float, b: float, x_grid=None) -> ProbeResult:
     nz = signs[signs != 0.0]
     crossings = int(np.sum(nz[1:] != nz[:-1]))
 
-    def cdf_sum(x):
-        return integrate(lambda t: sum_density_2f1(p, t), 1e-12, x)
-
-    def cdf_two(x):
-        return integrate(lambda t: betaprime_pdf(p2, t), 1e-12, x)
-
+    # both cdfs at every probe x in one pass: t = 1e-12 + (x - 1e-12) v maps
+    # each [1e-12, x] onto v in [0, 1], two columns per x
     probe_xs = np.geomspace(0.05, 200.0, 13)
-    gaps = np.array([cdf_two(x) - cdf_sum(x) for x in probe_xs])  # >= 0 iff dominance
+    span = probe_xs - 1e-12
+
+    def densities(v):
+        t = 1e-12 + np.multiply.outer(v, span)
+        both = np.concatenate((betaprime_pdf(p2, t), sum_density_2f1(p, t)), axis=1)
+        return both * np.tile(span, 2)
+
+    cdf_two, cdf_sum = integrate(densities, 0.0, 1.0).reshape(2, -1)
+    gaps = cdf_two - cdf_sum  # >= 0 iff dominance
     dominance = bool(np.all(gaps >= -1e-7))
     lam = stoo_lambda(a, b)
     cap = stoo_lambda_cap(a, b)
@@ -428,11 +431,8 @@ def stoo_check(a: float, b: float, x_grid=None) -> ProbeResult:
         first = None if okay else (0, float(probe_xs[int(np.argmin(gaps))]))
     else:
         # dominance must FAIL; locate a witness where the cdf gap goes negative
-        witness = None
-        for x, g in zip(probe_xs, gaps):
-            if g < -1e-7:
-                witness = float(x)
-                break
+        below = np.flatnonzero(gaps < -1e-7)
+        witness = float(probe_xs[below[0]]) if below.size else None
         verdict = "holds" if witness is not None else "violated"
         first = (0, witness) if witness is not None else None
         details["witness"] = witness

@@ -16,10 +16,10 @@ point (integrate, power_weighted, beta_kernel, halfline_power) passes the
 columns through unchanged.
 
 Column blocks: a round over m columns may ask for at most _MAX_ROUND_VALUES
-integrand values, so the array-first functions of special and thorin hand
-their columns to column_blocks, which evaluates a long array in blocks of at
-most _BLOCK_COLUMNS columns (273), one shared mesh per block, and splits a
-block in halves if its mesh still grows past that cap. Arrays up to that
+integrand values, so every array-first function of the package hands its
+columns to column_blocks, which evaluates a long array in blocks of at most
+_BLOCK_COLUMNS columns (273), one shared mesh per block, and splits a block
+in halves if its mesh still grows past that cap. Arrays up to that
 width (the probe grids, the thorin tables) stay one block.
 """
 

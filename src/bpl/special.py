@@ -25,18 +25,16 @@ import math
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError
-from .options import DEFAULT_OPTIONS, HypArgs
+from .options import DEFAULT_OPTIONS
 from .quadrature import beta_kernel, column_blocks, halfline_power, integrate
 
 __all__ = [
-    "HypArgs",
     "gamma_ln",
     "gammaln_signed",
     "gamma_ratio",
     "gauss_2f1",
     "hyp_3f2",
     "appell_f1",
-    "appell_f1_series",
     "kummer_phi",
     "tricomi_psi",
     "hermite_h_neg",
@@ -287,19 +285,25 @@ def gauss_2f1(a: float, b: float, c: float, z):
 # 3F2 at unit argument
 
 
-def hyp_3f2(args: HypArgs) -> float:
-    """3F2(a1,a2,a3; b1,b2; 1).
+def hyp_3f2(numerator, denominator) -> float:
+    """3F2(a1,a2,a3; b1,b2; 1) for three numerator and two denominator
+    parameters, no denominator a non-positive integer, and a positive margin
+    b1 + b2 - a1 - a2 - a3 unless a numerator terminates the series.
 
     Partial sums at geometrically spaced lengths are combined by Richardson
     extrapolation with the exact tail exponents (the partial sum lags the
     limit by n^(-margin) times a power series in 1/n).
     """
-    if args.z != 1.0:
-        raise DomainError("3F2 evaluation supported only at z = 1")
-    if len(args.numerator) != 3 or len(args.denominator) != 2:
+    nums = [float(v) for v in numerator]
+    dens = [float(v) for v in denominator]
+    if len(nums) != 3 or len(dens) != 2:
         raise DomainError("expected 3 numerator and 2 denominator parameters")
-    nums = list(args.numerator)
-    dens = list(args.denominator)
+    for b in dens:
+        if b <= 0 and b == round(b):
+            raise DomainError(f"denominator parameter {b} is a non-positive integer")
+    margin = sum(dens) - sum(nums)
+    if margin <= 0:
+        raise DomainError(f"series at unit argument diverges: parameter margin {margin} <= 0")
 
     # upper/lower cancellation reduces to a Gauss function
     for i, anum in enumerate(nums):
@@ -309,22 +313,26 @@ def hyp_3f2(args: HypArgs) -> float:
                 rest_d = [v for k, v in enumerate(dens) if k != j]
                 return gauss_2f1(rest_n[0], rest_n[1], rest_d[0], 1.0)
 
-    def ratio(n):
-        return ((nums[0] + n) * (nums[1] + n) * (nums[2] + n)
-                / ((dens[0] + n) * (dens[1] + n) * (n + 1.0)))
-
     if any(_is_nonpositive_int(v) for v in nums):
         n_stop = int(-min(round(v) for v in nums if _is_nonpositive_int(v)))
-        term, total = 1.0, 1.0
-        for n in range(n_stop):
-            term *= ratio(n)
-            total += term
-        return total
-
-    return _sum_3f2_unit(ratio, args.unit_margin)
+        return _3f2_block(nums, dens, 0, n_stop, 1.0, 1.0)[1]
+    return _sum_3f2_unit(nums, dens, margin)
 
 
-def _sum_3f2_unit(ratio, margin: float) -> float:
+def _3f2_block(nums, dens, n0: int, n1: int, term: float, total: float):
+    """(term, partial sum) after adding terms n0 + 1 .. n1 of the 3F2(1)
+    series to total, where term is term n0. The term ratios are one array;
+    np.multiply.accumulate and np.add.accumulate run strictly in order, so
+    they round as a term-by-term loop does."""
+    n = np.arange(n0, n1, dtype=float)
+    ratio = ((nums[0] + n) * (nums[1] + n) * (nums[2] + n)
+             / ((dens[0] + n) * (dens[1] + n) * (n + 1.0)))
+    terms = np.multiply.accumulate(np.concatenate(([term], ratio)))
+    sums = np.add.accumulate(np.concatenate(([total], terms[1:])))
+    return float(terms[-1]), float(sums[-1])
+
+
+def _sum_3f2_unit(nums, dens, margin: float) -> float:
     """Richardson-extrapolated summation of a 3F2 at z = 1; NonConvergenceError
     when _MAX_TERMS terms do not settle the extrapolated diagonal."""
     n0 = 16
@@ -334,10 +342,8 @@ def _sum_3f2_unit(ratio, margin: float) -> float:
     prev_diag = None
     while n < _MAX_TERMS:
         goal = n0 * 2 ** len(samples)
-        while n < goal:
-            term *= ratio(n)
-            total += term
-            n += 1
+        term, total = _3f2_block(nums, dens, n, goal, term, total)
+        n = goal
         samples.append(total)
         if len(samples) < 3:
             continue
@@ -359,55 +365,36 @@ def _sum_3f2_unit(ratio, margin: float) -> float:
 # Appell F1
 
 
-def appell_f1(
-    alpha: float,
-    beta: float,
-    beta_p: float,
-    gamma: float,
-    x: float,
-    y: float,
-) -> float:
-    """First Appell series F1 via its one-dimensional Euler-type integral.
+def appell_f1(alpha: float, beta: float, beta_p: float, gamma: float, x, y):
+    """First Appell series F1 via its one-dimensional Euler-type integral, at
+    every pair (x, y) of two arrays of one shape (a float for scalars).
 
     Requires gamma > alpha > 0 and x, y < 1, which covers every use in this
-    package (convolution densities and the multiplicative identities).
+    package (convolution densities and the multiplicative identities). Each
+    pair is one column of a quadrature shared by the whole array.
     """
     if not (gamma > alpha > 0.0):
         raise DomainError("integral representation needs gamma > alpha > 0")
-    if x >= 1.0 or y >= 1.0:
+    xs, ys = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if xs.shape != ys.shape:
+        raise DomainError(f"F1 arguments of shapes {xs.shape} and {ys.shape}")
+    if not (np.all(xs < 1.0) and np.all(ys < 1.0)):
         raise DomainError("F1 arguments must satisfy x < 1 and y < 1")
+    xf, yf = xs.ravel(), ys.ravel()
+    norm = gamma_ratio([gamma], [alpha, gamma - alpha])
 
-    def smooth(u):
-        return (1.0 - u * x) ** (-beta) * (1.0 - u * y) ** (-beta_p)
+    def block(idx):
+        # column_blocks hands out positions into the flattened pairs
+        pos = idx.astype(int)
+        xb, yb = xf[pos], yf[pos]
 
-    val = beta_kernel(smooth, alpha - 1.0, gamma - alpha - 1.0)
-    return gamma_ratio([gamma], [alpha, gamma - alpha]) * val
+        def smooth(u):
+            return ((1.0 - np.multiply.outer(u, xb)) ** (-beta)
+                    * (1.0 - np.multiply.outer(u, yb)) ** (-beta_p))
 
+        return norm * beta_kernel(smooth, alpha - 1.0, gamma - alpha - 1.0)
 
-def appell_f1_series(alpha, beta, beta_p, gamma, x, y) -> float:
-    """Truncated double series for F1; only sensible for |x|, |y| <= ~0.5."""
-    if max(abs(x), abs(y)) > 0.75:
-        raise DomainError("double series restricted to small arguments")
-    total = 0.0
-    outer = 1.0  # (alpha)_m (beta)_m x^m / ((gamma)_m m!)
-    small = 0
-    for m in range(2000):
-        inner_sum = 0.0
-        inner = outer  # m-th row seed: n = 0 term
-        for n in range(2000):
-            inner_sum += inner
-            inner *= (alpha + m + n) * (beta_p + n) / ((gamma + m + n) * (n + 1.0)) * y
-            if abs(inner) < _RTOL * (abs(total) + abs(inner_sum)) + _ATOL and n > 3:
-                break
-        total += inner_sum
-        outer *= (alpha + m) * (beta + m) / ((gamma + m) * (m + 1.0)) * x
-        if abs(inner_sum) < _RTOL * abs(total) + _ATOL and m > 3:
-            small += 1
-            if small == 2:
-                return total
-        else:
-            small = 0
-    raise NonConvergenceError("F1 double series did not settle")
+    return column_blocks(block, np.arange(xf.size, dtype=float).reshape(xs.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -455,19 +442,28 @@ def kummer_phi(a: float, c: float, z):
     transform e^z Phi(c - a, c, -z), which avoids the cancellation of the
     alternating series, and z >= 0 the series. Where c - a is a non-positive
     integer the transformed series is a polynomial and the expansion's
-    algebraic part vanishes, so every z < 0 takes the transform.
+    algebraic part vanishes, so every z < 0 takes the transform; below
+    z = -700, where e^z leaves the normal range, as sign(poly) e^(z + log|poly|).
     """
     if _is_nonpositive_int(c, 1e-12):
         raise DomainError(f"Phi pole: c={c} is a non-positive integer")
     if not np.all(np.isfinite(np.asarray(z, dtype=float))):
         raise DomainError("Phi needs a finite z")
-    far = -math.inf if _is_nonpositive_int(c - a) else -40.0
 
     def series(a_, x):
         return _masked_series(lambda n: (a_ + n) / ((c + n) * (n + 1.0)), x)
 
+    def log_transform(v):
+        poly = series(c - a, -v)
+        with np.errstate(divide="ignore"):
+            return np.sign(poly) * np.exp(v + np.log(np.abs(poly)))
+
+    if _is_nonpositive_int(c - a):
+        far, far_route = -700.0, log_transform
+    else:
+        far, far_route = -40.0, lambda v: _phi_large_negative(a, c, -v)
     return column_blocks(lambda x: _by_route(x, [
-        (x < far, lambda v: _phi_large_negative(a, c, -v)),
+        (x < far, far_route),
         ((x >= far) & (x < 0.0), lambda v: np.exp(v) * series(c - a, -v)),
         (x >= 0.0, lambda v: series(a, v)),
     ]), z)

@@ -6,13 +6,16 @@ primitive, the density by differentiating the ratio, and the a = 1 case by a
 separate Frullani-type integral. Everything is kept in log scale internally
 so arguments far beyond exp-overflow remain usable.
 
-Array-first: f_ax, thorin_cdf, thorin_density, gx_frullani and thorin_cdf_a1
-take an array of t and return an array of its shape, computed as one
-vector-valued quadrature pass with one column per t (a scalar t gives a
-float, and every t must be > 0). Each t keeps its own branch: columns with
-t > 50 use the rescaled integrands. The density's five-point stencil adds
-four columns per t to the same pass. Long arrays are evaluated in blocks of
-columns (quadrature.column_blocks), one shared mesh per block.
+Array contract: every public function of t (f_ax, f_ax_hyp, thorin_cdf,
+thorin_density, gx_frullani, thorin_cdf_a1), levy_density in y and
+awk_density in t take an array and return an array of its shape (a float for
+a scalar), computed as one vector-valued quadrature pass with one column per
+point. A point outside the domain (t, y > 0; a finite t for awk_density)
+raises DomainError before anything is evaluated. Each t keeps its own branch
+by mask: columns with t > 50 use the rescaled integrands. The density's
+five-point stencil adds four columns per t to the same pass. Long arrays are
+evaluated in blocks of columns (quadrature.column_blocks), one shared mesh per
+block.
 """
 
 from __future__ import annotations
@@ -135,14 +138,18 @@ def f_ax(p: ThorinParams, t):
     return column_blocks(block, t, _T_DOMAIN)
 
 
-def f_ax_hyp(p: ThorinParams, t: float) -> float:
+def f_ax_hyp(p: ThorinParams, t):
     """Alternative closed form via the confluent pair:
     Gamma(a+x) Phi(1-a, 1+x, t) / (Gamma(1+x) Psi(1-a, 1+x, t))."""
     if p.a >= 1.0:
         raise DomainError("needs a < 1")
     a, x = p.a, p.x
     lg = gamma_ln(a + x) - gamma_ln(1.0 + x)
-    return math.exp(lg) * kummer_phi(1.0 - a, 1.0 + x, t) / tricomi_psi(1.0 - a, 1.0 + x, t)
+
+    def block(ts):
+        return math.exp(lg) * kummer_phi(1.0 - a, 1.0 + x, ts) / tricomi_psi(1.0 - a, 1.0 + x, ts)
+
+    return column_blocks(block, t, _T_DOMAIN)
 
 
 def thorin_cdf(p: ThorinParams, t):
@@ -284,9 +291,7 @@ class _CdfTable:
         mid = ~(nonpos | low | high)
         out = np.zeros(ts.shape)
         out[low] = self.cdf_lo * (ts[low] / self.lo) ** self.p.x
-        th = ts[high]
-        out[high] = 1.0 - (1.0 - self.cdf_hi) * (th / self.hi) ** self.tail_power * np.exp(
-            self.hi - th)
+        out[high] = 1.0 - self.upper_tail(ts[high])
         xi = (2.0 * np.log(ts[mid]) - self.tau_lo - self.tau_hi) / (self.tau_hi - self.tau_lo)
         # T_k(cos theta) = cos(k theta): one (points, degree) product, where
         # chebval's Clenshaw loop takes a numpy step per degree
@@ -294,35 +299,66 @@ class _CdfTable:
         out[mid] = np.cos(np.multiply.outer(theta, np.arange(self.coef.size))) @ self.coef
         return float(out) if out.ndim == 0 else out
 
+    def upper_tail(self, t: np.ndarray) -> np.ndarray:
+        """P[G > t] at every t >= hi of an array."""
+        return (1.0 - self.cdf_hi) * (t / self.hi) ** self.tail_power * np.exp(self.hi - t)
+
 
 @functools.lru_cache(maxsize=None)
 def _cdf_table(p: ThorinParams) -> _CdfTable:
     return _CdfTable(p)
 
 
-def levy_density(p: ThorinParams, y: float) -> float:
-    """Levy measure density a * integral_0^inf e^(-yt) P[G <= t] dt at y > 0."""
-    if not y > 0.0:
-        raise DomainError("need y > 0")
-    cdf = _cdf_table(p)
-    return p.a / y * integrate(lambda u: np.exp(-u) * cdf(u / y), 0.0, math.inf, NESTED)
+def levy_density(p: ThorinParams, y):
+    """Levy measure density a * integral_0^inf e^(-yt) P[G <= t] dt at every
+    y > 0 of an array (a float for a scalar y), one quadrature column per y.
+
+    The integral is a/y times E[P[G <= T]], T ~ Exp(y): a probability as
+    accurate as the CDF table, hence NESTED. It is split at both ends of the
+    table for every y. Below the top it runs in s = -log t, where e^(-yt)
+    falls off over a width of order 1 whatever y, so no y leaves the mass
+    between the nodes (in u = yt a y below 1e-4 put the whole table below
+    the first node); above, it is e^(-y hi) less E[P[G > T]; T > hi].
+    """
+    def block(ys):
+        cdf = _cdf_table(p)
+
+        def below(s):
+            yt = np.multiply.outer(np.exp(-s), ys)
+            return yt * np.exp(-yt) * cdf(np.exp(-s))[:, None]
+
+        def above(t):
+            return ys * np.exp(np.multiply.outer(t, -ys)) * cdf.upper_tail(t)[:, None]
+
+        return p.a / ys * (integrate(below, -math.log(cdf.hi), -math.log(cdf.lo), NESTED)
+                           + integrate(below, -math.log(cdf.lo), math.inf, NESTED)
+                           + np.exp(-ys * cdf.hi) - integrate(above, cdf.hi, math.inf, NESTED))
+
+    return column_blocks(block, y, "need y > 0")
 
 
-def awk_density(c: float, t: float) -> float:
+def awk_density(c: float, t):
     """Symmetric density w_c(t) = |t| rho(t^2/2) / 2 with rho the Thorin
-    density at (c/2, 1/2); even in t, Gaussian in the c -> 0 limit."""
+    density at (c/2, 1/2), at every finite t of an array (a float for a scalar
+    t); even in t, Gaussian in the c -> 0 limit."""
     if not (0.0 < c < 2.0):
         raise DomainError("the symmetrized law needs c in (0, 2)")
+    if not np.all(np.isfinite(np.asarray(t, dtype=float))):
+        raise DomainError("the symmetrized law needs a finite t")
     a = c / 2.0
-    s = t * t / 2.0
-    if s < 1e-7:
-        # small-argument limit: rho(s) ~ (sin pi a / pi a) C s^(-1/2) / 2 with
-        # C = B(1-a, a+1/2) / Gamma(1/2)
-        cc = math.exp(gamma_ln(1.0 - a) + gamma_ln(a + 0.5)
-                      - gamma_ln(1.5) - gamma_ln(0.5))
-        return math.sin(math.pi * a) / (math.pi * a) * cc * math.sqrt(2.0) / 4.0
-    rho = thorin_density(ThorinParams(a, 0.5), s)
-    return abs(t) * rho / 2.0
+    # small-argument limit: rho(s) ~ (sin pi a / pi a) C s^(-1/2) / 2 with
+    # C = B(1-a, a+1/2) / Gamma(1/2)
+    cc = math.exp(gamma_ln(1.0 - a) + gamma_ln(a + 0.5) - gamma_ln(1.5) - gamma_ln(0.5))
+    at_zero = math.sin(math.pi * a) / (math.pi * a) * cc * math.sqrt(2.0) / 4.0
+
+    def block(ts):
+        s = ts * ts / 2.0
+        out = np.full(ts.shape, at_zero)
+        far = s >= 1e-7
+        out[far] = np.abs(ts[far]) * thorin_density(ThorinParams(a, 0.5), s[far]) / 2.0
+        return out
+
+    return column_blocks(block, t)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
+import math
+
 import mpmath as mp
+import numpy as np
 import pytest
 
 
@@ -12,3 +15,16 @@ def _mpmath_precision():
 def rel_err(got, want):
     want = float(want)
     return abs(got - want) / max(abs(want), 1e-300)
+
+
+def max_rel_err(got, want):
+    """Largest relative error over two arrays of one shape."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return float(np.max(np.abs(got - want) / np.maximum(np.abs(want), 1e-300)))
+
+
+def mc_mean(values) -> tuple[float, float]:
+    """Mean of a Monte Carlo batch with its delta-method standard error."""
+    v = np.asarray(values, dtype=float)
+    assert v.size >= 2, "need at least two samples for an error bar"
+    return float(v.mean()), float(v.std(ddof=1) / math.sqrt(v.size))

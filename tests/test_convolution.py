@@ -13,7 +13,6 @@ from bpl.convolution import (
     sum_density_2f1,
     sum_density_appell,
     sum_density_bhalf,
-    sum_density_direct,
     sum_density_pfaff1,
     sum_density_pfaff2,
 )
@@ -26,7 +25,7 @@ from bpl.distributions import (
 )
 from bpl.errors import DomainError, QuadratureError
 from bpl.quadrature import integrate
-from conftest import rel_err
+from conftest import max_rel_err, rel_err
 
 
 def _mass_on_halfline(density, left_exp: float, tail_exp: float) -> float:
@@ -38,10 +37,8 @@ def _mass_on_halfline(density, left_exp: float, tail_exp: float) -> float:
     def smooth(t):
         # the transformed integrand is bounded; clamping t keeps the density
         # argument inside float range (error O(1e-10) in a continuous factor)
-        t = np.clip(np.atleast_1d(t), 1e-280, 1.0 - 1e-10)
-        x = t / (1.0 - t)
-        vals = np.array([density(float(v)) for v in x])
-        return vals / (t ** left_exp * (1.0 - t) ** (1.0 + tail_exp))
+        t = np.clip(t, 1e-280, 1.0 - 1e-10)
+        return density(t / (1.0 - t)) / (t ** left_exp * (1.0 - t) ** (1.0 + tail_exp))
 
     return beta_kernel(smooth, left_exp, tail_exp - 1.0)
 
@@ -52,8 +49,7 @@ def _mc_density_check(samples: np.ndarray, density, points, half_width=0.05, nsi
     for x in points:
         lo, hi = x - half_width, x + half_width
         p_emp = np.mean((samples > lo) & (samples < hi))
-        p_true = integrate(lambda t: np.array([density(float(v)) for v in np.atleast_1d(t)]),
-                           lo, hi)
+        p_true = integrate(density, lo, hi)
         se = math.sqrt(max(p_true * (1.0 - p_true), 1e-12) / n)
         assert abs(p_emp - p_true) < nsig * se, (x, p_emp, p_true, se)
 
@@ -63,21 +59,33 @@ class TestAppellForm:
         # finite-range quadrature plus the exact-order x^(-2) tail correction
         spec = SumSpec(1.0, BetaPrimeParams(1, 1), 1.0, BetaPrimeParams(1, 1))
         cut = 1e5
-        mass = integrate(lambda x: np.array([sum_density_appell(spec, float(v))
-                                             for v in np.atleast_1d(x)]), 1e-9, cut)
+        mass = integrate(lambda x: sum_density_appell(spec, x), 1e-9, cut)
         tail_coeff = cut ** 2 * sum_density_appell(spec, cut)
         assert mass + tail_coeff / cut == pytest.approx(1.0, abs=1e-7)
 
     def test_agreement_with_gauss_form(self):
         p = BetaPrimeParams(0.7, 0.4)
         spec = SumSpec(1.0, p, 1.0, p)
-        for x in (0.5, 2.0, 10.0):
-            assert rel_err(sum_density_appell(spec, x), sum_density_2f1(p, x)) < 1e-8
+        xs = np.array([0.5, 2.0, 10.0])
+        assert max_rel_err(sum_density_appell(spec, xs), sum_density_2f1(p, xs)) < 1e-8
 
     def test_agreement_with_direct_convolution(self):
+        # oracle: scipy's QUADPACK convolution integral, with the two endpoint
+        # powers u^(a-1) and (x-u)^(c-1) in its algebraic weight
+        from scipy.integrate import quad
+        from scipy.special import beta
+
         spec = SumSpec(2.0, BetaPrimeParams(1.0, 2.0), 0.5, BetaPrimeParams(0.5, 1.5))
-        for x in (0.3, 1.0, 4.0):
-            assert rel_err(sum_density_appell(spec, x), sum_density_direct(spec, x)) < 1e-9
+        (a, b), (c, d), lam, mu = (1.0, 2.0), (0.5, 1.5), spec.lam, spec.mu
+
+        def convolution(x):
+            val, _ = quad(lambda u: (1.0 + u / lam) ** (-a - b) * (1.0 + (x - u) / mu) ** (-c - d),
+                          0.0, x, weight="alg", wvar=(a - 1.0, c - 1.0), epsabs=0.0, epsrel=1e-13)
+            return val * lam ** (-a) * mu ** (-c) / (beta(a, b) * beta(c, d))
+
+        xs = np.array([0.3, 1.0, 4.0])
+        want = np.array([convolution(x) for x in xs])
+        assert max_rel_err(sum_density_appell(spec, xs), want) < 1e-11
 
     def test_monte_carlo_histogram(self):
         spec = SumSpec(2.0, BetaPrimeParams(1.0, 2.0), 0.5, BetaPrimeParams(0.5, 1.5))
@@ -90,12 +98,12 @@ class TestAppellForm:
     def test_swap_symmetry(self):
         s1 = SumSpec(2.0, BetaPrimeParams(1.0, 2.0), 0.5, BetaPrimeParams(0.5, 1.5))
         s2 = SumSpec(0.5, BetaPrimeParams(0.5, 1.5), 2.0, BetaPrimeParams(1.0, 2.0))
-        for x in (0.4, 1.3, 6.0):
-            assert rel_err(sum_density_appell(s1, x), sum_density_appell(s2, x)) < 1e-9
+        xs = np.array([0.4, 1.3, 6.0])
+        assert max_rel_err(sum_density_appell(s1, xs), sum_density_appell(s2, xs)) < 1e-9
 
     def test_quadrature_failure_is_raised(self, monkeypatch):
-        # no silent switch to the direct route: the Appell-vs-direct
-        # cross-check must never compare the direct form with itself
+        # no silent switch to another route: a failing F1 quadrature fails
+        # the density
         from bpl import convolution
 
         def refuse(*args, **kwargs):
@@ -110,15 +118,15 @@ class TestAppellForm:
 class TestGaussForm:
     def test_bhalf_pointwise(self):
         p = BetaPrimeParams(0.8, 0.5)
-        for x in (0.2, 1.0, 7.0):
-            assert rel_err(sum_density_2f1(p, x), sum_density_bhalf(0.8, x)) < 1e-12
+        xs = np.array([0.2, 1.0, 7.0])
+        assert max_rel_err(sum_density_2f1(p, xs), sum_density_bhalf(0.8, xs)) < 1e-12
 
     def test_pfaff_variants_agree(self):
         p = BetaPrimeParams(0.6, 0.8)
-        for x in (0.3, 1.0, 5.0):
-            d0 = sum_density_2f1(p, x)
-            assert rel_err(sum_density_pfaff1(p, x), d0) < 1e-9
-            assert rel_err(sum_density_pfaff2(p, x), d0) < 1e-9
+        xs = np.array([0.3, 1.0, 5.0])
+        d0 = sum_density_2f1(p, xs)
+        assert max_rel_err(sum_density_pfaff1(p, xs), d0) < 1e-9
+        assert max_rel_err(sum_density_pfaff2(p, xs), d0) < 1e-9
 
     @pytest.mark.parametrize("density", [sum_density_2f1, sum_density_pfaff1,
                                          sum_density_pfaff2])
@@ -148,8 +156,7 @@ class TestGaussForm:
 
     def test_normalization(self):
         p = BetaPrimeParams(1.2, 0.7)
-        mass = _mass_on_halfline(lambda x: sum_density_2f1(p, x),
-                                 2.0 * p.a - 1.0, p.b)
+        mass = _mass_on_halfline(lambda x: sum_density_2f1(p, x), 2.0 * p.a - 1.0, p.b)
         assert mass == pytest.approx(1.0, abs=1e-8)
 
 
@@ -181,22 +188,21 @@ class TestBHalf:
     def test_small_x_powerlaw(self):
         for a in (0.5, 1.3):
             x = 1e-6
-            slope = (math.log(sum_density_bhalf(a, x * 1.1)) - math.log(sum_density_bhalf(a, x))) \
-                / (math.log(x * 1.1) - math.log(x))
+            lo, hi = np.log(sum_density_bhalf(a, np.array([x, x * 1.1])))
+            slope = (hi - lo) / (math.log(x * 1.1) - math.log(x))
             assert slope == pytest.approx(2.0 * a - 1.0, abs=1e-3)
 
 
 class TestBetaSum:
     def test_triangle(self):
         p = BetaParams(1.0, 1.0)
-        assert beta_sum_density(p, 1.0) == pytest.approx(1.0, rel=1e-10)
-        assert beta_sum_density(p, 0.5) == pytest.approx(0.5, rel=1e-10)
-        assert beta_sum_density(p, 1.5) == pytest.approx(0.5, rel=1e-10)
+        got = beta_sum_density(p, np.array([1.0, 0.5, 1.5, 0.2]))
+        assert got == pytest.approx([1.0, 0.5, 0.5, 0.2], rel=1e-10)
 
     def test_normalization(self):
         # split at the branch point x = 1 where the closed form switches
         p = BetaParams(0.5, 1.5)
-        f = lambda x: np.array([beta_sum_density(p, float(v)) for v in np.atleast_1d(x)])
+        f = lambda x: beta_sum_density(p, x)
         mass = integrate(f, 1e-12, 1.0) + integrate(f, 1.0, 2.0 - 1e-12)
         assert mass == pytest.approx(1.0, abs=1e-9)
 
@@ -210,6 +216,8 @@ class TestBetaSum:
     def test_domain(self):
         with pytest.raises(DomainError):
             beta_sum_density(BetaParams(1, 1), 2.5)
+        with pytest.raises(DomainError):
+            beta_sum_density(BetaParams(1, 1), np.array([0.5, 1.5, 0.0]))
 
 
 class TestMellinSum:
@@ -230,10 +238,7 @@ class TestMellinSum:
         s = 0.1
 
         def smooth(y):
-            return np.array([
-                (1.0 + float(v)) ** (-b) * gauss_2f1(0.5 - b, a, a + 0.5, float(v) ** 2)
-                for v in np.atleast_1d(y)
-            ])
+            return (1.0 + y) ** (-b) * gauss_2f1(0.5 - b, a, a + 0.5, y ** 2)
 
         from bpl.options import EvalOptions
         pref = math.exp((2.0 * a + s) * math.log(2.0) + 2.0 * gamma_ln(a + b)
@@ -260,8 +265,7 @@ class TestMellinSum:
         lo = 1e-10
         total = 0.0
         for hi in cuts:
-            total += integrate(lambda x: np.array([float(v) ** s_hi * sum_density_2f1(p, float(v))
-                                                   for v in np.atleast_1d(x)]), lo, hi)
+            total += integrate(lambda x: x ** s_hi * sum_density_2f1(p, x), lo, hi)
             partials.append(total)
             lo = hi
         assert all(b > a for a, b in zip(partials, partials[1:]))
@@ -274,8 +278,7 @@ class TestMellinSum:
         lo = 1e-12
         total = 0.0
         for hi in cuts:
-            total += integrate(lambda x: np.array([float(v) ** s_lo * sum_density_2f1(p, float(v))
-                                                   for v in np.atleast_1d(x)]), lo, hi)
+            total += integrate(lambda x: x ** s_lo * sum_density_2f1(p, x), lo, hi)
             partials.append(total)
             lo = hi
         assert all(b > a for a, b in zip(partials, partials[1:]))

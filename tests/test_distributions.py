@@ -29,7 +29,7 @@ from bpl.distributions import (
 from bpl.errors import DomainError
 from bpl.identities import ks_two_sample
 from bpl.quadrature import integrate
-from conftest import rel_err
+from conftest import mc_mean, rel_err
 
 
 class TestPdf:
@@ -79,7 +79,6 @@ class TestLaplace:
         assert betaprime_laplace(BetaPrimeParams(1, 1), 1.0) == pytest.approx(want, rel=1e-11)
 
     def test_monte_carlo_three_sigma(self):
-        from bpl.distributions import mc_mean
         p = BetaPrimeParams(0.5, 0.5)
         x = sample_betaprime(p, RngState(31), 1_000_000)
         mean, se = mc_mean(np.exp(-2.0 * x))
@@ -339,15 +338,14 @@ class TestSizeBias:
         loose = EvalOptions(rel_tol=1e-9, abs_tol=1e-12, max_quad_refinements=80)
 
         def base(x):
-            return np.array([lemma_densities("betastrb_f", b, float(v))
-                             for v in np.atleast_1d(x)])
+            return lemma_densities("betastrb_f", b, x)
 
         def piecewise(f):
             return (integrate(f, 1.0 + 1e-9, 2.0 - 1e-9, loose)
                     + integrate(f, 2.0 + 1e-9, np.inf, loose))
 
-        norm = piecewise(lambda x: np.atleast_1d(x) ** (-b) * base(x))
-        mass = piecewise(lambda x: size_bias_pdf(base, -b, np.atleast_1d(x), norm=norm))
+        norm = piecewise(lambda x: x ** (-b) * base(x))
+        mass = piecewise(lambda x: size_bias_pdf(base, -b, x, norm=norm))
         assert mass == pytest.approx(1.0, abs=2e-6)
 
     def test_rejection_sampler_matches_shift(self):
