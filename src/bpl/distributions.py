@@ -16,8 +16,14 @@ generator fills the first on the calling thread, and a child generator
 short-lived worker thread. numpy's fills release the GIL, so the halves run
 at once. The values are a function of the seed and the size alone, whatever
 the thread timing or the machine's core count; smaller draws come from the
-caller's generator as before. The split moved the KS statistics of sampling
-runs at 2^17 values per side or more, and nothing below that size.
+caller's generator as before. Each half takes the cheapest exact
+construction of its shape: G(1/2) = Z^2/2 with Z standard normal,
+G(3/2) = E + Z^2/2 and G(2) = E + E with E standard exponential, and
+G(1) = E, numpy's own shape-1 path; other shapes keep Marsaglia-Tsang. The
+split and these constructions moved the KS statistics of sampling runs at
+2^17 values per side or more, and nothing below that size: draws there keep
+their Marsaglia-Tsang streams, so every default-size CLI output keeps its
+bits.
 
 The samplers do their arithmetic in place on the arrays they draw, in the
 order the plain expressions would (``g * u`` becomes ``g *= u``), so every
@@ -209,23 +215,43 @@ def _fill_gamma(gen: np.random.Generator, shape: float, out: np.ndarray) -> None
         gen.standard_gamma(shape, out=out)
 
 
+def _fill_half(gen: np.random.Generator, shape: float, out: np.ndarray) -> None:
+    """One half of a split draw, by the cheapest exact construction of its
+    shape: G(1/2) = Z^2/2, G(1) = E, G(3/2) = E + Z^2/2 and G(2) = E + E, with
+    Z standard normal and E standard exponential; other shapes _fill_gamma."""
+    if shape in (0.5, 1.5):
+        gen.standard_normal(out=out)
+        out *= out
+        out *= 0.5
+        if shape == 1.5:
+            out += gen.standard_exponential(out.size)
+    elif shape in (1.0, 2.0):
+        gen.standard_exponential(out=out)
+        if shape == 2.0:
+            out += gen.standard_exponential(out.size)
+    else:
+        _fill_gamma(gen, shape, out)
+
+
 def _gamma(gen: np.random.Generator, shape: float, n: int) -> np.ndarray:
-    """n Marsaglia-Tsang draws from numpy's compiled ``standard_gamma``.
-    Shapes below 1 use the U^(1/t) boost: at t = 0.5 it measured 54 ms per
-    10^6 draws against 83 ms for numpy's own small-shape path (numpy 2.4,
-    2-vCPU Xeon VM).
+    """n draws of G(shape). Below _SPLIT values, numpy's compiled
+    Marsaglia-Tsang ``standard_gamma``, with the U^(1/t) boost for shapes
+    below 1; those streams are kept, so the CLI's default-size runs keep
+    their outputs.
 
     From _SPLIT values on, gen fills out[:n // 2] on this thread while the
     child gen.spawn(1)[0] fills out[n // 2:] on a worker thread, each half
-    with its own boost, so the result depends on the seed and n only."""
+    by _fill_half, so the result depends on the seed and n only. Against
+    Marsaglia-Tsang halves, 10^6 values took about 21 -> 10.5 ms at t = 1/2
+    and 17.5 -> 10 ms at t = 2 (numpy 2.4, 2-vCPU Xeon VM)."""
     out = np.empty(n)
     if n < _SPLIT:
         _fill_gamma(gen, shape, out)
         return out
     child = gen.spawn(1)[0]
     half = n // 2
-    _on_two_threads(lambda: _fill_gamma(child, shape, out[half:]),
-                    lambda: _fill_gamma(gen, shape, out[:half]))
+    _on_two_threads(lambda: _fill_half(child, shape, out[half:]),
+                    lambda: _fill_half(gen, shape, out[:half]))
     return out
 
 

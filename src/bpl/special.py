@@ -11,11 +11,12 @@ Array-first functions: tricomi_psi, hermite_h_neg, expint_e1 and
 macdonald_k0 accept an array of z and return an array of the same shape,
 computed by one quadrature over a mesh shared by every z (one column per z);
 a scalar z returns a float. parabolic_d, mills_ratio and mills_ratio_deriv
-accept arrays in the same way. Long arrays are evaluated in blocks of columns
-(quadrature.column_blocks), one shared mesh per block. gauss_2f1 and
-kummer_phi accept arrays of z at fixed parameters too: every z takes its own
-route by mask, and each route is one numpy recurrence in which every element
-stops on its own term, so a value does not depend on the other elements.
+accept arrays in the same way. Long arrays of these quadratures are evaluated
+in blocks of columns (quadrature.column_blocks), one shared mesh per block.
+gauss_2f1 and kummer_phi accept arrays of z at fixed parameters too, and take
+the whole flattened array in one call: every z takes its own route by mask,
+and each route is one numpy recurrence in which every element stops on its
+own term, so a value does not depend on the other elements.
 """
 
 from __future__ import annotations
@@ -168,6 +169,13 @@ def _masked_series(coef, x: np.ndarray, bracket=None, first: float = 1.0) -> np.
     raise NonConvergenceError(f"hypergeometric series stalled at {x[0]}")
 
 
+def _flat(fn, z):
+    """fn over the flattened values of z in one call, reshaped to the shape
+    of z; a scalar z gives a float."""
+    vals = fn(np.asarray(z, dtype=float).ravel())
+    return float(vals[0]) if np.ndim(z) == 0 else vals.reshape(np.shape(z))
+
+
 def _by_route(z: np.ndarray, routes) -> np.ndarray:
     """Values at every element of the 1-d array z, where routes is a list of
     (mask, fn) pairs partitioning z; fn only ever sees a non-empty subset."""
@@ -278,7 +286,7 @@ def gauss_2f1(a: float, b: float, c: float, z):
         at_one = (x == 1.0, lambda v: np.full(v.shape, gamma_ratio([c, c - a - b], [c - a, c - b])))
         return _by_route(x, [at_one, *routes])
 
-    return column_blocks(block, z)
+    return _flat(block, z)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +470,7 @@ def kummer_phi(a: float, c: float, z):
         far, far_route = -700.0, log_transform
     else:
         far, far_route = -40.0, lambda v: _phi_large_negative(a, c, -v)
-    return column_blocks(lambda x: _by_route(x, [
+    return _flat(lambda x: _by_route(x, [
         (x < far, far_route),
         ((x >= far) & (x < 0.0), lambda v: np.exp(v) * series(c - a, -v)),
         (x >= 0.0, lambda v: series(a, v)),

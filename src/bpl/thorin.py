@@ -253,7 +253,13 @@ def _density_a1(x: float, t):
     def block(ts):
         pts, h = _stencil(ts)
         g = _gx(x, pts.ravel()).reshape(pts.shape)
-        return _five_point(g, h) / (math.pi * (1.0 + g[2] ** 2))
+        dg, g = _five_point(g, h), g[2]
+        out = np.empty(g.shape)
+        # g'/(1 + g^2) = (g'/g) / (g + 1/g) where |g| > 1, so g^2 never overflows
+        big = np.abs(g) > 1.0
+        out[~big] = dg[~big] / (math.pi * (1.0 + g[~big] ** 2))
+        out[big] = dg[big] / g[big] / (math.pi * (g[big] + 1.0 / g[big]))
+        return out
 
     return column_blocks(block, t, _GX_DOMAIN, width=5)
 

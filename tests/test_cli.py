@@ -529,6 +529,12 @@ class TestEdgeShapes:
         code, rows = _run_checked(["thorin", "--a", a, "--x", "40", "--t", "0.1:10:4"])
         assert code == 0 and len(rows) == 4
 
+    def test_thorin_unit_a_large_x_small_t(self):
+        # g_x(t)^2 overflows here; the density is tiny but positive
+        code, rows = _run_checked(["thorin", "--a", "1", "--x", "40", "--t", "0.001953125:1.0:1"])
+        assert code == 0 and len(rows) == 1
+        assert 0.0 < float(rows[0][5]) < 1e-100
+
 
 _BAD_NUMBERS = ["0", "-1", "nan", "inf", "-inf", "1.5"]
 _SHAPES = st.one_of(st.floats(min_value=0.01, max_value=1.0).map(repr),

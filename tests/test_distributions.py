@@ -226,6 +226,19 @@ class TestInPlaceSamplers:
         assert isinstance(got, float) and got == float((g1 / _gamma_expr(gen, 4.0, 1))[0])
 
 
+def _half_expr(gen, shape, n):
+    """The plain-expression form of a split draw's half: Z^2/2, Z^2/2 + E and
+    E + E at t = 1/2, 3/2 and 2; _gamma_expr otherwise (at t = 1 numpy's
+    standard_gamma is its standard_exponential)."""
+    if shape == 0.5:
+        return gen.standard_normal(n) ** 2 / 2
+    if shape == 1.5:
+        return gen.standard_normal(n) ** 2 / 2 + gen.standard_exponential(n)
+    if shape == 2.0:
+        return gen.standard_exponential(n) + gen.standard_exponential(n)
+    return _gamma_expr(gen, shape, n)
+
+
 def _split_plan(seed, shape, n):
     """_gamma's split draw done in sequence: the first n // 2 values from the
     generator, the rest from its first spawned child; then the generator's
@@ -233,7 +246,7 @@ def _split_plan(seed, shape, n):
     gen = RngState(seed).generator
     child = gen.spawn(1)[0]
     half = n // 2
-    values = np.concatenate([_gamma_expr(gen, shape, half), _gamma_expr(child, shape, n - half)])
+    values = np.concatenate([_half_expr(gen, shape, half), _half_expr(child, shape, n - half)])
     return values, gen.random(4)
 
 
@@ -248,7 +261,7 @@ class TestSplitDraw:
         assert got[0].tobytes() == got[1].tobytes()
 
     @pytest.mark.parametrize("n", [N, _SPLIT + 1])
-    @pytest.mark.parametrize("t", [0.3, 1.0, 2.5])
+    @pytest.mark.parametrize("t", [0.3, 0.5, 1.0, 1.5, 2.0, 2.5])
     def test_equals_sequential_plan(self, t, n):
         gen = RngState(62).generator
         got = _gamma(gen, t, n)
@@ -256,21 +269,21 @@ class TestSplitDraw:
         assert got.tobytes() == want.tobytes()
         assert gen.random(4).tobytes() == want_next.tobytes()
 
-    @pytest.mark.parametrize("t", [0.3, 2.5])
+    @pytest.mark.parametrize("t", [0.3, 0.5, 1.0, 1.5, 2.0, 2.5])
     def test_below_split_is_one_stream(self, t):
         n = _SPLIT - 1
         got = _gamma(RngState(63).generator, t, n)
         assert got.tobytes() == _gamma_expr(RngState(63).generator, t, n).tobytes()
 
     def test_worker_error_raised_in_caller(self, monkeypatch, capfd):
-        fill = distributions._fill_gamma
+        fill = distributions._fill_half
 
         def refuse_off_main(gen, shape, out):
             if threading.current_thread() is not threading.main_thread():
                 raise DomainError("worker fill refused")
             fill(gen, shape, out)
 
-        monkeypatch.setattr(distributions, "_fill_gamma", refuse_off_main)
+        monkeypatch.setattr(distributions, "_fill_half", refuse_off_main)
         before = threading.active_count()
         with pytest.raises(DomainError, match="worker fill refused"):
             _gamma(RngState(64).generator, 0.5, self.N)
@@ -299,9 +312,9 @@ class TestSplitDrawLaw:
     two halves agree: an unfilled half (np.empty) or a child stream that
     repeats its parent fails at alpha = 1e-6."""
 
-    N = 1 << 18
+    N = 1 << 20
 
-    @pytest.mark.parametrize("t", [0.3, 0.5, 1.0, 2.5])
+    @pytest.mark.parametrize("t", [0.3, 0.5, 1.0, 1.5, 2.0, 2.5])
     def test_halves(self, t):
         g = _gamma(RngState(66).generator, t, self.N)
         first, second = g[:self.N // 2], g[self.N // 2:]

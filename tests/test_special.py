@@ -712,6 +712,15 @@ class TestArrayHypergeometric:
         got[perm] = kummer_phi(a, c, self.MIXED[perm])
         assert np.array_equal(got, [kummer_phi(a, c, float(v)) for v in self.MIXED])
 
+    def test_long_array_in_one_call_equals_scalar_calls(self):
+        # more values than a quadrature block of columns holds, every route of
+        # either function, in one evaluation
+        z = np.linspace(-60.0, 0.999, 600)
+        assert np.array_equal(gauss_2f1(0.25, 0.25, 0.75, z),
+                              [gauss_2f1(0.25, 0.25, 0.75, float(v)) for v in z])
+        z = np.linspace(-300.0, 40.0, 600)
+        assert np.array_equal(kummer_phi(0.7, 3.1, z), [kummer_phi(0.7, 3.1, float(v)) for v in z])
+
     def test_shape_and_type(self):
         z = np.array([[0.1, -2.0, 0.95], [0.3, 0.6, -50.0]])
         assert gauss_2f1(0.7, 1.9, 3.1, z).shape == (2, 3)

@@ -7,6 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from bpl import thorin
 from bpl.errors import DomainError
 from bpl.options import EvalOptions
 from bpl.quadrature import integrate
@@ -185,6 +186,16 @@ class TestFrullani:
         lhs = dg / (math.pi * (1.0 + g[2] ** 2))
         rhs = (thorin_cdf_a1(x, t + h) - thorin_cdf_a1(x, t - h)) / (2 * h)
         assert rel_err(lhs, rhs) < 1e-6
+
+    @pytest.mark.parametrize("x", [0.3, 2.5, 40.0])
+    def test_density_equals_the_plain_form(self, x):
+        # g'/(g + 1/g) where |g| > 1 against g'/(1 + g^2) on the same stencil
+        ts = np.geomspace(0.01, 20.0, 12)
+        pts, h = thorin._stencil(ts)
+        g = thorin._gx(x, pts.ravel()).reshape(pts.shape)
+        want = thorin._five_point(g, h) / (math.pi * (1.0 + g[2] ** 2))
+        assert np.any(np.abs(g[2]) > 1.0)
+        assert max_rel_err(thorin_density(ThorinParams(1.0, x), ts), want) <= 1e-15
 
 
 class TestLevy:
