@@ -7,9 +7,10 @@ variants) and are used as mutually cross-checking implementations.
 Array contract: every density takes an array of x and returns an array of
 its shape (a float for a scalar x). Every x must lie in the support, or
 DomainError is raised before anything is evaluated; each closed-form branch
-is a mask over the array, and the Appell form spends one quadrature column
-per x (quadrature.column_blocks). mellin_sum stays scalar in s: each s moves
-the parameters of its 3F2.
+is a mask over the array, and the whole flattened array is one call
+(quadrature._flat). The Appell form spends one quadrature column per x
+inside appell_f1, which blocks its own columns. mellin_sum stays scalar in
+s: each s moves the parameters of its 3F2.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .distributions import BetaParams, BetaPrimeParams
 from .errors import DomainError
-from .quadrature import column_blocks
+from .quadrature import _flat
 from .special import appell_f1, gamma_ln, gamma_ratio, gauss_2f1, hyp_3f2
 
 __all__ = [
@@ -55,7 +56,7 @@ _SUM_SUPPORT = "the sum lives on (0, infinity)"
 
 def sum_density_appell(spec: SumSpec, x):
     """Density of lam*X1 + mu*X2 at every x > 0, through the Appell F1 closed
-    form (one quadrature column per x)."""
+    form (one quadrature column per x, in appell_f1)."""
     a, b = spec.p1.a, spec.p1.b
     c, d = spec.p2.a, spec.p2.b
     lam, mu = spec.lam, spec.mu
@@ -70,7 +71,7 @@ def sum_density_appell(spec: SumSpec, x):
         f1 = appell_f1(a, a + b, c + d, a + c, -xs / lam, xs / (xs + mu))
         return np.exp(log_const + (a + c - 1.0) * np.log(xs) - (c + d) * np.log(xs + mu)) * f1
 
-    return column_blocks(block, x, _SUM_SUPPORT)
+    return _flat(block, x, _SUM_SUPPORT)
 
 
 def _phi_prefactor(p: BetaPrimeParams, x: np.ndarray) -> np.ndarray:
@@ -90,7 +91,7 @@ def sum_density_2f1(p: BetaPrimeParams, x):
         hyp = gauss_2f1(a + b, a, a + 0.5, z)
         return _phi_prefactor(p, xs) * (xs + 1.0) ** (-a - b) * hyp
 
-    return column_blocks(block, x, _SUM_SUPPORT)
+    return _flat(block, x, _SUM_SUPPORT)
 
 
 def sum_density_pfaff1(p: BetaPrimeParams, x):
@@ -101,7 +102,7 @@ def sum_density_pfaff1(p: BetaPrimeParams, x):
         hyp = gauss_2f1(a + b, 0.5, a + 0.5, (xs / (xs + 2.0)) ** 2)
         return _phi_prefactor(p, xs) * 4.0 ** (a + b) * (xs + 2.0) ** (-2.0 * (a + b)) * hyp
 
-    return column_blocks(block, x, _SUM_SUPPORT)
+    return _flat(block, x, _SUM_SUPPORT)
 
 
 def sum_density_pfaff2(p: BetaPrimeParams, x):
@@ -113,7 +114,7 @@ def sum_density_pfaff2(p: BetaPrimeParams, x):
         return (_phi_prefactor(p, xs)
                 * 4.0 ** a * (xs + 1.0) ** (-b) * (xs + 2.0) ** (-2.0 * a) * hyp)
 
-    return column_blocks(block, x, _SUM_SUPPORT)
+    return _flat(block, x, _SUM_SUPPORT)
 
 
 def sum_density_bhalf(a: float, x):
@@ -121,7 +122,7 @@ def sum_density_bhalf(a: float, x):
     if not a > 0.0:
         raise DomainError("need a > 0")
     log_const = math.log(2.0) + gamma_ln(a + 0.5) - gamma_ln(a) - 0.5 * math.log(math.pi)
-    return column_blocks(
+    return _flat(
         lambda xs: np.exp(log_const + (2.0 * a - 1.0) * np.log(xs)
                           - 0.5 * np.log(xs + 1.0) - 2.0 * a * np.log(xs + 2.0)),
         x, _SUM_SUPPORT)
@@ -159,7 +160,7 @@ def beta_sum_density(p: BetaParams, x):
         out[up] = left(p.q, p.p, 2.0 - xs[up])
         return out
 
-    return column_blocks(block, x)
+    return _flat(block, x)
 
 
 def mellin_sum(p: BetaPrimeParams, s: float) -> float:

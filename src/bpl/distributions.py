@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import DomainError, QuadratureError
 from .options import DIVERGENCE_CHECK
-from .quadrature import column_blocks, halfline_power
+from .quadrature import _flat, halfline_power
 from .special import gamma_ln, tricomi_psi
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
     "betaprime_mellin",
     "betaprime_laplace",
     "beta_pdf",
-    "gamma_pdf",
     "sample_gamma",
     "sample_beta",
     "sample_betaprime",
@@ -143,7 +142,7 @@ def betaprime_laplace(p: BetaPrimeParams, z):
         out[pos] = scale * tricomi_psi(p.a, 1.0 - p.b, zs[pos])
         return out
 
-    return column_blocks(block, z)
+    return _flat(block, z)
 
 
 def beta_pdf(p: BetaParams, x):
@@ -154,17 +153,6 @@ def beta_pdf(p: BetaParams, x):
             (x > 0.0) & (x < 1.0),
             np.exp(lognorm + (p.p - 1.0) * np.log(np.clip(x, 1e-308, None))
                    + (p.q - 1.0) * np.log1p(-np.clip(x, None, 1.0 - 1e-16))),
-            0.0,
-        )
-    return float(out) if out.ndim == 0 else out
-
-
-def gamma_pdf(p: GammaParams, x):
-    x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore"):
-        out = np.where(
-            x > 0.0,
-            np.exp((p.t - 1.0) * np.log(np.clip(x, 1e-308, None)) - x - gamma_ln(p.t)),
             0.0,
         )
     return float(out) if out.ndim == 0 else out
@@ -304,13 +292,10 @@ def size_bias_pdf(base_pdf, t: float, x, norm: float | None = None):
     return float(out) if out.ndim == 0 else out
 
 
-def size_bias_sample(base_sampler, t: float, rng: RngState, size: int | None = None,
-                     weight_bound: float = 1.0):
-    """Weighted rejection against the base sampler.
-
-    weight_bound must dominate x^t on the support of the base law (1.0 works
-    whenever t <= 0 and the support lies in [1, inf), or t >= 0 with support
-    in (0, 1]).
+def size_bias_sample(base_sampler, t: float, rng: RngState, size: int | None = None):
+    """Weighted rejection against the base sampler, with weight bound 1: x^t
+    must not exceed 1 on the support of the base law (t <= 0 with support in
+    [1, inf), or t >= 0 with support in (0, 1]), or DomainError is raised.
     """
     n = 1 if size is None else int(size)
     out = np.empty(n)
@@ -319,9 +304,9 @@ def size_bias_sample(base_sampler, t: float, rng: RngState, size: int | None = N
         m = max(64, 2 * (n - filled))
         draws = np.asarray(base_sampler(rng, m), dtype=float)
         w = draws ** t
-        if np.any(w > weight_bound * (1.0 + 1e-12)):
-            raise DomainError("weight_bound does not dominate x^t on the support")
-        keep = draws[rng.generator.random(m) * weight_bound < w]
+        if np.any(w > 1.0 + 1e-12):
+            raise DomainError("x^t exceeds the weight bound 1 on the support")
+        keep = draws[rng.generator.random(m) < w]
         take = min(keep.size, n - filled)
         out[filled:filled + take] = keep[:take]
         filled += take

@@ -16,11 +16,15 @@ point (integrate, power_weighted, beta_kernel, halfline_power) passes the
 columns through unchanged.
 
 Column blocks: a round over m columns may ask for at most _MAX_ROUND_VALUES
-integrand values, so every array-first function of the package hands its
-columns to column_blocks, which evaluates a long array in blocks of at most
-_BLOCK_COLUMNS columns (273), one shared mesh per block, and splits a block
-in halves if its mesh still grows past that cap. Arrays up to that
-width (the probe grids, the thorin tables) stay one block.
+integrand values, so a function that builds one shared-mesh quadrature with
+a column per value hands its values to column_blocks, which evaluates a long
+array in blocks of at most _BLOCK_COLUMNS columns (273), one shared mesh per
+block, and splits a block in halves if its mesh still grows past that cap.
+Arrays up to that width (the probe grids, the thorin tables) stay one block.
+column_blocks is built on the private _flat (flatten, check the domain
+before evaluating, reshape), which closed forms and wrappers of a function
+that blocks its own columns call directly with the whole array, so
+column_blocks' own time is quadrature time.
 """
 
 from __future__ import annotations
@@ -175,25 +179,35 @@ def _adaptive(f, breakpoints, opts: EvalOptions):
     )
 
 
+def _flat(fn, z, positive: str | None = None):
+    """fn over the flattened values of z in one call, reshaped to the shape
+    of z; a scalar z gives a float. With a message, every value must be > 0
+    (NaN included) or DomainError is raised before fn is called."""
+    zs = np.asarray(z, dtype=float).ravel()
+    if positive is not None and not np.all(zs > 0.0):
+        raise DomainError(positive)
+    vals = fn(zs)
+    return float(vals[0]) if np.ndim(z) == 0 else vals.reshape(np.shape(z))
+
+
 def column_blocks(fn, z, positive: str | None = None, width: int = 1):
     """fn over the values of z, evaluated in blocks of columns.
 
     fn maps a 1-d array of values to an array of the same length and spends
-    width quadrature columns on each value. z is flattened; with a message,
-    every value must be > 0 (NaN included) or DomainError is raised before
-    anything is evaluated. Blocks hold at most _BLOCK_COLUMNS // width values.
-    A block whose mesh grows so fine that a round over all its columns would
-    exceed _MAX_ROUND_VALUES (a t or z near a singular end can need thousands
-    of panels) is evaluated as two halves instead, down to single values.
-    The result has the shape of z, and a scalar z gives a float.
+    width quadrature columns of one shared mesh on each value. z and the
+    positive message are those of _flat. Blocks hold at most
+    _BLOCK_COLUMNS // width values. A block whose mesh grows so fine that a
+    round over all its columns would exceed _MAX_ROUND_VALUES (a t or z near
+    a singular end can need thousands of panels) is evaluated as two halves
+    instead, down to single values.
     """
-    zs = np.asarray(z, dtype=float).ravel()
-    if positive is not None and not np.all(zs > 0.0):
-        raise DomainError(positive)
     step = max(_BLOCK_COLUMNS // width, 1)
-    blocks = [zs[i:i + step] for i in range(0, zs.size, step)] or [zs]
-    vals = np.concatenate([_in_halves(fn, block) for block in blocks])
-    return float(vals[0]) if np.ndim(z) == 0 else vals.reshape(np.shape(z))
+
+    def blocks(zs):
+        parts = [zs[i:i + step] for i in range(0, zs.size, step)] or [zs]
+        return np.concatenate([_in_halves(fn, part) for part in parts])
+
+    return _flat(blocks, z, positive)
 
 
 def _in_halves(fn, zs: np.ndarray) -> np.ndarray:
@@ -247,12 +261,14 @@ def _sub_power(kappa: float) -> int:
     return min(max(m, 2), 256)
 
 
-def _power_piece(R, kappa: float, top: float, opts: EvalOptions):
+def power_weighted(R, kappa: float, top: float, opts: EvalOptions = DEFAULT_OPTIONS):
     """integral_0^top x^kappa R(x) dx with the x^kappa factor kept exact.
 
     Substitutes x = v^m so the transformed integrand m v^{m(kappa+1)-1} R(v^m)
     is bounded (or nearly so) at v = 0.
     """
+    if not top > 0.0:
+        raise DomainError("need top > 0")
     if kappa <= -1.0:
         raise DomainError(f"non-integrable endpoint exponent {kappa}")
     m = _sub_power(kappa)
@@ -266,13 +282,6 @@ def _power_piece(R, kappa: float, top: float, opts: EvalOptions):
     # graded toward 0 so boundary layers deep inside the interval are found
     breaks = top_v * np.array([0.0, 1e-8, 1e-5, 1e-3, 0.03, 0.2, 0.55, 1.0])
     return _adaptive(g, breaks, opts)
-
-
-def power_weighted(R, kappa: float, top: float, opts: EvalOptions = DEFAULT_OPTIONS):
-    """integral_0^top x^kappa R(x) dx with the endpoint factor kept exact."""
-    if not top > 0.0:
-        raise DomainError("need top > 0")
-    return _power_piece(R, kappa, top, opts)
 
 
 def beta_kernel(R, kappa: float, lam: float, opts: EvalOptions = DEFAULT_OPTIONS):
@@ -289,24 +298,19 @@ def beta_kernel(R, kappa: float, lam: float, opts: EvalOptions = DEFAULT_OPTIONS
         rx = R(1.0 - s)
         return _along_nodes((1.0 - s) ** kappa, rx) * rx
 
-    left = _power_piece(near_zero, kappa, 0.5, opts)
-    right = _power_piece(near_one, lam, 0.5, opts)
+    left = power_weighted(near_zero, kappa, 0.5, opts)
+    right = power_weighted(near_one, lam, 0.5, opts)
     return left + right
 
 
 def halfline_power(R, kappa: float, opts: EvalOptions = DEFAULT_OPTIONS):
-    """integral_0^inf t^kappa R(t) dt for kappa > -1 and decaying R."""
-    head = _power_piece(R, kappa, 1.0, opts)
+    """integral_0^inf t^kappa R(t) dt for kappa > -1 and decaying R: the
+    endpoint-power piece on [0, 1] plus integrate's half-line map on [1, inf)."""
+    def tail(t):
+        rt = np.asarray(R(t), dtype=float)
+        return _along_nodes(t ** kappa, rt) * rt
 
-    def tail(u):
-        w = np.maximum(1.0 - u, 1e-300)
-        t = 1.0 + u / w
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            rt = np.asarray(R(t), dtype=float)
-            out = _along_nodes(t ** kappa, rt) * rt / _along_nodes(w * w, rt)
-        return np.where(_along_nodes(1.0 - u < 1e-15, out), 0.0, out)
-
-    return head + _adaptive(tail, _graded(), opts)
+    return power_weighted(R, kappa, 1.0, opts) + integrate(tail, 1.0, math.inf, opts)
 
 
 @lru_cache(maxsize=512)

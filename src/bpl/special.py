@@ -1,20 +1,22 @@
 """Special functions underlying the beta prime laboratory.
 
-Everything is evaluated from scratch in float64: log-gamma by a Lanczos sum,
-the Gauss hypergeometric function by series plus Pfaff/Euler/connection
-transformations, 3F2 at unit argument by accelerated summation, Appell F1 by
-its one-dimensional Euler-type integral, the Kummer and Tricomi confluent
-functions, Hermite functions of negative order, parabolic cylinder functions,
-Mill's ratio, the exponential integral and the order-zero Macdonald function.
+Everything is evaluated in float64: log-gamma by the C library's lgamma
+(math.lgamma), the Gauss hypergeometric function by series plus
+Pfaff/Euler/connection transformations, 3F2 at unit argument by accelerated
+summation, Appell F1 by its one-dimensional Euler-type integral, the Kummer
+and Tricomi confluent functions, Hermite functions of negative order,
+parabolic cylinder functions, Mill's ratio, the exponential integral and the
+order-zero Macdonald function.
 
-Array-first functions: tricomi_psi, hermite_h_neg, expint_e1 and
-macdonald_k0 accept an array of z and return an array of the same shape,
-computed by one quadrature over a mesh shared by every z (one column per z);
-a scalar z returns a float. parabolic_d, mills_ratio and mills_ratio_deriv
-accept arrays in the same way. Long arrays of these quadratures are evaluated
-in blocks of columns (quadrature.column_blocks), one shared mesh per block.
-gauss_2f1 and kummer_phi accept arrays of z at fixed parameters too, and take
-the whole flattened array in one call: every z takes its own route by mask,
+Array-first functions: tricomi_psi, hermite_h_neg, expint_e1, macdonald_k0
+and appell_f1 accept an array and return an array of the same shape,
+computed by one quadrature over a mesh shared by every value (one column per
+value); a scalar returns a float. Long arrays of these quadratures are
+evaluated in blocks of columns (quadrature.column_blocks), one shared mesh
+per block. gauss_2f1, kummer_phi, parabolic_d, mills_ratio and
+mills_ratio_deriv accept arrays in the same way, but take the whole flattened
+array in one call (parabolic_d wraps hermite_h_neg, which blocks its own
+columns): in gauss_2f1 and kummer_phi every z takes its own route by mask,
 and each route is one numpy recurrence in which every element stops on its
 own term, so a value does not depend on the other elements.
 """
@@ -27,7 +29,7 @@ import numpy as np
 
 from .errors import DomainError, NonConvergenceError
 from .options import DEFAULT_OPTIONS
-from .quadrature import beta_kernel, column_blocks, halfline_power, integrate
+from .quadrature import _flat, beta_kernel, column_blocks, halfline_power, integrate
 
 __all__ = [
     "gamma_ln",
@@ -46,20 +48,6 @@ __all__ = [
     "macdonald_k0",
 ]
 
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_LOG_SQRT_2PI = 0.9189385332046727418
-
 # Series stop once |term| < _RTOL*|sum| + _ATOL (the quadrature's own
 # tolerances) and give up after _MAX_TERMS terms.
 _RTOL = DEFAULT_OPTIONS.rel_tol
@@ -71,25 +59,17 @@ def gamma_ln(x: float) -> float:
     """log Gamma(x) for x > 0."""
     if not x > 0.0:
         raise DomainError(f"gamma_ln requires x > 0, got {x}")
-    if x < 0.5:
-        # reflection keeps the Lanczos argument away from 0
-        return math.log(math.pi / math.sin(math.pi * x)) - gamma_ln(1.0 - x)
-    xm = x - 1.0
-    acc = _LANCZOS[0]
-    for i, c in enumerate(_LANCZOS[1:], start=1):
-        acc += c / (xm + i)
-    t = xm + _LANCZOS_G + 0.5
-    return _LOG_SQRT_2PI + (xm + 0.5) * math.log(t) - t + math.log(acc)
+    return math.lgamma(x)
 
 
 def gammaln_signed(x: float) -> tuple[float, float]:
-    """(log |Gamma(x)|, sign) for any non-pole real x."""
+    """(log |Gamma(x)|, sign) for any non-pole real x; the sign is that of
+    sin(pi x) below 0 (reflection, with Gamma(1 - x) > 0)."""
     if x > 0.0:
         return gamma_ln(x), 1.0
     if x == math.floor(x):
         raise DomainError(f"Gamma pole at {x}")
-    s = math.sin(math.pi * x)
-    return math.log(math.pi / abs(s)) - gamma_ln(1.0 - x), math.copysign(1.0, s)
+    return math.lgamma(x), math.copysign(1.0, math.sin(math.pi * x))
 
 
 def gamma_ratio(numerator, denominator=()) -> float:
@@ -167,13 +147,6 @@ def _masked_series(coef, x: np.ndarray, bracket=None, first: float = 1.0) -> np.
                 lx = lx[keep]
         term *= coef(n) * x
     raise NonConvergenceError(f"hypergeometric series stalled at {x[0]}")
-
-
-def _flat(fn, z):
-    """fn over the flattened values of z in one call, reshaped to the shape
-    of z; a scalar z gives a float."""
-    vals = fn(np.asarray(z, dtype=float).ravel())
-    return float(vals[0]) if np.ndim(z) == 0 else vals.reshape(np.shape(z))
 
 
 def _by_route(z: np.ndarray, routes) -> np.ndarray:
@@ -515,7 +488,7 @@ def parabolic_d(nu: float, z):
         return (2.0 ** (-nu / 2.0) * np.exp(-zs * zs / 4.0)
                 * hermite_h_neg(-nu, zs / math.sqrt(2.0)))
 
-    return column_blocks(block, z)
+    return _flat(block, z)
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +510,7 @@ def mills_ratio(x):
     which stays accurate where exp(x^2/2) would overflow. Below -37.5,
     exp(x^2/2) exceeds float range and r(x) ~ sqrt(2 pi) e^{x^2/2} is inf.
     """
-    return column_blocks(_mills_block, x)
+    return _flat(_mills_block, x)
 
 
 def _mills_block(xs: np.ndarray) -> np.ndarray:

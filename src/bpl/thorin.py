@@ -9,13 +9,16 @@ so arguments far beyond exp-overflow remain usable.
 Array contract: every public function of t (f_ax, f_ax_hyp, thorin_cdf,
 thorin_density, gx_frullani, thorin_cdf_a1), levy_density in y and
 awk_density in t take an array and return an array of its shape (a float for
-a scalar), computed as one vector-valued quadrature pass with one column per
-point. A point outside the domain (t, y > 0; a finite t for awk_density)
+a scalar). A point outside the domain (t, y > 0; a finite t for awk_density)
 raises DomainError before anything is evaluated. Each t keeps its own branch
-by mask: columns with t > 50 use the rescaled integrands. The density's
-five-point stencil adds four columns per t to the same pass. Long arrays are
-evaluated in blocks of columns (quadrature.column_blocks), one shared mesh per
-block.
+by mask: columns with t > 50 use the rescaled integrands. f_ax, thorin_cdf,
+thorin_density, the a = 1 functions and levy_density are one vector-valued
+quadrature pass with one column per point (two per t for g_x, whose middle
+integrand is split into its two one-signed terms); the density's five-point
+stencil adds four points per t to the same pass. Long arrays of these are
+evaluated in blocks of columns (quadrature.column_blocks), one shared mesh
+per block. f_ax_hyp and awk_density wrap functions that block their own
+columns and take the whole flattened array in one call (quadrature._flat).
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError
 from .options import NESTED
-from .quadrature import beta_kernel, column_blocks, halfline_power, integrate
+from .quadrature import _flat, beta_kernel, column_blocks, halfline_power, integrate
 from .results import ProbeResult
 from .special import gamma_ln, kummer_phi, tricomi_psi
 
@@ -149,7 +152,7 @@ def f_ax_hyp(p: ThorinParams, t):
     def block(ts):
         return math.exp(lg) * kummer_phi(1.0 - a, 1.0 + x, ts) / tricomi_psi(1.0 - a, 1.0 + x, ts)
 
-    return column_blocks(block, t, _T_DOMAIN)
+    return _flat(block, t, _T_DOMAIN)
 
 
 def thorin_cdf(p: ThorinParams, t):
@@ -212,7 +215,10 @@ _GX_DOMAIN = "need x > 0 and t > 0"
 
 
 def _gx(x: float, ts: np.ndarray) -> np.ndarray:
-    """g_x at every t of the 1-d array ts, one quadrature column per t."""
+    """g_x at every t of the 1-d array ts. On [1e-3, 1] the integrand's two
+    one-signed terms are two columns per t, subtracted after the quadrature:
+    their difference changes sign, and no relative tolerance on it can be met
+    near its root."""
     if not x > 0.0:
         raise DomainError(_GX_DOMAIN)
     eps = 1e-3
@@ -224,13 +230,14 @@ def _gx(x: float, ts: np.ndarray) -> np.ndarray:
     def mid(y):
         ty = np.multiply.outer(y, ts)
         with np.errstate(over="ignore"):  # an inf is reported by the quadrature
-            return (((1.0 - y) ** x)[:, None] * np.exp(ty)
-                    - ((1.0 + y) ** x)[:, None] * np.exp(-ty)) / y[:, None]
+            return np.concatenate((((1.0 - y) ** x / y)[:, None] * np.exp(ty),
+                                   ((1.0 + y) ** x / y)[:, None] * np.exp(-ty)), axis=1)
 
     def tail(y):
         return -np.exp((x * np.log1p(y))[:, None] - np.multiply.outer(y, ts)) / y[:, None]
 
-    return (head + integrate(mid, eps, 1.0) + integrate(tail, 1.0, math.inf)) / math.pi
+    up, down = integrate(mid, eps, 1.0).reshape(2, -1)
+    return (head + (up - down) + integrate(tail, 1.0, math.inf)) / math.pi
 
 
 def gx_frullani(x: float, t):
@@ -239,14 +246,14 @@ def gx_frullani(x: float, t):
     The y -> 0 cancellation is handled by the quadratic series term below
     y = 1e-3; the integrand is integrated directly elsewhere.
     """
-    return column_blocks(lambda ts: _gx(x, ts), t, _GX_DOMAIN)
+    return column_blocks(lambda ts: _gx(x, ts), t, _GX_DOMAIN, width=2)
 
 
 def thorin_cdf_a1(x: float, t):
     """Cumulative Thorin measure of the Pareto-type case a = 1:
     1/2 + arctan(g_x(t)) / pi."""
     return column_blocks(lambda ts: 0.5 + np.arctan(_gx(x, ts)) / math.pi,
-                         t, _GX_DOMAIN)
+                         t, _GX_DOMAIN, width=2)
 
 
 def _density_a1(x: float, t):
@@ -261,7 +268,7 @@ def _density_a1(x: float, t):
         out[big] = dg[big] / g[big] / (math.pi * (g[big] + 1.0 / g[big]))
         return out
 
-    return column_blocks(block, t, _GX_DOMAIN, width=5)
+    return column_blocks(block, t, _GX_DOMAIN, width=10)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +371,7 @@ def awk_density(c: float, t):
         out[far] = np.abs(ts[far]) * thorin_density(ThorinParams(a, 0.5), s[far]) / 2.0
         return out
 
-    return column_blocks(block, t)
+    return _flat(block, t)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ point outside the domain raises DomainError before anything is evaluated."""
 import numpy as np
 import pytest
 
-from bpl import quadrature
+from bpl import convolution, distributions, identities, quadrature, special, thorin
 from bpl.convolution import (
     SumSpec,
     beta_sum_density,
@@ -73,6 +73,10 @@ CASES = [
      np.array([[0.0, 0.05, 0.3], [1.0, 4.0, 20.0]]), -0.1),
 ]
 
+# closed forms evaluated in place, without quadrature._flat: the guard below
+# cannot see them evaluate, so only their DomainError is checked
+IN_PLACE = {"betaprime_pdf", "prop_b0_lhs"}
+
 # the densities of the Thorin law are a five-point stencil over t, which
 # divides the last-bit differences of a shared quadrature mesh by 12h ~ 1e-3
 STENCIL = {"thorin_density", "awk_density"}
@@ -88,10 +92,23 @@ def test_array_contract(name, fn, points, outside, monkeypatch):
     rtol = 1e-10 if name in STENCIL else 1e-13
     assert np.all(np.abs(got - want) <= rtol * np.abs(want))
 
-    def evaluated(*args, **kwargs):
+    # every array-first function evaluates through quadrature._flat's single
+    # call of its fn (column_blocks is built on it), so a helper whose fn
+    # raises shows any evaluation that comes before the domain check
+    real_flat = quadrature._flat
+
+    def evaluated(zs):
         raise AssertionError("evaluated before the domain check")
 
-    monkeypatch.setattr(quadrature, "_in_halves", evaluated)
+    def guarded(_fn, z, positive=None):
+        return real_flat(evaluated, z, positive)
+
+    for module in (quadrature, special, convolution, distributions, identities, thorin):
+        if getattr(module, "_flat", None) is real_flat:
+            monkeypatch.setattr(module, "_flat", guarded)
+    if name not in IN_PLACE:
+        with pytest.raises(AssertionError):
+            fn(points)
     with pytest.raises(DomainError):
         fn(np.append(points.ravel(), outside))
     with pytest.raises(DomainError):

@@ -529,6 +529,10 @@ class TestEdgeShapes:
         code, rows = _run_checked(["thorin", "--a", a, "--x", "40", "--t", "0.1:10:4"])
         assert code == 0 and len(rows) == 4
 
+    def test_thorin_unit_a_across_the_middle_sign_change(self):
+        code, rows = _run_checked(["thorin", "--a", "1", "--x", "1", "--t", "1.1:1.2:40"])
+        assert code == 0 and len(rows) == 40
+
     def test_thorin_unit_a_large_x_small_t(self):
         # g_x(t)^2 overflows here; the density is tiny but positive
         code, rows = _run_checked(["thorin", "--a", "1", "--x", "40", "--t", "0.001953125:1.0:1"])

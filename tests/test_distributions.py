@@ -370,6 +370,12 @@ class TestSizeBias:
         stat, thr = ks_two_sample(got, want)
         assert stat < thr(0.01)
 
+    def test_rejection_sampler_needs_weights_below_one(self):
+        # x^t with t > 0 exceeds 1 on a beta prime support
+        p = BetaPrimeParams(1.0, 2.0)
+        with pytest.raises(DomainError):
+            size_bias_sample(lambda r, m: sample_betaprime(p, r, m), 0.5, RngState(38), 100)
+
     def test_divergent_normalization_rejected(self):
         p = BetaPrimeParams(1.0, 0.5)
         with pytest.raises(DomainError):

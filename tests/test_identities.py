@@ -553,6 +553,21 @@ class TestScans:
             assert r["verdict"] == "pass", r
             assert max(r["rep1_relerr"], r["rep2_relerr"]) < 1e-5
 
+    def test_cjmain_verdict_judges_the_representations(self, monkeypatch):
+        # a representation error past 1e-5 fails a proven point whose KS
+        # and Mellin channels pass
+        monkeypatch.setattr(identities, "_cjmain_representation_errors",
+                            lambda a, b, s: (2e-5, 1e-14))
+        (row,) = conjecture_cjmain_scan([(0.5, 0.2)], 3_000, RngState(83))
+        assert row["ks_statistic"] < row["ks_threshold"]
+        assert row["mellin_max_relerr"] < 1e-6
+        assert row["verdict"] == "fail"
+
+    def test_cjmain_verdict_uses_mellin_rtol(self):
+        # theorem-b's 150-node Mellin factor is about 2.3e-8 off at (0.5, 0.2)
+        (row,) = conjecture_cjmain_scan([(0.5, 0.2)], 3_000, RngState(83), mellin_rtol=1e-8)
+        assert row["mellin_max_relerr"] > 1e-8 and row["verdict"] == "fail"
+
     def test_cjmain_exploratory_point_recorded(self):
         rows = conjecture_cjmain_scan([(2.0, 0.3)], 20_000, RngState(84))
         assert rows[0]["exploratory"] and rows[0]["verdict"] == ""

@@ -7,7 +7,7 @@ import random
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bpl import special
@@ -47,6 +47,28 @@ class TestGammaLn:
             gamma_ln(0.0)
         with pytest.raises(DomainError):
             gamma_ln(-1.5)
+        for pole in (0.0, -1.0, -7.0):
+            with pytest.raises(DomainError):
+                special.gammaln_signed(pole)
+
+    def test_signed_negative_sweep(self):
+        # log|Gamma| and its sign at negative non-integers, near the poles
+        # too, where a reflection through log(pi / |sin(pi x)|) loses the
+        # digits that pi x lost in rounding (7.7e-7 at x = -13 - 1e-9)
+        frac = np.array([1e-9, 1e-4, 0.1, 0.37, 0.5, 0.81, 0.9999, 1.0 - 1e-9])
+        for x in (-np.arange(0.0, 40.0)[:, None] - frac).ravel().tolist():
+            lg, sign = special.gammaln_signed(x)
+            want = mp.gamma(x)
+            assert sign == (1.0 if want > 0 else -1.0)
+            assert abs(lg - float(mp.log(abs(want)))) <= 5e-15 * max(1.0, abs(lg))
+
+    def test_ratio_with_negative_arguments(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            num = [rng.uniform(-6.0, 6.0) for _ in range(2)]
+            den = [rng.uniform(-6.0, 6.0) for _ in range(2)]
+            want = mp.gamma(num[0]) * mp.gamma(num[1]) / (mp.gamma(den[0]) * mp.gamma(den[1]))
+            assert rel_err(special.gamma_ratio(num, den), float(want)) < 2e-14
 
 
 class TestGauss2F1:
@@ -541,26 +563,30 @@ def _ref_connection_integer(a, b, c, z, m):
 
 
 def _ref_unit_interval(a, b, c, z):
+    """(2F1 on [0, 1), cancellation factor): the factor is
+    (|left| + |right|) / |left + right| on the non-integer connection
+    formula, whose two terms cancel, and 1 on every other route."""
     if a == c:
-        return (1.0 - z) ** (-b)
+        return (1.0 - z) ** (-b), 1.0
     if b == c:
-        return (1.0 - z) ** (-a)
+        return (1.0 - z) ** (-a), 1.0
     if z <= 0.5:
-        return _ref_series_2f1(a, b, c, z)
+        return _ref_series_2f1(a, b, c, z), 1.0
     if z <= 0.9:
-        return (1.0 - z) ** (c - a - b) * _ref_series_2f1(c - a, c - b, c, z)
+        return (1.0 - z) ** (c - a - b) * _ref_series_2f1(c - a, c - b, c, z), 1.0
     m = c - a - b
     if abs(m - round(m)) < 1e-9:
-        return _ref_connection_integer(a, b, c, z, int(round(m)))
+        return _ref_connection_integer(a, b, c, z, int(round(m))), 1.0
     g1 = _ref_coeff_or_zero([c, m], [c - a, c - b])
     g2 = _ref_coeff_or_zero([c, -m], [a, b])
     w = 1.0 - z
     left = g1 * _ref_series_2f1(a, b, 1.0 - m, w) if g1 != 0.0 else 0.0
     right = g2 * w ** m * _ref_series_2f1(c - a, c - b, 1.0 + m, w) if g2 != 0.0 else 0.0
-    return left + right
+    return left + right, (abs(left) + abs(right)) / max(abs(left + right), 1e-300)
 
 
-def _ref_gauss_2f1(a, b, c, z):
+def _ref_2f1_cancellation(a, b, c, z):
+    """(2F1(a, b; c; z), cancellation factor of its route)."""
     if _is_nonpositive_int(c, 1e-12):
         raise DomainError(f"2F1 pole: c={c} is a non-positive integer")
     if z > 1.0:
@@ -568,17 +594,23 @@ def _ref_gauss_2f1(a, b, c, z):
     if z == 1.0:
         if c - a - b <= 0.0:
             raise DomainError("2F1 diverges at z=1 when c-a-b <= 0")
-        return gamma_ratio([c, c - a - b], [c - a, c - b])
+        return gamma_ratio([c, c - a - b], [c - a, c - b]), 1.0
     if _is_nonpositive_int(a) or _is_nonpositive_int(b):
-        return _ref_series_2f1(a, b, c, z)  # terminating polynomial
+        return _ref_series_2f1(a, b, c, z), 1.0  # terminating polynomial
     if abs(z) <= 0.5:
-        return _ref_series_2f1(a, b, c, z)
+        return _ref_series_2f1(a, b, c, z), 1.0
     if z < 0.0:
         w = z / (z - 1.0)
         if a > 0.0 or b <= 0.0:
-            return (1.0 - z) ** (-a) * _ref_unit_interval(a, c - b, c, w)
-        return (1.0 - z) ** (-b) * _ref_unit_interval(b, c - a, c, w)
+            val, factor = _ref_unit_interval(a, c - b, c, w)
+            return (1.0 - z) ** (-a) * val, factor
+        val, factor = _ref_unit_interval(b, c - a, c, w)
+        return (1.0 - z) ** (-b) * val, factor
     return _ref_unit_interval(a, b, c, z)
+
+
+def _ref_gauss_2f1(a, b, c, z):
+    return _ref_2f1_cancellation(a, b, c, z)[0]
 
 
 def _ref_asymptotic_sum(p, q, x):
@@ -629,7 +661,8 @@ def _margin_gap(m):
 
 def _assert_matches_reference(fn, ref, z, rtol=2e-15):
     """fn on the array z against ref at each element alone: the same values
-    within rtol, or a DomainError from both."""
+    within rtol, or a DomainError from both. A ref that returns (value,
+    factor) scales rtol by the factor at that element."""
     try:
         want = [ref(float(zi)) for zi in z]
     except DomainError:
@@ -637,7 +670,8 @@ def _assert_matches_reference(fn, ref, z, rtol=2e-15):
             fn(z)
         return
     for g, w in zip(fn(z), want):
-        assert rel_err(g, w) < rtol
+        w, factor = w if isinstance(w, tuple) else (w, 1.0)
+        assert rel_err(g, w) < rtol * factor
 
 
 # (a, b, c) and the z range of each 2F1 route, built from draws a, b, c in the
@@ -669,11 +703,19 @@ class TestArrayHypergeometric:
     @given(a=st.floats(0.1, 3.0), b=st.floats(0.1, 3.0), c=st.floats(0.6, 4.0),
            f=st.floats(0.3, 0.7), g=st.floats(0.3, 0.7), m=st.integers(-2, 3),
            u=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+    # the non-integer connection formula, which the connection and Pfaff
+    # routes end in, lifts the last-bit differences between numpy's and
+    # libm's pow by the cancellation between its two terms: 24-fold at the
+    # connection route's z = 0.9001 here, 20-fold at the Pfaff route's
+    # z = -14.17 (w = 0.934)
+    @example(a=2.409550066231307, b=2.949600463150866, c=1.0, f=0.5302399217139343,
+             g=0.5, m=0, u=[0.0])
+    @example(a=2.0, b=1.0, c=1.0, f=0.5, g=0.375, m=2, u=[0.986328125])
     def test_2f1_routes_match_scalar_reference(self, route, a, b, c, f, g, m, u):
         (a, b, c), (lo, hi) = _ROUTES_2F1[route](a, b, c, f, g, m)
         assume(c > 0.05)
         _assert_matches_reference(lambda z: gauss_2f1(a, b, c, z),
-                                  lambda z: _ref_gauss_2f1(a, b, c, z),
+                                  lambda z: _ref_2f1_cancellation(a, b, c, z),
                                   lo + (hi - lo) * np.array(u))
 
     def test_2f1_at_one(self):

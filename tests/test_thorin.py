@@ -2,6 +2,7 @@
 density, the a = 1 Frullani case, Levy density and the symmetrized law."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -186,6 +187,27 @@ class TestFrullani:
         lhs = dg / (math.pi * (1.0 + g[2] ** 2))
         rhs = (thorin_cdf_a1(x, t + h) - thorin_cdf_a1(x, t - h)) / (2 * h)
         assert rel_err(lhs, rhs) < 1e-6
+
+    @pytest.mark.parametrize("x", [0.5, 1.0, 2.0])
+    def test_sweep_across_the_middle_sign_change(self, x):
+        # the y-integrand on [1e-3, 1] changes sign near t = 1.1475 at x = 1,
+        # where its own relative tolerance was out of reach
+        ts = np.linspace(0.05, 5.0, 400)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = gx_frullani(x, ts)
+        assert np.all(np.isfinite(g)) and np.all(np.diff(g) > 0.0)
+
+    @pytest.mark.parametrize("x, t", [(1.0, 1.147469521897249), (1.0, 1.3402), (1.0, 1.14),
+                                      (0.5, 0.3), (2.0, 4.0)])
+    def test_matches_mpmath(self, x, t):
+        # t = 1.3402 sits next to the root of g_1
+        def integrand(y):
+            return ((1 - y) ** x * mp.exp(t * y) - (1 + y) ** x * mp.exp(-t * y)) / y
+
+        want = (mp.quad(integrand, [0, 0.5, 1])
+                + mp.quad(lambda y: -(1 + y) ** x * mp.exp(-t * y) / y, [1, 2, 10, mp.inf])) / mp.pi
+        assert abs(gx_frullani(x, t) - float(want)) < 1e-14
 
     @pytest.mark.parametrize("x", [0.3, 2.5, 40.0])
     def test_density_equals_the_plain_form(self, x):
