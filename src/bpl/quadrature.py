@@ -1,19 +1,22 @@
 """Adaptive Gauss-Kronrod quadrature with endpoint-singularity substitutions.
 
-One mechanism serves every integral representation in the package: a 15-point
-Kronrod rule refined adaptively. Algebraic endpoint factors are never formed
-as x^k for rounded x; the weighted helpers keep the distance to the endpoint
-as the integration variable and substitute x = v^m to restore a bounded
-integrand, while infinite upper limits are mapped through t = u/(1-u).
+One mechanism serves every integral representation in the package:
+QUADPACK's 15-point Gauss-Kronrod rule refined adaptively. Algebraic endpoint
+factors are never formed as x^k for rounded x; the weighted helpers keep the
+distance to the endpoint as the integration variable and substitute x = v^m
+to restore a bounded integrand, while infinite upper limits are mapped
+through t = u/(1-u).
 
 Integrand contract: an integrand maps the nodes, an array of shape (N,), to
 values of shape (N,) or (N, m); a constant is broadcast over the nodes. An
 (N, m) integrand is m integrals sharing one mesh: every refinement round
-evaluates all new panels in one integrand call, and the loop stops once every
-column j meets its own tolerance rel_tol*|total_j| + abs_tol. A (N,)
-integrand returns a float, an (N, m) one an array of shape (m,). Every entry
-point (integrate, power_weighted, beta_kernel, halfline_power) passes the
-columns through unchanged.
+evaluates all new panels in one integrand call. Each round's total_j and its
+error are sums over the live mesh, and the loop stops once every column j
+meets its own tolerance rel_tol*|total_j| + abs_tol. A panel that must be
+split but sits at float resolution raises QuadratureError, as does an
+exhausted refinement budget. A (N,) integrand returns a float, an (N, m) one
+an array of shape (m,). Every entry point (integrate, power_weighted,
+beta_kernel, halfline_power) passes the columns through unchanged.
 
 Column blocks: a round over m columns may ask for at most _MAX_ROUND_VALUES
 integrand values, so a function that builds one shared-mesh quadrature with
@@ -37,27 +40,28 @@ import numpy as np
 from .errors import DomainError, QuadratureError
 from .options import DEFAULT_OPTIONS, EvalOptions
 
-# Kronrod 15 nodes on [-1,1] and weights; indices 1,3,...,13 carry the
-# embedded 7-point Gauss rule.
-_XGK = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0, 0.207784955007898, 0.405845151377397,
-    0.586087235467691, 0.741531185599394, 0.864864423359769,
-    0.949107912342759, 0.991455371120813,
+# QUADPACK's dqk15 (Piessens et al., 1983): Kronrod nodes from -1 to the
+# centre and their weights, then the weights of the embedded 7-point Gauss
+# rule, whose nodes are the Kronrod nodes at indices 1, 3, ..., 13.
+_XGK_LEFT = np.array([
+    -0.991455371120812639206854697526329, -0.949107912342758524526189684047851,
+    -0.864864423359769072789712788640926, -0.741531185599394439863864773280788,
+    -0.586087235467691130294144845693013, -0.405845151377397166906606412076961,
+    -0.207784955007898467600689403773245, 0.0,
 ])
-_WGK = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728, 0.204432940075298,
-    0.190350578064785, 0.169004726639267, 0.140653259715525,
-    0.104790010322250, 0.063092092629979, 0.022935322010529,
+_WGK_LEFT = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
 ])
-_WG = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469, 0.381830050505119, 0.279705391489277,
-    0.129484966168870,
+_WG_LEFT = np.array([
+    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975, 0.417959183673469387755102040816327,
 ])
+_XGK = np.concatenate((_XGK_LEFT, -_XGK_LEFT[-2::-1]))
+_WGK = np.concatenate((_WGK_LEFT, _WGK_LEFT[-2::-1]))
+_WG = np.concatenate((_WG_LEFT, _WG_LEFT[-2::-1]))
 _GAUSS_IDX = np.arange(1, 15, 2)
 
 # Most integrand values (nodes times columns) one refinement round may ask
@@ -92,19 +96,18 @@ def _panels(f, a: np.ndarray, b: np.ndarray):
     x = (mid[:, None] + half[:, None] * _XGK).ravel()
     fx = np.asarray(f(x), dtype=float)
     columns = fx.ndim > 1
-    fx = np.broadcast_to(fx, x.shape + fx.shape[1:])
-    # (panel, column, node): every rule below is one length-15 dot per entry
-    fx = np.ascontiguousarray(np.moveaxis(fx.reshape(a.size, _XGK.size, -1), 1, 2))
+    # (panel, node, column): every rule below is a product along the node axis
+    fx = np.broadcast_to(fx, x.shape + fx.shape[1:]).reshape(a.size, _XGK.size, -1)
     bad = ~np.isfinite(fx).all(axis=(1, 2))
     if bad.any():
         i = int(np.argmax(bad))
         raise QuadratureError(f"integrand not finite on [{a[i]}, {b[i]}]")
     h = half[:, None]
-    resk = h * (fx @ _WGK)
-    resg = h * (fx[:, :, _GAUSS_IDX] @ _WG)
-    resabs = h * (np.abs(fx) @ _WGK)
+    resk = h * (_WGK @ fx)
+    resg = h * (_WG @ fx[:, _GAUSS_IDX])
+    resabs = h * (_WGK @ np.abs(fx))
     reskh = resk / (b - a)[:, None]
-    resasc = h * (np.abs(fx - reskh[:, :, None]) @ _WGK)
+    resasc = h * (_WGK @ np.abs(fx - reskh[:, None, :]))
     err = np.abs(resk - resg)
     scaled = (resasc > 0.0) & (err > 0.0)
     ratio = 200.0 * err / np.where(scaled, resasc, 1.0)
@@ -113,70 +116,53 @@ def _panels(f, a: np.ndarray, b: np.ndarray):
     return resk, err, columns
 
 
-def _running_sum(start: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """start + steps[0] + steps[1] + ..., added strictly in order."""
-    return np.cumsum(np.concatenate((start[None], steps)), axis=0)[-1]
-
-
 def _adaptive(f, breakpoints, opts: EvalOptions):
     """Globally adaptive refinement of one shared mesh over an initial partition.
 
-    Each round splits, in one integrand call, every panel whose error exceeds
-    the cut max(tol_j / 2n, err_j / 4n) of some column j still above its
-    tolerance tol_j (n panels, err_j the column's error estimate). A panel at
-    float resolution cannot be split: its error is dropped from the estimate.
-    The refinement budget counts rounds.
+    Every round sums the values and error estimates of the live panels into
+    each column's total and error err_j, and stops once every column meets its
+    tolerance tol_j. Otherwise it splits, in one integrand call, every panel
+    whose error exceeds the cut max(tol_j / 2n, err_j / 4n) of some column j
+    still above its tolerance (n panels). The refinement budget counts rounds;
+    a panel that must be split but sits at float resolution raises.
     """
     lo = np.asarray(breakpoints[:-1], dtype=float)
     hi = np.asarray(breakpoints[1:], dtype=float)
     vals, errs, columns = _panels(f, lo, hi)
     m = vals.shape[1]
-    total = _running_sum(np.zeros(m), vals)
-    total_err = _running_sum(np.zeros(m), errs)
-    for _ in range(opts.max_quad_refinements):
+    for rounds in range(opts.max_quad_refinements + 1):
+        total, total_err = vals.sum(axis=0), errs.sum(axis=0)
         tol = opts.rel_tol * np.abs(total) + opts.abs_tol
         open_cols = total_err > tol
         if not open_cols.any():
-            break
+            return total if columns else float(total[0])
+        if rounds == opts.max_quad_refinements:
+            j = int(np.argmax(total_err - tol))
+            raise QuadratureError(
+                f"refinement budget exhausted: error {total_err[j]:.3e} > tolerance {tol[j]:.3e}"
+            )
         n = lo.size
-        cut = np.maximum(tol / (2.0 * n), total_err / (4.0 * n))
-        worst = errs[:, open_cols]
-        sel = np.flatnonzero((worst > cut[open_cols]).any(axis=1))
-        # largest error first, as a heap would pop them; the order fixes the
-        # rounding of the running totals
-        sel = sel[np.lexsort((hi[sel], lo[sel], -worst[sel].max(axis=1)))]
-        mid = 0.5 * (lo[sel] + hi[sel])
-        stuck = (mid <= lo[sel]) | (mid >= hi[sel])  # interval at float resolution
-        d_val = np.zeros((sel.size, m))
-        d_err = errs[sel] * (1e-30 - 1.0)
-        errs[sel[stuck]] *= 1e-30
-        split, mid = sel[~stuck], mid[~stuck]
-        if split.size:
-            k = split.size
-            if 2 * k * _XGK.size * m > _MAX_ROUND_VALUES:
-                raise _RoundTooWide(
-                    f"refinement round would split {k} of {n} panels over {m} columns"
-                )
-            c_lo = np.concatenate((lo[split], mid))
-            c_hi = np.concatenate((mid, hi[split]))
-            c_vals, c_errs, _ = _panels(f, c_lo, c_hi)
-            d_val[~stuck] = c_vals[:k] + c_vals[k:] - vals[split]
-            d_err[~stuck] = c_errs[:k] + c_errs[k:] - errs[split]
-            keep = np.ones(n, dtype=bool)
-            keep[split] = False
-            lo = np.concatenate((lo[keep], c_lo))
-            hi = np.concatenate((hi[keep], c_hi))
-            vals = np.concatenate((vals[keep], c_vals))
-            errs = np.concatenate((errs[keep], c_errs))
-        total = _running_sum(total, d_val)
-        total_err = _running_sum(total_err, d_err)
-    tol = opts.rel_tol * np.abs(total) + opts.abs_tol
-    if np.all(total_err <= tol):
-        return total if columns else float(total[0])
-    j = int(np.argmax(total_err - tol))
-    raise QuadratureError(
-        f"refinement budget exhausted: error {total_err[j]:.3e} > tolerance {tol[j]:.3e}"
-    )
+        cut = np.maximum(tol / (2.0 * n), total_err / (4.0 * n))[open_cols]
+        split = np.flatnonzero((errs[:, open_cols] > cut).any(axis=1))
+        mid = 0.5 * (lo[split] + hi[split])
+        stuck = (mid <= lo[split]) | (mid >= hi[split])
+        if stuck.any():
+            i = split[np.argmax(stuck)]
+            raise QuadratureError(
+                f"panel [{lo[i]}, {hi[i]}] must be split but is at float resolution"
+            )
+        k = split.size
+        if 2 * k * _XGK.size * m > _MAX_ROUND_VALUES:
+            raise _RoundTooWide(
+                f"refinement round would split {k} of {n} panels over {m} columns"
+            )
+        c_lo = np.concatenate((lo[split], mid))
+        c_hi = np.concatenate((mid, hi[split]))
+        c_vals, c_errs, _ = _panels(f, c_lo, c_hi)
+        lo = np.concatenate((np.delete(lo, split), c_lo))
+        hi = np.concatenate((np.delete(hi, split), c_hi))
+        vals = np.concatenate((np.delete(vals, split, axis=0), c_vals))
+        errs = np.concatenate((np.delete(errs, split, axis=0), c_errs))
 
 
 def _flat(fn, z, positive: str | None = None):

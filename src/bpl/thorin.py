@@ -276,9 +276,10 @@ def _density_a1(x: float, t):
 
 
 class _CdfTable:
-    """Chebyshev interpolant of t -> P[G <= t] in log t, with the exact
+    """Chebyshev interpolant of log P[G <= t] in log t, with the exact
     power-law behaviour below the table and the exponential tail above it.
-    The table spans [lo, hi] with a degree-180 interpolant."""
+    The table spans [lo, hi] with a degree-180 interpolant; fitting the log
+    keeps relative accuracy where P ~ t^x is tiny."""
 
     lo, hi = 1e-6, 45.0
 
@@ -288,7 +289,7 @@ class _CdfTable:
 
         def g(xi):
             taus = 0.5 * (self.tau_lo + self.tau_hi) + 0.5 * (self.tau_hi - self.tau_lo) * xi
-            return thorin_cdf(p, np.exp(taus))
+            return np.log(thorin_cdf(p, np.exp(taus)))
 
         self.coef = np.polynomial.chebyshev.chebinterpolate(g, 180)
         self.cdf_lo = thorin_cdf(p, self.lo)
@@ -309,7 +310,7 @@ class _CdfTable:
         # T_k(cos theta) = cos(k theta): one (points, degree) product, where
         # chebval's Clenshaw loop takes a numpy step per degree
         theta = np.arccos(np.clip(xi, -1.0, 1.0))
-        out[mid] = np.cos(np.multiply.outer(theta, np.arange(self.coef.size))) @ self.coef
+        out[mid] = np.exp(np.cos(np.multiply.outer(theta, np.arange(self.coef.size))) @ self.coef)
         return float(out) if out.ndim == 0 else out
 
     def upper_tail(self, t: np.ndarray) -> np.ndarray:

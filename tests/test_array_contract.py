@@ -109,7 +109,9 @@ def test_array_contract(name, fn, points, outside, monkeypatch):
     if name not in IN_PLACE:
         with pytest.raises(AssertionError):
             fn(points)
-    with pytest.raises(DomainError):
-        fn(np.append(points.ravel(), outside))
-    with pytest.raises(DomainError):
-        fn(outside)
+    # NaN is outside every domain, scalar or inside an array
+    for bad in (outside, np.nan):
+        with pytest.raises(DomainError):
+            fn(np.append(points.ravel(), bad))
+        with pytest.raises(DomainError):
+            fn(bad)

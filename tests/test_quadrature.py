@@ -11,7 +11,11 @@ from bpl.errors import DomainError, QuadratureError
 from bpl.options import EvalOptions
 from bpl.quadrature import (
     _BLOCK_COLUMNS,
+    _GAUSS_IDX,
     _MAX_ROUND_VALUES,
+    _WG,
+    _WGK,
+    _XGK,
     _RoundTooWide,
     beta_kernel,
     column_blocks,
@@ -100,6 +104,26 @@ def test_larger_budget_never_changes_a_converged_value(case, w, p, rel_tol, budg
     assert np.array_equal(integral(w, p, more), got)
 
 
+def test_panel_at_float_resolution_raises():
+    # a spike of height 1e150 at the breakpoint 0.5: the error of the panel
+    # next to it stays above tolerance down to a width of one ulp
+    with pytest.raises(QuadratureError, match="float resolution"):
+        integrate(lambda x: 1.0 / np.sqrt(np.abs(x - 0.5) + 1e-300), 0.0, 1.0)
+
+
+def test_gauss_kronrod_constants():
+    from scipy.special import roots_legendre
+
+    x, w = roots_legendre(7)
+    assert np.allclose(_XGK[_GAUSS_IDX], x, rtol=0.0, atol=2e-16)
+    assert np.allclose(_WG, w, rtol=0.0, atol=4e-16)
+    assert np.array_equal(_XGK, -_XGK[::-1]) and np.array_equal(_WGK, _WGK[::-1])
+    # the Kronrod rule is exact for polynomials of degree 3 * 7 + 1 = 22
+    for k in range(23):
+        want = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(np.sum(_WGK * _XGK ** k) - want) <= 4 * np.finfo(float).eps
+
+
 def test_nonintegrable_exponent_rejected():
     with pytest.raises(DomainError):
         beta_kernel(lambda x: np.ones_like(x), -1.0, 0.0)
@@ -161,6 +185,24 @@ class TestVectorValued:
         got = integrate(f, 0.0, 3.0)
         want, _ = scipy_integrate.quad_vec(f, 0.0, 3.0, epsabs=0.0, epsrel=1e-12)
         assert np.all(np.abs(got - want) <= 1e-11 * np.abs(want))
+
+    @settings(max_examples=40, deadline=None)
+    @given(kw=st.lists(st.tuples(st.floats(0.1, 4.0), st.floats(0.0, 3.0)), min_size=1, max_size=6),
+           top=st.sampled_from([3.0, math.inf]))
+    def test_damped_cosine_columns_match_quad(self, kw, top):
+        # e^(-kx) cos(wx) / (1 + x^2): one column per (k, w) on a shared mesh,
+        # each against its own QUADPACK integral
+        quad = pytest.importorskip("scipy.integrate").quad
+        k, w = np.array(kw).T
+
+        def f(x):
+            return (np.exp(-np.multiply.outer(x, k)) * np.cos(np.multiply.outer(x, w))
+                    / (1.0 + x * x)[:, None])
+
+        got = integrate(f, 0.0, top)
+        want = [quad(lambda x: math.exp(-kj * x) * math.cos(wj * x) / (1.0 + x * x), 0.0, top,
+                     epsabs=0.0, epsrel=1e-12, limit=200)[0] for kj, wj in kw]
+        assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
 
     def test_one_hard_column_exhausts_budget(self):
         tight = EvalOptions(rel_tol=1e-13, max_quad_refinements=1)

@@ -3,6 +3,7 @@ consistency properties."""
 
 import math
 import random
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -814,6 +815,13 @@ class TestArrayHypergeometric:
         if integer_gap:
             c = a - m
         assume(not _is_nonpositive_int(c, 1e-12) and c > 0.05)
+        # c - a within 1e-12 of a non-positive integer but not exactly on one
+        # (a = 1.1, c = 0.1): the rounded c - a can land on the integer, where
+        # kummer_phi is exact for the integer gap, while 1F1 at the binary a
+        # and c moves by 2% when a moves by one ulp; no float64 value is good
+        # to 1e-11 there
+        on_integer = (Fraction(c) - Fraction(a)).denominator == 1
+        assume(on_integer or not _is_nonpositive_int(c - a, 1e-12))
         z = -40.0 - 160.0 * np.array(u)
         bound = 1e-9 if a - c > 1.0 else 1e-11
         for g, zi in zip(kummer_phi(a, c, z), z):
@@ -826,6 +834,8 @@ class TestArrayHypergeometric:
         # c - a = 0 and -2: the Kummer transform terminates
         assert kummer_phi(1.0, 1.0, -50.0) == pytest.approx(math.exp(-50.0), rel=1e-15)
         assert rel_err(kummer_phi(3.0, 1.0, -50.0), 1151.0 * math.exp(-50.0)) < 1e-14
+        # 0.1 - 1.1 rounds to -1: the terminating transform, 1 - 40/0.1 times e^z
+        assert rel_err(kummer_phi(1.1, 0.1, -40.0), -399.0 * math.exp(-40.0)) < 1e-14
 
     @pytest.mark.parametrize("a, c", [(11.0, 1.0), (3.0, 1.0), (2.5, 0.5), (4.0, 2.0), (1.0, 1.0)])
     def test_kummer_terminating_transform_past_exp_underflow(self, a, c):

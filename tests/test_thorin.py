@@ -260,6 +260,28 @@ class TestLevy:
         want = np.array([reference(y) for y in ys])
         assert max_rel_err(levy_density(p, ys), want) < 1e-10
 
+    @pytest.mark.parametrize("y", [1e3, 1e5])
+    def test_relative_accuracy_where_the_cdf_is_tiny(self, y):
+        # at large y the mass of e^(-yt) sits where P[G <= t] ~ t^x is tiny,
+        # so a table of P with absolute noise near 1e-16 would be 1e-7 off
+        # relative at y = 1e5. Reference: QUADPACK over log t with
+        # thorin_cdf itself, and the power law P(floor) (t/floor)^x below
+        # floor = 1e-8.
+        from scipy.integrate import quad
+        from scipy.special import gamma, gammainc
+
+        p, floor = ThorinParams(0.9, 2.0), 1e-8
+        below = (thorin_cdf(p, floor) * floor ** -p.x * y ** -(p.x + 1.0)
+                 * gammainc(p.x + 1.0, y * floor) * gamma(p.x + 1.0))
+
+        def in_log_t(s):
+            t = math.exp(s)
+            return math.exp(-y * t) * thorin_cdf(p, t) * t
+
+        head = quad(in_log_t, math.log(floor), math.log(60.0 / y),
+                    epsabs=0.0, epsrel=1e-13, limit=500)[0]
+        assert rel_err(levy_density(p, y), p.a * (below + head)) < 1e-9
+
 
 class TestAwk:
     def test_gaussian_limit(self):
@@ -392,7 +414,7 @@ def _table_value_scalar(tb, t):
         tail = (1.0 - tb.cdf_hi) * (t / tb.hi) ** tb.tail_power * math.exp(tb.hi - t)
         return 1.0 - tail
     xi = (2.0 * math.log(t) - tb.tau_lo - tb.tau_hi) / (tb.tau_hi - tb.tau_lo)
-    return float(np.polynomial.chebyshev.chebval(xi, tb.coef))
+    return math.exp(np.polynomial.chebyshev.chebval(xi, tb.coef))
 
 
 class TestCdfTable:
