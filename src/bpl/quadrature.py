@@ -13,8 +13,10 @@ values of shape (N,) or (N, m); a constant is broadcast over the nodes. An
 evaluates all new panels in one integrand call. Each round's total_j and its
 error are sums over the live mesh, and the loop stops once every column j
 meets its own tolerance rel_tol*|total_j| + abs_tol. A panel that must be
-split but sits at float resolution raises QuadratureError, as does an
-exhausted refinement budget. A (N,) integrand returns a float, an (N, m) one
+split but sits at float resolution stays unsplit with its error in the
+totals; QuadratureError is raised once no other panel can be split or that
+panel's own error exceeds a tolerance, and when the refinement budget is
+exhausted. A (N,) integrand returns a float, an (N, m) one
 an array of shape (m,). Every entry point (integrate, power_weighted,
 beta_kernel, halfline_power) passes the columns through unchanged.
 
@@ -123,8 +125,10 @@ def _adaptive(f, breakpoints, opts: EvalOptions):
     each column's total and error err_j, and stops once every column meets its
     tolerance tol_j. Otherwise it splits, in one integrand call, every panel
     whose error exceeds the cut max(tol_j / 2n, err_j / 4n) of some column j
-    still above its tolerance (n panels). The refinement budget counts rounds;
-    a panel that must be split but sits at float resolution raises.
+    still above its tolerance (n panels). The refinement budget counts rounds.
+    A panel that must be split but sits at float resolution is kept whole,
+    its error still in the totals, and raises once no other panel can be
+    split or its own error exceeds a tolerance.
     """
     lo = np.asarray(breakpoints[:-1], dtype=float)
     hi = np.asarray(breakpoints[1:], dtype=float)
@@ -146,11 +150,13 @@ def _adaptive(f, breakpoints, opts: EvalOptions):
         split = np.flatnonzero((errs[:, open_cols] > cut).any(axis=1))
         mid = 0.5 * (lo[split] + hi[split])
         stuck = (mid <= lo[split]) | (mid >= hi[split])
-        if stuck.any():
-            i = split[np.argmax(stuck)]
+        over = stuck & (errs[split] > tol).any(axis=1)
+        if stuck.all() or over.any():
+            i = split[np.argmax(over if over.any() else stuck)]
             raise QuadratureError(
                 f"panel [{lo[i]}, {hi[i]}] must be split but is at float resolution"
             )
+        split, mid = split[~stuck], mid[~stuck]
         k = split.size
         if 2 * k * _XGK.size * m > _MAX_ROUND_VALUES:
             raise _RoundTooWide(

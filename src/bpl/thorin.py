@@ -251,8 +251,10 @@ def gx_frullani(x: float, t):
 
 def thorin_cdf_a1(x: float, t):
     """Cumulative Thorin measure of the Pareto-type case a = 1:
-    1/2 + arctan(g_x(t)) / pi."""
-    return column_blocks(lambda ts: 0.5 + np.arctan(_gx(x, ts)) / math.pi,
+    1/2 + arctan(g_x(t)) / pi, formed as arctan2(1, -g_x(t)) / pi, which
+    keeps relative accuracy where g_x(t) -> -inf as t -> 0 and the measure
+    is tiny."""
+    return column_blocks(lambda ts: np.arctan2(1.0, -_gx(x, ts)) / math.pi,
                          t, _GX_DOMAIN, width=2)
 
 

@@ -111,6 +111,18 @@ def test_panel_at_float_resolution_raises():
         integrate(lambda x: 1.0 / np.sqrt(np.abs(x - 0.5) + 1e-300), 0.0, 1.0)
 
 
+def test_panel_at_float_resolution_kept_while_the_rest_converges():
+    # |x - 0.5|^-0.26, 0 at the breakpoint: the panel next to 0.5 reaches one
+    # ulp with an error below the tolerance, and splitting the other panels
+    # still brings the total error under it
+    def f(x):
+        d = np.abs(x - 0.5)
+        with np.errstate(divide="ignore"):
+            return np.where(d > 0.0, d ** -0.26, 0.0)
+
+    assert integrate(f, 0.0, 1.0) == pytest.approx(2.0 * 0.5 ** 0.74 / 0.74, rel=1e-11)
+
+
 def test_gauss_kronrod_constants():
     from scipy.special import roots_legendre
 

@@ -260,17 +260,22 @@ class TestLevy:
         want = np.array([reference(y) for y in ys])
         assert max_rel_err(levy_density(p, ys), want) < 1e-10
 
-    @pytest.mark.parametrize("y", [1e3, 1e5])
-    def test_relative_accuracy_where_the_cdf_is_tiny(self, y):
+    @pytest.mark.parametrize("p, y", [(ThorinParams(0.9, 2.0), 1e3),
+                                      (ThorinParams(0.9, 2.0), 1e5),
+                                      (ThorinParams(1.0, 3.0), 1.0),
+                                      (ThorinParams(1.0, 3.0), 1e3)], ids=str)
+    def test_relative_accuracy_where_the_cdf_is_tiny(self, p, y):
         # at large y the mass of e^(-yt) sits where P[G <= t] ~ t^x is tiny,
         # so a table of P with absolute noise near 1e-16 would be 1e-7 off
-        # relative at y = 1e5. Reference: QUADPACK over log t with
-        # thorin_cdf itself, and the power law P(floor) (t/floor)^x below
-        # floor = 1e-8.
+        # relative at y = 1e5, and a table of log P needs P itself to keep
+        # relative accuracy there (at a = 1 and x = 3, 1/2 + arctan(g)/pi
+        # rounds to 0 at the table's bottom). Reference: QUADPACK over log t
+        # with thorin_cdf itself, and the power law P(floor) (t/floor)^x
+        # below floor = 1e-8.
         from scipy.integrate import quad
         from scipy.special import gamma, gammainc
 
-        p, floor = ThorinParams(0.9, 2.0), 1e-8
+        floor = 1e-8
         below = (thorin_cdf(p, floor) * floor ** -p.x * y ** -(p.x + 1.0)
                  * gammainc(p.x + 1.0, y * floor) * gamma(p.x + 1.0))
 
