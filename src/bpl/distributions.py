@@ -40,9 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError
-from .options import DIVERGENCE_CHECK
-from .quadrature import _flat, halfline_power
+from .errors import DomainError
+from .quadrature import _flat
 from .special import gamma_ln, tricomi_psi
 
 __all__ = [
@@ -57,9 +56,6 @@ __all__ = [
     "sample_gamma",
     "sample_beta",
     "sample_betaprime",
-    "size_bias_pdf",
-    "size_bias_norm",
-    "size_bias_sample",
 ]
 
 
@@ -262,52 +258,3 @@ def sample_betaprime(p: BetaPrimeParams, rng: RngState, size: int | None = None)
     g1 = _gamma(rng.generator, p.a, n)
     g1 /= _gamma(rng.generator, p.b, n)
     return float(g1[0]) if size is None else g1
-
-
-# ---------------------------------------------------------------------------
-# Size-biasing
-
-
-def size_bias_norm(base_pdf, t: float) -> float:
-    """E[X^t] for a density on (0, inf); DomainError if the integral diverges,
-    which DIVERGENCE_CHECK's small refinement budget detects."""
-    if t == 0.0:
-        return 1.0
-    try:
-        norm = halfline_power(lambda x: np.asarray(base_pdf(x), dtype=float), t,
-                              DIVERGENCE_CHECK)
-    except QuadratureError as exc:
-        raise DomainError(f"size-bias normalization of order {t} diverges") from exc
-    if not math.isfinite(norm) or norm <= 0.0:
-        raise DomainError(f"size-bias normalization of order {t} diverges")
-    return norm
-
-
-def size_bias_pdf(base_pdf, t: float, x, norm: float | None = None):
-    """Density of the order-t size bias: x^t f(x) / E[X^t]."""
-    if norm is None:
-        norm = size_bias_norm(base_pdf, t)
-    x = np.asarray(x, dtype=float)
-    out = x ** t * np.asarray(base_pdf(x), dtype=float) / norm
-    return float(out) if out.ndim == 0 else out
-
-
-def size_bias_sample(base_sampler, t: float, rng: RngState, size: int | None = None):
-    """Weighted rejection against the base sampler, with weight bound 1: x^t
-    must not exceed 1 on the support of the base law (t <= 0 with support in
-    [1, inf), or t >= 0 with support in (0, 1]), or DomainError is raised.
-    """
-    n = 1 if size is None else int(size)
-    out = np.empty(n)
-    filled = 0
-    while filled < n:
-        m = max(64, 2 * (n - filled))
-        draws = np.asarray(base_sampler(rng, m), dtype=float)
-        w = draws ** t
-        if np.any(w > 1.0 + 1e-12):
-            raise DomainError("x^t exceeds the weight bound 1 on the support")
-        keep = draws[rng.generator.random(m) < w]
-        take = min(keep.size, n - filled)
-        out[filled:filled + take] = keep[:take]
-        filled += take
-    return float(out[0]) if size is None else out

@@ -47,7 +47,7 @@ from .distributions import (
 )
 from .errors import BplError, DomainError, describe
 from .options import NESTED
-from .quadrature import _flat, beta_kernel, column_blocks, halfline_power, jacobi_rule, power_weighted
+from .quadrature import _flat, beta_kernel, column_blocks, jacobi_rule, power_weighted
 from .special import gamma_ln, gamma_ratio, gauss_2f1, hyp_3f2
 
 __all__ = [
@@ -472,18 +472,24 @@ def prop_b0_spec(a: float, b: float, b_prime: float) -> IdentitySpec:
         factor = gamma_ratio([b - s, b_prime], [b, b_prime - s])
         return betaprime_mellin(pr, s) * factor
 
+    # X = V / (1 - Y), V ~ BetaPrime(a, b'), Y = U/(1+U) ~ Beta(e, b): the
+    # density at x is E[(1-Y) f_V(x(1-Y))]. y^(e-1) and (1-y)^(b+min(a,1)-1)
+    # ride in the kernel weight; (1-y)^(a-1) for a > 1 stays with x^(a-1),
+    # which alone can overflow, in one exp of a sum of logs
     e = b_prime - b
-    log_norm_m = gamma_ln(e + b) - gamma_ln(e) - gamma_ln(b)
+    log_norm = gamma_ln(a + b_prime) - gamma_ln(a) - gamma_ln(e) - gamma_ln(b)
+    rest = max(a - 1.0, 0.0)
 
     def rhs_block(xs):
-        # multiplier 1 + BetaPrime(e, b): its u^(e-1) factor rides in the
-        # half-line kernel weight
-        def smooth(u):
-            w = 1.0 + u
-            return ((math.exp(log_norm_m) * w ** (-e - b))[:, None]
-                    * betaprime_pdf(pr, xs / w[:, None]) / w[:, None])
+        log_x = np.log(xs)
 
-        return halfline_power(smooth, e - 1.0)
+        def smooth(y):
+            # a node rounded to 1 reads as 1 - 2^-53, where log1p(-1) is -inf
+            log_w = np.log1p(-np.minimum(y, np.nextafter(1.0, 0.0)))
+            return np.exp(log_norm + (a - 1.0) * log_x + (rest * log_w)[:, None]
+                          - (a + b_prime) * np.log1p(np.multiply.outer(1.0 - y, xs)))
+
+        return beta_kernel(smooth, e - 1.0, b + min(a, 1.0) - 1.0)
 
     def rhs(rng, n):
         x = sample_betaprime(pr, rng, n)

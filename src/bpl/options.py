@@ -2,8 +2,8 @@
 
 Only the four quadrature entry points take an EvalOptions. Every computation
 above them runs at DEFAULT_OPTIONS, whose rel_tol and abs_tol also stop the
-series of bpl.special; NESTED and DIVERGENCE_CHECK are the only departures,
-each for the reason given next to it.
+series of bpl.special; NESTED is the only departure, for the reason given
+next to it.
 """
 
 from __future__ import annotations
@@ -41,8 +41,3 @@ DEFAULT_OPTIONS = EvalOptions()
 # Outer integral of a computed integrand (a quadrature or series per node):
 # the integrand's own ~1e-12 noise would keep a 1e-12 outer loop splitting.
 NESTED = EvalOptions(rel_tol=1e-10, abs_tol=1e-14)
-
-# Divergence check: a divergent integral keeps splitting its panels and fails
-# within 30 rounds, while more rounds can let it pass for a finite value.
-DIVERGENCE_CHECK = EvalOptions(max_quad_refinements=30)
-

@@ -4,8 +4,9 @@ One mechanism serves every integral representation in the package:
 QUADPACK's 15-point Gauss-Kronrod rule refined adaptively. Algebraic endpoint
 factors are never formed as x^k for rounded x; the weighted helpers keep the
 distance to the endpoint as the integration variable and substitute x = v^m
-to restore a bounded integrand, while infinite upper limits are mapped
-through t = u/(1-u).
+to restore a bounded integrand, while an infinite upper limit is split at
+a + 1: [a, a + 1] in t itself and [a + 1, inf) over the reciprocal distance
+s = 1/(t - a) in (0, 1], so the nodes keep relative resolution at both ends.
 
 Integrand contract: an integrand maps the nodes, an array of shape (N,), to
 values of shape (N,) or (N, m); a constant is broadcast over the nodes. An
@@ -212,31 +213,37 @@ def _in_halves(fn, zs: np.ndarray) -> np.ndarray:
         return np.concatenate((_in_halves(fn, zs[:half]), _in_halves(fn, zs[half:])))
 
 
-def _graded(n: int = 9) -> np.ndarray:
-    """Partition of [0,1] geometrically graded toward 1."""
-    tails = 1.0 - np.logspace(-0.75, -6.0, n - 1)
-    return np.concatenate(([0.0], tails, [1.0]))
+def _reciprocal_tail(f, c: float, opts: EvalOptions):
+    """integral_{c+1}^inf f(t) dt over s = 1/(t - c) in (0, 1], through the
+    pullback f(c + 1/s)/s^2, with an initial partition graded toward s = 0 so
+    slowly decaying or far-out mass is still found. s itself is the variable,
+    so the nodes reach t far beyond 1e15 and a tail that decays too slowly to
+    converge raises QuadratureError instead of being cut off; t - c >= 1
+    keeps full relative resolution at both ends of the map."""
+    def pullback(s):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            fx = np.asarray(f(c + 1.0 / s), dtype=float)
+            return fx / _along_nodes(s * s, fx)
+
+    breaks = np.concatenate(([0.0], np.logspace(-6.0, -0.75, 8), [1.0]))
+    return _adaptive(pullback, breaks, opts)
 
 
 def integrate(f, a: float, b: float, opts: EvalOptions = DEFAULT_OPTIONS):
     """Adaptive integral of a vectorized, everywhere-finite integrand.
 
-    b may be infinite; the tail is mapped through t = a + u/(1-u) and the
-    initial partition is graded toward u = 1 so slowly decaying or far-out
-    integrand mass is still found.
+    b may be infinite; the half-line is then [a, a + 1] in t itself, so
+    integrand structure just above a is resolved as on a finite range, plus
+    [a + 1, inf) over the reciprocal distance s = 1/(t - a) in (0, 1]. Over
+    the whole half-line f is evaluated with numpy's overflow, invalid and
+    divide warnings off.
     """
     if not a < b:
         raise DomainError(f"empty integration range [{a}, {b}]")
     if math.isinf(b):
-        def mapped(u):
-            w = np.maximum(1.0 - u, 1e-300)
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                fx = np.asarray(f(a + u / w), dtype=float)
-                out = fx / _along_nodes(w * w, fx)
-            # beyond float resolution of the map the pullback is numerically 0
-            return np.where(_along_nodes(1.0 - u < 1e-15, out), 0.0, out)
-
-        return _adaptive(mapped, _graded(), opts)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            near = _adaptive(f, np.array([a, a + 1.0]), opts)
+        return near + _reciprocal_tail(f, a, opts)
     span = b - a
     return _adaptive(f, np.array([a, a + 0.5 * span, b]), opts)
 
@@ -297,12 +304,13 @@ def beta_kernel(R, kappa: float, lam: float, opts: EvalOptions = DEFAULT_OPTIONS
 
 def halfline_power(R, kappa: float, opts: EvalOptions = DEFAULT_OPTIONS):
     """integral_0^inf t^kappa R(t) dt for kappa > -1 and decaying R: the
-    endpoint-power piece on [0, 1] plus integrate's half-line map on [1, inf)."""
+    endpoint-power piece on [0, 1] plus the reciprocal tail, in s = 1/t, on
+    [1, inf)."""
     def tail(t):
         rt = np.asarray(R(t), dtype=float)
         return _along_nodes(t ** kappa, rt) * rt
 
-    return power_weighted(R, kappa, 1.0, opts) + integrate(tail, 1.0, math.inf, opts)
+    return power_weighted(R, kappa, 1.0, opts) + _reciprocal_tail(tail, 0.0, opts)
 
 
 @lru_cache(maxsize=512)

@@ -533,6 +533,29 @@ class TestEdgeShapes:
         code, rows = _run_checked(["thorin", "--a", "1", "--x", "1", "--t", "1.1:1.2:40"])
         assert code == 0 and len(rows) == 40
 
+    @pytest.mark.parametrize("abb", [
+        ("0.162978", "0.0684348", "0.104587"), ("0.0419", "0.0251", "0.1198"),
+        ("1", "0.5", "200"), ("300", "1", "2"), ("812", "2.573", "71.2")])
+    def test_prop_b0_slow_tail_and_large_shapes(self, abb):
+        # a + b small puts the multiplier's mass far out on its half-line;
+        # with a or b' large, powers such as x^(a-1) overflow when formed apart
+        a, b, b_prime = abb
+        code, rows = _run_checked(["verify", "prop-b0", "--a", a, "--b", b,
+                                   "--b-prime", b_prime, "--n", "3000", "--seed", "1"])
+        assert code == 0
+        assert [r[2] for r in rows] == ["ks", "mellin", "density"]
+        assert float(rows[2][3]) <= 1e-12
+
+    def test_thorin_small_t(self):
+        # the lower integral's mass sits near u ~ 1/t = 1e12
+        code, rows = _run_checked(["thorin", "--a", "0.6", "--x", "0.5", "--t", "1e-12:1:3"])
+        assert code == 0 and len(rows) == 3
+
+    def test_probe_k0_e1_small_z(self):
+        # E1(2z) down to z = 1e-12: integrand structure just above u = 0
+        code, rows = _run_checked(["probe", "k0-e1", "--z-lo", "1e-12"])
+        assert code == 0 and rows
+
     def test_thorin_unit_a_large_x_small_t(self):
         # g_x(t)^2 overflows here; the density is tiny but positive
         code, rows = _run_checked(["thorin", "--a", "1", "--x", "40", "--t", "0.001953125:1.0:1"])

@@ -1,4 +1,4 @@
-"""Distribution toolkit: densities, transforms, seeded samplers, size-biasing."""
+"""Distribution toolkit: densities, transforms, seeded samplers."""
 
 import math
 import threading
@@ -16,20 +16,17 @@ from bpl.distributions import (
     _SPLIT,
     _gamma,
     _on_two_threads,
-    beta_pdf,
     betaprime_laplace,
     betaprime_mellin,
     betaprime_pdf,
     sample_beta,
     sample_betaprime,
     sample_gamma,
-    size_bias_pdf,
-    size_bias_sample,
 )
 from bpl.errors import DomainError
 from bpl.identities import ks_two_sample
 from bpl.quadrature import integrate
-from conftest import mc_mean, rel_err
+from conftest import mc_mean
 
 
 class TestPdf:
@@ -324,59 +321,3 @@ class TestSplitDrawLaw:
         stat, _ = ks_two_sample(first, second)
         scaled = stat * math.sqrt(first.size * second.size / (first.size + second.size))
         assert st.kstwobign.ppf(5e-7) < scaled < st.kstwobign.isf(5e-7)
-
-
-class TestSizeBias:
-    def test_order_zero_is_identity(self):
-        p = BetaParams(1.5, 2.5)
-        for x in (0.2, 0.7):
-            assert size_bias_pdf(lambda v: beta_pdf(p, v), 0.0, x) == pytest.approx(
-                beta_pdf(p, x), rel=1e-12)
-
-    def test_beta_shift(self):
-        # Beta(p, q) size-biased by t is Beta(p+t, q)
-        p = BetaParams(1.5, 2.5)
-        for x in (0.15, 0.5, 0.85):
-            got = size_bias_pdf(lambda v: beta_pdf(p, v), 0.7, x)
-            want = beta_pdf(BetaParams(2.2, 2.5), x)
-            assert rel_err(got, want) < 1e-10
-
-    def test_negative_order_density_normalized(self):
-        # the (-b)-size-bias of the auxiliary density supported on (1, inf)
-        # integrates to 1 (the interior log point at x = 2 is split around)
-        from bpl.identities import lemma_densities
-        from bpl.options import EvalOptions
-
-        b = 0.3
-        loose = EvalOptions(rel_tol=1e-9, abs_tol=1e-12, max_quad_refinements=80)
-
-        def base(x):
-            return lemma_densities("betastrb_f", b, x)
-
-        def piecewise(f):
-            return (integrate(f, 1.0 + 1e-9, 2.0 - 1e-9, loose)
-                    + integrate(f, 2.0 + 1e-9, np.inf, loose))
-
-        norm = piecewise(lambda x: x ** (-b) * base(x))
-        mass = piecewise(lambda x: size_bias_pdf(base, -b, x, norm=norm))
-        assert mass == pytest.approx(1.0, abs=2e-6)
-
-    def test_rejection_sampler_matches_shift(self):
-        p = BetaParams(1.5, 2.5)
-        n = 100_000
-        r1, r2 = RngState(37).spawn(2)
-        got = size_bias_sample(lambda r, m: sample_beta(p, r, m), 0.7, r1, n)
-        want = sample_beta(BetaParams(2.2, 2.5), r2, n)
-        stat, thr = ks_two_sample(got, want)
-        assert stat < thr(0.01)
-
-    def test_rejection_sampler_needs_weights_below_one(self):
-        # x^t with t > 0 exceeds 1 on a beta prime support
-        p = BetaPrimeParams(1.0, 2.0)
-        with pytest.raises(DomainError):
-            size_bias_sample(lambda r, m: sample_betaprime(p, r, m), 0.5, RngState(38), 100)
-
-    def test_divergent_normalization_rejected(self):
-        p = BetaPrimeParams(1.0, 0.5)
-        with pytest.raises(DomainError):
-            size_bias_pdf(lambda v: betaprime_pdf(p, np.clip(v, 1e-12, None)), 2.0, 1.0)

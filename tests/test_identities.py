@@ -433,6 +433,19 @@ class TestOtherIdentities:
         with pytest.raises(DomainError):
             prop_b0_spec(1.0, 1.5, 0.5)
 
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=60, deadline=None)
+    @given(log_a=st.floats(-3.0, 3.0), log_b=st.floats(-3.0, 1.0), log_e=st.floats(-3.0, 3.0))
+    @example(log_a=math.log10(0.162978), log_b=math.log10(0.0684348),
+             log_e=math.log10(0.104587 - 0.0684348))
+    def test_prop_b0_densities_agree_over_a_wide_domain(self, log_a, log_b, log_e):
+        # the right side is a Beta(b'-b, b) expectation; its slowest shapes
+        # (a + b near 0) put mass far out on the multiplier's half-line
+        a, b, e = 10.0 ** log_a, 10.0 ** log_b, 10.0 ** log_e
+        spec = prop_b0_spec(a, b, b + e)
+        grid = np.geomspace(0.05, 20.0, 9)  # verify's density grid
+        assert max_rel_err(spec.rhs_density(grid), spec.lhs_density(grid)) < 1e-11
+
     @pytest.mark.parametrize("a", [0.25, 0.1])
     def test_ab_half(self, a):
         rep = verify(ab_half_spec(a), 100_000, RngState(76))

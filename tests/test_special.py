@@ -385,6 +385,12 @@ class TestIntegralFunctions:
         # oracle: cosh-kernel quadrature -> 0.42102443824070834
         assert macdonald_k0(1.0) == pytest.approx(0.42102443824070834, rel=1e-11)
 
+    def test_e1_small_z(self):
+        # e^-u/(u+z) peaks within z of the lower limit u = 0 of E1's half-line
+        zs = np.array([1e-6, 1e-10, 1e-14])
+        want = np.array([float(mp.e1(z)) for z in zs])
+        assert max_rel_err(expint_e1(zs), want) < 1e-11
+
     def test_e1_watson_leading_term(self):
         z = 50.0
         assert z * math.exp(z) * expint_e1(z) == pytest.approx(1.0, rel=0.02)

@@ -32,10 +32,24 @@ from conftest import max_rel_err, rel_err
 P = ThorinParams(0.5, 0.5)
 
 
+def _f_confluent(p, t):
+    """f_ax_hyp's closed form evaluated in mpmath:
+    Gamma(a+x) Phi(1-a, 1+x, t) / (Gamma(1+x) Psi(1-a, 1+x, t))."""
+    a, x, t = mp.mpf(p.a), mp.mpf(p.x), mp.mpf(t)
+    return (mp.gamma(a + x) * mp.hyp1f1(1 - a, 1 + x, t)
+            / (mp.gamma(1 + x) * mp.hyperu(1 - a, 1 + x, t)))
+
+
 class TestRatio:
     def test_quadrature_vs_confluent_form(self):
-        for t in (1e-8, 0.1, 1.0, 10.0, 50.0, 200.0):
-            assert rel_err(f_ax(P, t), f_ax_hyp(P, t)) < 1e-11
+        ts = np.array([1e-8, 0.1, 1.0, 10.0, 50.0, 200.0])
+        assert max_rel_err(f_ax(P, ts), f_ax_hyp(P, ts)) < 1e-11
+
+    def test_small_t_against_confluent_oracle(self):
+        # the lower integral's mass sits near u ~ 1/t, far out on its half-line
+        p = ThorinParams(0.6, 0.5)
+        ts = np.array([1e-12, 1e-9])
+        assert max_rel_err(f_ax(p, ts), [float(_f_confluent(p, t)) for t in ts]) < 1e-13
 
     def test_small_t_against_direct_quadrature(self):
         # direct, separately coded oracle for the two singular integrals
@@ -67,10 +81,7 @@ class TestNearUnitShape:
     p = ThorinParams(0.999, 0.5)
 
     def _f(self, t):
-        """f_ax_hyp's closed form evaluated in mpmath."""
-        a, x = mp.mpf(self.p.a), mp.mpf(self.p.x)
-        return (mp.gamma(a + x) * mp.hyp1f1(1 - a, 1 + x, t)
-                / (mp.gamma(1 + x) * mp.hyperu(1 - a, 1 + x, t)))
+        return _f_confluent(self.p, t)
 
     def test_against_confluent_oracle(self):
         ts = np.geomspace(1.0, 10.0, 3)  # the grid of thorin --t 1:10:3
@@ -97,22 +108,19 @@ class TestLargeX:
     @pytest.mark.parametrize("a", [0.01, 0.5, 0.9])
     def test_ratio_against_confluent_oracle(self, a):
         p = ThorinParams(a, self.X)
-        am, x = mp.mpf(a), mp.mpf(self.X)
         for t, got in zip(self.TS, f_ax(p, self.TS)):
-            want = (mp.gamma(am + x) * mp.hyp1f1(1 - am, 1 + x, t)
-                    / (mp.gamma(1 + x) * mp.hyperu(1 - am, 1 + x, t)))
-            assert rel_err(got, want) < 1e-12
+            assert rel_err(got, _f_confluent(p, t)) < 1e-12
 
     def test_cdf_against_confluent_oracle(self):
         # the cdf is atan2(f s, 1 + c f) / (pi a); written as the difference of
         # two arctangents it cancelled to 0 at t = 0.1, where f ~ 1e-87
         a = 0.5
         ts = np.geomspace(0.1, 10.0, 4)
-        am, x = mp.mpf(a), mp.mpf(self.X)
+        p = ThorinParams(a, self.X)
+        am = mp.mpf(a)
         s, c = mp.sinpi(am), mp.cospi(am)
-        for t, got in zip(ts, thorin_cdf(ThorinParams(a, self.X), ts)):
-            f = (mp.gamma(am + x) * mp.hyp1f1(1 - am, 1 + x, t)
-                 / (mp.gamma(1 + x) * mp.hyperu(1 - am, 1 + x, t)))
+        for t, got in zip(ts, thorin_cdf(p, ts)):
+            f = _f_confluent(p, t)
             assert rel_err(got, mp.atan2(f * s, 1 + c * f) / (mp.pi * am)) < 1e-10
 
     def test_frullani_against_direct_quadrature(self):
