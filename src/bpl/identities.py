@@ -47,7 +47,14 @@ from .distributions import (
 )
 from .errors import BplError, DomainError, describe
 from .options import NESTED
-from .quadrature import _flat, beta_kernel, column_blocks, jacobi_rule, power_weighted
+from .quadrature import (
+    _corner_split,
+    _flat,
+    _jacobi_pair,
+    beta_kernel,
+    column_blocks,
+    power_weighted,
+)
 from .special import gamma_ln, gamma_ratio, gauss_2f1, hyp_3f2
 
 __all__ = [
@@ -81,8 +88,8 @@ class IdentitySpec:
     The densities follow the package's array contract: an array of x in, an
     array of its shape out, one call per side for verify's whole grid. The
     Mellin transforms stay scalar in s, because each s moves the parameters
-    of what they evaluate (the 3F2 of mellin_sum and free, the Jacobi rules
-    of _tb_factor and _ab_half_factor, free's nested 2F1), while the
+    of what they evaluate (the 3F2 of mellin_sum and free, the Gauss-Jacobi
+    weights of _tb_factor and _ab_half_factor, free's nested 2F1), while the
     array-first special functions take arrays of z at fixed parameters; an
     s-grid callable would only move the loop over s into every builder.
     """
@@ -297,33 +304,37 @@ def _max_relerr(lhs: np.ndarray, rhs: np.ndarray) -> float:
 
 
 def _one_plus_sqrt_beta_factor(a: float, s: float) -> float:
-    """E[(1 + sqrt(B_{a,1/2}))^s] by 80-node Gauss-Jacobi quadrature.
+    """E[(1 + sqrt(B_{a,1/2}))^s] by Gauss-Jacobi rules of 12 and 24 nodes.
 
     After w = sqrt(u) the expectation is
     int_0^1 w^(2a-1) (1-w)^(-1/2) (1+w)^(s-1/2) dw / B(a, 1/2) up to the
     doubling of the density.
     """
-    xw, ww = jacobi_rule(80, -0.5, 2.0 * a - 1.0)
-    val = float(np.sum(ww * (1.0 + xw) ** (s - 0.5)))
+    val = _jacobi_pair(lambda w: (1.0 + w) ** (s - 0.5), 2.0 * a - 1.0, -0.5)
     lognorm = gamma_ln(a) + gamma_ln(0.5) - gamma_ln(a + 0.5)
     return 2.0 * val / math.exp(lognorm)
 
 
+def _root_product_integral(a: float, b: float, s: float, c: float = 0.5) -> float:
+    """The double integral of u^(2a-1) (1-u^2)^(-1/2) v^(2b-s-1)
+    (1-v^2)^(-b-1/2) (u+v)^s over the unit square, by the corner-split rule
+    with both axes split at c; 0 < s < 2b keeps every exponent integrable."""
+    def smooth(u, v):
+        return (1.0 + u) ** -0.5 * (1.0 + v) ** (-b - 0.5)
+
+    return _corner_split(smooth, 2.0 * a - 1.0, -0.5, 2.0 * b - s - 1.0, -b - 0.5, s, c)
+
+
 def _tb_factor(a: float, b: float, s: float) -> float:
-    """E[(1 + sqrt(B_{a,1/2} / B_{b,1/2-b}))^s] by 150 x 150 tensor Gauss-Jacobi.
+    """E[(1 + sqrt(B_{a,1/2} / B_{b,1/2-b}))^s] by the corner-split
+    Gauss-Jacobi rule of bpl.quadrature (12 against 24 nodes per axis).
 
     With u, v the square roots of the two beta factors this is 4 x the double
-    integral of u^(2a-1) (1-u^2)^(-1/2) v^(2b-s-1) (1-v^2)^(-b-1/2) (u+v)^s
-    over the unit square, normalized by the two beta functions.
+    integral of _root_product_integral, normalized by the two beta functions.
     """
     if not s < 2.0 * b:
         raise DomainError("factor finite only for s < 2b")
-    xu, wu = jacobi_rule(150, -0.5, 2.0 * a - 1.0)
-    xv, wv = jacobi_rule(150, -b - 0.5, 2.0 * b - s - 1.0)
-    gu = wu * (1.0 + xu) ** (-0.5)
-    gv = wv * (1.0 + xv) ** (-b - 0.5)
-    grid = (xu[:, None] + xv[None, :]) ** s
-    val = 4.0 * float(gu @ grid @ gv)
+    val = 4.0 * _root_product_integral(a, b, s)
     lognorm = (
         gamma_ln(a) + gamma_ln(0.5) - gamma_ln(a + 0.5)
         + gamma_ln(b) + gamma_ln(0.5 - b) - gamma_ln(0.5)
@@ -332,15 +343,13 @@ def _tb_factor(a: float, b: float, s: float) -> float:
 
 
 def _ab_half_factor(a: float, b: float, s: float) -> float:
-    """E[(B_{a,1/2} + 1/B_{b,1/2})^s] by 80 x 80 tensor Gauss-Jacobi; the
-    y^(-s) weight is absorbed into the Jacobi exponent so the remaining
-    integrand (1+xy)^s is polynomial-smooth."""
+    """E[(B_{a,1/2} + 1/B_{b,1/2})^s] by the corner-split Gauss-Jacobi rule
+    (12 against 24 nodes per axis); the y^(-s) weight is absorbed into the
+    Jacobi exponent so the remaining integrand (1+xy)^s is analytic on the
+    square and the corner needs no power of x + y."""
     if not s < b:
         raise DomainError("factor finite only for s < b")
-    xx, wx = jacobi_rule(80, -0.5, a - 1.0)
-    xy, wy = jacobi_rule(80, -0.5, b - s - 1.0)
-    grid = (1.0 + xx[:, None] * xy[None, :]) ** s
-    val = float(wx @ grid @ wy)
+    val = _corner_split(lambda x, y: (1.0 + x * y) ** s, a - 1.0, -0.5, b - s - 1.0, -0.5, 0.0)
     lognorm = (
         gamma_ln(a) + gamma_ln(0.5) - gamma_ln(a + 0.5)
         + gamma_ln(b) + gamma_ln(0.5) - gamma_ln(b + 0.5)
@@ -794,7 +803,15 @@ def lemma_densities(kind: str, param: float, x):
 
 def _cjmain_representation_errors(a: float, b: float, s: float) -> tuple[float, float]:
     """Relative errors of the two double-integral representations of the
-    3F2(1) behind the general square-root identity, for 0 < s < 2b."""
+    3F2(1) behind the general square-root identity, for 0 < s < 2b.
+
+    The first display, in the beta variables themselves, carries
+    (sqrt u + sqrt v)^s, which is not analytic along the edges u = 0 and
+    v = 0; it is evaluated as the second display, its image under
+    u -> u^2, v -> v^2. So rep1 is the second display at another split of
+    the corner-split rule: a check of the quadrature against the closed
+    form at a second node set, not of a second formula.
+    """
     hyp = hyp_3f2((a + s / 2.0, a + (s + 1.0) / 2.0, 0.5), (a + 0.5, a + b + 0.5))
     log_pref = (
         gamma_ln(b - s) + gamma_ln(a + 0.5) + gamma_ln(a + b + 0.5)
@@ -803,26 +820,10 @@ def _cjmain_representation_errors(a: float, b: float, s: float) -> tuple[float, 
     )
     pref = math.exp(log_pref)
 
-    # first display: weights in the original beta variables. The factor
-    # (1 + sqrt(u/v))^s = v^(-s/2) (sqrt u + sqrt v)^s leaves its v^(-s/2) to
-    # the outer weight (exponent b - 1 - s/2 > -1), so no node divides by v.
-    # The inner integral is vector-valued, one column per outer node v.
-    def inner_u(v):
-        def u_smooth(u):
-            return np.add.outer(np.sqrt(u), np.sqrt(v)) ** s
-
-        return beta_kernel(u_smooth, a - 1.0, -0.5)
-
-    rep1 = pref * beta_kernel(inner_u, b - 1.0 - s / 2.0, -b - 0.5)
-
-    # second display: square-root substitution u -> u^2, v -> v^2
-    def inner_u2(v):
-        def u_smooth(u):
-            return ((1.0 + u) ** (-0.5))[:, None] * np.add.outer(u, v) ** s
-
-        return (1.0 + v) ** (-b - 0.5) * beta_kernel(u_smooth, 2.0 * a - 1.0, -0.5)
-
-    rep2 = 4.0 * pref * beta_kernel(inner_u2, 2.0 * b - s - 1.0, -b - 0.5)
+    # each display split at u = v = 1/2 in its own variables: 1/sqrt(2) in
+    # the square roots for the first, 1/2 for the second
+    rep1 = 4.0 * pref * _root_product_integral(a, b, s, math.sqrt(0.5))
+    rep2 = 4.0 * pref * _root_product_integral(a, b, s)
     return abs(rep1 - hyp) / abs(hyp), abs(rep2 - hyp) / abs(hyp)
 
 

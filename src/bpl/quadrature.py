@@ -31,6 +31,14 @@ column_blocks is built on the private _flat (flatten, check the domain
 before evaluating, reshape), which closed forms and wrappers of a function
 that blocks its own columns call directly with the whole array, so
 column_blocks' own time is quadrature time.
+
+Fixed rules: the Mellin factors of bpl.identities are integrals with
+algebraic endpoint factors and an analytic rest, which Gauss-Jacobi rules
+whose weights carry the endpoint powers integrate to rounding with few
+nodes. _jacobi_pair (one axis) and _corner_split (the unit square, with a
+Duffy corner for (u+v)^s) evaluate their rule at 12 and at 24 nodes per
+axis and return the 24-node value only when the two agree to the tolerance
+of DEFAULT_OPTIONS, raising QuadratureError otherwise.
 """
 
 from __future__ import annotations
@@ -317,7 +325,9 @@ def halfline_power(R, kappa: float, opts: EvalOptions = DEFAULT_OPTIONS):
 def jacobi_rule(n: int, alpha: float, beta: float):
     """Gauss-Jacobi nodes/weights for integral_0^1 x^beta (1-x)^alpha g(x) dx.
 
-    alpha, beta > -1; Golub-Welsch on the Jacobi three-term recurrence.
+    alpha, beta > -1; Golub-Welsch on the Jacobi three-term recurrence. The
+    weights are B(beta+1, alpha+1) v_0^2 with the beta function formed from
+    its logarithm, so large exponents neither overflow nor lose the scale.
     """
     if alpha <= -1.0 or beta <= -1.0:
         raise DomainError("Jacobi exponents must exceed -1")
@@ -337,8 +347,106 @@ def jacobi_rule(n: int, alpha: float, beta: float):
     if n > 1:
         jm += np.diag(off, 1) + np.diag(off, -1)
     nodes, vecs = np.linalg.eigh(jm)
+    # the [-1, 1] measure's 2^(alpha+beta+1) cancels against the map to [0, 1]
     lg = math.lgamma
-    log_mu0 = (s + 1.0) * math.log(2.0) + lg(alpha + 1.0) + lg(beta + 1.0) - lg(s + 2.0)
-    w = np.exp(log_mu0) * vecs[0] ** 2
-    # map [-1,1] -> [0,1]; the 2^(alpha+beta+1) factor cancels mu0's
-    return 0.5 * (1.0 + nodes), w / 2.0 ** (s + 1.0)
+    log_mass = lg(alpha + 1.0) + lg(beta + 1.0) - lg(s + 2.0)
+    return 0.5 * (1.0 + nodes), math.exp(log_mass) * vecs[0] ** 2
+
+
+# Nodes per axis of the coarse and the fine Gauss-Jacobi rule of _jacobi_pair
+# and _corner_split; the fine value is returned once the two agree.
+_RULE_NODES = (12, 24)
+
+# A far panel of _edge_rules spans at most a factor exp(_PANEL_LOG_SPAN) of
+# its axis's power x^e, which the coarse rule still integrates to rounding.
+_PANEL_LOG_SPAN = 8.0
+
+
+def _checked_pair(rule, what: str) -> float:
+    """rule(n) at both node counts of _RULE_NODES: the fine value, or
+    QuadratureError when the two differ by more than
+    rel_tol*|fine| + abs_tol of DEFAULT_OPTIONS (or either is not finite)."""
+    coarse, fine = (rule(n) for n in _RULE_NODES)
+    tol = DEFAULT_OPTIONS.rel_tol * abs(fine) + DEFAULT_OPTIONS.abs_tol
+    if not abs(fine - coarse) <= tol:
+        raise QuadratureError(
+            f"{what}: {_RULE_NODES[0]}- and {_RULE_NODES[1]}-node rules differ by "
+            f"{abs(fine - coarse):.3e} > tolerance {tol:.3e}"
+        )
+    return fine
+
+
+def _jacobi_pair(f, kappa: float, lam: float) -> float:
+    """integral_0^1 x^kappa (1-x)^lam f(x) dx for f analytic on a
+    neighbourhood of [0, 1], by Gauss-Jacobi rules with exact endpoint
+    weights at both node counts of _RULE_NODES."""
+    def rule(n):
+        x, w = jacobi_rule(n, lam, kappa)
+        return float(w @ f(x))
+
+    return _checked_pair(rule, "Gauss-Jacobi rule")
+
+
+@lru_cache(maxsize=512)
+def _edge_rules(n: int, e: float, f: float, c: float):
+    """Nodes and weights of x^e (1-x)^f dx on [0, c] and on [c, 1], n per
+    panel, as ((x_near, w_near), (x_far, w_far)).
+
+    The near rule carries x^e in its Jacobi weight and (1-x)^f in its
+    weights. x^e has no such weight on [c, 1], where one panel would have to
+    integrate it like a polynomial of degree e, so [c, 1] is cut at equal
+    ratios into panels over each of which x^e varies by at most
+    exp(_PANEL_LOG_SPAN). The last panel carries (1-x)^f in its Jacobi
+    weight; the others, and x^e on every panel, go into the weights. One
+    panel suffices for e <= 11 at c = 1/2.
+    """
+    x, w = jacobi_rule(n, 0.0, e)
+    near = c * x, c ** (e + 1.0) * w * (1.0 - c * x) ** f
+    panels = max(1, math.ceil(e * -math.log(c) / _PANEL_LOG_SPAN))
+    cuts = c ** (1.0 - np.arange(panels + 1) / panels)
+    x, w = jacobi_rule(n, 0.0, 0.0)
+    lo, hi = cuts[:-2, None], cuts[1:-1, None]
+    inner = lo + (hi - lo) * x
+    inner_w = (hi - lo) * w * (1.0 - inner) ** f
+    x, w = jacobi_rule(n, f, 0.0)
+    last = cuts[-2] + (1.0 - cuts[-2]) * x
+    last_w = (1.0 - cuts[-2]) ** (f + 1.0) * w
+    far = np.concatenate([inner.ravel(), last])
+    return near, (far, np.concatenate([inner_w.ravel(), last_w]) * far ** e)
+
+
+def _corner_split(f, A: float, B: float, C: float, D: float, s: float,
+                  c: float = 0.5) -> float:
+    """integral over [0,1]^2 of u^A (1-u)^B v^C (1-v)^D (u+v)^s f(u, v),
+    for f analytic on a neighbourhood of the square (it takes two
+    broadcasting arrays), A, B, C, D, A+C+s+1 > -1, and B, D of order one
+    (they enter the near rules of _edge_rules as weight factors).
+
+    Both axes are split at c. The three blocks away from the corner are
+    tensor products of the near and far rules of _edge_rules, so u^A and
+    v^C stay exact for any size of A and C. On the corner block [0, c]^2
+    the Duffy transform (M. G. Duffy, SIAM J. Numer. Anal. 19 (1982)
+    1260-1262), v = r w on v < u and u = r w on u < v, turns the corner
+    singularity of (u+v)^s into the weight r^(A+C+s+1) times w^C or w^A,
+    leaving the analytic (1+w)^s. Every block then converges geometrically,
+    and the rule runs at both node counts of _RULE_NODES per axis under
+    _checked_pair's agreement test.
+    """
+    def block(u, wu, v, wv):
+        u, v = u[:, None], v[None, :]
+        return float(wu @ ((u + v) ** s * f(u, v)) @ wv)
+
+    def rule(n):
+        xa, wa = jacobi_rule(n, 0.0, A)  # w^A above the diagonal
+        xc, wc = jacobi_rule(n, 0.0, C)  # w^C below it
+        xr, wr = jacobi_rule(n, 0.0, A + C + s + 1.0)  # corner radius
+        r, wr = c * xr[:, None], c ** (A + C + s + 2.0) * wr
+        total = float(wr @ ((1.0 + xc) ** s * (1.0 - r) ** B * (1.0 - r * xc) ** D
+                            * f(r, r * xc)) @ wc)
+        total += float(wr @ ((1.0 + xa) ** s * (1.0 - r * xa) ** B * (1.0 - r) ** D
+                             * f(r * xa, r)) @ wa)
+        u_near, u_far = _edge_rules(n, A, B, c)
+        v_near, v_far = _edge_rules(n, C, D, c)
+        return total + block(*u_near, *v_far) + block(*u_far, *v_near) + block(*u_far, *v_far)
+
+    return _checked_pair(rule, "corner-split Gauss-Jacobi rule")

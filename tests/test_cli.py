@@ -10,6 +10,7 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -561,6 +562,79 @@ class TestEdgeShapes:
         code, rows = _run_checked(["thorin", "--a", "1", "--x", "40", "--t", "0.001953125:1.0:1"])
         assert code == 0 and len(rows) == 1
         assert 0.0 < float(rows[0][5]) < 1e-100
+
+
+class TestGaussJacobiFactors:
+    """The Mellin factors and cjmain's representation checks on the 12/24-node
+    corner-split Gauss-Jacobi rule."""
+
+    def test_theorem_b_at_a_tight_mellin_rtol(self):
+        code, rows = _run_checked(["verify", "theorem-b", "--a", "0.5", "--b", "0.2",
+                                   "--n", "3000", "--seed", "1", "--mellin-rtol", "1e-8"])
+        assert code == 0
+        assert [(r[2], r[5]) for r in rows] == [("ks", "pass"), ("mellin", "pass")]
+        assert float(rows[1][3]) <= 1e-12
+
+    @pytest.mark.parametrize("a", ["545", "600"])
+    def test_theorem_a_large_a(self, a):
+        code, rows = _run_checked(["verify", "theorem-a", "--a", a, "--n", "3000",
+                                   "--seed", "1"])
+        assert code == 0
+        assert [r[2] for r in rows] == ["ks", "mellin", "density"]
+        assert float(rows[1][3]) <= 1e-10
+
+    def test_cjmain_large_a(self):
+        # u's power 2a - 1 = 39 and 99 goes into the far rule's panels; one
+        # 12-node panel on [1/2, 1] disagreed with 24 nodes at a = 50
+        code, rows = _run_checked(["scan", "cjmain", "--a", "20,50", "--b", "0.2",
+                                   "--n-samples", "300", "--seed", "1"])
+        assert code == 0
+        values = {(r[1], r[2]): float(r[3]) for r in rows}
+        for a in ("20", "50"):
+            for channel in ("mellin", "representation"):
+                assert values[(f"a={a};b=0.2", channel)] <= 1e-10, (a, channel)
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "theorem-b", "--a", "0.5", "--b", "0.2", "--n", "300"],
+        ["verify", "ab-half", "--a", "0.25", "--n", "300"],
+        ["verify", "half-gaussian", "--a", "0.5", "--n", "300"],
+        ["scan", "cjmain", "--a", "0.5", "--b", "0.2", "--n-samples", "300"],
+    ])
+    def test_rule_disagreement_exits_2(self, monkeypatch, argv):
+        # a 2-node coarse rule cannot agree with the 24-node one
+        from bpl import quadrature
+
+        monkeypatch.setattr(quadrature, "_RULE_NODES", (2, 24))
+        code, rows = _run_checked(argv + ["--seed", "1"])
+        assert code == 2
+        errors = [r[3] for r in rows if r[2] == "error"]
+        assert len(errors) == 1
+        assert errors[0].startswith("QuadratureError: ")
+        assert "2- and 24-node rules differ" in errors[0]
+
+    def test_no_large_eigenproblems(self, monkeypatch):
+        # OpenBLAS may run eigh on several threads from n of about 26, where
+        # some processes stall on every call; every rule stays at 24 nodes
+        from bpl.quadrature import jacobi_rule
+
+        sizes = []
+        eigh = np.linalg.eigh
+
+        def recording(m, *args, **kwargs):
+            sizes.append(np.shape(m)[0])
+            return eigh(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        jacobi_rule.cache_clear()
+        for argv in (["verify", "theorem-a", "--a", "0.7", "--n", "300"],
+                     ["verify", "theorem-b", "--a", "0.5", "--b", "0.2", "--n", "300"],
+                     ["verify", "ab-half", "--a", "0.25", "--n", "300"],
+                     ["verify", "half-gaussian", "--a", "0.5", "--n", "300"],
+                     ["scan", "cjmain", "--a", "0.5,0.8,2", "--b", "0.2",
+                      "--n-samples", "300"]):
+            code, _ = _run_checked(argv + ["--seed", "1"])
+            assert code == 0, argv
+        assert sizes and max(sizes) <= 24
 
 
 _BAD_NUMBERS = ["0", "-1", "nan", "inf", "-inf", "1.5"]

@@ -378,6 +378,14 @@ class TestTheoremB:
         with pytest.raises(DomainError):
             theorem_b_spec(0.62, 0.3)  # off both proven branches
 
+    @pytest.mark.parametrize("ab", [(0.5, 0.2), (0.5, 0.02), (0.5, 0.005), (0.99, 0.01)])
+    def test_mellin_sides_agree_to_rounding(self, ab):
+        # the corner-split rule's factor across the whole strip (0, b); the
+        # 150 x 150 tensor rule was 2.3e-8 off at (0.5, 0.2)
+        spec = theorem_b_spec(*ab)
+        for s in ab[1] * np.linspace(0.05, 0.95, 10):
+            assert rel_err(spec.rhs_mellin(s), spec.lhs_mellin(s)) <= 1e-12, s
+
     def test_degenerates_to_theorem_a(self):
         # b -> 1/2 on the a = 1/2 branch: the extra beta factor tends to 1
         s = 0.2
@@ -576,10 +584,18 @@ class TestScans:
         assert row["mellin_max_relerr"] < 1e-6
         assert row["verdict"] == "fail"
 
-    def test_cjmain_verdict_uses_mellin_rtol(self):
-        # theorem-b's 150-node Mellin factor is about 2.3e-8 off at (0.5, 0.2)
-        (row,) = conjecture_cjmain_scan([(0.5, 0.2)], 3_000, RngState(83), mellin_rtol=1e-8)
-        assert row["mellin_max_relerr"] > 1e-8 and row["verdict"] == "fail"
+    def test_cjmain_verdict_uses_mellin_rtol(self, monkeypatch):
+        # a right-side Mellin factor 1e-7 off fails a proven point at
+        # mellin_rtol 1e-8 and passes it at 1e-6
+        exact = identities._tb_factor
+        monkeypatch.setattr(identities, "_tb_factor",
+                            lambda a, b, s: exact(a, b, s) * (1.0 + 1e-7))
+        verdicts = {}
+        for rtol in (1e-8, 1e-6):
+            (row,) = conjecture_cjmain_scan([(0.5, 0.2)], 3_000, RngState(83), mellin_rtol=rtol)
+            assert 0.9e-7 < row["mellin_max_relerr"] < 1.1e-7
+            verdicts[rtol] = row["verdict"]
+        assert verdicts == {1e-8: "fail", 1e-6: "pass"}
 
     def test_cjmain_exploratory_point_recorded(self):
         rows = conjecture_cjmain_scan([(2.0, 0.3)], 20_000, RngState(84))
@@ -593,6 +609,17 @@ class TestScans:
         # reaches 0 at these b
         r1, r2 = _cjmain_representation_errors(0.5, b, min(0.1, 0.8 * b))
         assert r1 < 1e-12 and r2 < 1e-12
+
+    @pytest.mark.parametrize("a, b, s", [
+        # b = 0.001 puts v's exponent 2b - s - 1 within 2e-3 of -1; the
+        # nested adaptive integrals ran out of refinement rounds here
+        (0.999, 0.001, 0.0008),
+        # u's power 2a - 1 runs over 4, 9 and 35 panels of the far rule
+        (20.0, 0.2, 0.1), (50.0, 0.2, 0.1), (200.0, 0.2, 0.1),
+    ])
+    def test_cjmain_representations_at_extreme_shapes(self, a, b, s):
+        r1, r2 = _cjmain_representation_errors(a, b, s)
+        assert r1 <= 1e-10 and r2 <= 1e-10
 
     def test_cjmain_domain(self):
         with pytest.raises(DomainError):

@@ -1,12 +1,14 @@
 """Quadrature machinery: endpoint substitutions, infinite tails, Jacobi rules."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bpl import quadrature
 from bpl.errors import DomainError, QuadratureError
 from bpl.options import EvalOptions
 from bpl.quadrature import (
@@ -17,6 +19,8 @@ from bpl.quadrature import (
     _WGK,
     _XGK,
     _RoundTooWide,
+    _corner_split,
+    _jacobi_pair,
     beta_kernel,
     column_blocks,
     halfline_power,
@@ -24,6 +28,7 @@ from bpl.quadrature import (
     jacobi_rule,
     power_weighted,
 )
+from conftest import max_rel_err
 
 
 def test_plain_polynomial():
@@ -160,6 +165,145 @@ def test_jacobi_rule_moments():
         want = math.exp(math.lgamma(beta + 1.0 + k) + math.lgamma(alpha + 1.0)
                         - math.lgamma(alpha + beta + 2.0 + k))
         assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_jacobi_rule_large_exponent():
+    # exp(log mu0) and 2^(alpha+beta+1) formed apart overflowed here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, w = jacobi_rule.__wrapped__(24, -0.5, 1089.0)
+    want = math.exp(math.lgamma(0.5) + math.lgamma(1090.0) - math.lgamma(1090.5))
+    assert abs(w.sum() - want) <= 1e-11 * want
+    assert np.all((x > 0.0) & (x < 1.0))
+
+
+def _root_product(b):
+    """The smooth factor of theorem-b's Mellin integrand in the square roots
+    u, v of its two beta variables."""
+    return lambda u, v: (1.0 + u) ** -0.5 * (1.0 + v) ** (-b - 0.5)
+
+
+def _theorem_b_integral(a, b, s, c=0.5):
+    return _corner_split(_root_product(b), 2.0 * a - 1.0, -0.5, 2.0 * b - s - 1.0,
+                         -b - 0.5, s, c)
+
+
+def _mpmath_corner_reference(a, b, s, c=0.5):
+    """_theorem_b_integral by mpmath's tanh-sinh 2-D quad over the same five
+    blocks, each endpoint power x^e removed by x = t^(1/(e+1)) instead of
+    carried by Gauss-Jacobi weights."""
+    import mpmath as mp
+
+    a, b, s, c = mp.mpf(a), mp.mpf(b), mp.mpf(s), mp.mpf(c)
+    A, B, C, D = 2 * a - 1, mp.mpf(-0.5), 2 * b - s - 1, -b - mp.mpf(0.5)
+    E = A + C + s + 1
+
+    def g(u, v):
+        return (1 + u) ** mp.mpf(-0.5) * (1 + v) ** (-b - mp.mpf(0.5))
+
+    def lo(t, e):  # x^e dx = dt / (e + 1)
+        return t ** (1 / (e + 1))
+
+    def hi(t, e):  # (1 - x)^e dx = dt / (e + 1)
+        return 1 - t ** (1 / (e + 1))
+
+    def below(t1, t2):  # v = r w < u = r
+        r, w = c * lo(t1, E), lo(t2, C)
+        return (1 + w) ** s * (1 - r) ** B * (1 - r * w) ** D * g(r, r * w)
+
+    def above(t1, t2):  # u = r w < v = r
+        r, w = c * lo(t1, E), lo(t2, A)
+        return (1 + w) ** s * (1 - r * w) ** B * (1 - r) ** D * g(r * w, r)
+
+    def lo_hi(t1, t2):
+        u, v = c * lo(t1, A), c + (1 - c) * hi(t2, D)
+        return (1 - u) ** B * v ** C * (u + v) ** s * g(u, v)
+
+    def hi_lo(t1, t2):
+        u, v = c + (1 - c) * hi(t1, B), c * lo(t2, C)
+        return u ** A * (1 - v) ** D * (u + v) ** s * g(u, v)
+
+    def hi_hi(t1, t2):
+        u, v = c + (1 - c) * hi(t1, B), c + (1 - c) * hi(t2, D)
+        return u ** A * v ** C * (u + v) ** s * g(u, v)
+
+    def quad(f):
+        return mp.quad(f, [0, 1], [0, 1])
+
+    corner = c ** (E + 1) / (E + 1)
+    return (corner / (C + 1) * quad(below) + corner / (A + 1) * quad(above)
+            + c ** (A + 1) * (1 - c) ** (D + 1) / ((A + 1) * (D + 1)) * quad(lo_hi)
+            + c ** (C + 1) * (1 - c) ** (B + 1) / ((C + 1) * (B + 1)) * quad(hi_lo)
+            + (1 - c) ** (B + D + 2) / ((B + 1) * (D + 1)) * quad(hi_hi))
+
+
+class TestCornerSplit:
+    """The corner-split Gauss-Jacobi rule on theorem-b's Mellin integrand
+    u^(2a-1) (1-u)^(-1/2) v^(2b-s-1) (1-v)^(-b-1/2) (u+v)^s times the smooth
+    (1+u)^(-1/2) (1+v)^(-b-1/2)."""
+
+    GRID = [(a, b, f * 2.0 * b) for a in (0.05, 0.2, 0.5, 0.99, 2.0, 5.0, 10.0, 50.0)
+            for b in (0.001, 0.01, 0.05, 0.2, 0.35, 0.499) for f in (0.05, 0.5, 0.99)]
+
+    # _mpmath_corner_reference(a, b, s) at 30 digits, within 1e-20 relative
+    # of its own 20-digit value at every point
+    MPMATH = {
+        (0.5, 0.2, 0.2): 9.708055193627332594,
+        (0.99, 0.01, 0.008): 84.37394103918953465,
+        (2.0, 0.3, 0.54): 12.81167111750209771,
+        (0.05, 0.1, 0.1): 84.15623723108271196,
+        (10.0, 0.45, 0.18): 3.535256432932486034,
+        (0.7, 0.499, 0.0499): 644.0547646012346523,
+        (0.5, 0.05, 0.05): 31.80753001191455758,
+    }
+
+    def test_agrees_with_100_nodes(self, monkeypatch):
+        got = [_theorem_b_integral(*point) for point in self.GRID]
+        monkeypatch.setattr(quadrature, "_RULE_NODES", (50, 100))
+        want = [_theorem_b_integral(*point) for point in self.GRID]
+        assert max_rel_err(got, want) <= 1e-13
+
+    def test_agrees_with_mpmath_quad(self):
+        for (a, b, s), want in self.MPMATH.items():
+            assert abs(_theorem_b_integral(a, b, s) / want - 1.0) <= 1e-13, (a, b, s)
+
+    def test_mpmath_table_reproduces(self):
+        import mpmath as mp
+
+        with mp.workdps(15):
+            got = _mpmath_corner_reference(0.5, 0.2, 0.2)
+        assert abs(float(got) / self.MPMATH[(0.5, 0.2, 0.2)] - 1.0) <= 1e-14
+
+    def test_split_point_moves_nodes_not_value(self):
+        for point in self.GRID[::7]:
+            moved = _theorem_b_integral(*point, c=math.sqrt(0.5))
+            assert abs(moved / _theorem_b_integral(*point) - 1.0) <= 1e-13, point
+
+    @pytest.mark.parametrize("A, C", [(-0.7, -0.2), (99.0, -0.2), (-0.7, 1089.0)])
+    def test_beta_moments(self, A, C):
+        # s = 0 and a product payload: a product of two beta functions. A
+        # power of 99 or 1089 runs over 9 or 95 panels of the far rule
+        got = _corner_split(lambda u, v: u * v ** 2, A, 0.4, C, -0.9, 0.0)
+        lg = math.lgamma
+        want = math.exp(lg(A + 2.0) + lg(1.4) - lg(A + 3.4) + lg(C + 3.0) + lg(0.1) - lg(C + 3.1))
+        assert abs(got / want - 1.0) <= 1e-13
+
+    def test_disagreement_raises(self):
+        # a kink inside the square: 12 and 24 nodes disagree far beyond 1e-12
+        def kinked(u, v):
+            return np.abs(u - 0.3) + 0.0 * v
+
+        with pytest.raises(QuadratureError, match="12- and 24-node rules differ"):
+            _corner_split(kinked, 0.0, 0.0, 0.0, 0.0, 0.5)
+        with pytest.raises(QuadratureError, match="differ by nan"):
+            _corner_split(lambda u, v: np.where(u > 0.3, np.nan, v), 0.0, 0.0, 0.0, 0.0, 0.5)
+
+    def test_jacobi_pair(self):
+        got = _jacobi_pair(lambda x: x ** 3, -0.5, 2.5)
+        want = math.exp(math.lgamma(3.5) + math.lgamma(3.5) - math.lgamma(7.0))
+        assert abs(got / want - 1.0) <= 1e-14
+        with pytest.raises(QuadratureError, match="differ"):
+            _jacobi_pair(lambda x: np.abs(x - 0.3), 0.0, 0.0)
 
 
 class TestVectorValued:
