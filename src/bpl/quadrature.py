@@ -1,12 +1,14 @@
-"""Adaptive Gauss-Kronrod quadrature with endpoint-singularity substitutions.
+"""Adaptive Gauss-Kronrod quadrature with one map per kind of endpoint.
 
 One mechanism serves every integral representation in the package:
-QUADPACK's 15-point Gauss-Kronrod rule refined adaptively. Algebraic endpoint
-factors are never formed as x^k for rounded x; the weighted helpers keep the
-distance to the endpoint as the integration variable and substitute x = v^m
-to restore a bounded integrand, while an infinite upper limit is split at
-a + 1: [a, a + 1] in t itself and [a + 1, inf) over the reciprocal distance
-s = 1/(t - a) in (0, 1], so the nodes keep relative resolution at both ends.
+QUADPACK's 15-point Gauss-Kronrod rule refined adaptively. An infinite upper
+limit is one mesh over v in [-1, 1], t = a - v for v <= 0 and t = a + 1/v
+for v > 0, so both ends of the half-line sit at v = 0, one on each side, and
+each keeps full relative resolution. Algebraic endpoint factors are never
+formed as x^k for rounded x: power_weighted integrates x^kappa R(x) over
+y = log(top/x) on that half-line, where the endpoint power is the exact
+decay exp((kappa+1)(log top - y)). R must be finite at every positive double
+in (0, top]; below the smallest normal double it is taken at that double.
 
 Integrand contract: an integrand maps the nodes, an array of shape (N,), to
 values of shape (N,) or (N, m); a constant is broadcast over the nodes. An
@@ -84,6 +86,9 @@ _MAX_ROUND_VALUES = 1 << 19
 # Widest column block of column_blocks: a round over a full block may still
 # split 64 panels (2 * 15 * 64 * 273 values) within _MAX_ROUND_VALUES.
 _BLOCK_COLUMNS = _MAX_ROUND_VALUES // (2 * _XGK.size * 64)
+
+# power_weighted evaluates R no closer to 0 than the smallest normal double.
+_TINY = np.finfo(float).tiny
 
 
 class _RoundTooWide(QuadratureError):
@@ -221,74 +226,56 @@ def _in_halves(fn, zs: np.ndarray) -> np.ndarray:
         return np.concatenate((_in_halves(fn, zs[:half]), _in_halves(fn, zs[half:])))
 
 
-def _reciprocal_tail(f, c: float, opts: EvalOptions):
-    """integral_{c+1}^inf f(t) dt over s = 1/(t - c) in (0, 1], through the
-    pullback f(c + 1/s)/s^2, with an initial partition graded toward s = 0 so
-    slowly decaying or far-out mass is still found. s itself is the variable,
-    so the nodes reach t far beyond 1e15 and a tail that decays too slowly to
-    converge raises QuadratureError instead of being cut off; t - c >= 1
-    keeps full relative resolution at both ends of the map."""
-    def pullback(s):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            fx = np.asarray(f(c + 1.0 / s), dtype=float)
-            return fx / _along_nodes(s * s, fx)
-
-    breaks = np.concatenate(([0.0], np.logspace(-6.0, -0.75, 8), [1.0]))
-    return _adaptive(pullback, breaks, opts)
-
-
 def integrate(f, a: float, b: float, opts: EvalOptions = DEFAULT_OPTIONS):
     """Adaptive integral of a vectorized, everywhere-finite integrand.
 
-    b may be infinite; the half-line is then [a, a + 1] in t itself, so
-    integrand structure just above a is resolved as on a finite range, plus
-    [a + 1, inf) over the reciprocal distance s = 1/(t - a) in (0, 1]. Over
-    the whole half-line f is evaluated with numpy's overflow, invalid and
-    divide warnings off.
+    b may be infinite; the half-line is then one mesh over v in [-1, 1],
+    t = a - v for v <= 0 and t = a + 1/v with the Jacobian 1/v^2 for v > 0.
+    Both ends, t = a and t = inf, sit at v = 0, one on each side, so each
+    keeps full relative resolution, and the nodes reach t far beyond 1e15: a
+    tail that decays too slowly to converge raises QuadratureError instead
+    of being cut off. Over the whole half-line f is evaluated with numpy's
+    overflow, invalid and divide warnings off.
     """
     if not a < b:
         raise DomainError(f"empty integration range [{a}, {b}]")
-    if math.isinf(b):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            near = _adaptive(f, np.array([a, a + 1.0]), opts)
-        return near + _reciprocal_tail(f, a, opts)
-    span = b - a
-    return _adaptive(f, np.array([a, a + 0.5 * span, b]), opts)
+    if not math.isinf(b):
+        return _adaptive(f, np.array([a, a + 0.5 * (b - a), b]), opts)
 
+    def pullback(v):
+        far = v > 0.0
+        ft = np.asarray(f(np.where(far, a + 1.0 / v, a - v)), dtype=float)
+        return ft * _along_nodes(np.where(far, 1.0 / (v * v), 1.0), ft)
 
-def _sub_power(kappa: float) -> int:
-    """Substitution order m for an x^kappa endpoint factor, kappa > -1.
-
-    m(kappa+1) >= 2 keeps the transformed integrand bounded with a vanishing
-    first derivative even for exponents within 1e-2 of the integrability edge.
-    """
-    if kappa >= 0.0:
-        return 1
-    m = int(math.ceil(2.0 / (1.0 + kappa)))
-    return min(max(m, 2), 256)
+    # graded toward v = 0+ so slowly decaying or far-out mass is still found
+    breaks = np.concatenate(([-1.0, 0.0], np.logspace(-6.0, -0.75, 8), [1.0]))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return _adaptive(pullback, breaks, opts)
 
 
 def power_weighted(R, kappa: float, top: float, opts: EvalOptions = DEFAULT_OPTIONS):
     """integral_0^top x^kappa R(x) dx with the x^kappa factor kept exact.
 
-    Substitutes x = v^m so the transformed integrand m v^{m(kappa+1)-1} R(v^m)
-    is bounded (or nearly so) at v = 0.
+    One half-line integral in y = log(top/x),
+    integral_0^inf exp((kappa+1)(log top - y)) R(top e^-y) dy, through
+    integrate. The endpoint power, and any power x^b inside R, becomes an
+    exact exponential decay in y. Contract: R is finite at every positive
+    double in (0, top]. Below the smallest normal double t, R is taken at t
+    while the weight keeps the exact power; that moves the integral by the
+    integral of x^kappa (R(x) - R(t)) over [0, t], which matters only when
+    kappa + 1 and the power b hidden in R are both below about 0.04.
     """
     if not top > 0.0:
         raise DomainError("need top > 0")
     if kappa <= -1.0:
         raise DomainError(f"non-integrable endpoint exponent {kappa}")
-    m = _sub_power(kappa)
-    e = m * (kappa + 1.0) - 1.0
-    top_v = top ** (1.0 / m)
+    log_top = math.log(top)
 
-    def g(v):
-        rx = R(v ** m)
-        return _along_nodes(m * v ** e, rx) * rx
+    def g(y):
+        rx = R(np.maximum(top * np.exp(-y), _TINY))
+        return _along_nodes(np.exp((kappa + 1.0) * (log_top - y)), rx) * rx
 
-    # graded toward 0 so boundary layers deep inside the interval are found
-    breaks = top_v * np.array([0.0, 1e-8, 1e-5, 1e-3, 0.03, 0.2, 0.55, 1.0])
-    return _adaptive(g, breaks, opts)
+    return integrate(g, 0.0, math.inf, opts)
 
 
 def beta_kernel(R, kappa: float, lam: float, opts: EvalOptions = DEFAULT_OPTIONS):
@@ -312,13 +299,12 @@ def beta_kernel(R, kappa: float, lam: float, opts: EvalOptions = DEFAULT_OPTIONS
 
 def halfline_power(R, kappa: float, opts: EvalOptions = DEFAULT_OPTIONS):
     """integral_0^inf t^kappa R(t) dt for kappa > -1 and decaying R: the
-    endpoint-power piece on [0, 1] plus the reciprocal tail, in s = 1/t, on
-    [1, inf)."""
+    endpoint-power piece on [0, 1] plus the half-line [1, inf)."""
     def tail(t):
         rt = np.asarray(R(t), dtype=float)
         return _along_nodes(t ** kappa, rt) * rt
 
-    return power_weighted(R, kappa, 1.0, opts) + _reciprocal_tail(tail, 0.0, opts)
+    return power_weighted(R, kappa, 1.0, opts) + integrate(tail, 1.0, math.inf, opts)
 
 
 @lru_cache(maxsize=512)

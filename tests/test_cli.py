@@ -507,10 +507,17 @@ class TestEdgeShapes:
     """Shapes near an integrability edge that used to end in an error row or
     a failed evaluation (exit 2)."""
 
-    def test_theorem_a_small_a(self):
-        code, rows = _run_checked(["verify", "theorem-a", "--a", "1e-3", "--n", "2000"])
+    @pytest.mark.parametrize("identity, a, channels", [
+        ("theorem-a", "1e-3", ["ks", "mellin", "density"]),
+        ("theorem-a", "1e-4", ["ks", "mellin", "density"]),
+        ("half-gaussian", "1e-4", ["ks", "mellin"]),
+    ], ids=["theorem-a-1e-3", "theorem-a-1e-4", "half-gaussian-1e-4"])
+    def test_small_a(self, identity, a, channels):
+        # a = 1e-4 puts the x^(2a-1) endpoint power of the Mellin and density
+        # integrals within 2e-4 of the integrability edge
+        code, rows = _run_checked(["verify", identity, "--a", a, "--n", "2000"])
         assert code == 0
-        assert [r[2] for r in rows] == ["ks", "mellin", "density"]
+        assert [r[2] for r in rows] == channels
         assert all(r[5] == "pass" for r in rows)
 
     @pytest.mark.parametrize("b", ["0.05", "0.075"])
@@ -521,8 +528,9 @@ class TestEdgeShapes:
         assert [r[2] for r in rows] == ["ks", "mellin", "representation"]
         assert float(rows[2][3]) < 1e-12
 
-    def test_thorin_near_unit_a(self):
-        code, rows = _run_checked(["thorin", "--a", "0.999", "--x", "0.5", "--t", "1:10:3"])
+    @pytest.mark.parametrize("a", ["0.999", "0.9999", "0.999999"])
+    def test_thorin_near_unit_a(self, a):
+        code, rows = _run_checked(["thorin", "--a", a, "--x", "0.5", "--t", "1:10:3"])
         assert code == 0 and len(rows) == 3
 
     @pytest.mark.parametrize("a", ["0.01", "0.5", "0.9", "1"])

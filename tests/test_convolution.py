@@ -37,7 +37,7 @@ def _mass_on_halfline(density, left_exp: float, tail_exp: float) -> float:
     def smooth(t):
         # the transformed integrand is bounded; clamping t keeps the density
         # argument inside float range (error O(1e-10) in a continuous factor)
-        t = np.clip(t, 1e-280, 1.0 - 1e-10)
+        t = np.clip(t, 1e-200, 1.0 - 1e-10)
         return density(t / (1.0 - t)) / (t ** left_exp * (1.0 - t) ** (1.0 + tail_exp))
 
     return beta_kernel(smooth, left_exp, tail_exp - 1.0)

@@ -532,7 +532,7 @@ class TestLemmaDensities:
         loose = EvalOptions(rel_tol=1e-10, abs_tol=1e-13, max_quad_refinements=90)
 
         def inner(u):  # x = 1 + u on (1, 2); clamp off the log point at 2
-            u = np.clip(u, 1e-250, 1.0 - 1e-10)
+            u = np.clip(u, 1e-15, 1.0 - 1e-10)
             return lemma_densities(kind, param, 1.0 + u) * u ** (-left_exp)
 
         def outer(v):  # x = 1 + 1/v on (2, inf); clamps keep x in float range

@@ -1,11 +1,11 @@
-"""Quadrature machinery: endpoint substitutions, infinite tails, Jacobi rules."""
+"""Quadrature machinery: endpoint maps, half-lines, Jacobi rules."""
 
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bpl import quadrature
@@ -80,6 +80,27 @@ def test_power_weighted():
     # integral_0^(1/2) x^(-0.6) dx = (1/2)^0.4 / 0.4
     got = power_weighted(lambda x: np.ones_like(x), -0.6, 0.5)
     assert got == pytest.approx(0.5 ** 0.4 / 0.4, rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(log_p=st.floats(math.log(1e-6), math.log(4.0)), b=st.floats(0.0, 2.0))
+def test_power_weighted_matches_qaws(log_p, b):
+    # x^kappa cos(x) (1 + x^b) on [0, 0.7] with 1 + kappa from 1e-6 to 4,
+    # against QUADPACK's QAWS with each term's power in its algebraic weight.
+    # R is taken at the smallest normal double t below it, which replaces
+    # x^b by t^b there and adds the integral of x^kappa (t^b - x^b) over
+    # [0, t], t^(kappa+1+b) b / ((kappa+1)(kappa+1+b)): no double resolves
+    # x^b below t. The kink this leaves at x = t is resolved to a part of
+    # that term, so twice the term is allowed; it is below 1e-12 of the
+    # total unless both kappa + 1 and b are under about 0.04
+    quad = pytest.importorskip("scipy.integrate").quad
+    kappa = math.exp(log_p) - 1.0
+    got = power_weighted(lambda x: np.cos(x) * (1.0 + x ** b), kappa, 0.7)
+    want = sum(quad(math.cos, 0.0, 0.7, weight="alg", wvar=(e, 0.0),
+                    epsabs=0.0, epsrel=1e-13, limit=200)[0] for e in (kappa, kappa + b))
+    p = kappa + 1.0
+    below_tiny = np.finfo(float).tiny ** (p + b) * b / (p * (p + b))
+    assert abs(got - want) <= 1e-12 * abs(want) + 2.0 * below_tiny
 
 
 def test_budget_exhaustion_raises():
@@ -355,9 +376,12 @@ class TestVectorValued:
     @settings(max_examples=40, deadline=None)
     @given(kw=st.lists(st.tuples(st.floats(0.1, 4.0), st.floats(0.0, 3.0)), min_size=1, max_size=6),
            top=st.sampled_from([3.0, math.inf]))
+    @example(kw=[(1.96875, 1.1796875)], top=math.inf)
     def test_damped_cosine_columns_match_quad(self, kw, top):
         # e^(-kx) cos(wx) / (1 + x^2): one column per (k, w) on a shared mesh,
-        # each against its own QUADPACK integral
+        # each against its own QUADPACK integral. The example's [1, inf) part
+        # cancels to 6.1e-6 of its 0.3417 total, so a tail held to a
+        # tolerance of its own could not converge
         quad = pytest.importorskip("scipy.integrate").quad
         k, w = np.array(kw).T
 

@@ -60,6 +60,15 @@ class TestRatio:
                             [0, 1, mp.inf]))
         assert rel_err(f_ax(P, t), num / den) < 1e-9
 
+    @pytest.mark.parametrize("a", [0.999, 0.9999, 0.999999])
+    @pytest.mark.parametrize("x", [0.5, 3.0])
+    def test_near_unit_a_against_confluent_oracle(self, a, x):
+        # the (1-w)^(-a) endpoint power of the upper integral and the u^(-a)
+        # one of the lower sit within 1e-3 to 1e-6 of the integrability edge
+        p = ThorinParams(a, x)
+        ts = np.array([1e-3, 1.0, 10.0, 100.0])
+        assert max_rel_err(f_ax(p, ts), [float(_f_confluent(p, t)) for t in ts]) < 1e-13
+
     def test_monotone_bijection(self):
         assert f_ax(P, 0.1) < f_ax(P, 1.0) < f_ax(P, 10.0)
         assert f_ax(P, 50.0) > 1e3
