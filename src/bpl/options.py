@@ -40,4 +40,6 @@ DEFAULT_OPTIONS = EvalOptions()
 
 # Outer integral of a computed integrand (a quadrature or series per node):
 # the integrand's own ~1e-12 noise would keep a 1e-12 outer loop splitting.
-NESTED = EvalOptions(rel_tol=1e-10, abs_tol=1e-14)
+# Every user integrates a positive integrand, so the default abs_tol keeps
+# the relative tolerance in charge of values far below 1e-14.
+NESTED = EvalOptions(rel_tol=1e-10)

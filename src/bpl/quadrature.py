@@ -1,46 +1,32 @@
-"""Adaptive Gauss-Kronrod quadrature with one map per kind of endpoint.
+"""Adaptive Gauss-Kronrod quadrature, one mesh per call, and fixed Jacobi rules.
 
-One mechanism serves every integral representation in the package:
-QUADPACK's 15-point Gauss-Kronrod rule refined adaptively. An infinite upper
-limit is one mesh over v in [-1, 1], t = a - v for v <= 0 and t = a + 1/v
-for v > 0, so both ends of the half-line sit at v = 0, one on each side, and
+Every public entry point (integrate, power_weighted, beta_kernel,
+halfline_power) is one adaptive refinement of QUADPACK's 15-point
+Gauss-Kronrod rule over one mesh, and none calls another. A half-line is one
+mesh over v in [-1, 1] with both of its ends at v = 0, one on each side, so
 each keeps full relative resolution. Algebraic endpoint factors are never
 formed as x^k for rounded x: power_weighted integrates x^kappa R(x) over
-y = log(top/x) on that half-line, where the endpoint power is the exact
-decay exp((kappa+1)(log top - y)). R must be finite at every positive double
-in (0, top]; below the smallest normal double it is taken at that double.
+y = log(top/x), where the endpoint power is the exact decay
+exp((kappa+1)(log top - y)), and beta_kernel and halfline_power evaluate
+their two ends at the same y nodes. R must be finite at every positive
+double in (0, top]; below the smallest normal double it is taken there.
 
 Integrand contract: an integrand maps the nodes, an array of shape (N,), to
 values of shape (N,) or (N, m); a constant is broadcast over the nodes. An
-(N, m) integrand is m integrals sharing one mesh: every refinement round
-evaluates all new panels in one integrand call. Each round's total_j and its
-error are sums over the live mesh, and the loop stops once every column j
-meets its own tolerance rel_tol*|total_j| + abs_tol. A panel that must be
-split but sits at float resolution stays unsplit with its error in the
-totals; QuadratureError is raised once no other panel can be split or that
-panel's own error exceeds a tolerance, and when the refinement budget is
-exhausted. A (N,) integrand returns a float, an (N, m) one
-an array of shape (m,). Every entry point (integrate, power_weighted,
-beta_kernel, halfline_power) passes the columns through unchanged.
+(N, m) integrand is m integrals on one mesh, called once per refinement
+round, and each column j stops at its own tolerance rel_tol*|total_j| +
+abs_tol. A (N,) integrand returns a float, an (N, m) one an array (m,).
 
-Column blocks: a round over m columns may ask for at most _MAX_ROUND_VALUES
-integrand values, so a function that builds one shared-mesh quadrature with
-a column per value hands its values to column_blocks, which evaluates a long
-array in blocks of at most _BLOCK_COLUMNS columns (273), one shared mesh per
-block, and splits a block in halves if its mesh still grows past that cap.
-Arrays up to that width (the probe grids, the thorin tables) stay one block.
-column_blocks is built on the private _flat (flatten, check the domain
-before evaluating, reshape), which closed forms and wrappers of a function
-that blocks its own columns call directly with the whole array, so
-column_blocks' own time is quadrature time.
+Column blocks: a round may ask for at most _MAX_ROUND_VALUES values, so a
+function with a column per value of a long array evaluates it through
+column_blocks, one mesh per block. Closed forms and wrappers of a function
+that blocks its own columns call the underlying _flat with the whole array.
 
-Fixed rules: the Mellin factors of bpl.identities are integrals with
-algebraic endpoint factors and an analytic rest, which Gauss-Jacobi rules
-whose weights carry the endpoint powers integrate to rounding with few
-nodes. _jacobi_pair (one axis) and _corner_split (the unit square, with a
-Duffy corner for (u+v)^s) evaluate their rule at 12 and at 24 nodes per
-axis and return the 24-node value only when the two agree to the tolerance
-of DEFAULT_OPTIONS, raising QuadratureError otherwise.
+Fixed rules: the Mellin factors of bpl.identities have algebraic endpoint
+factors and an analytic rest, which Gauss-Jacobi rules integrate to rounding
+with few nodes. _jacobi_pair (one axis) and _corner_split (the unit square)
+return their 24-node value only where the 12-node one agrees to the
+tolerance of DEFAULT_OPTIONS, and raise QuadratureError otherwise.
 """
 
 from __future__ import annotations
@@ -95,17 +81,12 @@ class _RoundTooWide(QuadratureError):
     """A refinement round would ask for more than _MAX_ROUND_VALUES values."""
 
 
-def _along_nodes(w: np.ndarray, fx) -> np.ndarray:
-    """w, one value per node, shaped to scale integrand values fx of shape
-    (N,) or (N, m) node by node."""
-    return w[:, None] if np.ndim(fx) > 1 else w
-
-
-def _panels(f, a: np.ndarray, b: np.ndarray):
+def _panels(f, a: np.ndarray, b: np.ndarray, where):
     """Kronrod estimates and error estimates over the intervals [a_i, b_i].
 
     One integrand call covers every panel. Returns values and errors of shape
-    (panels, m) and whether the integrand returned columns.
+    (panels, m) and whether the integrand returned columns. A non-finite
+    value raises QuadratureError naming where(a, b) of the panels holding one.
     """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
@@ -116,8 +97,7 @@ def _panels(f, a: np.ndarray, b: np.ndarray):
     fx = np.broadcast_to(fx, x.shape + fx.shape[1:]).reshape(a.size, _XGK.size, -1)
     bad = ~np.isfinite(fx).all(axis=(1, 2))
     if bad.any():
-        i = int(np.argmax(bad))
-        raise QuadratureError(f"integrand not finite on [{a[i]}, {b[i]}]")
+        raise QuadratureError(f"integrand not finite for {where(a[bad], b[bad])}")
     h = half[:, None]
     resk = h * (_WGK @ fx)
     resg = h * (_WG @ fx[:, _GAUSS_IDX])
@@ -132,7 +112,7 @@ def _panels(f, a: np.ndarray, b: np.ndarray):
     return resk, err, columns
 
 
-def _adaptive(f, breakpoints, opts: EvalOptions):
+def _adaptive(f, breakpoints, opts: EvalOptions, where, sides: int = 1):
     """Globally adaptive refinement of one shared mesh over an initial partition.
 
     Every round sums the values and error estimates of the live panels into
@@ -142,11 +122,13 @@ def _adaptive(f, breakpoints, opts: EvalOptions):
     still above its tolerance (n panels). The refinement budget counts rounds.
     A panel that must be split but sits at float resolution is kept whole,
     its error still in the totals, and raises once no other panel can be
-    split or its own error exceeds a tolerance.
+    split or its own error exceeds a tolerance. where(lo, hi) names panels in
+    the public variable. A round asks for at most _MAX_ROUND_VALUES payload
+    values, sides per node and column.
     """
     lo = np.asarray(breakpoints[:-1], dtype=float)
     hi = np.asarray(breakpoints[1:], dtype=float)
-    vals, errs, columns = _panels(f, lo, hi)
+    vals, errs, columns = _panels(f, lo, hi, where)
     m = vals.shape[1]
     for rounds in range(opts.max_quad_refinements + 1):
         total, total_err = vals.sum(axis=0), errs.sum(axis=0)
@@ -168,17 +150,17 @@ def _adaptive(f, breakpoints, opts: EvalOptions):
         if stuck.all() or over.any():
             i = split[np.argmax(over if over.any() else stuck)]
             raise QuadratureError(
-                f"panel [{lo[i]}, {hi[i]}] must be split but is at float resolution"
+                f"panel {where(lo[i], hi[i])} must be split but is at float resolution"
             )
         split, mid = split[~stuck], mid[~stuck]
         k = split.size
-        if 2 * k * _XGK.size * m > _MAX_ROUND_VALUES:
+        if 2 * k * _XGK.size * m * sides > _MAX_ROUND_VALUES:
             raise _RoundTooWide(
                 f"refinement round would split {k} of {n} panels over {m} columns"
             )
         c_lo = np.concatenate((lo[split], mid))
         c_hi = np.concatenate((mid, hi[split]))
-        c_vals, c_errs, _ = _panels(f, c_lo, c_hi)
+        c_vals, c_errs, _ = _panels(f, c_lo, c_hi, where)
         lo = np.concatenate((np.delete(lo, split), c_lo))
         hi = np.concatenate((np.delete(hi, split), c_hi))
         vals = np.concatenate((np.delete(vals, split, axis=0), c_vals))
@@ -226,85 +208,103 @@ def _in_halves(fn, zs: np.ndarray) -> np.ndarray:
         return np.concatenate((_in_halves(fn, zs[:half]), _in_halves(fn, zs[half:])))
 
 
-def integrate(f, a: float, b: float, opts: EvalOptions = DEFAULT_OPTIONS):
-    """Adaptive integral of a vectorized, everywhere-finite integrand.
-
-    b may be infinite; the half-line is then one mesh over v in [-1, 1],
-    t = a - v for v <= 0 and t = a + 1/v with the Jacobian 1/v^2 for v > 0.
-    Both ends, t = a and t = inf, sit at v = 0, one on each side, so each
-    keeps full relative resolution, and the nodes reach t far beyond 1e15: a
-    tail that decays too slowly to converge raises QuadratureError instead
-    of being cut off. Over the whole half-line f is evaluated with numpy's
-    overflow, invalid and divide warnings off.
+def _halfline(R, sides, name: str, opts: EvalOptions):
+    """integral_0^inf sum_k w_k(y, x_k) R(x_k) dy, x_k = x_k(y), over the pairs
+    (x_k, w_k) of sides: one _adaptive call over v in [-1, 1], y = -v for
+    v <= 0 and y = 1/v (Jacobian 1/v^2) for v > 0. The nodes reach y far
+    beyond 1e15, so a tail too slow to converge raises QuadratureError
+    instead of being cut off. Each integrand call evaluates R once, on all
+    x_k, with numpy's overflow, invalid and divide warnings off. An error
+    names its range in the variable name, through the x_k.
     """
-    if not a < b:
-        raise DomainError(f"empty integration range [{a}, {b}]")
-    if not math.isinf(b):
-        return _adaptive(f, np.array([a, a + 0.5 * (b - a), b]), opts)
-
     def pullback(v):
         far = v > 0.0
-        ft = np.asarray(f(np.where(far, a + 1.0 / v, a - v)), dtype=float)
-        return ft * _along_nodes(np.where(far, 1.0 / (v * v), 1.0), ft)
+        y = np.where(far, 1.0 / v, -v)
+        xs = [x_of(y) for x_of, _ in sides]
+        r = np.asarray(R(np.concatenate(xs)), dtype=float)
+        # (side, node, column), whether R returned columns or not
+        rs = np.broadcast_to(r, (len(xs) * y.size,) + r.shape[1:]).reshape(len(xs), y.size, -1)
+        total = sum(w(y, x)[:, None] * rx for (_, w), x, rx in zip(sides, xs, rs))
+        total = total * np.where(far, 1.0 / (v * v), 1.0)[:, None]
+        return total if r.ndim > 1 else total[:, 0]
+
+    def where(lo, hi):
+        # a panel lies on one side of v = 0; 1/0 is the end y = inf
+        near = hi <= 0.0
+        ys = np.array([np.min(np.where(near, np.abs(hi), 1.0 / hi)),
+                       np.max(np.where(near, np.abs(lo), 1.0 / lo))])
+        return f"{name} in " + " or ".join(
+            f"[{np.min(x_of(ys))}, {np.max(x_of(ys))}]" for x_of, _ in sides)
 
     # graded toward v = 0+ so slowly decaying or far-out mass is still found
     breaks = np.concatenate(([-1.0, 0.0], np.logspace(-6.0, -0.75, 8), [1.0]))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _adaptive(pullback, breaks, opts)
+        return _adaptive(pullback, breaks, opts, where, len(sides))
+
+
+def _exponents(*kappas: float) -> None:
+    if min(kappas) <= -1.0:
+        raise DomainError(f"non-integrable endpoint exponent {min(kappas)}")
+
+
+def integrate(f, a: float, b: float, opts: EvalOptions = DEFAULT_OPTIONS):
+    """Adaptive integral of a vectorized, everywhere-finite integrand; b may
+    be infinite, and the half-line is then _halfline's mesh in y = t - a."""
+    if not a < b:
+        raise DomainError(f"empty integration range [{a}, {b}]")
+    if not math.isinf(b):
+        return _adaptive(f, np.array([a, a + 0.5 * (b - a), b]), opts,
+                         lambda lo, hi: f"t in [{np.min(lo)}, {np.max(hi)}]")
+    return _halfline(f, [(lambda y: a + y, lambda y, t: np.ones_like(y))], "t", opts)
 
 
 def power_weighted(R, kappa: float, top: float, opts: EvalOptions = DEFAULT_OPTIONS):
     """integral_0^top x^kappa R(x) dx with the x^kappa factor kept exact.
 
     One half-line integral in y = log(top/x),
-    integral_0^inf exp((kappa+1)(log top - y)) R(top e^-y) dy, through
-    integrate. The endpoint power, and any power x^b inside R, becomes an
-    exact exponential decay in y. Contract: R is finite at every positive
-    double in (0, top]. Below the smallest normal double t, R is taken at t
-    while the weight keeps the exact power; that moves the integral by the
-    integral of x^kappa (R(x) - R(t)) over [0, t], which matters only when
-    kappa + 1 and the power b hidden in R are both below about 0.04.
+    integral_0^inf exp((kappa+1)(log top - y)) R(top e^-y) dy. The endpoint
+    power, and any power x^b inside R, becomes an exact exponential decay in
+    y. Contract: R is finite at every positive double in (0, top]. Below the
+    smallest normal double t, R is taken at t while the weight keeps the
+    exact power; that moves the integral by the integral of
+    x^kappa (R(x) - R(t)) over [0, t], which matters only when kappa + 1 and
+    the power b hidden in R are both below about 0.04.
     """
     if not top > 0.0:
         raise DomainError("need top > 0")
-    if kappa <= -1.0:
-        raise DomainError(f"non-integrable endpoint exponent {kappa}")
+    _exponents(kappa)
     log_top = math.log(top)
-
-    def g(y):
-        rx = R(np.maximum(top * np.exp(-y), _TINY))
-        return _along_nodes(np.exp((kappa + 1.0) * (log_top - y)), rx) * rx
-
-    return integrate(g, 0.0, math.inf, opts)
+    return _halfline(R, [(lambda y: np.maximum(top * np.exp(-y), _TINY),
+                          lambda y, x: np.exp((kappa + 1.0) * (log_top - y)))], "x", opts)
 
 
 def beta_kernel(R, kappa: float, lam: float, opts: EvalOptions = DEFAULT_OPTIONS):
     """integral_0^1 x^kappa (1-x)^lam R(x) dx for kappa, lam > -1, R smooth-ish.
 
-    Both endpoint factors are evaluated from the exact distance to their
-    endpoint, so exponents very close to -1 stay loss-free.
+    Each half is power_weighted's integral in the distance d = e^-y / 2 to
+    its end, x = d and 1 - x = d, and the halves are the two sides of one
+    _halfline mesh, so exponents near -1 stay loss-free at either end.
     """
-    def near_zero(x):
-        rx = R(x)
-        return _along_nodes((1.0 - x) ** lam, rx) * rx
+    _exponents(kappa, lam)
+    log_half = math.log(0.5)
 
-    def near_one(s):
-        rx = R(1.0 - s)
-        return _along_nodes((1.0 - s) ** kappa, rx) * rx
+    def d(y):
+        return np.maximum(0.5 * np.exp(-y), _TINY)
 
-    left = power_weighted(near_zero, kappa, 0.5, opts)
-    right = power_weighted(near_one, lam, 0.5, opts)
-    return left + right
+    return _halfline(R, [
+        (d, lambda y, x: np.exp((kappa + 1.0) * (log_half - y)) * (1.0 - x) ** lam),
+        (lambda y: 1.0 - d(y), lambda y, x: np.exp((lam + 1.0) * (log_half - y)) * x ** kappa),
+    ], "x", opts)
 
 
 def halfline_power(R, kappa: float, opts: EvalOptions = DEFAULT_OPTIONS):
-    """integral_0^inf t^kappa R(t) dt for kappa > -1 and decaying R: the
-    endpoint-power piece on [0, 1] plus the half-line [1, inf)."""
-    def tail(t):
-        rt = np.asarray(R(t), dtype=float)
-        return _along_nodes(t ** kappa, rt) * rt
-
-    return power_weighted(R, kappa, 1.0, opts) + integrate(tail, 1.0, math.inf, opts)
+    """integral_0^inf t^kappa R(t) dt for kappa > -1 and decaying R: the two
+    sides of one _halfline mesh, power_weighted's t = e^-y on (0, 1] and
+    integrate's t = 1 + y on [1, inf)."""
+    _exponents(kappa)
+    return _halfline(R, [(lambda y: np.maximum(np.exp(-y), _TINY),
+                          lambda y, t: np.exp(-(kappa + 1.0) * y)),
+                         (lambda y: 1.0 + y, lambda y, t: t ** kappa)], "t", opts)
 
 
 @lru_cache(maxsize=512)

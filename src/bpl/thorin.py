@@ -11,14 +11,15 @@ thorin_density, gx_frullani, thorin_cdf_a1), levy_density in y and
 awk_density in t take an array and return an array of its shape (a float for
 a scalar). A point outside the domain (t, y > 0; a finite t for awk_density)
 raises DomainError before anything is evaluated. Each t keeps its own branch
-by mask: columns with t > 50 use the rescaled integrands. f_ax, thorin_cdf,
-thorin_density, the a = 1 functions and levy_density are one vector-valued
-quadrature pass with one column per point (two per t for g_x, whose middle
-integrand is split into its two one-signed terms); the density's five-point
-stencil adds four points per t to the same pass. Long arrays of these are
-evaluated in blocks of columns (quadrature.column_blocks), one shared mesh
-per block. f_ax_hyp and awk_density wrap functions that block their own
-columns and take the whole flattened array in one call (quadrature._flat).
+by mask: a column of the numerator integral that would come near underflow
+is rescaled. f_ax, thorin_cdf, thorin_density, the a = 1 functions and
+levy_density are one vector-valued quadrature pass with one column per point
+(two per t for g_x, whose middle integrand is split into its two one-signed
+terms); the density's five-point stencil adds four points per t to the same
+pass. Long arrays of these are evaluated in blocks of columns
+(quadrature.column_blocks), one shared mesh per block. f_ax_hyp and
+awk_density wrap functions that block their own columns and take the whole
+flattened array in one call (quadrature._flat).
 """
 
 from __future__ import annotations
@@ -66,44 +67,41 @@ class ThorinParams:
 def _log_upper(a: float, x: float, ts: np.ndarray) -> np.ndarray:
     """log of integral_0^1 u^(-a) (1-u)^(a+x-1) e^(tu) du at every t of ts,
     computed as t + log integral_0^1 (1-w)^(-a) w^(a+x-1) e^(-tw) dw; one
-    quadrature column per t."""
+    quadrature column per t. That integral is about Gamma(a+x) t^-(a+x); where
+    it falls below e^-600, near the absolute tolerance of 1e-300, the column
+    is rescaled, w = r/t, to about Gamma(a+x), which is finite for a + x up
+    to about 170; r/t clamped at 0.99 keeps the e^-r mass beyond r = t,
+    which is below rounding there.
+    """
     out = np.empty(ts.shape)
-    far = ts > 50.0
+    far = (a + x) * np.log(ts) - math.lgamma(a + x) > 600.0
     near = ~far
     if near.any():
         tn = ts[near]
         val = beta_kernel(lambda w: np.exp(np.multiply.outer(w, -tn)), a + x - 1.0, -a)
         out[near] = tn + np.log(val)
     if far.any():
-        # mass sits at w ~ 1/t: rescale w = r/t so no node underflows
         tf = ts[far]
 
         def smooth(r):
+            # r^(a+x-1) e^-r as one exponential: r^(a+x-1) alone overflows far out
             frac = np.minimum(np.divide.outer(r, tf), 0.99)
-            return (1.0 - frac) ** (-a) * np.exp(-r)[:, None]
+            return (1.0 - frac) ** (-a) * np.exp((a + x - 1.0) * np.log(r) - r)[:, None]
 
-        val = halfline_power(smooth, a + x - 1.0)
+        val = halfline_power(smooth, 0.0)
         out[far] = tf - (a + x) * np.log(tf) + np.log(val)
     return out
 
 
 def _log_lower(a: float, x: float, ts: np.ndarray) -> np.ndarray:
-    """log of integral_0^inf u^(-a) (1+u)^(a+x-1) e^(-tu) du at every t of ts.
-
-    Column j integrates (1 + r/s_j)^(a+x-1) e^(-d_j r) against r^(-a): s = 1
-    and d = t for t <= 50, while t > 50 is rescaled, u = r/t, to s = t and
-    d = 1.
-    """
-    far = ts > 50.0
-    s = np.where(far, ts, 1.0)
-    d = np.where(far, 1.0, ts)
-
-    def smooth(r):
+    """log of integral_0^inf u^(-a) (1+u)^(a+x-1) e^(-tu) du at every t of ts,
+    one quadrature column per t. The integral is about Gamma(1-a) t^(a-1) at
+    large t, a normal double for every t, so no column is rescaled."""
+    def smooth(u):
         # one exponential, so a large power times a vanishing factor is no inf * 0
-        return np.exp((a + x - 1.0) * np.log1p(np.divide.outer(r, s)) - np.multiply.outer(r, d))
+        return np.exp((a + x - 1.0) * np.log1p(u)[:, None] - np.multiply.outer(u, ts))
 
-    val = halfline_power(smooth, -a)
-    return np.where(far, (a - 1.0) * np.log(ts), 0.0) + np.log(val)
+    return np.log(halfline_power(smooth, -a))
 
 
 def _log_f_ax(a: float, x: float, ts: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Quadrature machinery: endpoint maps, half-lines, Jacobi rules."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -501,3 +502,115 @@ class TestColumnBlocks:
         got = column_blocks(block, ks)
         want = -np.expm1(-ks) / ks
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+def _wavy(x):
+    # needs a few refinement rounds on every entry point
+    return np.exp(-x) * (1.5 + np.cos(20.0 * x))
+
+
+# one call of each public entry point with the payload R
+_ENTRIES = {
+    "integrate-finite": lambda R: integrate(R, 0.0, 3.0),
+    "integrate": lambda R: integrate(R, 0.0, math.inf),
+    "power_weighted": lambda R: power_weighted(R, -0.5, 0.7),
+    "beta_kernel": lambda R: beta_kernel(R, -0.5, 0.3),
+    "halfline_power": lambda R: halfline_power(R, -0.4),
+}
+# node sets R is evaluated on per mesh node
+_SIDES = {"beta_kernel": 2, "halfline_power": 2}
+
+
+class TestOneMesh:
+    """Every public entry point is one _adaptive call whose integrand calls
+    the payload R once per refinement round, and none calls another."""
+
+    @pytest.mark.parametrize("entry", sorted(_ENTRIES))
+    def test_one_adaptive_call_and_one_payload_call_per_round(self, entry, monkeypatch):
+        counts = {"adaptive": 0, "rounds": 0}
+        nodes = []
+        adaptive, panels = quadrature._adaptive, quadrature._panels
+
+        def counting_adaptive(*args, **kwargs):
+            counts["adaptive"] += 1
+            return adaptive(*args, **kwargs)
+
+        def counting_panels(f, a, b, where):
+            counts["rounds"] += 1
+            nodes.append(a.size * _XGK.size)
+            return panels(f, a, b, where)
+
+        sizes = []
+
+        def R(x):
+            sizes.append(x.size)
+            return _wavy(x)
+
+        monkeypatch.setattr(quadrature, "_adaptive", counting_adaptive)
+        monkeypatch.setattr(quadrature, "_panels", counting_panels)
+        _ENTRIES[entry](R)
+        assert counts["adaptive"] == 1
+        assert counts["rounds"] >= 2
+        assert len(sizes) == counts["rounds"]
+        assert sizes == [_SIDES.get(entry, 1) * n for n in nodes]
+
+    def test_entry_points_do_not_call_each_other(self, monkeypatch):
+        originals = {name: _ENTRIES[name](_wavy) for name in _ENTRIES}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a public entry point called another")
+
+        # the lambdas above look the entry points up here, not in quadrature
+        monkeypatch.setattr(quadrature, "integrate", refuse)
+        monkeypatch.setattr(quadrature, "power_weighted", refuse)
+        monkeypatch.setattr(quadrature, "beta_kernel", refuse)
+        monkeypatch.setattr(quadrature, "halfline_power", refuse)
+        for name, want in originals.items():
+            assert _ENTRIES[name](_wavy) == want, name
+
+    @pytest.mark.parametrize("entry", ["beta_kernel", "halfline_power"])
+    def test_round_values_bound_both_node_sets(self, entry, monkeypatch):
+        # R sees both node sets of every split panel, so a round that would
+        # ask it for more than _MAX_ROUND_VALUES values stops before the call
+        cap = 2 * _XGK.size * 12
+        monkeypatch.setattr(quadrature, "_MAX_ROUND_VALUES", cap)
+        sizes = []
+
+        def R(x):
+            sizes.append(x.size)
+            return np.cos(np.multiply.outer(x, [60.0, 90.0])) * np.exp(-x)[:, None]
+
+        with pytest.raises(_RoundTooWide):
+            _ENTRIES[entry](R)
+        # the first call, over the initial partition, is not a refinement round
+        assert len(sizes) > 1 and all(2 * size <= cap for size in sizes[1:])
+
+
+def _ranges(message: str):
+    return [(float(lo), float(hi))
+            for lo, hi in re.findall(r"\[([-+0-9.e]+|inf), ([-+0-9.e]+|inf)\]", message)]
+
+
+class TestErrorRanges:
+    """A QuadratureError names its range in the variable of the public call,
+    t or x, not in the mesh variable: on a two-sided mesh, the range of each
+    side."""
+
+    @pytest.mark.parametrize("entry, R, edge, name", [
+        ("integrate-finite", lambda t: np.where(t < 2.3, 1.0, np.inf), 2.3, "t in"),
+        ("integrate", lambda t: np.where(t < 40.0, np.exp(-t), np.inf), 40.0, "t in"),
+        ("halfline_power", lambda t: np.where(t < 40.0, np.exp(-t), np.inf), 40.0, "t in"),
+        ("power_weighted", lambda x: np.where(x > 1e-5, 1.0, np.inf), 1e-5, "x in"),
+        ("beta_kernel", lambda x: np.where(x < 1.0 - 1e-5, 1.0, np.inf), 1.0 - 1e-5, "x in"),
+    ])
+    def test_range_holds_the_edge_of_finiteness(self, entry, R, edge, name):
+        with pytest.raises(QuadratureError, match="not finite") as info:
+            _ENTRIES[entry](R)
+        message = str(info.value)
+        assert name in message
+        assert any(lo <= edge <= hi for lo, hi in _ranges(message)), message
+
+    def test_float_resolution_names_t(self):
+        with pytest.raises(QuadratureError, match=r"panel t in \[") as info:
+            integrate(lambda x: 1.0 / np.sqrt(np.abs(x - 0.5) + 1e-300), 0.0, 1.0)
+        assert any(lo <= 0.5 <= hi for lo, hi in _ranges(str(info.value)))

@@ -144,6 +144,52 @@ class TestLargeX:
             assert rel_err(got, (head - tail) / mp.pi) < 1e-12
 
 
+class TestLargeT:
+    """The numerator integral is rescaled only where its value would fall
+    below e^-600. A fixed switch at t = 50 kept the e^-r mass beyond
+    r = t, 3.6e-6 of f at (0.6, 20) and t = 50.5, and at (0.95, 40) its
+    integrand overflowed."""
+
+    TS = np.array([1.0, 50.0, 51.0, 80.0, 300.0, 650.0])
+    CASES = [ThorinParams(0.6, 20.0), ThorinParams(0.5, 0.5), ThorinParams(0.95, 40.0)]
+
+    @pytest.mark.parametrize("p", CASES, ids=str)
+    def test_against_confluent_oracle(self, p):
+        f, dens = f_ax(p, self.TS), thorin_density(p, self.TS)
+        a = mp.mpf(p.a)
+        s, c = mp.sinpi(a), mp.cospi(a)
+        for i, t in enumerate(map(mp.mpf, self.TS)):
+            fv = _f_confluent(p, t)
+            assert rel_err(f[i], fv) < 1e-13
+            # the stencil's 1/h amplifies the quadrature error of log f
+            df = mp.diff(lambda u: _f_confluent(p, u), t)
+            want = s * df / (mp.pi * a * (fv * fv + 2 * c * fv + 1))
+            assert rel_err(dens[i], want) < 3e-11
+
+    @pytest.mark.parametrize("p, ts", [
+        # at t = 1e134 the unscaled integral underflowed: cdf 0 and density nan
+        (ThorinParams(0.5, 2.0), [1e100, 1e134, 1e200, 1e300]),
+        # r^(a+x-1) and e^-r as two factors were inf * 0 far out at x = 100
+        (ThorinParams(0.5, 100.0), np.geomspace(1e4, 1e300, 8)),
+    ], ids=["x=2", "x=100"])
+    def test_saturates_far_out(self, p, ts):
+        assert np.all(f_ax(p, ts) == math.inf)
+        assert np.all(thorin_cdf(p, ts) == 1.0)
+        assert np.all(thorin_density(p, ts) == 0.0)
+
+    @pytest.mark.parametrize("t", [4.3e5, 4.5e5, 2.0e6, 2.29e6, 1e8])
+    def test_numerator_across_the_rescaling(self, t):
+        # at (0.5, 60) the w integral falls to e^-600 near t = 4.4e5, where
+        # the column is rescaled, and to e^-700 near 2.3e6: an unscaled column
+        # there sits at the absolute tolerance of 1e-300, and at t = 2.29e6
+        # it was 1.5 off in log. log f itself is t + O(log t), so only
+        # relative accuracy of order t * eps is in reach
+        a, x = 0.5, 60.0
+        got = thorin._log_upper(a, x, np.array([t]))[0]
+        want = mp.log(mp.beta(1 - a, a + x) * mp.hyp1f1(1 - a, 1 + x, t))
+        assert abs(got - want) < 1e-14 * t
+
+
 class TestCdf:
     def test_total_mass(self):
         assert thorin_cdf(P, 1e3) == pytest.approx(1.0, abs=1e-4)
@@ -280,7 +326,8 @@ class TestLevy:
     @pytest.mark.parametrize("p, y", [(ThorinParams(0.9, 2.0), 1e3),
                                       (ThorinParams(0.9, 2.0), 1e5),
                                       (ThorinParams(1.0, 3.0), 1.0),
-                                      (ThorinParams(1.0, 3.0), 1e3)], ids=str)
+                                      (ThorinParams(1.0, 3.0), 1e3),
+                                      (ThorinParams(1.0, 3.0), 1e5)], ids=str)
     def test_relative_accuracy_where_the_cdf_is_tiny(self, p, y):
         # at large y the mass of e^(-yt) sits where P[G <= t] ~ t^x is tiny,
         # so a table of P with absolute noise near 1e-16 would be 1e-7 off
@@ -288,7 +335,8 @@ class TestLevy:
         # relative accuracy there (at a = 1 and x = 3, 1/2 + arctan(g)/pi
         # rounds to 0 at the table's bottom). Reference: QUADPACK over log t
         # with thorin_cdf itself, and the power law P(floor) (t/floor)^x
-        # below floor = 1e-8.
+        # below floor = 1e-8. At (1, 3) and y = 1e5 the value is 3e-20: an
+        # absolute tolerance of 1e-14 on the integrals left it 1.9e-2 off.
         from scipy.integrate import quad
         from scipy.special import gamma, gammainc
 
