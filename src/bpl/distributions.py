@@ -27,9 +27,19 @@ bits.
 
 The samplers do their arithmetic in place on the arrays they draw, in the
 order the plain expressions would (``g * u`` becomes ``g *= u``), so every
-value keeps its bits while at most three draw-sized arrays are live per
-sampler: ``verify`` holds one side of its KS test while it draws the other,
-and this keeps its peak memory down. Each returned array is fresh and owned by the caller.
+value keeps its bits. The second operand of a fill, the U^(1/t) boost of
+``_fill_gamma`` and the exponential addend of ``_fill_half``, is drawn
+through one reused buffer of _CHUNK = 2^15 values, in order along the same
+stream, so a fill holds no temporary of its draw's size and its values are
+the bits of one whole-size draw. Each returned array is fresh and owned by
+the caller. ``verify`` draws each KS side in blocks of 2 _SPLIT values (see
+bpl.identities), so the samplers' temporaries stay those of one block
+whatever the sample size.
+
+``RngState.spawn`` derives its children from a SeedSequence of its own, set
+aside when the state is made: the ``gen.spawn(1)`` of a split draw advances
+the generator's sequence, and would otherwise shift every child spawned
+after a large draw.
 """
 
 from __future__ import annotations
@@ -52,7 +62,6 @@ __all__ = [
     "betaprime_pdf",
     "betaprime_mellin",
     "betaprime_laplace",
-    "beta_pdf",
     "sample_gamma",
     "sample_beta",
     "sample_betaprime",
@@ -93,11 +102,17 @@ class RngState:
 
     def __init__(self, seed: int, _sequence: np.random.SeedSequence | None = None):
         self.seed = int(seed)
-        self._sequence = _sequence if _sequence is not None else np.random.SeedSequence(self.seed)
-        self.generator = np.random.Generator(np.random.PCG64(self._sequence))
+        seq = _sequence if _sequence is not None else np.random.SeedSequence(self.seed)
+        self.generator = np.random.Generator(np.random.PCG64(seq))
+        # a copy for spawn() alone: the generator's own sequence is advanced
+        # by the gen.spawn(1) of every split draw (_gamma)
+        self._sequence = np.random.SeedSequence(
+            seq.entropy, spawn_key=seq.spawn_key, pool_size=seq.pool_size,
+            n_children_spawned=seq.n_children_spawned)
 
     def spawn(self, n: int) -> list["RngState"]:
-        """n independent substreams, deterministic in the parent seed."""
+        """n independent substreams, deterministic in the parent seed and the
+        number of earlier spawns, whatever this state has drawn."""
         return [RngState(self.seed, child) for child in self._sequence.spawn(n)]
 
     def __repr__(self):
@@ -141,19 +156,6 @@ def betaprime_laplace(p: BetaPrimeParams, z):
     return _flat(block, z)
 
 
-def beta_pdf(p: BetaParams, x):
-    x = np.asarray(x, dtype=float)
-    lognorm = gamma_ln(p.p + p.q) - gamma_ln(p.p) - gamma_ln(p.q)
-    with np.errstate(divide="ignore"):
-        out = np.where(
-            (x > 0.0) & (x < 1.0),
-            np.exp(lognorm + (p.p - 1.0) * np.log(np.clip(x, 1e-308, None))
-                   + (p.q - 1.0) * np.log1p(-np.clip(x, None, 1.0 - 1e-16))),
-            0.0,
-        )
-    return float(out) if out.ndim == 0 else out
-
-
 # ---------------------------------------------------------------------------
 # Samplers
 
@@ -188,15 +190,33 @@ def _on_two_threads(worker, here):
 # default --n 100000 and scan cjmain's 30,000 stay below it
 _SPLIT = 1 << 17
 
+# values per step of a fill's second operand: one reused buffer of 256 KB
+_CHUNK = _SPLIT >> 2
+
+
+def _chunks(out: np.ndarray):
+    """(part, buf) over consecutive parts of out of at most _CHUNK values,
+    with buf a view of one reused buffer of the part's size."""
+    buf = np.empty(min(out.size, _CHUNK))
+    for lo in range(0, out.size, _CHUNK):
+        part = out[lo:lo + _CHUNK]
+        yield part, buf[:part.size]
+
 
 def _fill_gamma(gen: np.random.Generator, shape: float, out: np.ndarray) -> None:
     if shape < 1.0:
         gen.standard_gamma(shape + 1.0, out=out)
-        u = gen.random(out.size)
-        u **= 1.0 / shape
-        out *= u
+        for part, u in _chunks(out):
+            gen.random(out=u)
+            u **= 1.0 / shape
+            part *= u
     else:
         gen.standard_gamma(shape, out=out)
+
+
+def _add_exponentials(gen: np.random.Generator, out: np.ndarray) -> None:
+    for part, e in _chunks(out):
+        part += gen.standard_exponential(out=e)
 
 
 def _fill_half(gen: np.random.Generator, shape: float, out: np.ndarray) -> None:
@@ -208,11 +228,11 @@ def _fill_half(gen: np.random.Generator, shape: float, out: np.ndarray) -> None:
         out *= out
         out *= 0.5
         if shape == 1.5:
-            out += gen.standard_exponential(out.size)
+            _add_exponentials(gen, out)
     elif shape in (1.0, 2.0):
         gen.standard_exponential(out=out)
         if shape == 2.0:
-            out += gen.standard_exponential(out.size)
+            _add_exponentials(gen, out)
     else:
         _fill_gamma(gen, shape, out)
 

@@ -14,14 +14,19 @@ an integral spends one quadrature column per x. The Mellin transforms stay
 scalar in s (see IdentitySpec).
 
 verify() calls the two samplers of the KS test on the calling thread, each
-with its own spawned stream; a gamma draw of 2^17 values or more fills half
-its array on one worker thread (see bpl.distributions). ks_two_sample then
-sorts each side and scans it against the other (_ks_side), one side on a
-worker thread and one on the calling thread. numpy's fills, sorts and
-searchsorted release the GIL, so the halves and sides run at once, and no
-value depends on thread timing. The thread count is two by construction,
-not a setting, and every public function of the package runs on the
-calling thread.
+with its own spawned stream, and draws each side into one float64 array of
+n values: a side of more than _DRAW_BLOCK = 2^18 values is drawn one block
+per sampler call, each block copied into place, so the samplers' temporaries
+are those of one block; a smaller side is the sampler's own array. A gamma
+draw of 2^17 values or more (every one of a full block) fills half its
+array on one worker thread (see bpl.distributions). rhs_scale is applied
+in place. ks_two_sample then sorts the two arrays in place and scans each
+against the other (_ks_side), one side on a worker thread and one on the
+calling thread. So verify's memory at its peak is the two samples plus one
+block's temporaries, whatever n. numpy's fills, sorts and searchsorted
+release the GIL, so the halves and sides run at once, and no value depends
+on thread timing. The thread count is two by construction, not a setting,
+and every public function of the package runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from .distributions import (
     BetaPrimeParams,
     GammaParams,
     RngState,
+    _SPLIT,
     _on_two_threads,
     betaprime_mellin,
     betaprime_pdf,
@@ -46,7 +52,6 @@ from .distributions import (
     sample_gamma,
 )
 from .errors import BplError, DomainError, describe
-from .options import NESTED
 from .quadrature import (
     _corner_split,
     _flat,
@@ -88,8 +93,8 @@ class IdentitySpec:
     The densities follow the package's array contract: an array of x in, an
     array of its shape out, one call per side for verify's whole grid. The
     Mellin transforms stay scalar in s, because each s moves the parameters
-    of what they evaluate (the 3F2 of mellin_sum and free, the Gauss-Jacobi
-    weights of _tb_factor and _ab_half_factor, free's nested 2F1), while the
+    of what they evaluate (the 3F2s of mellin_sum and free, the Gauss-Jacobi
+    weights of _tb_factor and _ab_half_factor), while the
     array-first special functions take arrays of z at fixed parameters; an
     s-grid callable would only move the loop over s into every builder.
     """
@@ -200,15 +205,22 @@ def ks_two_sample(xs, ys):
     """Two-sample Kolmogorov-Smirnov statistic and threshold callable.
 
     The statistic is max |F_x(g) - F_y(g)| over every sample point g, with
-    F_x(g) = #{x <= g} / n. Each sample is sorted (a copy) and scanned
+    F_x(g) = #{x <= g} / n. Each sample is sorted in place and scanned
     against the other by _ks_side, one side on a worker thread and one on
     the calling thread; the larger of the two one-sided maxima equals the
     searchsorted formula bit for bit.
+
+    A float64 array argument is sorted in place, so it leaves in sorted
+    order; a caller that needs its order passes a copy. Other arguments are
+    converted to a new float64 array first and are left as they were. When
+    the two may share memory, ys is copied before either is sorted.
     threshold_at(alpha) is ks_threshold(alpha, n, m). A NaN in either sample
     raises DomainError.
     """
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-    xs, ys = _on_two_threads(lambda: np.sort(xs), lambda: np.sort(ys))
+    if np.may_share_memory(xs, ys):
+        ys = ys.copy()
+    _on_two_threads(xs.sort, ys.sort)
     n, m = xs.size, ys.size
     if n == 0 or m == 0:
         raise DomainError("KS test needs non-empty samples")
@@ -220,6 +232,23 @@ def ks_two_sample(xs, ys):
         return ks_threshold(alpha, n, m)
 
     return stat, threshold_at
+
+
+# verify draws a KS side of more than this many values one block per sampler
+# call: every gamma draw of a full block still splits over two threads
+_DRAW_BLOCK = 2 * _SPLIT
+
+
+def _draw(sampler, rng: RngState, n: int) -> np.ndarray:
+    """n values of sampler on rng's stream as one float64 array: the
+    sampler's own array for n up to _DRAW_BLOCK, else one sampler call per
+    block of _DRAW_BLOCK values, each copied into place."""
+    if n <= _DRAW_BLOCK:
+        return np.asarray(sampler(rng, n), dtype=float)
+    out = np.empty(n)
+    for lo in range(0, n, _DRAW_BLOCK):
+        out[lo:lo + _DRAW_BLOCK] = sampler(rng, min(_DRAW_BLOCK, n - lo))
+    return out
 
 
 def verify(
@@ -249,8 +278,10 @@ def verify(
         # the private fills of a large gamma draw and the sorts and scans of
         # ks_two_sample use a worker thread.
         lhs_rng, rhs_rng = rng.spawn(2)
-        xs = spec.lhs_sampler(lhs_rng, n)
-        ys = rhs_scale * np.asarray(spec.rhs_sampler(rhs_rng, n), dtype=float)
+        xs = _draw(spec.lhs_sampler, lhs_rng, n)
+        ys = _draw(spec.rhs_sampler, rhs_rng, n)
+        if rhs_scale != 1.0:
+            ys *= rhs_scale
         stat, thr_at = ks_two_sample(xs, ys)
         threshold = thr_at(alpha)
         ok = stat < threshold
@@ -594,15 +625,12 @@ def free_spec(a: float, b: float, c: float, d: float, *, swap: bool = False) -> 
     def factor_mellin(s):
         # E[(1 + Beta(a,c) W)^s], W ~ BetaPrime(c+d-b, b). Conditionally on
         # Beta(a,c) = x the expectation is an Euler-type integral and folds to
-        # E[(1+xW)^s] = B(e,b-s)/B(e,b) 2F1(-s, e; e+b-s; 1-x), which the
-        # outer quadrature then averages over the beta weight.
-        inner_pref = gamma_ratio([b - s, e + b], [b, e + b - s])
-
-        def x_smooth(x):
-            return inner_pref * gauss_2f1(-s, e, e + b - s, 1.0 - x)
-
-        val = beta_kernel(x_smooth, a - 1.0, c - 1.0, NESTED)
-        return val / math.exp(gamma_ln(a) + gamma_ln(c) - gamma_ln(a + c))
+        # E[(1+xW)^s] = B(e,b-s)/B(e,b) 2F1(-s, e; e+b-s; 1-x). 1 - x is
+        # Beta(c, a), with moments (c)_k/(a+c)_k, so the average of the 2F1
+        # series term by term is 3F2(-s, e, c; e+b-s, a+c; 1), of margin
+        # a + b > 0 (DLMF 16.5.2)
+        pref = gamma_ratio([b - s, e + b], [b, e + b - s])
+        return pref * hyp_3f2((-s, e, c), (e + b - s, a + c))
 
     def rhs_mellin(s):
         return betaprime_mellin(pr, s) * factor_mellin(s)
@@ -613,7 +641,9 @@ def free_spec(a: float, b: float, c: float, d: float, *, swap: bool = False) -> 
         rhs_sampler=rhs,
         lhs_mellin=lhs_mellin,
         rhs_mellin=rhs_mellin,
-        mellin_strip=(0.0, min(b, d)),  # nested quadrature kept on s >= 0
+        # the closed forms hold down to s = -(a + c); s >= 0 keeps the
+        # channel's grid points, and with them its CSV cells
+        mellin_strip=(0.0, min(b, d)),
     )
 
 

@@ -2,6 +2,7 @@
 
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,6 +188,29 @@ def _gamma_expr(gen, shape, n):
 _SHAPES = [0.2, 0.5, 1.0, 4.0]
 
 
+class TestSpawn:
+    def test_children_unchanged_by_a_split_draw(self):
+        # a split draw's gen.spawn(1) advances the generator's own sequence
+        first = RngState(3).spawn(1)[0].generator.random()
+        rng = RngState(3)
+        _gamma(rng.generator, 0.5, 1 << 18)
+        assert rng.spawn(1)[0].generator.random() == first
+
+    def test_children_are_the_seed_sequence_children(self):
+        # the streams verify and the CLI draw from are numpy's own children
+        # of SeedSequence(seed)
+        child = np.random.SeedSequence(3).spawn(2)[1]
+        want = np.random.Generator(np.random.PCG64(child)).random(3)
+        assert RngState(3).spawn(2)[1].generator.random(3).tobytes() == want.tobytes()
+
+    def test_successive_spawns_continue_one_sequence(self):
+        want = [r.generator.random() for r in RngState(4).spawn(3)]
+        rng = RngState(4)
+        first = rng.spawn(1)
+        _gamma(rng.generator, 2.5, _SPLIT)
+        assert [r.generator.random() for r in first + rng.spawn(2)] == want
+
+
 class TestInPlaceSamplers:
     """In-place arithmetic gives the bits of the plain expressions."""
 
@@ -245,6 +269,24 @@ def _split_plan(seed, shape, n):
     half = n // 2
     values = np.concatenate([_half_expr(gen, shape, half), _half_expr(child, shape, n - half)])
     return values, gen.random(4)
+
+
+class TestFillMemory:
+    """A fill's second operand goes through one buffer of _CHUNK values."""
+
+    @pytest.mark.parametrize("t, n", [(0.3, _SPLIT - 1), (0.3, 1 << 18), (1.5, 1 << 18),
+                                      (2.0, 1 << 18)])
+    def test_temporaries_stay_one_chunk_per_fill(self, t, n):
+        gen = RngState(65).generator
+        tracemalloc.start()
+        try:
+            _gamma(gen, t, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the draw itself, one buffer per fill (two fills run at once on a
+        # split draw) and a few kB of generator and thread objects
+        assert peak <= 8 * (n + 2 * distributions._CHUNK) + 65536, peak / (8 * n)
 
 
 class TestSplitDraw:

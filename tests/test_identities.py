@@ -5,6 +5,7 @@ import inspect
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,11 +245,31 @@ class TestTwoSidedVerify:
         ys = scale * spec.rhs_sampler(rhs_rng, n)
         assert rep.ks_statistic == _ks_merge(xs, ys)
 
-    def test_unsorted_inputs_left_unchanged(self):
-        xs = np.array([3.0, 1.0, 2.0])
-        ys = np.array([2.5, 0.5])
-        ks_two_sample(xs, ys)
-        assert xs.tolist() == [3.0, 1.0, 2.0] and ys.tolist() == [2.5, 0.5]
+    def test_float64_inputs_sorted_in_place(self):
+        # the caller's float64 arrays come back sorted, and the statistic is
+        # the one ks_two_sample gives on copies; other inputs are converted to
+        # new arrays and keep their order
+        r1, r2 = RngState(12).spawn(2)
+        xs = r1.generator.normal(size=5000)
+        ys = r2.generator.normal(0.05, 1.0, size=3000)
+        orig_x, orig_y = xs.copy(), ys.copy()
+        want = ks_two_sample(orig_x.copy(), orig_y.copy())[0]
+        assert ks_two_sample(xs, ys)[0] == want == _ks_searchsorted(orig_x, orig_y)
+        assert xs.tobytes() == np.sort(orig_x).tobytes()
+        assert ys.tobytes() == np.sort(orig_y).tobytes()
+        as_list, as_f32 = [3.0, 1.0, 2.0], np.array([2.5, 0.5], dtype=np.float32)
+        ks_two_sample(as_list, as_f32)
+        assert as_list == [3.0, 1.0, 2.0] and as_f32.tolist() == [2.5, 0.5]
+
+    def test_arguments_that_share_memory(self):
+        # one array passed twice, and two overlapping views: the statistic of
+        # the values as passed, not of a sort racing on the same memory
+        x = RngState(13).generator.normal(size=20_000)
+        orig = x.copy()
+        assert ks_two_sample(x, x)[0] == 0.0
+        assert x.tobytes() == np.sort(orig).tobytes()
+        y = orig.copy()
+        assert ks_two_sample(y[:-500], y[500:])[0] == _ks_searchsorted(orig[:-500], orig[500:])
 
     @pytest.mark.parametrize("side", ["lhs", "rhs"])
     def test_sampler_error_is_failure(self, side):
@@ -294,6 +315,72 @@ class TestTwoSidedVerify:
         verify(IdentitySpec(name="refuse", lhs_sampler=refuse, rhs_sampler=refuse),
                1000, RngState(6))
         assert threading.active_count() == before
+
+
+class TestBlockDraws:
+    """verify draws a KS side of more than _DRAW_BLOCK values one block per
+    sampler call into one array, sorts both arrays in place and keeps no
+    temporary of the sample's size."""
+
+    B = identities._DRAW_BLOCK
+
+    def test_one_block_matches_the_copy_and_sort_route(self):
+        # reference: rhs_scale times a copy of the right side, then a sorted
+        # copy of each side scanned against the other
+        n = 1 << 18
+        assert n == self.B
+        spec = theorem_a_spec(0.5)
+        rep = verify(spec, n, RngState(81))
+        lhs_rng, rhs_rng = RngState(81).spawn(2)
+        xs = np.sort(spec.lhs_sampler(lhs_rng, n))
+        ys = np.sort(1.0 * np.asarray(spec.rhs_sampler(rhs_rng, n), dtype=float))
+        want = max(identities._ks_side(xs, ys), identities._ks_side(ys, xs))
+        assert rep.ks_statistic == want == _ks_searchsorted(xs, ys)
+
+    @pytest.mark.parametrize("scale", [1.0, 1.1])
+    def test_blocks_are_consecutive_sampler_calls(self, scale):
+        n = 2 * self.B + 1000
+        spec = theorem_a_spec(1.0)
+        ks_only = IdentitySpec(name="theorem-a", lhs_sampler=spec.lhs_sampler,
+                               rhs_sampler=spec.rhs_sampler)
+        rep = verify(ks_only, n, RngState(82), rhs_scale=scale)
+        lhs_rng, rhs_rng = RngState(82).spawn(2)
+        sizes = [self.B, self.B, 1000]
+        xs = np.concatenate([spec.lhs_sampler(lhs_rng, k) for k in sizes])
+        ys = scale * np.concatenate([spec.rhs_sampler(rhs_rng, k) for k in sizes])
+        assert rep.ks_statistic == _ks_searchsorted(xs, ys)
+
+    def test_block_sizes_and_no_copy(self):
+        calls, arrays = [], []
+
+        def uniform(rng, k):
+            calls.append(k)
+            arrays.append(rng.generator.random(k))
+            return arrays[-1]
+
+        verify(IdentitySpec(name="u", lhs_sampler=uniform, rhs_sampler=uniform),
+               self.B + 5, RngState(84))
+        assert calls == [self.B, 5, self.B, 5]
+        arrays.clear()
+        verify(IdentitySpec(name="u", lhs_sampler=uniform, rhs_sampler=uniform),
+               self.B, RngState(84))
+        # a one-block side is the sampler's own array, sorted where it lies
+        assert len(arrays) == 2 and all(np.all(x[1:] >= x[:-1]) for x in arrays)
+
+    @pytest.mark.parametrize("name, args", [
+        ("theorem-b", (0.5, 0.2)), ("ab-half", (0.25,)), ("free", (1.0, 1.0, 1.0, 1.0)),
+        ("theorem-a", (0.5,))])
+    def test_peak_memory_is_two_samples_and_one_block(self, name, args):
+        n = 1 << 20
+        spec = identity_catalog()[name](*args)
+        tracemalloc.start()
+        try:
+            rep = verify(spec, n, RngState(83))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.failure is None
+        assert peak <= 8 * (2 * n + 6 * 2 ** 18), peak / (8 * n)
 
 
 def _record_threads(monkeypatch, module, seen):
