@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import BetaParams, BetaPrimeParams
+from .distributions import BetaPrimeParams
 from .errors import DomainError
 from .quadrature import _flat
-from .special import appell_f1, gamma_ln, gamma_ratio, gauss_2f1, hyp_3f2
+from .special import appell_f1, gamma_ln, gauss_2f1, hyp_3f2
 
 __all__ = [
     "SumSpec",
@@ -32,7 +32,6 @@ __all__ = [
     "sum_density_pfaff1",
     "sum_density_pfaff2",
     "sum_density_bhalf",
-    "beta_sum_density",
     "mellin_sum",
 ]
 
@@ -126,41 +125,6 @@ def sum_density_bhalf(a: float, x):
         lambda xs: np.exp(log_const + (2.0 * a - 1.0) * np.log(xs)
                           - 0.5 * np.log(xs + 1.0) - 2.0 * a * np.log(xs + 2.0)),
         x, _SUM_SUPPORT)
-
-
-def beta_sum_density(p: BetaParams, x):
-    """Density of Beta(a,b) + Beta(a,b) on (0,2).
-
-    The closed form holds on (0,1]; on (1,2) the same expression applies after
-    swapping the two shape parameters and reflecting x to 2-x.
-    """
-    xs = np.asarray(x, dtype=float)
-    if not np.all((xs > 0.0) & (xs < 2.0)):
-        raise DomainError("the beta sum lives on (0, 2)")
-
-    def left(a, b, v):
-        """The closed form at every v in (0, 1]."""
-        out = np.empty(v.shape)
-        mid = v == 1.0
-        out[mid] = math.inf if a + b <= 1.0 else (
-            gamma_ratio([a + b, a + b, a + 0.5, a + b - 1.0], [2.0 * a, b, b, a + b - 0.5, a])
-            * 4.0 ** (1.0 - b))
-        w = v[~mid]
-        hyp = gauss_2f1(1.0 - b, a, a + 0.5, -w * w / (4.0 * (1.0 - w)))
-        out[~mid] = np.exp(
-            2.0 * gamma_ln(a + b) - gamma_ln(2.0 * a) - 2.0 * gamma_ln(b)
-            + (2.0 * a - 1.0) * np.log(w) + (b - 1.0) * np.log(1.0 - w)
-        ) * hyp
-        return out
-
-    def block(xs):
-        out = np.empty(xs.shape)
-        up = xs > 1.0
-        out[~up] = left(p.p, p.q, xs[~up])
-        out[up] = left(p.q, p.p, 2.0 - xs[up])
-        return out
-
-    return _flat(block, x)
 
 
 def mellin_sum(p: BetaPrimeParams, s: float) -> float:

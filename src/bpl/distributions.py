@@ -51,8 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import _flat
-from .special import gamma_ln, tricomi_psi
+from .special import gamma_ln
 
 __all__ = [
     "BetaPrimeParams",
@@ -61,7 +60,6 @@ __all__ = [
     "RngState",
     "betaprime_pdf",
     "betaprime_mellin",
-    "betaprime_laplace",
     "sample_gamma",
     "sample_beta",
     "sample_betaprime",
@@ -138,22 +136,6 @@ def betaprime_mellin(p: BetaPrimeParams, s: float) -> float:
     if not (-p.a < s < p.b):
         raise DomainError(f"Mellin argument {s} outside the strip ({-p.a}, {p.b})")
     return math.exp(gamma_ln(p.a + s) + gamma_ln(p.b - s) - gamma_ln(p.a) - gamma_ln(p.b))
-
-
-def betaprime_laplace(p: BetaPrimeParams, z):
-    """E[exp(-z X)] = Gamma(a+b)/Gamma(b) * Psi(a, 1-b, z) at every z >= 0 of
-    an array (a float for a scalar z); 1 at z = 0."""
-    if not np.all(np.asarray(z, dtype=float) >= 0.0):
-        raise DomainError("Laplace transform evaluated on z >= 0")
-    scale = math.exp(gamma_ln(p.a + p.b) - gamma_ln(p.b))
-
-    def block(zs):
-        out = np.ones(zs.shape)
-        pos = zs > 0.0
-        out[pos] = scale * tricomi_psi(p.a, 1.0 - p.b, zs[pos])
-        return out
-
-    return _flat(block, z)
 
 
 # ---------------------------------------------------------------------------

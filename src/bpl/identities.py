@@ -76,7 +76,6 @@ __all__ = [
     "prop_b0_spec",
     "ab_half_spec",
     "free_spec",
-    "hypergeo_identity_check",
     "half_gaussian_spec",
     "cor34_spec",
     "lemma_densities",
@@ -645,35 +644,6 @@ def free_spec(a: float, b: float, c: float, d: float, *, swap: bool = False) -> 
         # channel's grid points, and with them its CSV cells
         mellin_strip=(0.0, min(b, d)),
     )
-
-
-def hypergeo_identity_check(a: float, b: float, c: float, d: float) -> float:
-    """Pointwise comparison of the two density expressions behind the
-    multiplicative identity; returns the maximal relative discrepancy.
-
-    Both sides are proportional to x^(b-1) (1-x)^(a-1)
-    2F1(a+b, a+b-d; a+b+c; x) on (0,1); the first comes from the size-biased
-    product of betas with its normalization computed by quadrature, the second
-    from the reciprocal construction with its closed Gamma prefactor,
-    compared on nine points from 0.08 to 0.92.
-    """
-    if min(a, b, c, d) <= 0.0 or not b < c + d:
-        raise DomainError("need positive parameters with b < c + d")
-    x = np.linspace(0.08, 0.92, 9)
-
-    # term-by-term Euler integration of the kernel against the beta weight
-    norm = math.exp(gamma_ln(b) + gamma_ln(a) - gamma_ln(a + b)) * hyp_3f2(
-        (a + b, a + b - d, b), (a + b + c, a + b))
-    lhs = (x ** (b - 1.0) * (1.0 - x) ** (a - 1.0)
-           * gauss_2f1(a + b, a + b - d, a + b + c, x) / norm)
-
-    log_pref = (
-        gamma_ln(a + b) + gamma_ln(a + c) + gamma_ln(c + d)
-        - gamma_ln(a) - gamma_ln(b) - gamma_ln(c + d - b) - gamma_ln(a + b + c)
-    )
-    rhs = (math.exp(log_pref) * x ** (b - 1.0) * (1.0 - x) ** (-b - 1.0)
-           * gauss_2f1(a + b, c + d, a + b + c, x / (x - 1.0)))
-    return float(np.max(np.abs(lhs - rhs) / np.abs(rhs)))
 
 
 def _sqrt_gamma_sum_mellin(a: float, s: float) -> float:

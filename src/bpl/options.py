@@ -2,8 +2,7 @@
 
 Only the four quadrature entry points take an EvalOptions. Every computation
 above them runs at DEFAULT_OPTIONS, whose rel_tol and abs_tol also stop the
-series of bpl.special; NESTED is the only departure, for the reason given
-next to it.
+series of bpl.special.
 """
 
 from __future__ import annotations
@@ -37,9 +36,3 @@ class EvalOptions:
 
 
 DEFAULT_OPTIONS = EvalOptions()
-
-# Outer integral of a computed integrand (a quadrature or series per node):
-# the integrand's own ~1e-12 noise would keep a 1e-12 outer loop splitting.
-# Every user integrates a positive integrand, so the default abs_tol keeps
-# the relative tolerance in charge of values far below 1e-14.
-NESTED = EvalOptions(rel_tol=1e-10)

@@ -28,7 +28,6 @@ from numpy.polynomial import chebyshev as _cheb
 from .convolution import sum_density_2f1
 from .distributions import BetaPrimeParams, betaprime_pdf
 from .errors import DomainError
-from .options import NESTED
 from .quadrature import integrate
 from .results import ProbeResult
 from .special import (
@@ -55,7 +54,6 @@ __all__ = [
     "k0_e1",
     "turan_hermite",
     "turan_psi",
-    "ltmon_property_test",
     "stoo_check",
     "mills_suite",
     "conjecture_cmcj_scan",
@@ -327,49 +325,6 @@ def turan_psi_bounds(c: float, lam: float) -> tuple[float, float]:
 def hermite_doubling_bounds(nu: float) -> tuple[float, float]:
     """Sharp bounds (1, Gamma(nu/2)^2 Gamma(2 nu) / (2 Gamma(nu)^3))."""
     return 1.0, gamma_ratio([nu / 2.0, nu / 2.0, 2.0 * nu], [nu, nu, nu]) / 2.0
-
-
-# ---------------------------------------------------------------------------
-# Laplace/Stieltjes monotone-ratio implication
-
-
-def ltmon_property_test(f_pdf, g_pdf, support, mu: float, z_grid) -> ProbeResult:
-    """If f/g is non-decreasing then the Laplace-transform ratio is
-    non-increasing, and so is the generalized Stieltjes ratio of order mu.
-
-    The hypothesis is tested first; when it fails the probe is vacuous and
-    returns an inconclusive result rather than a failure.
-    """
-    lo, hi = support
-    xs = np.linspace(lo + 1e-9 * (hi - lo), hi - 1e-9 * (hi - lo), 257)
-    fr = _eval_grid(f_pdf, xs)
-    gr = _eval_grid(g_pdf, xs)
-    if np.any(gr <= 0.0) or np.any(fr < 0.0):
-        raise DomainError("densities must be positive on the support")
-    ratio = fr / gr
-    if np.any(np.diff(ratio) < -1e-9 * np.max(ratio)):
-        return ProbeResult(0, np.asarray(z_grid, float), np.zeros((1, 0), bool),
-                           None, "inconclusive", details={"hypothesis": False})
-    zg = np.asarray(z_grid, dtype=float)
-
-    def transforms(h):
-        # Laplace columns exp(-z x), then Stieltjes columns (1 + x z)^(-mu)
-        def kernel(x):
-            xz = np.multiply.outer(x, zg)
-            return _eval_grid(h, x)[:, None] * np.hstack((np.exp(-xz), (1.0 + xz) ** -mu))
-        return np.split(integrate(kernel, lo, hi, NESTED), 2)
-
-    (lt_f, st_f), (lt_g, st_g) = transforms(f_pdf), transforms(g_pdf)
-    lt_ratio, st_ratio = lt_f / lt_g, st_f / st_g
-    tol = 1e-9
-    ok_lt = np.all(np.diff(lt_ratio) <= tol * np.abs(lt_ratio[:-1]))
-    ok_st = np.all(np.diff(st_ratio) <= tol * np.abs(st_ratio[:-1]))
-    verdict = "holds" if (ok_lt and ok_st) else "violated"
-    first = None if verdict == "holds" else (1, float(zg[0]))
-    table = np.array([[ok_lt, ok_st]])
-    return ProbeResult(1, zg, table, first, verdict,
-                       details={"hypothesis": True, "lt_ratio": lt_ratio,
-                                "st_ratio": st_ratio})
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Result records shared by the probe and Thorin layers."""
+"""The result record of a probe."""
 
 from __future__ import annotations
 

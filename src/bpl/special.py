@@ -3,22 +3,22 @@
 Everything is evaluated in float64: log-gamma by the C library's lgamma
 (math.lgamma), the Gauss hypergeometric function by series plus
 Pfaff/Euler/connection transformations, 3F2 at unit argument by accelerated
-summation, Appell F1 by its one-dimensional Euler-type integral, the Kummer
-and Tricomi confluent functions, Hermite functions of negative order,
-parabolic cylinder functions, Mill's ratio, the exponential integral and the
-order-zero Macdonald function.
+summation, Appell F1 by its one-dimensional Euler-type integral, Tricomi's
+confluent function, Hermite functions of negative order, parabolic cylinder
+functions, Mill's ratio, the exponential integral and the order-zero
+Macdonald function.
 
 Array-first functions: tricomi_psi, hermite_h_neg, expint_e1, macdonald_k0
 and appell_f1 accept an array and return an array of the same shape,
 computed by one quadrature over a mesh shared by every value (one column per
 value); a scalar returns a float. Long arrays of these quadratures are
 evaluated in blocks of columns (quadrature.column_blocks), one shared mesh
-per block. gauss_2f1, kummer_phi, parabolic_d, mills_ratio and
-mills_ratio_deriv accept arrays in the same way, but take the whole flattened
-array in one call (parabolic_d wraps hermite_h_neg, which blocks its own
-columns): in gauss_2f1 and kummer_phi every z takes its own route by mask,
-and each route is one numpy recurrence in which every element stops on its
-own term, so a value does not depend on the other elements.
+per block. gauss_2f1, parabolic_d, mills_ratio and mills_ratio_deriv accept
+arrays in the same way, but take the whole flattened array in one call
+(parabolic_d wraps hermite_h_neg, which blocks its own columns): in gauss_2f1
+every z takes its own route by mask, and each route is one numpy recurrence
+in which every element stops on its own term, so a value does not depend on
+the other elements.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ __all__ = [
     "gauss_2f1",
     "hyp_3f2",
     "appell_f1",
-    "kummer_phi",
     "tricomi_psi",
     "hermite_h_neg",
     "parabolic_d",
@@ -380,74 +379,6 @@ def appell_f1(alpha: float, beta: float, beta_p: float, gamma: float, x, y):
 
 # ---------------------------------------------------------------------------
 # Confluent hypergeometric functions
-
-
-def _asymptotic_sum(p: float, q: float, x: np.ndarray) -> np.ndarray:
-    """sum_k (p)_k (q)_k / k! x^(-k) at every element of x (|x| > 40), each
-    element truncated where its terms stop shrinking or settle."""
-    term, total = np.ones(x.shape), np.ones(x.shape)
-    live = np.ones(x.shape, dtype=bool)
-    for k in range(200):
-        nxt = term * (p + k) * (q + k) / ((k + 1.0) * x)
-        live &= np.abs(nxt) < np.abs(term)
-        total = np.where(live, total + nxt, total)
-        term = np.where(live, nxt, term)
-        live &= ~(np.abs(term) < _RTOL * np.abs(total))
-        if not live.any():
-            break
-    return total
-
-
-def _phi_large_negative(a: float, c: float, w: np.ndarray) -> np.ndarray:
-    """Phi(a, c, -w) for w > 40 by the large-argument expansion (DLMF 13.7.2
-    after Kummer's transform): the algebraic series
-    Gamma(c)/Gamma(c-a) w^(-a) sum (a)_k (1+a-c)_k / k! w^(-k) plus the
-    exponentially small Gamma(c)/Gamma(a) cos(pi (c-a)) e^(-w) w^(a-c)
-    sum (c-a)_k (1-a)_k / k! (-w)^(-k). The negative axis is a Stokes line of
-    the second term, where it takes the mean of its two complex continuations,
-    hence the cosine. c - a must not be a non-positive integer, and for a a
-    non-positive integer the algebraic series is the whole polynomial."""
-    out = gamma_ratio([c], [c - a]) * w ** (-a) * _asymptotic_sum(a, 1.0 + a - c, w)
-    if not _is_nonpositive_int(a):
-        scale = gamma_ratio([c], [a]) * math.cos(math.pi * (c - a))
-        out += (scale * np.exp((a - c) * np.log(w) - w)
-                * _asymptotic_sum(c - a, 1.0 - a, -w))
-    return out
-
-
-def kummer_phi(a: float, c: float, z):
-    """Kummer's confluent function Phi(a, c, z) = 1F1(a; c; z) at every finite
-    z of an array (a float for a scalar z).
-
-    z < -40 takes the large-argument expansion, -40 <= z < 0 the Kummer
-    transform e^z Phi(c - a, c, -z), which avoids the cancellation of the
-    alternating series, and z >= 0 the series. Where c - a is a non-positive
-    integer the transformed series is a polynomial and the expansion's
-    algebraic part vanishes, so every z < 0 takes the transform; below
-    z = -700, where e^z leaves the normal range, as sign(poly) e^(z + log|poly|).
-    """
-    if _is_nonpositive_int(c, 1e-12):
-        raise DomainError(f"Phi pole: c={c} is a non-positive integer")
-    if not np.all(np.isfinite(np.asarray(z, dtype=float))):
-        raise DomainError("Phi needs a finite z")
-
-    def series(a_, x):
-        return _masked_series(lambda n: (a_ + n) / ((c + n) * (n + 1.0)), x)
-
-    def log_transform(v):
-        poly = series(c - a, -v)
-        with np.errstate(divide="ignore"):
-            return np.sign(poly) * np.exp(v + np.log(np.abs(poly)))
-
-    if _is_nonpositive_int(c - a):
-        far, far_route = -700.0, log_transform
-    else:
-        far, far_route = -40.0, lambda v: _phi_large_negative(a, c, -v)
-    return _flat(lambda x: _by_route(x, [
-        (x < far, far_route),
-        ((x >= far) & (x < 0.0), lambda v: np.exp(v) * series(c - a, -v)),
-        (x >= 0.0, lambda v: series(a, v)),
-    ]), z)
 
 
 def tricomi_psi(a: float, c: float, z):

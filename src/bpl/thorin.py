@@ -6,47 +6,39 @@ primitive, the density by differentiating the ratio, and the a = 1 case by a
 separate Frullani-type integral. Everything is kept in log scale internally
 so arguments far beyond exp-overflow remain usable.
 
-Array contract: every public function of t (f_ax, f_ax_hyp, thorin_cdf,
-thorin_density, gx_frullani, thorin_cdf_a1), levy_density in y and
-awk_density in t take an array and return an array of its shape (a float for
-a scalar). A point outside the domain (t, y > 0; a finite t for awk_density)
-raises DomainError before anything is evaluated. Each t keeps its own branch
-by mask: a column of the numerator integral that would come near underflow
-is rescaled. f_ax, thorin_cdf, thorin_density, the a = 1 functions and
-levy_density are one vector-valued quadrature pass with one column per point
-(two per t for g_x, whose middle integrand is split into its two one-signed
+Array contract: every public function of t (f_ax, thorin_cdf,
+thorin_density, thorin_cdf_a1) and awk_density take an array and return an
+array of its shape (a float for a scalar). A point outside the domain (t > 0;
+a finite t for awk_density) raises DomainError before anything is evaluated.
+Each t keeps its own branch by mask: a column of the numerator integral that
+would come near underflow is rescaled. f_ax, thorin_cdf, thorin_density and
+the a = 1 functions are one vector-valued quadrature pass with one column per
+t (two per t for g_x, whose middle integrand is split into its two one-signed
 terms); the density's five-point stencil adds four points per t to the same
 pass. Long arrays of these are evaluated in blocks of columns
-(quadrature.column_blocks), one shared mesh per block. f_ax_hyp and
-awk_density wrap functions that block their own columns and take the whole
-flattened array in one call (quadrature._flat).
+(quadrature.column_blocks), one shared mesh per block. awk_density wraps
+thorin_density, which blocks its own columns, and takes the whole flattened
+array in one call (quadrature._flat).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .options import NESTED
 from .quadrature import _flat, beta_kernel, column_blocks, halfline_power, integrate
-from .results import ProbeResult
-from .special import gamma_ln, kummer_phi, tricomi_psi
+from .special import gamma_ln
 
 __all__ = [
     "ThorinParams",
     "f_ax",
-    "f_ax_hyp",
     "thorin_cdf",
     "thorin_density",
-    "gx_frullani",
     "thorin_cdf_a1",
-    "levy_density",
     "awk_density",
-    "ordering_g1_g2",
 ]
 
 
@@ -69,12 +61,15 @@ def _log_upper(a: float, x: float, ts: np.ndarray) -> np.ndarray:
     computed as t + log integral_0^1 (1-w)^(-a) w^(a+x-1) e^(-tw) dw; one
     quadrature column per t. That integral is about Gamma(a+x) t^-(a+x); where
     it falls below e^-600, near the absolute tolerance of 1e-300, the column
-    is rescaled, w = r/t, to about Gamma(a+x), which is finite for a + x up
-    to about 170; r/t clamped at 0.99 keeps the e^-r mass beyond r = t,
-    which is below rounding there.
+    is rescaled, w = r/t, and divided by Gamma(a+x) inside its exponential,
+    to about 1 whatever a + x; r/t clamped at 0.99 keeps the e^-r mass
+    beyond r = t. That mass is below rounding where r^(a+x-1) e^-r at
+    r = 0.99 t is below e^-40 of its peak at r = a + x - 1; a t nearer the
+    peak, which only a + x above about 420 reaches, is a DomainError.
     """
     out = np.empty(ts.shape)
-    far = (a + x) * np.log(ts) - math.lgamma(a + x) > 600.0
+    lg = math.lgamma(a + x)
+    far = (a + x) * np.log(ts) - lg > 600.0
     near = ~far
     if near.any():
         tn = ts[near]
@@ -82,14 +77,22 @@ def _log_upper(a: float, x: float, ts: np.ndarray) -> np.ndarray:
         out[near] = tn + np.log(val)
     if far.any():
         tf = ts[far]
+        m, r0 = a + x - 1.0, 0.99 * tf
+        if m > 0.0:
+            bad = tf[(r0 <= m) | (m * np.log(r0 / m) - (r0 - m) > -40.0)]
+            if bad.size:
+                raise DomainError(f"the Thorin ratio at a + x = {a + x:.6g} is out of reach "
+                                  f"for t in [{bad.min():.6g}, {bad.max():.6g}]: the rescaled "
+                                  f"numerator needs t beyond the bulk of its Gamma(a+x) weight")
 
         def smooth(r):
-            # r^(a+x-1) e^-r as one exponential: r^(a+x-1) alone overflows far out
+            # r^(a+x-1) e^-r / Gamma(a+x) as one exponential: r^(a+x-1) alone
+            # overflows far out, and Gamma(a+x) past a + x = 171
             frac = np.minimum(np.divide.outer(r, tf), 0.99)
-            return (1.0 - frac) ** (-a) * np.exp((a + x - 1.0) * np.log(r) - r)[:, None]
+            return (1.0 - frac) ** (-a) * np.exp(m * np.log(r) - r - lg)[:, None]
 
         val = halfline_power(smooth, 0.0)
-        out[far] = tf - (a + x) * np.log(tf) + np.log(val)
+        out[far] = tf - (a + x) * np.log(tf) + np.log(val) + lg
     return out
 
 
@@ -137,20 +140,6 @@ def f_ax(p: ThorinParams, t):
             return np.where(lf < 709.0, np.exp(lf), math.inf)
 
     return column_blocks(block, t, _T_DOMAIN)
-
-
-def f_ax_hyp(p: ThorinParams, t):
-    """Alternative closed form via the confluent pair:
-    Gamma(a+x) Phi(1-a, 1+x, t) / (Gamma(1+x) Psi(1-a, 1+x, t))."""
-    if p.a >= 1.0:
-        raise DomainError("needs a < 1")
-    a, x = p.a, p.x
-    lg = gamma_ln(a + x) - gamma_ln(1.0 + x)
-
-    def block(ts):
-        return math.exp(lg) * kummer_phi(1.0 - a, 1.0 + x, ts) / tricomi_psi(1.0 - a, 1.0 + x, ts)
-
-    return _flat(block, t, _T_DOMAIN)
 
 
 def thorin_cdf(p: ThorinParams, t):
@@ -213,10 +202,11 @@ _GX_DOMAIN = "need x > 0 and t > 0"
 
 
 def _gx(x: float, ts: np.ndarray) -> np.ndarray:
-    """g_x at every t of the 1-d array ts. On [1e-3, 1] the integrand's two
-    one-signed terms are two columns per t, subtracted after the quadrature:
-    their difference changes sign, and no relative tolerance on it can be met
-    near its root."""
+    """g_x(t) = (1/pi) integral_0^inf y^-1 ((1-y)_+^x e^(ty) - (1+y)^x e^(-ty)) dy
+    at every t of the 1-d array ts. The y -> 0 cancellation is the quadratic
+    series below y = 1e-3. On [1e-3, 1] the integrand's two one-signed terms
+    are two columns per t, subtracted after the quadrature: their difference
+    changes sign, and no relative tolerance on it can be met near its root."""
     if not x > 0.0:
         raise DomainError(_GX_DOMAIN)
     eps = 1e-3
@@ -236,15 +226,6 @@ def _gx(x: float, ts: np.ndarray) -> np.ndarray:
 
     up, down = integrate(mid, eps, 1.0).reshape(2, -1)
     return (head + (up - down) + integrate(tail, 1.0, math.inf)) / math.pi
-
-
-def gx_frullani(x: float, t):
-    """(1/pi) integral_0^inf y^-1 ((1-y)_+^x e^(ty) - (1+y)^x e^(-ty)) dy.
-
-    The y -> 0 cancellation is handled by the quadratic series term below
-    y = 1e-3; the integrand is integrated directly elsewhere.
-    """
-    return column_blocks(lambda ts: _gx(x, ts), t, _GX_DOMAIN, width=2)
 
 
 def thorin_cdf_a1(x: float, t):
@@ -272,83 +253,7 @@ def _density_a1(x: float, t):
 
 
 # ---------------------------------------------------------------------------
-# Levy density and the symmetrized (Askey-Wimp-Kerov) law
-
-
-class _CdfTable:
-    """Chebyshev interpolant of log P[G <= t] in log t, with the exact
-    power-law behaviour below the table and the exponential tail above it.
-    The table spans [lo, hi] with a degree-180 interpolant; fitting the log
-    keeps relative accuracy where P ~ t^x is tiny."""
-
-    lo, hi = 1e-6, 45.0
-
-    def __init__(self, p: ThorinParams):
-        self.p = p
-        self.tau_lo, self.tau_hi = math.log(self.lo), math.log(self.hi)
-
-        def g(xi):
-            taus = 0.5 * (self.tau_lo + self.tau_hi) + 0.5 * (self.tau_hi - self.tau_lo) * xi
-            return np.log(thorin_cdf(p, np.exp(taus)))
-
-        self.coef = np.polynomial.chebyshev.chebinterpolate(g, 180)
-        self.cdf_lo = thorin_cdf(p, self.lo)
-        self.cdf_hi = thorin_cdf(p, self.hi)
-        self.tail_power = 2.0 * p.a + p.x - 1.0
-
-    def __call__(self, t):
-        """P[G <= t] at every t of an array; a float for a scalar t."""
-        ts = np.asarray(t, dtype=float)
-        nonpos = ts <= 0.0
-        low = (ts < self.lo) & ~nonpos
-        high = ts > self.hi
-        mid = ~(nonpos | low | high)
-        out = np.zeros(ts.shape)
-        out[low] = self.cdf_lo * (ts[low] / self.lo) ** self.p.x
-        out[high] = 1.0 - self.upper_tail(ts[high])
-        xi = (2.0 * np.log(ts[mid]) - self.tau_lo - self.tau_hi) / (self.tau_hi - self.tau_lo)
-        # T_k(cos theta) = cos(k theta): one (points, degree) product, where
-        # chebval's Clenshaw loop takes a numpy step per degree
-        theta = np.arccos(np.clip(xi, -1.0, 1.0))
-        out[mid] = np.exp(np.cos(np.multiply.outer(theta, np.arange(self.coef.size))) @ self.coef)
-        return float(out) if out.ndim == 0 else out
-
-    def upper_tail(self, t: np.ndarray) -> np.ndarray:
-        """P[G > t] at every t >= hi of an array."""
-        return (1.0 - self.cdf_hi) * (t / self.hi) ** self.tail_power * np.exp(self.hi - t)
-
-
-@functools.lru_cache(maxsize=None)
-def _cdf_table(p: ThorinParams) -> _CdfTable:
-    return _CdfTable(p)
-
-
-def levy_density(p: ThorinParams, y):
-    """Levy measure density a * integral_0^inf e^(-yt) P[G <= t] dt at every
-    y > 0 of an array (a float for a scalar y), one quadrature column per y.
-
-    The integral is a/y times E[P[G <= T]], T ~ Exp(y): a probability as
-    accurate as the CDF table, hence NESTED. It is split at both ends of the
-    table for every y. Below the top it runs in s = -log t, where e^(-yt)
-    falls off over a width of order 1 whatever y, so no y leaves the mass
-    between the nodes (in u = yt a y below 1e-4 put the whole table below
-    the first node); above, it is e^(-y hi) less E[P[G > T]; T > hi].
-    """
-    def block(ys):
-        cdf = _cdf_table(p)
-
-        def below(s):
-            yt = np.multiply.outer(np.exp(-s), ys)
-            return yt * np.exp(-yt) * cdf(np.exp(-s))[:, None]
-
-        def above(t):
-            return ys * np.exp(np.multiply.outer(t, -ys)) * cdf.upper_tail(t)[:, None]
-
-        return p.a / ys * (integrate(below, -math.log(cdf.hi), -math.log(cdf.lo), NESTED)
-                           + integrate(below, -math.log(cdf.lo), math.inf, NESTED)
-                           + np.exp(-ys * cdf.hi) - integrate(above, cdf.hi, math.inf, NESTED))
-
-    return column_blocks(block, y, "need y > 0")
+# The symmetrized (Askey-Wimp-Kerov) law
 
 
 def awk_density(c: float, t):
@@ -373,58 +278,3 @@ def awk_density(c: float, t):
         return out
 
     return _flat(block, t)
-
-
-# ---------------------------------------------------------------------------
-# Ordering of the doubled-parameter Thorin variables
-
-
-def ordering_g1_g2(a: float, t_grid) -> ProbeResult:
-    """Checks g1(t) >= g2(t) for the two Dirichlet-mean ratios, the chain of
-    confluent-function bounds it rests on, and the implied CDF ordering of the
-    doubled-parameter Thorin variables."""
-    if not (0.0 < a < 1.0):
-        raise DomainError("need a in (0, 1)")
-    ts = np.asarray(t_grid, dtype=float)
-
-    def g1(tv):
-        """g1 at every t of tv, one quadrature column per t."""
-        def num_smooth(y):
-            return (np.exp(np.multiply.outer(1.0 - y, -tv))
-                    * kummer_phi(a, a + 0.5, np.multiply.outer(y - 1.0, tv)))
-
-        def den_smooth(y):
-            ty = np.multiply.outer(y, tv)
-            out = np.zeros(ty.shape)
-            live = ty < 700.0  # the e^(-ty) factor kills everything beyond
-            yl = np.broadcast_to(y[:, None], ty.shape)[live]
-            out[live] = ((1.0 + yl) ** (a - 0.5) * np.exp(-ty[live])
-                         * kummer_phi(a, a + 0.5, np.multiply.outer(y + 1.0, -tv)[live]))
-            return out
-
-        num = beta_kernel(num_smooth, -a, a - 0.5)
-        den = halfline_power(den_smooth, -a)
-        return np.exp(tv) * num / den
-
-    g1v = column_blocks(g1, ts)
-    g2v = f_ax(ThorinParams(a, 0.5), ts)
-    ok_ratio = g1v >= g2v * (1.0 - 1e-8)
-
-    # bound chain Phi(a, a+1/2, t(y-1)) >= Phi(a, a+1/2, -t) >= Phi(a, a+1/2, -t(y+1))
-    tc, yc = ts[:3, None], np.array([0.2, 0.5, 0.9])
-    top = kummer_phi(a, a + 0.5, tc * (yc - 1.0))
-    mid = kummer_phi(a, a + 0.5, -tc)
-    bot = kummer_phi(a, a + 0.5, -tc * (yc + 1.0))
-    chain_ok = bool(np.all((top >= mid) & (mid >= bot) & (bot > 0.0)))
-
-    # implied stochastic ordering of the doubled-parameter Thorin laws
-    cdf_ok = True
-    if 2.0 * a < 1.0:
-        lo = thorin_cdf(ThorinParams(2.0 * a, 0.5), ts)
-        hi = thorin_cdf(ThorinParams(a, 0.5), ts)
-        cdf_ok = bool(np.all(lo <= hi + 1e-7))
-    verdict = "holds" if (ok_ratio.all() and chain_ok and cdf_ok) else "violated"
-    first = None if verdict == "holds" else (0, float(ts[int(np.argmin(ok_ratio))]))
-    return ProbeResult(0, ts, ok_ratio[None, :], first, verdict,
-                       details={"g1": g1v, "g2": g2v, "chain_ok": chain_ok,
-                                "cdf_ok": cdf_ok})

@@ -9,28 +9,19 @@ import pytest
 from bpl import convolution, distributions, identities, quadrature, special, thorin
 from bpl.convolution import (
     SumSpec,
-    beta_sum_density,
     sum_density_2f1,
     sum_density_appell,
     sum_density_bhalf,
     sum_density_pfaff1,
     sum_density_pfaff2,
 )
-from bpl.distributions import (
-    BetaParams,
-    BetaPrimeParams,
-    betaprime_laplace,
-    betaprime_pdf,
-)
+from bpl.distributions import BetaPrimeParams, betaprime_pdf
 from bpl.errors import DomainError
 from bpl.identities import lemma_densities, prop_b0_spec, theorem_a_spec
 from bpl.thorin import (
     ThorinParams,
     awk_density,
     f_ax,
-    f_ax_hyp,
-    gx_frullani,
-    levy_density,
     thorin_cdf,
     thorin_cdf_a1,
     thorin_density,
@@ -49,8 +40,6 @@ CASES = [
     ("sum_density_pfaff1", lambda x: sum_density_pfaff1(BP, x), HALFLINE, 0.0),
     ("sum_density_pfaff2", lambda x: sum_density_pfaff2(BP, x), HALFLINE, np.nan),
     ("sum_density_bhalf", lambda x: sum_density_bhalf(0.7, x), HALFLINE, 0.0),
-    ("beta_sum_density", lambda x: beta_sum_density(BetaParams(0.5, 1.5), x),
-     np.array([[0.1, 0.6, 1.0], [1.2, 1.7, 1.99]]), 2.0),
     ("lemma_betastr_f", lambda x: lemma_densities("betastr_f", 0.7, x), AUX, 2.0),
     ("lemma_betastr_g", lambda x: lemma_densities("betastr_g", 0.7, x), AUX, 1.0),
     ("lemma_betastrb_f", lambda x: lemma_densities("betastrb_f", 0.3, x), AUX, 0.5),
@@ -60,17 +49,12 @@ CASES = [
     ("prop_b0_lhs", prop_b0_spec(1.0, 0.5, 1.5).lhs_density, HALFLINE, -2.0),
     ("prop_b0_rhs", prop_b0_spec(1.0, 0.5, 1.5).rhs_density, HALFLINE, 0.0),
     ("f_ax", lambda t: f_ax(P, t), HALFLINE, 0.0),
-    ("f_ax_hyp", lambda t: f_ax_hyp(P, t), HALFLINE, 0.0),
     ("thorin_cdf", lambda t: thorin_cdf(P, t), HALFLINE, -1.0),
     ("thorin_density", lambda t: thorin_density(P, t), HALFLINE, 0.0),
-    ("gx_frullani", lambda t: gx_frullani(0.5, t), HALFLINE, 0.0),
     ("thorin_cdf_a1", lambda t: thorin_cdf_a1(0.5, t), HALFLINE, np.nan),
-    ("levy_density", lambda y: levy_density(ThorinParams(0.3, 0.8), y), HALFLINE, 0.0),
     ("awk_density", lambda t: awk_density(1.0, t),
      np.array([[-3.0, -0.4, 0.0], [1e-5, 0.7, 2.5]]), np.inf),
     ("betaprime_pdf", lambda x: betaprime_pdf(BP, x), HALFLINE, 0.0),
-    ("betaprime_laplace", lambda z: betaprime_laplace(BP, z),
-     np.array([[0.0, 0.05, 0.3], [1.0, 4.0, 20.0]]), -0.1),
 ]
 
 # closed forms evaluated in place, without quadrature._flat: the guard below

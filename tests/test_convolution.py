@@ -8,7 +8,6 @@ import pytest
 
 from bpl.convolution import (
     SumSpec,
-    beta_sum_density,
     mellin_sum,
     sum_density_2f1,
     sum_density_appell,
@@ -16,13 +15,7 @@ from bpl.convolution import (
     sum_density_pfaff1,
     sum_density_pfaff2,
 )
-from bpl.distributions import (
-    BetaParams,
-    BetaPrimeParams,
-    RngState,
-    sample_beta,
-    sample_betaprime,
-)
+from bpl.distributions import BetaPrimeParams, RngState, sample_betaprime
 from bpl.errors import DomainError, QuadratureError
 from bpl.quadrature import integrate
 from conftest import max_rel_err, rel_err
@@ -191,33 +184,6 @@ class TestBHalf:
             lo, hi = np.log(sum_density_bhalf(a, np.array([x, x * 1.1])))
             slope = (hi - lo) / (math.log(x * 1.1) - math.log(x))
             assert slope == pytest.approx(2.0 * a - 1.0, abs=1e-3)
-
-
-class TestBetaSum:
-    def test_triangle(self):
-        p = BetaParams(1.0, 1.0)
-        got = beta_sum_density(p, np.array([1.0, 0.5, 1.5, 0.2]))
-        assert got == pytest.approx([1.0, 0.5, 0.5, 0.2], rel=1e-10)
-
-    def test_normalization(self):
-        # split at the branch point x = 1 where the closed form switches
-        p = BetaParams(0.5, 1.5)
-        f = lambda x: beta_sum_density(p, x)
-        mass = integrate(f, 1e-12, 1.0) + integrate(f, 1.0, 2.0 - 1e-12)
-        assert mass == pytest.approx(1.0, abs=1e-9)
-
-    def test_monte_carlo(self):
-        p = BetaParams(2.0, 0.7)
-        rng = RngState(107)
-        n = 10_000_000
-        s = sample_beta(p, rng, n) + sample_beta(p, rng, n)
-        _mc_density_check(s, lambda x: beta_sum_density(p, x), (0.6, 1.2, 1.8))
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            beta_sum_density(BetaParams(1, 1), 2.5)
-        with pytest.raises(DomainError):
-            beta_sum_density(BetaParams(1, 1), np.array([0.5, 1.5, 0.0]))
 
 
 class TestMellinSum:

@@ -17,7 +17,6 @@ from bpl.distributions import (
     _SPLIT,
     _gamma,
     _on_two_threads,
-    betaprime_laplace,
     betaprime_mellin,
     betaprime_pdf,
     sample_beta,
@@ -27,7 +26,6 @@ from bpl.distributions import (
 from bpl.errors import DomainError
 from bpl.identities import ks_two_sample
 from bpl.quadrature import integrate
-from conftest import mc_mean
 
 
 class TestPdf:
@@ -65,22 +63,6 @@ class TestMellin:
     def test_strip_violation(self):
         with pytest.raises(DomainError):
             betaprime_mellin(BetaPrimeParams(2, 3), 3.0)
-
-
-class TestLaplace:
-    def test_at_zero(self):
-        assert betaprime_laplace(BetaPrimeParams(0.5, 1.5), 0.0) == 1.0
-
-    def test_pareto_case(self):
-        # B'_{1,1} transform equals the quadrature of e^(-zt)(1+t)^(-2)
-        want = integrate(lambda t: np.exp(-t) / (1.0 + t) ** 2, 0.0, np.inf)
-        assert betaprime_laplace(BetaPrimeParams(1, 1), 1.0) == pytest.approx(want, rel=1e-11)
-
-    def test_monte_carlo_three_sigma(self):
-        p = BetaPrimeParams(0.5, 0.5)
-        x = sample_betaprime(p, RngState(31), 1_000_000)
-        mean, se = mc_mean(np.exp(-2.0 * x))
-        assert abs(mean - betaprime_laplace(p, 2.0)) < 3.0 * se
 
 
 class TestSamplers:

@@ -24,7 +24,6 @@ from bpl.identities import (
     cor34_spec,
     free_spec,
     half_gaussian_spec,
-    hypergeo_identity_check,
     IdentitySpec,
     identity_catalog,
     ks_two_sample,
@@ -641,16 +640,6 @@ class TestLemmaDensities:
             lemma_densities("nope", 0.7, 1.5)
         with pytest.raises(DomainError):
             lemma_densities("betastr_g", 0.7, np.array([1.5, 3.0, 2.0]))
-
-
-class TestMultiplicativeIdentity:
-    def test_pointwise_density_equality(self):
-        assert hypergeo_identity_check(1.0, 1.0, 1.0, 1.0) < 1e-9
-        assert hypergeo_identity_check(0.8, 0.6, 1.2, 0.9) < 1e-9
-
-    def test_guard(self):
-        with pytest.raises(DomainError):
-            hypergeo_identity_check(1.0, 3.0, 0.5, 0.5)
 
 
 class TestScans:

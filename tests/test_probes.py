@@ -5,8 +5,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as _cheb
 
 from bpl import probes
@@ -21,7 +19,6 @@ from bpl.probes import (
     k0_e1,
     kumma_ratio,
     lcm_probe,
-    ltmon_property_test,
     mills_suite,
     monotone_probe,
     psi_cc,
@@ -254,41 +251,6 @@ class TestHermiteAndFriends:
         want = math.exp(2.0 * math.lgamma(0.5) + math.lgamma(2.0)
                         - 3.0 * math.lgamma(1.0)) / 2.0
         assert abs(hi - want) < 1e-10 * want
-
-
-class TestLtMon:
-    def test_closed_form_pair(self):
-        # f = 2x, g = 1 on (0,1): increasing ratio implies decreasing LT ratio
-        r = ltmon_property_test(lambda x: 2.0 * np.asarray(x),
-                                lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                                (0.0, 1.0), 2.0, np.linspace(0.1, 10.0, 12))
-        assert r.verdict == "holds"
-        assert r.details["hypothesis"] is True
-        # both transform columns of each density, against their closed forms
-        z = np.linspace(0.1, 10.0, 12)
-        lt = 2.0 * (1.0 - np.exp(-z) * (1.0 + z)) / z ** 2 / ((1.0 - np.exp(-z)) / z)
-        st = 2.0 * (np.log1p(z) + 1.0 / (1.0 + z) - 1.0) / z ** 2 * (1.0 + z)
-        assert np.all(np.abs(r.details["lt_ratio"] - lt) < 1e-9 * lt)
-        assert np.all(np.abs(r.details["st_ratio"] - st) < 1e-9 * st)
-
-    def test_vacuous_pair_skipped(self):
-        # non-monotone ratio: the implication is not asserted
-        r = ltmon_property_test(lambda x: 1.5 - np.abs(np.asarray(x) - 0.5),
-                                lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                                (0.0, 1.0), 2.0, np.linspace(0.1, 5.0, 8))
-        assert r.verdict == "inconclusive"
-        assert r.details["hypothesis"] is False
-
-    @settings(max_examples=10, deadline=None)
-    @given(p=st.floats(0.3, 3.0), q=st.floats(0.0, 2.5))
-    def test_power_density_family(self, p, q):
-        # x^p / x^q on (0,1) has monotone ratio iff p >= q; normalize both
-        if p < q:
-            p, q = q, p
-        f = lambda x: (p + 1.0) * np.asarray(x, dtype=float) ** p
-        g = lambda x: (q + 1.0) * np.asarray(x, dtype=float) ** q
-        r = ltmon_property_test(f, g, (0.0, 1.0), 1.5, np.linspace(0.2, 8.0, 8))
-        assert r.verdict == "holds"
 
 
 class TestStoo:

@@ -3,11 +3,14 @@
 import math
 import re
 import warnings
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
+from scipy.special import roots_jacobi
 
 from bpl import quadrature
 from bpl.errors import DomainError, QuadratureError
@@ -30,6 +33,34 @@ from bpl.quadrature import (
     power_weighted,
 )
 from conftest import max_rel_err
+
+
+# Reference rules come from scipy: numpy's dense eigh, which jacobi_rule
+# calls, has stalled for 0.7 s in some fresh processes at 220 nodes, and
+# never at the 24 nodes of the library's own rules.
+
+
+def _roots_jacobi_rule(n, alpha, beta):
+    """jacobi_rule's nodes and weights on [0, 1] from scipy's roots_jacobi."""
+    t, w = roots_jacobi(n, alpha, beta)
+    return 0.5 * (1.0 + t), w * 0.5 ** (alpha + beta + 1.0)
+
+
+@lru_cache(maxsize=None)
+def _tridiagonal_rule(n, alpha, beta):
+    """jacobi_rule's nodes and weights on [0, 1] by Golub-Welsch on the
+    Jacobi recurrence with scipy's eigh_tridiagonal. roots_jacobi's weights
+    are 6e-9 off at an exponent of -0.999, which TestCornerSplit's grid
+    reaches."""
+    s = alpha + beta
+    k = np.arange(1, n, dtype=float)
+    diag = np.append((beta - alpha) / (s + 2.0),
+                     (beta * beta - alpha * alpha) / ((2 * k + s) * (2 * k + s + 2.0)))
+    off = np.sqrt(4.0 * k * (k + alpha) * (k + beta) * (k + s)
+                  / ((2 * k + s) ** 2 * (2 * k + s + 1.0) * (2 * k + s - 1.0)))
+    nodes, vecs = eigh_tridiagonal(diag, off)
+    mass = math.exp(math.lgamma(alpha + 1.0) + math.lgamma(beta + 1.0) - math.lgamma(s + 2.0))
+    return 0.5 * (1.0 + nodes), mass * vecs[0] ** 2
 
 
 def test_plain_polynomial():
@@ -64,7 +95,7 @@ def test_beta_kernel_matches_beta_function():
 
 def test_beta_kernel_smooth_payload():
     # integral x^(-1/2) (1-x)^(-1/2) cos(x) dx, reference from a dense Gauss-Jacobi rule
-    x, w = jacobi_rule(220, -0.5, -0.5)
+    x, w = _roots_jacobi_rule(220, -0.5, -0.5)
     want = float(np.sum(w * np.cos(x)))
     got = beta_kernel(np.cos, -0.5, -0.5)
     assert got == pytest.approx(want, rel=1e-12)
@@ -282,6 +313,7 @@ class TestCornerSplit:
     def test_agrees_with_100_nodes(self, monkeypatch):
         got = [_theorem_b_integral(*point) for point in self.GRID]
         monkeypatch.setattr(quadrature, "_RULE_NODES", (50, 100))
+        monkeypatch.setattr(quadrature, "jacobi_rule", _tridiagonal_rule)
         want = [_theorem_b_integral(*point) for point in self.GRID]
         assert max_rel_err(got, want) <= 1e-13
 

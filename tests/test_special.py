@@ -3,7 +3,6 @@ consistency properties."""
 
 import math
 import random
-from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -21,7 +20,6 @@ from bpl.special import (
     gauss_2f1,
     hermite_h_neg,
     hyp_3f2,
-    kummer_phi,
     macdonald_k0,
     mills_ratio,
     mills_ratio_deriv,
@@ -275,14 +273,6 @@ class TestAppellF1:
 
 
 class TestConfluent:
-    def test_kummer_anchors(self):
-        assert kummer_phi(0.7, 1.5, 0.0) == 1.0
-        assert kummer_phi(1.0, 2.0, 1.0) == pytest.approx(math.e - 1.0, rel=1e-13)
-
-    def test_kummer_negative_argument(self):
-        for z in (-3.0, -60.0, -850.0):
-            assert rel_err(kummer_phi(0.7, 1.5, z), mp.hyp1f1(0.7, 1.5, z)) < 1e-11
-
     def test_tricomi_e1_anchor(self):
         # Psi(1,1,1) = e E1(1), oracle by direct quadrature of the defining integral
         want = float(mp.quad(lambda t: mp.e ** (-t) / (1 + t), [0, mp.inf]))
@@ -301,12 +291,13 @@ class TestConfluent:
 
     def test_wronskian(self):
         # Phi'_t Psi - Phi Psi'_t = Gamma(c) t^(-c) e^t / Gamma(a), derivatives
-        # by central differences
+        # by central differences; Phi from mpmath
         for (a, c, t) in [(0.7, 1.5, 1.0), (0.5, 1.25, 0.6), (0.9, 1.8, 2.0)]:
             h = 1e-5 * max(1.0, t)
-            dphi = (kummer_phi(a, c, t + h) - kummer_phi(a, c, t - h)) / (2 * h)
+            lo, phi, hi = (float(mp.hyp1f1(a, c, u)) for u in (t - h, t, t + h))
+            dphi = (hi - lo) / (2 * h)
             dpsi = (tricomi_psi(a, c, t + h) - tricomi_psi(a, c, t - h)) / (2 * h)
-            got = dphi * tricomi_psi(a, c, t) - kummer_phi(a, c, t) * dpsi
+            got = dphi * tricomi_psi(a, c, t) - phi * dpsi
             want = math.exp(gamma_ln(c) - gamma_ln(a)) * t ** (-c) * math.e ** t
             assert rel_err(got, want) < 1e-7
 
@@ -498,11 +489,8 @@ class TestArrayFirst:
 
 
 # ---------------------------------------------------------------------------
-# Scalar reference: the one-z-at-a-time 2F1 and 1F1 that the array-first
-# gauss_2f1 and kummer_phi replaced, kept unchanged but for its names and
-# the z < -40 route of 1F1, which follows kummer_phi's: the exponentially
-# small second term, and the Kummer transform where c - a is a non-positive
-# integer.
+# Scalar reference: the one-z-at-a-time 2F1 that the array-first gauss_2f1
+# replaced, kept unchanged but for its names.
 
 _RTOL, _ATOL, _MAX_TERMS = special._RTOL, special._ATOL, special._MAX_TERMS
 _is_nonpositive_int, gamma_ratio = special._is_nonpositive_int, special.gamma_ratio
@@ -620,48 +608,6 @@ def _ref_gauss_2f1(a, b, c, z):
     return _ref_2f1_cancellation(a, b, c, z)[0]
 
 
-def _ref_asymptotic_sum(p, q, x):
-    term, total = 1.0, 1.0
-    for k in range(200):
-        nxt = term * (p + k) * (q + k) / ((k + 1.0) * x)
-        if abs(nxt) >= abs(term):
-            break
-        total += nxt
-        term = nxt
-        if abs(term) < _RTOL * abs(total):
-            break
-    return total
-
-
-def _ref_kummer_phi(a, c, z):
-    if _is_nonpositive_int(c, 1e-12):
-        raise DomainError(f"Phi pole: c={c} is a non-positive integer")
-    if z < -40.0 and not _is_nonpositive_int(c - a):
-        w = -z
-        out = gamma_ratio([c], [c - a]) * w ** (-a) * _ref_asymptotic_sum(a, 1.0 + a - c, w)
-        if not _is_nonpositive_int(a):
-            out += (gamma_ratio([c], [a]) * math.cos(math.pi * (c - a))
-                    * math.exp((a - c) * math.log(w) - w) * _ref_asymptotic_sum(c - a, 1.0 - a, -w))
-        return out
-    if z < -700.0:
-        poly = _ref_kummer_phi(c - a, c, -z)
-        return math.copysign(math.exp(z + math.log(abs(poly))), poly) if poly else 0.0
-    if z < 0.0:
-        return math.exp(z) * _ref_kummer_phi(c - a, c, -z)
-    term, total = 1.0, 1.0
-    small = 0
-    for n in range(_MAX_TERMS):
-        term *= (a + n) / ((c + n) * (n + 1.0)) * z
-        total += term
-        if abs(term) < _RTOL * abs(total) + _ATOL:
-            small += 1
-            if small == 3:
-                return total
-        else:
-            small = 0
-    raise NonConvergenceError(f"Kummer series stalled for z={z}")
-
-
 def _margin_gap(m):
     return abs(m - round(m))
 
@@ -702,8 +648,8 @@ _ROUTES_2F1 = {
 
 
 class TestArrayHypergeometric:
-    """gauss_2f1 and kummer_phi on arrays of z: every element takes the route
-    the scalar code took and stops on the same term."""
+    """gauss_2f1 on arrays of z: every element takes the route the scalar
+    code took and stops on the same term."""
 
     @pytest.mark.parametrize("route", list(_ROUTES_2F1))
     @settings(max_examples=25, deadline=None)
@@ -732,15 +678,7 @@ class TestArrayHypergeometric:
         with pytest.raises(DomainError):
             gauss_2f1(1.0, 1.0, 1.5, np.array([0.2, 1.0]))
 
-    @settings(max_examples=60, deadline=None)
-    @given(a=st.floats(-2.5, 3.0), c=st.floats(0.1, 4.0),
-           z=st.lists(st.floats(-300.0, 40.0), min_size=1, max_size=6))
-    def test_kummer_routes_match_scalar_reference(self, a, c, z):
-        z = np.array(z + [-40.0, np.nextafter(-40.0, 0.0), np.nextafter(-40.0, -50.0), 0.0])
-        _assert_matches_reference(lambda z: kummer_phi(a, c, z),
-                                  lambda z: _ref_kummer_phi(a, c, z), z)
-
-    # one array crossing every route of either function
+    # one array crossing every route
     MIXED = np.array([1.0, 0.0, 0.3, -0.45, 0.5, 0.7, 0.9, 0.95, 0.9995, -0.6, -3.0, -8.5,
                       -9.5, -40.0, -41.0, -250.0, 12.0])
 
@@ -754,45 +692,28 @@ class TestArrayHypergeometric:
         got[perm] = gauss_2f1(a, b, c, z[perm])
         assert np.array_equal(got, [gauss_2f1(a, b, c, float(v)) for v in z])
 
-    @pytest.mark.parametrize("a, c", [(0.7, 3.1), (0.4, 1.5), (-1.3, 0.6), (2.5, 1.2), (0.5, 1.0)])
-    def test_kummer_element_alone_equals_element_in_shuffled_array(self, a, c):
-        perm = np.random.default_rng(1).permutation(self.MIXED.size)
-        got = np.empty(self.MIXED.size)
-        got[perm] = kummer_phi(a, c, self.MIXED[perm])
-        assert np.array_equal(got, [kummer_phi(a, c, float(v)) for v in self.MIXED])
-
     def test_long_array_in_one_call_equals_scalar_calls(self):
-        # more values than a quadrature block of columns holds, every route of
-        # either function, in one evaluation
+        # more values than a quadrature block of columns holds, every route,
+        # in one evaluation
         z = np.linspace(-60.0, 0.999, 600)
         assert np.array_equal(gauss_2f1(0.25, 0.25, 0.75, z),
                               [gauss_2f1(0.25, 0.25, 0.75, float(v)) for v in z])
-        z = np.linspace(-300.0, 40.0, 600)
-        assert np.array_equal(kummer_phi(0.7, 3.1, z), [kummer_phi(0.7, 3.1, float(v)) for v in z])
 
     def test_shape_and_type(self):
         z = np.array([[0.1, -2.0, 0.95], [0.3, 0.6, -50.0]])
         assert gauss_2f1(0.7, 1.9, 3.1, z).shape == (2, 3)
-        assert kummer_phi(0.7, 1.9, z).shape == (2, 3)
         assert type(gauss_2f1(0.7, 1.9, 3.1, np.float64(0.95))) is float
-        assert type(kummer_phi(0.7, 1.9, -50.0)) is float
 
     @pytest.mark.parametrize("shape", [(0,), (2, 0)])
     def test_empty_array(self, shape):
         z = np.empty(shape)
-        for got in (gauss_2f1(0.7, 1.9, 3.1, z), gauss_2f1(0.5, 1.5, 2.0, z),
-                    kummer_phi(0.7, 1.9, z)):
+        for got in (gauss_2f1(0.7, 1.9, 3.1, z), gauss_2f1(0.5, 1.5, 2.0, z)):
             assert isinstance(got, np.ndarray) and got.shape == shape
 
     def test_domain_checks_cover_every_element(self):
         for bad in (1.5, np.nan, np.inf, -np.inf):
             with pytest.raises(DomainError):
                 gauss_2f1(0.7, 1.9, 3.1, np.array([0.2, bad, 0.4]))
-        for bad in (np.nan, np.inf, -np.inf):
-            with pytest.raises(DomainError):
-                kummer_phi(0.7, 1.9, np.array([0.2, bad]))
-        with pytest.raises(DomainError):
-            kummer_phi(0.7, -1.0, np.array([0.2]))
 
     def test_2f1_mpmath_sweep(self):
         # z down to -50, margins c - a - b and b - a kept >= 1e-3 from an
@@ -810,56 +731,3 @@ class TestArrayHypergeometric:
             for g, zi in zip(gauss_2f1(a, b, c, z), z):
                 worst = max(worst, rel_err(g, mp.hyp2f1(a, b, c, zi)))
         assert worst < 1e-10
-
-    @settings(max_examples=60, deadline=None)
-    @given(a=st.floats(-2.5, 3.0), c=st.floats(0.1, 4.0), m=st.integers(0, 3),
-           integer_gap=st.booleans(), u=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
-    def test_kummer_mpmath_below_minus_40(self, a, c, m, integer_gap, u):
-        # the algebraic expansion plus its exponentially small term; what is
-        # left is the remainder of the optimally truncated algebraic series,
-        # about e^(-w) w^(2a-c) relative, largest at z = -40 and a - c near 3
-        if integer_gap:
-            c = a - m
-        assume(not _is_nonpositive_int(c, 1e-12) and c > 0.05)
-        # c - a within 1e-12 of a non-positive integer but not exactly on one
-        # (a = 1.1, c = 0.1): the rounded c - a can land on the integer, where
-        # kummer_phi is exact for the integer gap, while 1F1 at the binary a
-        # and c moves by 2% when a moves by one ulp; no float64 value is good
-        # to 1e-11 there
-        on_integer = (Fraction(c) - Fraction(a)).denominator == 1
-        assume(on_integer or not _is_nonpositive_int(c - a, 1e-12))
-        z = -40.0 - 160.0 * np.array(u)
-        bound = 1e-9 if a - c > 1.0 else 1e-11
-        for g, zi in zip(kummer_phi(a, c, z), z):
-            assert rel_err(g, mp.hyp1f1(a, c, zi)) < bound
-
-    def test_kummer_below_minus_40_anchors(self):
-        # the second term, dropped before: 5.8e-9 off mpmath without it
-        a, c, z = 2.9748151922277404, 0.9621152425817097, -40.00000000000001
-        assert rel_err(kummer_phi(a, c, z), mp.hyp1f1(a, c, z)) < 1e-10
-        # c - a = 0 and -2: the Kummer transform terminates
-        assert kummer_phi(1.0, 1.0, -50.0) == pytest.approx(math.exp(-50.0), rel=1e-15)
-        assert rel_err(kummer_phi(3.0, 1.0, -50.0), 1151.0 * math.exp(-50.0)) < 1e-14
-        # 0.1 - 1.1 rounds to -1: the terminating transform, 1 - 40/0.1 times e^z
-        assert rel_err(kummer_phi(1.1, 0.1, -40.0), -399.0 * math.exp(-40.0)) < 1e-14
-
-    @pytest.mark.parametrize("a, c", [(11.0, 1.0), (3.0, 1.0), (2.5, 0.5), (4.0, 2.0), (1.0, 1.0)])
-    def test_kummer_terminating_transform_past_exp_underflow(self, a, c):
-        # c - a a non-positive integer: e^z poly(-z) in log space where e^z
-        # alone leaves the normal range (kummer_phi(11, 1, -746) was 0.0)
-        z = -np.array([500.0, 699.0, 700.5, 708.0, 745.0, 746.0, 760.0, 900.0])
-        want = np.array([float(mp.hyp1f1(a, c, zi)) for zi in z])
-        normal = np.abs(want) >= np.finfo(float).tiny
-        assert normal[z < -700.0].any()
-        assert max_rel_err(kummer_phi(a, c, z)[normal], want[normal]) < 1e-12
-
-    def test_kummer_mpmath_sweep_across_minus_40(self):
-        # c - a >= 1/4 as in every use here (c = a + 1/2, or 1 - a and 1 + x)
-        rng = random.Random(13)
-        for _ in range(25):
-            a = rng.uniform(0.05, 1.5)
-            c = a + rng.uniform(0.25, 2.0)
-            z = np.array([rng.uniform(-60.0, -20.0) for _ in range(3)]
-                         + [-40.0, np.nextafter(-40.0, 0.0), np.nextafter(-40.0, -50.0)])
-            for g, zi in zip(kummer_phi(a, c, z), z):
-                assert rel_err(g, mp.hyp1f1(a, c, zi)) < 2e-12

@@ -1,5 +1,5 @@
 """Thorin measure computations: the increasing ratio, cumulative measure,
-density, the a = 1 Frullani case, Levy density and the symmetrized law."""
+density, the a = 1 Frullani case and the symmetrized law."""
 
 import math
 import warnings
@@ -12,16 +12,10 @@ from bpl import thorin
 from bpl.errors import DomainError
 from bpl.options import EvalOptions
 from bpl.quadrature import integrate
-from bpl.special import gamma_ln, tricomi_psi
 from bpl.thorin import (
     ThorinParams,
-    _cdf_table,
     awk_density,
     f_ax,
-    f_ax_hyp,
-    gx_frullani,
-    levy_density,
-    ordering_g1_g2,
     thorin_cdf,
     thorin_cdf_a1,
     thorin_density,
@@ -33,7 +27,7 @@ P = ThorinParams(0.5, 0.5)
 
 
 def _f_confluent(p, t):
-    """f_ax_hyp's closed form evaluated in mpmath:
+    """f in its confluent closed form, evaluated in mpmath:
     Gamma(a+x) Phi(1-a, 1+x, t) / (Gamma(1+x) Psi(1-a, 1+x, t))."""
     a, x, t = mp.mpf(p.a), mp.mpf(p.x), mp.mpf(t)
     return (mp.gamma(a + x) * mp.hyp1f1(1 - a, 1 + x, t)
@@ -43,7 +37,7 @@ def _f_confluent(p, t):
 class TestRatio:
     def test_quadrature_vs_confluent_form(self):
         ts = np.array([1e-8, 0.1, 1.0, 10.0, 50.0, 200.0])
-        assert max_rel_err(f_ax(P, ts), f_ax_hyp(P, ts)) < 1e-11
+        assert max_rel_err(f_ax(P, ts), [float(_f_confluent(P, t)) for t in ts]) < 1e-11
 
     def test_small_t_against_confluent_oracle(self):
         # the lower integral's mass sits near u ~ 1/t, far out on its half-line
@@ -134,7 +128,7 @@ class TestLargeX:
 
     def test_frullani_against_direct_quadrature(self):
         x = mp.mpf(self.X)
-        for t, got in zip(self.TS, gx_frullani(self.X, self.TS)):
+        for t, got in zip(self.TS, thorin._gx(self.X, self.TS)):
             t = mp.mpf(t)
             head = mp.quad(lambda y: ((1 - y) ** x * mp.exp(t * y)
                                       - (1 + y) ** x * mp.exp(-t * y)) / y, [0, 0.5, 1])
@@ -189,6 +183,32 @@ class TestLargeT:
         want = mp.log(mp.beta(1 - a, a + x) * mp.hyp1f1(1 - a, 1 + x, t))
         assert abs(got - want) < 1e-14 * t
 
+    def test_large_a_plus_x(self):
+        # the rescaled numerator integral is about Gamma(a+x), which overflowed
+        # past a + x = 171 (exit 2 at t in [700, 900]); Gamma(a+x) is now
+        # divided out inside its exponential
+        p = ThorinParams(0.5, 300.0)
+        ts = np.array([700.0, 793.0, 900.0])
+        for t, got in zip(ts, f_ax(p, ts)):
+            assert rel_err(got, _f_confluent(p, t)) < 3e-13
+
+    @pytest.mark.parametrize("a, x", [(0.5, 300.0), (0.3, 200.0), (0.9, 180.0)])
+    def test_large_a_plus_x_numerator(self, a, x):
+        # t past the rescaling switch, where f itself is beyond overflow
+        ts = np.array([2e3, 1e4, 1e6])
+        assert np.all((a + x) * np.log(ts) - math.lgamma(a + x) > 600.0)
+        for t, got in zip(ts, thorin._log_upper(a, x, ts)):
+            want = mp.log(mp.beta(1 - a, a + x) * mp.hyp1f1(1 - a, 1 + x, t))
+            assert abs(got - want) < 1e-14 * t
+
+    def test_out_of_reach_near_the_gamma_bulk(self):
+        # at a + x = 700.5 the switch falls at t ~ 606, below the peak of
+        # r^(a+x-1) e^-r: the clamped column would be silently wrong there
+        p = ThorinParams(0.5, 700.0)
+        with pytest.raises(DomainError, match="out of reach"):
+            f_ax(p, np.array([300.0, 800.0]))
+        assert rel_err(f_ax(p, 300.0), _f_confluent(p, 300.0)) < 1e-13
+
 
 class TestCdf:
     def test_total_mass(self):
@@ -233,9 +253,10 @@ class TestDensity:
 
 class TestFrullani:
     def test_increasing_onto_r(self):
-        assert gx_frullani(0.5, 0.01) < 0.0 < gx_frullani(0.5, 100.0)
+        lo, hi = thorin._gx(0.5, np.array([0.01, 100.0]))
+        assert lo < 0.0 < hi
         ts = np.geomspace(0.05, 50.0, 12)
-        assert np.all(np.diff(gx_frullani(0.5, ts)) > 0.0)
+        assert np.all(np.diff(thorin._gx(0.5, ts)) > 0.0)
 
     def test_matches_generic_a_near_one(self):
         pa = ThorinParams(0.99, 0.5)
@@ -245,7 +266,7 @@ class TestFrullani:
     def test_density_identity(self):
         # g'/(pi (1+g^2)) equals the t-derivative of the a = 1 cumulative
         x, t, h = 0.5, 1.0, 1e-5
-        g = gx_frullani(x, t + np.arange(-2, 3) * h)
+        g = thorin._gx(x, t + np.arange(-2, 3) * h)
         dg = (g[0] - 8 * g[1] + 8 * g[3] - g[4]) / (12 * h)
         lhs = dg / (math.pi * (1.0 + g[2] ** 2))
         rhs = (thorin_cdf_a1(x, t + h) - thorin_cdf_a1(x, t - h)) / (2 * h)
@@ -258,7 +279,7 @@ class TestFrullani:
         ts = np.linspace(0.05, 5.0, 400)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            g = gx_frullani(x, ts)
+            g = thorin._gx(x, ts)
         assert np.all(np.isfinite(g)) and np.all(np.diff(g) > 0.0)
 
     @pytest.mark.parametrize("x, t", [(1.0, 1.147469521897249), (1.0, 1.3402), (1.0, 1.14),
@@ -270,7 +291,7 @@ class TestFrullani:
 
         want = (mp.quad(integrand, [0, 0.5, 1])
                 + mp.quad(lambda y: -(1 + y) ** x * mp.exp(-t * y) / y, [1, 2, 10, mp.inf])) / mp.pi
-        assert abs(gx_frullani(x, t) - float(want)) < 1e-14
+        assert abs(thorin._gx(x, np.array([t]))[0] - float(want)) < 1e-14
 
     @pytest.mark.parametrize("x", [0.3, 2.5, 40.0])
     def test_density_equals_the_plain_form(self, x):
@@ -281,76 +302,6 @@ class TestFrullani:
         want = thorin._five_point(g, h) / (math.pi * (1.0 + g[2] ** 2))
         assert np.any(np.abs(g[2]) > 1.0)
         assert max_rel_err(thorin_density(ThorinParams(1.0, x), ts), want) <= 1e-15
-
-
-class TestLevy:
-    def test_small_y_mass(self):
-        assert 1e-4 * levy_density(P, 1e-4) == pytest.approx(P.a, abs=1e-3)
-
-    def test_levy_khintchine_consistency(self):
-        z = 1.0
-        got = integrate(lambda y: (1.0 - np.exp(-z * y)) * levy_density(P, y), 1e-9, np.inf,
-                        EvalOptions(rel_tol=1e-6, abs_tol=1e-9, max_quad_refinements=80))
-        want = -math.log(tricomi_psi(P.a, 1.0 - P.x, z)
-                         * math.exp(gamma_ln(P.a + P.x) - gamma_ln(P.x)))
-        assert abs(got - want) < 1e-4
-
-    def test_positive_difference_in_x(self):
-        ys = np.array([0.05, 0.5, 3.0])
-        assert np.all(levy_density(ThorinParams(0.5, 0.5), ys)
-                      > levy_density(ThorinParams(0.5, 1.5), ys))
-
-    @pytest.mark.parametrize("p", [ThorinParams(0.5, 0.5), ThorinParams(0.9, 2.0),
-                                   ThorinParams(0.2, 0.3)], ids=str)
-    def test_against_split_scipy_reference(self, p):
-        # a integral_0^inf e^(-yt) P[G <= t] dt by QUADPACK, split at the CDF
-        # table's ends; beyond them as e^(-y hi)/y less the integral of
-        # e^(-yt) P[G > t]. At y below about 1e-4 the quadrature in u = yt
-        # once stopped on nodes that never reached the table.
-        from scipy.integrate import quad
-
-        cdf = _cdf_table(p)
-        ys = np.geomspace(1e-6, 10.0, 8)
-
-        def reference(y):
-            head = sum(quad(lambda t: math.exp(-y * t) * cdf(t), lo, hi,
-                            epsabs=0.0, epsrel=1e-13, limit=500)[0]
-                       for lo, hi in ((0.0, cdf.lo), (cdf.lo, cdf.hi)))
-            tail = quad(lambda t: math.exp(-y * t) * cdf.upper_tail(t), cdf.hi, np.inf,
-                        epsabs=0.0, epsrel=1e-13, limit=500)[0]
-            return p.a * (head + math.exp(-y * cdf.hi) / y - tail)
-
-        want = np.array([reference(y) for y in ys])
-        assert max_rel_err(levy_density(p, ys), want) < 1e-10
-
-    @pytest.mark.parametrize("p, y", [(ThorinParams(0.9, 2.0), 1e3),
-                                      (ThorinParams(0.9, 2.0), 1e5),
-                                      (ThorinParams(1.0, 3.0), 1.0),
-                                      (ThorinParams(1.0, 3.0), 1e3),
-                                      (ThorinParams(1.0, 3.0), 1e5)], ids=str)
-    def test_relative_accuracy_where_the_cdf_is_tiny(self, p, y):
-        # at large y the mass of e^(-yt) sits where P[G <= t] ~ t^x is tiny,
-        # so a table of P with absolute noise near 1e-16 would be 1e-7 off
-        # relative at y = 1e5, and a table of log P needs P itself to keep
-        # relative accuracy there (at a = 1 and x = 3, 1/2 + arctan(g)/pi
-        # rounds to 0 at the table's bottom). Reference: QUADPACK over log t
-        # with thorin_cdf itself, and the power law P(floor) (t/floor)^x
-        # below floor = 1e-8. At (1, 3) and y = 1e5 the value is 3e-20: an
-        # absolute tolerance of 1e-14 on the integrals left it 1.9e-2 off.
-        from scipy.integrate import quad
-        from scipy.special import gamma, gammainc
-
-        floor = 1e-8
-        below = (thorin_cdf(p, floor) * floor ** -p.x * y ** -(p.x + 1.0)
-                 * gammainc(p.x + 1.0, y * floor) * gamma(p.x + 1.0))
-
-        def in_log_t(s):
-            t = math.exp(s)
-            return math.exp(-y * t) * thorin_cdf(p, t) * t
-
-        head = quad(in_log_t, math.log(floor), math.log(60.0 / y),
-                    epsabs=0.0, epsrel=1e-13, limit=500)[0]
-        assert rel_err(levy_density(p, y), p.a * (below + head)) < 1e-9
 
 
 class TestAwk:
@@ -372,25 +323,6 @@ class TestAwk:
             awk_density(2.5, 0.3)
         with pytest.raises(DomainError):
             awk_density(1.0, np.array([0.3, np.inf]))
-
-
-class TestOrdering:
-    def test_ratio_ordering_half(self):
-        r = ordering_g1_g2(0.5, [0.5, 1.0, 5.0])
-        assert r.verdict == "holds"
-        assert np.all(r.details["g1"] >= r.details["g2"])
-
-    def test_chain_and_cdf_ordering(self):
-        r = ordering_g1_g2(0.4, [0.5, 2.0])
-        assert r.verdict == "holds"
-        assert r.details["chain_ok"] and r.details["cdf_ok"]
-
-    def test_g1_columns_match_lone_t(self):
-        # one quadrature column per t: the shared mesh agrees with each t's own
-        ts = [0.5, 1.0, 5.0, 20.0]
-        g1 = ordering_g1_g2(0.3, ts).details["g1"]
-        for t, got in zip(ts, g1):
-            assert rel_err(got, ordering_g1_g2(0.3, [t]).details["g1"][0]) < 1e-12
 
 
 # t grid straddling the t = 50 switch to the rescaled integrands
@@ -427,10 +359,6 @@ class TestArrayThorin:
         assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
 
     def test_frullani_array_equals_scalar_calls(self):
-        got = gx_frullani(0.5, T_GRID)
-        want = _scalar_calls(lambda t: gx_frullani(0.5, t), T_GRID)
-        # g_x changes sign on the grid: relative to the scale of the integrals
-        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(np.abs(want), 1.0))
         got = thorin_cdf_a1(0.5, T_GRID)
         want = _scalar_calls(lambda t: thorin_cdf_a1(0.5, t), T_GRID)
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
@@ -438,15 +366,13 @@ class TestArrayThorin:
     @pytest.mark.parametrize("p", [p for p in SHAPES if p.a < 1.0], ids=str)
     def test_ratio_matches_confluent_form(self, p):
         ts = np.geomspace(1e-3, 200.0, 15)
-        assert max_rel_err(f_ax(p, ts), f_ax_hyp(p, ts)) < 1e-11
+        assert max_rel_err(f_ax(p, ts), [float(_f_confluent(p, t)) for t in ts]) < 1e-11
 
     def test_scalar_in_float_out_and_shape_kept(self):
         pa1 = ThorinParams(1.0, 0.5)
         for fn in (lambda t: f_ax(P, t), lambda t: thorin_cdf(P, t),
-                   lambda t: thorin_density(P, t), lambda t: gx_frullani(0.5, t),
-                   lambda t: thorin_cdf(pa1, t), lambda t: thorin_density(pa1, t),
-                   lambda t: f_ax_hyp(P, t), lambda y: levy_density(P, y),
-                   lambda t: awk_density(1.0, t)):
+                   lambda t: thorin_density(P, t), lambda t: thorin_cdf(pa1, t),
+                   lambda t: thorin_density(pa1, t), lambda t: awk_density(1.0, t)):
             assert type(fn(0.7)) is float
             assert type(fn(np.float64(0.7))) is float
             assert fn(T_GRID[:6].reshape(2, 3)).shape == (2, 3)
@@ -456,10 +382,8 @@ class TestArrayThorin:
         ts = np.array([0.5, bad, 2.0])
         pa1 = ThorinParams(1.0, 0.5)
         for fn in (lambda t: f_ax(P, t), lambda t: thorin_cdf(P, t),
-                   lambda t: thorin_density(P, t), lambda t: gx_frullani(0.5, t),
-                   lambda t: thorin_cdf_a1(0.5, t), lambda t: thorin_cdf(pa1, t),
-                   lambda t: thorin_density(pa1, t), lambda t: f_ax_hyp(P, t),
-                   lambda y: levy_density(P, y)):
+                   lambda t: thorin_density(P, t), lambda t: thorin_cdf_a1(0.5, t),
+                   lambda t: thorin_cdf(pa1, t), lambda t: thorin_density(pa1, t)):
             with pytest.raises(DomainError):
                 fn(ts)
             with pytest.raises(DomainError):
@@ -472,41 +396,6 @@ class TestArrayThorin:
         idx = [0, 272, 273, 1000, 1999]
         want = _scalar_calls(lambda t: thorin_cdf(P, t), ts[idx])
         assert np.all(np.abs(cdf[idx] - want) <= 1e-13 * want)
-
-
-def _table_value_scalar(tb, t):
-    """The former scalar evaluation of _CdfTable, kept as a reference."""
-    if t <= 0.0:
-        return 0.0
-    if t < tb.lo:
-        return tb.cdf_lo * (t / tb.lo) ** tb.p.x
-    if t > tb.hi:
-        tail = (1.0 - tb.cdf_hi) * (t / tb.hi) ** tb.tail_power * math.exp(tb.hi - t)
-        return 1.0 - tail
-    xi = (2.0 * math.log(t) - tb.tau_lo - tb.tau_hi) / (tb.tau_hi - tb.tau_lo)
-    return math.exp(np.polynomial.chebyshev.chebval(xi, tb.coef))
-
-
-class TestCdfTable:
-    @pytest.mark.parametrize("p", [P, ThorinParams(0.3, 0.8)], ids=str)
-    def test_vectorised_matches_scalar_evaluation(self, p):
-        tb = _cdf_table(p)
-        below = [1e-12, 1e-9, 5e-7, 9.99e-7]
-        inside = [1e-6, 3e-6, 1e-3, 0.2, 1.0, 7.5, 30.0, 45.0]
-        above = [45.0001, 50.0, 80.0, 200.0]
-        ts = np.array([-1.0, 0.0] + below + inside + above)
-        got = tb(ts)
-        want = np.array([_table_value_scalar(tb, float(t)) for t in ts])
-        assert np.all(np.abs(got - want) <= 1e-14)
-        outside = np.isin(ts, below + above)
-        assert np.all(np.abs(got - want)[outside] <= 1e-13 * np.abs(want[outside]))
-        assert got[0] == got[1] == 0.0
-        assert type(tb(0.5)) is float
-
-    def test_table_matches_cdf(self):
-        tb = _cdf_table(P)
-        ts = np.geomspace(1e-5, 40.0, 17)
-        assert np.all(np.abs(tb(ts) - thorin_cdf(P, ts)) <= 1e-10)
 
 
 def test_thorin_does_not_import_probes():
