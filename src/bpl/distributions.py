@@ -5,10 +5,10 @@ always yields the same stream, and spawned substreams are independent and
 deterministic as well. Gamma variates come from numpy's compiled
 ``Generator.standard_gamma`` (the Marsaglia-Tsang squeeze method, ACM TOMS 26,
 2000); shapes t < 1 draw a shape t + 1 variate times U^(1/t). Beta and beta
-prime variates are ratios of two such gamma draws, left shape first. Streams
-are deterministic per seed, but they differ from those of the earlier
-pure-Python Marsaglia-Tsang loop, so sampled statistics (KS values) changed
-when that loop was replaced.
+prime variates are ratios of two such gamma draws, left shape first, but
+for the one-variate laws of large draws below. Streams are deterministic per
+seed, but they differ from those of the earlier pure-Python Marsaglia-Tsang
+loop, so sampled statistics (KS values) changed when that loop was replaced.
 
 A gamma draw of 2^17 values or more is split in two halves: the caller's
 generator fills the first on the calling thread, and a child generator
@@ -25,16 +25,28 @@ split and these constructions moved the KS statistics of sampling runs at
 their Marsaglia-Tsang streams, so every default-size CLI output keeps its
 bits.
 
+A beta or beta prime draw of 2^17 values or more whose law has a shape equal
+to 1, or both shapes equal to 1/2, takes the same split plan, each half
+filled by the law's inverse cdf on one standard exponential E or uniform U
+per value (Devroye, Non-Uniform Random Variate Generation, 1986, ch. IX):
+Beta(1, q) = -expm1(-E/q), BetaPrime(1, q) = expm1(E/q), Beta(p, 1) =
+exp(-E/p), BetaPrime(p, 1) = 1/expm1(E/p), Beta(1/2, 1/2) = sin^2(pi U/2)
+and BetaPrime(1/2, 1/2) = tan^2(pi U/2), in place of two gamma draws and a
+division (a block of 2^18 values: about 5-9 -> 1.5-2 ms on a 2-vCPU Xeon
+VM). Every other law, and every draw below 2^17 values, keeps the ratio of
+gammas and its streams.
+
 The samplers do their arithmetic in place on the arrays they draw, in the
 order the plain expressions would (``g * u`` becomes ``g *= u``), so every
 value keeps its bits. The second operand of a fill, the U^(1/t) boost of
 ``_fill_gamma`` and the exponential addend of ``_fill_half``, is drawn
 through one reused buffer of _CHUNK = 2^15 values, in order along the same
 stream, so a fill holds no temporary of its draw's size and its values are
-the bits of one whole-size draw. Each returned array is fresh and owned by
-the caller. ``verify`` draws each KS side in blocks of 2 _SPLIT values (see
-bpl.identities), so the samplers' temporaries stay those of one block
-whatever the sample size.
+the bits of one whole-size draw; the BetaPrime(p, 1) and shape-1/2 fills
+of ``_fill_one_variate`` form their second factor in that buffer too. Each
+returned array is fresh and owned by the caller. ``verify`` draws each KS
+side in blocks of 2 _SPLIT values (see bpl.identities), so the samplers'
+temporaries stay those of one block whatever the sample size.
 
 ``RngState.spawn`` derives its children from a SeedSequence of its own, set
 aside when the state is made: the ``gen.spawn(1)`` of a split draw advances
@@ -219,26 +231,96 @@ def _fill_half(gen: np.random.Generator, shape: float, out: np.ndarray) -> None:
         _fill_gamma(gen, shape, out)
 
 
+def _split(gen: np.random.Generator, n: int, fill) -> np.ndarray:
+    """n values from fill(gen, out[:n // 2]) on this thread while
+    fill(gen.spawn(1)[0], out[n // 2:]) runs on a worker thread, the child
+    made before the worker starts, so the result depends on the seed and n
+    only."""
+    out = np.empty(n)
+    child = gen.spawn(1)[0]
+    half = n // 2
+    _on_two_threads(lambda: fill(child, out[half:]), lambda: fill(gen, out[:half]))
+    return out
+
+
 def _gamma(gen: np.random.Generator, shape: float, n: int) -> np.ndarray:
     """n draws of G(shape). Below _SPLIT values, numpy's compiled
     Marsaglia-Tsang ``standard_gamma``, with the U^(1/t) boost for shapes
     below 1; those streams are kept, so the CLI's default-size runs keep
     their outputs.
 
-    From _SPLIT values on, gen fills out[:n // 2] on this thread while the
-    child gen.spawn(1)[0] fills out[n // 2:] on a worker thread, each half
-    by _fill_half, so the result depends on the seed and n only. Against
-    Marsaglia-Tsang halves, 10^6 values took about 21 -> 10.5 ms at t = 1/2
-    and 17.5 -> 10 ms at t = 2 (numpy 2.4, 2-vCPU Xeon VM)."""
+    From _SPLIT values on, a _split draw with each half by _fill_half.
+    Against Marsaglia-Tsang halves, 10^6 values took about 21 -> 10.5 ms at
+    t = 1/2 and 17.5 -> 10 ms at t = 2 (numpy 2.4, 2-vCPU Xeon VM)."""
+    if n >= _SPLIT:
+        return _split(gen, n, lambda g, out: _fill_half(g, shape, out))
     out = np.empty(n)
-    if n < _SPLIT:
-        _fill_gamma(gen, shape, out)
-        return out
-    child = gen.spawn(1)[0]
-    half = n // 2
-    _on_two_threads(lambda: _fill_half(child, shape, out[half:]),
-                    lambda: _fill_half(gen, shape, out[:half]))
+    _fill_gamma(gen, shape, out)
     return out
+
+
+def _one_variate(p: float, q: float) -> bool:
+    """Whether Beta(p, q) and BetaPrime(p, q) have a one-variate fill."""
+    return p == 1.0 or q == 1.0 or p == q == 0.5
+
+
+def _fill_one_variate(gen: np.random.Generator, p: float, q: float, prime: bool,
+                      out: np.ndarray) -> None:
+    """Beta(p, q), or BetaPrime(p, q) if prime, by its inverse cdf on one
+    standard exponential E or uniform U per value, where _one_variate(p, q):
+    Beta(1, q) = -expm1(-E/q), BetaPrime(1, q) = expm1(E/q),
+    Beta(p, 1) = exp(-E/p), BetaPrime(p, 1) = 1/expm1(E/p),
+    Beta(1/2, 1/2) = sin^2(pi U/2) and BetaPrime(1/2, 1/2) = tan^2(pi U/2).
+
+    BetaPrime(p, 1) is formed as exp(-E/p) / -expm1(-E/p), which keeps its
+    values down to the subnormal range: 1/expm1(E/p) would overflow to
+    1/inf = 0 past E/p = 709.8. The shape-1/2 laws are formed from
+    t = tan(pi U/4) and s = tan(pi (1 - U)/4), both of an argument in
+    [0, pi/4]: sin(pi U/2) = 2t/(1 + t^2) and tan(pi U/2) = t (1 + s)^2/(2s),
+    which keeps full relative precision as U -> 1, where tan(pi U/2) itself
+    does not. numpy's tan is vectorised; its sin took about six times as
+    long (numpy 2.4, 2-vCPU Xeon VM)."""
+    if p == 1.0:
+        gen.standard_exponential(out=out)
+        out /= q if prime else -q
+        np.expm1(out, out=out)
+        if not prime:
+            np.negative(out, out=out)
+    elif q == 1.0:
+        gen.standard_exponential(out=out)
+        out /= -p
+        if prime:
+            for part, v in _chunks(out):
+                np.expm1(part, out=v)
+                np.exp(part, out=part)
+                part /= v
+                np.negative(part, out=part)
+        else:
+            np.exp(out, out=out)
+    elif prime:
+        gen.random(out=out)
+        for t, s in _chunks(out):
+            np.subtract(1.0, t, out=s)
+            s *= 0.25 * math.pi
+            np.tan(s, out=s)
+            t *= 0.25 * math.pi
+            np.tan(t, out=t)
+            t /= s
+            s += 1.0
+            t *= s
+            t *= s
+            t *= 0.5
+        out *= out
+    else:
+        gen.random(out=out)
+        out *= 0.25 * math.pi
+        np.tan(out, out=out)
+        for t, v in _chunks(out):
+            np.multiply(t, t, out=v)
+            v += 1.0
+            t /= v
+        out *= 2.0
+        out *= out
 
 
 def sample_gamma(p: GammaParams, rng: RngState, size: int | None = None):
@@ -248,6 +330,9 @@ def sample_gamma(p: GammaParams, rng: RngState, size: int | None = None):
 
 def sample_beta(p: BetaParams, rng: RngState, size: int | None = None):
     n = 1 if size is None else int(size)
+    if n >= _SPLIT and _one_variate(p.p, p.q):
+        return _split(rng.generator, n,
+                      lambda gen, out: _fill_one_variate(gen, p.p, p.q, False, out))
     g1 = _gamma(rng.generator, p.p, n)
     g2 = _gamma(rng.generator, p.q, n)
     g2 += g1
@@ -257,6 +342,9 @@ def sample_beta(p: BetaParams, rng: RngState, size: int | None = None):
 
 def sample_betaprime(p: BetaPrimeParams, rng: RngState, size: int | None = None):
     n = 1 if size is None else int(size)
+    if n >= _SPLIT and _one_variate(p.a, p.b):
+        return _split(rng.generator, n,
+                      lambda gen, out: _fill_one_variate(gen, p.a, p.b, True, out))
     g1 = _gamma(rng.generator, p.a, n)
     g1 /= _gamma(rng.generator, p.b, n)
     return float(g1[0]) if size is None else g1

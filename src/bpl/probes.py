@@ -20,6 +20,7 @@ once. The only loops left run over the derivative orders (at most 11).
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -29,7 +30,6 @@ from .convolution import sum_density_2f1
 from .distributions import BetaPrimeParams, betaprime_pdf
 from .errors import DomainError
 from .quadrature import integrate
-from .results import ProbeResult
 from .special import (
     expint_e1,
     gamma_ratio,
@@ -59,6 +59,22 @@ __all__ = [
     "conjecture_cmcj_scan",
     "expected_psi_doubling_verdict",
 ]
+
+
+@dataclass
+class ProbeResult:
+    """The record a probe returns."""
+
+    orders_checked: int
+    grid: np.ndarray
+    sign_table: np.ndarray  # (orders+1, npoints) booleans, True = consistent
+    first_violation: tuple[int, float] | None
+    verdict: str  # "holds" | "violated" | "inconclusive"
+    details: dict = field(default_factory=dict)
+
+    def __bool__(self):
+        return self.verdict == "holds"
+
 
 _WINDOW = 25
 _DEGREE = 12

@@ -426,7 +426,6 @@ def parabolic_d(nu: float, z):
 # Mill's ratio and friends
 
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
-_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
 
 # numpy has no erfc; math.erfc is applied element by element

@@ -325,6 +325,9 @@ class TestSplitDraw:
     def test_no_thread_outlives_a_draw(self):
         before = threading.active_count()
         sample_betaprime(BetaPrimeParams(0.5, 2.5), RngState(65), self.N)
+        for prime in (False, True):
+            for p, q in _ONE_VARIATE:
+                _one_variate_draw(p, q, prime, 65, self.N)
         assert threading.active_count() == before
 
 
@@ -345,3 +348,131 @@ class TestSplitDrawLaw:
         stat, _ = ks_two_sample(first, second)
         scaled = stat * math.sqrt(first.size * second.size / (first.size + second.size))
         assert st.kstwobign.ppf(5e-7) < scaled < st.kstwobign.isf(5e-7)
+
+
+# one law per construction of a split one-variate draw: Beta(1, q), Beta(p, 1)
+# and Beta(1/2, 1/2), and the same for BetaPrime; (1, 1) takes the first
+_ONE_VARIATE = [(1.0, 0.5), (0.3, 1.0), (0.5, 0.5), (1.0, 1.0)]
+_SAMPLERS = {False: (BetaParams, sample_beta), True: (BetaPrimeParams, sample_betaprime)}
+
+
+def _one_variate_expr(gen, p, q, prime, n):
+    """The plain-expression form of a half of a split one-variate draw."""
+    if p == 1.0:
+        e = gen.standard_exponential(n)
+        return np.expm1(e / q) if prime else -np.expm1(e / -q)
+    if q == 1.0:
+        y = gen.standard_exponential(n) / -p
+        return -(np.exp(y) / np.expm1(y)) if prime else np.exp(y)
+    u = gen.random(n)
+    t = np.tan(u * (0.25 * math.pi))
+    if prime:
+        s = np.tan((1.0 - u) * (0.25 * math.pi))
+        root = t / s * (s + 1.0) * (s + 1.0) * 0.5
+    else:
+        root = t / (t * t + 1.0) * 2.0
+    return root * root
+
+
+def _one_variate_draw(p, q, prime, seed, n):
+    params, sampler = _SAMPLERS[prime]
+    return sampler(params(p, q), RngState(seed), n)
+
+
+class TestOneVariateDraw:
+    """From _SPLIT values on, a beta or beta prime law with a shape equal to
+    1, or both shapes equal to 1/2, is drawn by its inverse cdf on one
+    variate per value, on _gamma's split plan."""
+
+    N = 1 << 18
+
+    @pytest.mark.parametrize("prime", [False, True])
+    @pytest.mark.parametrize("p, q", _ONE_VARIATE + [(1.0, 2.5)])
+    @pytest.mark.parametrize("n", [N, _SPLIT + 1])
+    def test_equals_sequential_plan(self, p, q, prime, n):
+        params, sampler = _SAMPLERS[prime]
+        rng = RngState(71)
+        got = sampler(params(p, q), rng, n)
+        gen = RngState(71).generator
+        child = gen.spawn(1)[0]
+        half = n // 2
+        want = np.concatenate([_one_variate_expr(gen, p, q, prime, half),
+                               _one_variate_expr(child, p, q, prime, n - half)])
+        assert got.tobytes() == want.tobytes()
+        assert rng.generator.random(4).tobytes() == gen.random(4).tobytes()
+
+    @pytest.mark.parametrize("prime", [False, True])
+    @pytest.mark.parametrize("p, q", _ONE_VARIATE)
+    def test_below_split_keeps_two_gammas(self, p, q, prime):
+        n = _SPLIT - 1
+        got = _one_variate_draw(p, q, prime, 72, n)
+        gen = RngState(72).generator
+        g1 = _gamma_expr(gen, p, n)
+        g2 = _gamma_expr(gen, q, n)
+        assert got.tobytes() == (g1 / g2 if prime else g1 / (g1 + g2)).tobytes()
+
+    @pytest.mark.parametrize("prime", [False, True])
+    @pytest.mark.parametrize("p, q", _ONE_VARIATE)
+    def test_temporaries_stay_one_chunk(self, p, q, prime):
+        params, sampler = _SAMPLERS[prime]
+        rng = RngState(73)
+        tracemalloc.start()
+        try:
+            sampler(params(p, q), rng, self.N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (self.N + 2 * distributions._CHUNK) + 65536, peak / (8 * self.N)
+
+    def test_worker_error_raised_in_caller(self, monkeypatch, capfd):
+        fill = distributions._fill_one_variate
+
+        def refuse_off_main(gen, p, q, prime, out):
+            if threading.current_thread() is not threading.main_thread():
+                raise DomainError("worker fill refused")
+            fill(gen, p, q, prime, out)
+
+        monkeypatch.setattr(distributions, "_fill_one_variate", refuse_off_main)
+        before = threading.active_count()
+        for prime in (False, True):
+            with pytest.raises(DomainError, match="worker fill refused"):
+                _one_variate_draw(1.0, 0.5, prime, 74, self.N)
+        assert threading.active_count() == before
+        assert capfd.readouterr().err == ""
+
+
+class TestOneVariateLaw:
+    """One-sample KS of each construction against scipy at alpha = 1e-6."""
+
+    N = 1 << 20
+
+    @pytest.mark.parametrize("prime", [False, True])
+    @pytest.mark.parametrize("p, q", _ONE_VARIATE[:3])
+    def test_scipy_cdf(self, p, q, prime):
+        x = _one_variate_draw(p, q, prime, 76, self.N)
+        assert st.kstest(x, "betaprime" if prime else "beta", args=(p, q)).pvalue > 1e-6
+
+
+class _FixedUniforms:
+    """A generator stand-in whose random() fills the given values."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, out):
+        out[:] = self.u
+        return out
+
+
+@pytest.mark.parametrize("u", [2.0 ** -40, 1.0 - 2.0 ** -40])
+def test_arcsine_tails_keep_relative_precision(u):
+    # tan^2(pi U/2) is 9e-5 off at U = 1 - 2^-40, where pi U/2 is rounded
+    # next to its pole
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        angle = mp.pi * mp.mpf(u) / 2
+        want = {True: mp.tan(angle) ** 2, False: mp.sin(angle) ** 2}
+    for prime in (False, True):
+        out = np.empty(1)
+        distributions._fill_one_variate(_FixedUniforms([u]), 0.5, 0.5, prime, out)
+        assert abs(out[0] / float(want[prime]) - 1.0) < 8 * 2.0 ** -53, prime

@@ -406,7 +406,3 @@ def test_thorin_does_not_import_probes():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, timeout=60)
     assert out.stdout.strip() == "False"
-
-    from bpl.probes import ProbeResult as FromProbes
-    from bpl.results import ProbeResult
-    assert FromProbes is ProbeResult
