@@ -6,9 +6,10 @@ deterministic as well. Gamma variates come from numpy's compiled
 ``Generator.standard_gamma`` (the Marsaglia-Tsang squeeze method, ACM TOMS 26,
 2000); shapes t < 1 draw a shape t + 1 variate times U^(1/t). Beta and beta
 prime variates are ratios of two such gamma draws, left shape first, but
-for the one-variate laws of large draws below. Streams are deterministic per
-seed, but they differ from those of the earlier pure-Python Marsaglia-Tsang
-loop, so sampled statistics (KS values) changed when that loop was replaced.
+for the one-variate and Jöhnk laws of large draws below. Streams are
+deterministic per seed, but they differ from those of the earlier
+pure-Python Marsaglia-Tsang loop, so sampled statistics (KS values) changed
+when that loop was replaced.
 
 A gamma draw of 2^17 values or more is split in two halves: the caller's
 generator fills the first on the calling thread, and a child generator
@@ -33,8 +34,17 @@ Beta(1, q) = -expm1(-E/q), BetaPrime(1, q) = expm1(E/q), Beta(p, 1) =
 exp(-E/p), BetaPrime(p, 1) = 1/expm1(E/p), Beta(1/2, 1/2) = sin^2(pi U/2)
 and BetaPrime(1/2, 1/2) = tan^2(pi U/2), in place of two gamma draws and a
 division (a block of 2^18 values: about 5-9 -> 1.5-2 ms on a 2-vCPU Xeon
-VM). Every other law, and every draw below 2^17 values, keeps the ratio of
-gammas and its streams.
+VM).
+
+A beta or beta prime draw of 2^17 values or more whose shapes are both at
+most 1, and that has no one-variate fill, takes the split plan with each
+half filled by Jöhnk's rejection (Metrika 8, 1964; Devroye 1986, ch. IX.3)
+on log scale: lx = -E1/p and ly = -E2/q are kept when exp(lx) + exp(ly) <= 1,
+with probability Gamma(p+1) Gamma(q+1) / Gamma(p+q+1), at least 1/2 on this
+square (0.93 at (1/4, 1/4)), and give BetaPrime = exp(lx - ly) and Beta =
+1/(1 + exp(ly - lx)) (a block of 2^18 values: about 15-20 -> 6-8 ms). Every
+other law, and every draw below 2^17 values, keeps the ratio of gammas and
+its streams.
 
 The samplers do their arithmetic in place on the arrays they draw, in the
 order the plain expressions would (``g * u`` becomes ``g *= u``), so every
@@ -43,8 +53,9 @@ value keeps its bits. The second operand of a fill, the U^(1/t) boost of
 through one reused buffer of _CHUNK = 2^15 values, in order along the same
 stream, so a fill holds no temporary of its draw's size and its values are
 the bits of one whole-size draw; the BetaPrime(p, 1) and shape-1/2 fills
-of ``_fill_one_variate`` form their second factor in that buffer too. Each
-returned array is fresh and owned by the caller. ``verify`` draws each KS
+of ``_fill_one_variate`` form their second factor in that buffer too, and
+``_fill_johnk`` draws its candidates into two buffers of _CHUNK/2 values.
+Each returned array is fresh and owned by the caller. ``verify`` draws each KS
 side in blocks of 2 _SPLIT values (see bpl.identities), so the samplers'
 temporaries stay those of one block whatever the sample size.
 
@@ -156,14 +167,17 @@ def betaprime_mellin(p: BetaPrimeParams, s: float) -> float:
 
 def _on_two_threads(worker, here):
     """(worker(), here()), with worker run on one short-lived thread and here
-    on the calling one. The worker is joined before this returns or raises,
-    and an exception it raised is raised again here, so nothing reaches the
-    thread's excepthook."""
+    on the calling one. The worker runs under the caller's numpy
+    floating-point error settings (np.errstate is per thread). The worker is
+    joined before this returns or raises, and an exception it raised is
+    raised again here, so nothing reaches the thread's excepthook."""
     result = []
+    errors = np.geterr()
 
     def run():
         try:
-            result.append((True, worker()))
+            with np.errstate(**errors):
+                result.append((True, worker()))
         except BaseException as exc:
             result.append((False, exc))
 
@@ -259,11 +273,6 @@ def _gamma(gen: np.random.Generator, shape: float, n: int) -> np.ndarray:
     return out
 
 
-def _one_variate(p: float, q: float) -> bool:
-    """Whether Beta(p, q) and BetaPrime(p, q) have a one-variate fill."""
-    return p == 1.0 or q == 1.0 or p == q == 0.5
-
-
 def _fill_one_variate(gen: np.random.Generator, p: float, q: float, prime: bool,
                       out: np.ndarray) -> None:
     """Beta(p, q), or BetaPrime(p, q) if prime, by its inverse cdf on one
@@ -323,28 +332,105 @@ def _fill_one_variate(gen: np.random.Generator, p: float, q: float, prime: bool,
         out *= out
 
 
+# candidates per round of a Jöhnk fill: its two candidate buffers and the
+# temporary that copies a round's kept values out stay within 1.5 _CHUNK
+# values (_CHUNK candidates would make the two fills of a split draw hold
+# about 6 _CHUNK at once)
+_BATCH = _CHUNK >> 1
+
+
+def _fill_johnk(gen: np.random.Generator, p: float, q: float, prime: bool,
+                out: np.ndarray) -> None:
+    """Beta(p, q), or BetaPrime(p, q) if prime, for p <= 1 and q <= 1, by
+    Jöhnk's rejection (Metrika 8, 1964; Devroye 1986, ch. IX.3) on log
+    scale: with lx = -E1/p and ly = -E2/q, E standard exponential, a
+    candidate is kept when exp(lx) + exp(ly) <= 1, which happens with
+    probability Gamma(p+1) Gamma(q+1) / Gamma(p+q+1) >= 1/2, and gives
+    BetaPrime = exp(d) and Beta = 1/(1 + exp(-d)), d = lx - ly. The logistic
+    is exp(d)/(1 + exp(d)) for d <= 0 and 1/(1 + exp(-d)) otherwise, both from
+    exp(-|d|) <= 1, so it never overflows; and a pair whose exp(lx) and
+    exp(ly) both underflow still has a finite d, where a ratio of two gamma
+    draws that both underflow is 0/0.
+
+    Rounds of m = min(_BATCH, values still missing) candidates, E1 then E2
+    each drawn whole, append their kept values to out in order, so no round
+    keeps more than it needs and the values are a function of the stream
+    alone. The buffers are made once per fill; a round's kept values are
+    copied out through one temporary of at most m values."""
+    size = min(out.size, _BATCH)
+    lx, ly = np.empty(size), np.empty(size)
+    keep = np.empty(size, dtype=bool)
+    filled = 0
+    while filled < out.size:
+        m = min(size, out.size - filled)
+        x, y, k = lx[:m], ly[:m], keep[:m]
+        gen.standard_exponential(out=x)
+        x /= -p
+        gen.standard_exponential(out=y)
+        y /= -q
+        # the free tail of out holds exp(lx) + exp(ly)
+        s = out[filled:filled + m]
+        np.exp(x, out=s)
+        x -= y
+        s += np.exp(y, out=y)
+        np.less_equal(s, 1.0, out=k)
+        kept = np.count_nonzero(k)
+        d = out[filled:filled + kept]
+        d[...] = x[k]
+        if prime:
+            np.exp(d, out=d)
+        else:
+            # t = exp(-|d|), then max(t, [d > 0]) / (1 + t); ufuncs with a
+            # where= mask took about 15 times as long
+            pos = np.greater(d, 0.0, out=k[:kept])
+            np.abs(d, out=d)
+            np.negative(d, out=d)
+            np.exp(d, out=d)
+            v = np.add(d, 1.0, out=y[:kept])
+            np.maximum(d, pos, out=d)
+            d /= v
+        filled += kept
+
+
+def _split_fill(p: float, q: float, n: int):
+    """The fill(gen, p, q, prime, out) of a split draw of n values of Beta(p, q)
+    or BetaPrime(p, q): the one-variate fill where a shape is 1 or both are
+    1/2, else Jöhnk's where both shapes are at most 1; None below _SPLIT
+    values and for every other law, which take the ratio of two gamma
+    draws."""
+    if n < _SPLIT:
+        return None
+    if p == 1.0 or q == 1.0 or p == q == 0.5:
+        return _fill_one_variate
+    if p <= 1.0 and q <= 1.0:
+        return _fill_johnk
+    return None
+
+
+def _beta_family(p: float, q: float, prime: bool, rng: RngState, n: int) -> np.ndarray:
+    """n draws of Beta(p, q), or BetaPrime(p, q) if prime: a _split draw of
+    the law's _split_fill, else G(p) / (G(p) + G(q)) or G(p) / G(q)."""
+    fill = _split_fill(p, q, n)
+    if fill is not None:
+        return _split(rng.generator, n, lambda gen, out: fill(gen, p, q, prime, out))
+    g1 = _gamma(rng.generator, p, n)
+    g2 = _gamma(rng.generator, q, n)
+    if not prime:
+        g2 += g1
+    g1 /= g2
+    return g1
+
+
 def sample_gamma(p: GammaParams, rng: RngState, size: int | None = None):
     vals = _gamma(rng.generator, p.t, 1 if size is None else int(size))
     return float(vals[0]) if size is None else vals
 
 
 def sample_beta(p: BetaParams, rng: RngState, size: int | None = None):
-    n = 1 if size is None else int(size)
-    if n >= _SPLIT and _one_variate(p.p, p.q):
-        return _split(rng.generator, n,
-                      lambda gen, out: _fill_one_variate(gen, p.p, p.q, False, out))
-    g1 = _gamma(rng.generator, p.p, n)
-    g2 = _gamma(rng.generator, p.q, n)
-    g2 += g1
-    g1 /= g2
-    return float(g1[0]) if size is None else g1
+    vals = _beta_family(p.p, p.q, False, rng, 1 if size is None else int(size))
+    return float(vals[0]) if size is None else vals
 
 
 def sample_betaprime(p: BetaPrimeParams, rng: RngState, size: int | None = None):
-    n = 1 if size is None else int(size)
-    if n >= _SPLIT and _one_variate(p.a, p.b):
-        return _split(rng.generator, n,
-                      lambda gen, out: _fill_one_variate(gen, p.a, p.b, True, out))
-    g1 = _gamma(rng.generator, p.a, n)
-    g1 /= _gamma(rng.generator, p.b, n)
-    return float(g1[0]) if size is None else g1
+    vals = _beta_family(p.a, p.b, True, rng, 1 if size is None else int(size))
+    return float(vals[0]) if size is None else vals

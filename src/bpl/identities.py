@@ -17,15 +17,15 @@ verify() calls the two samplers of the KS test on the calling thread, each
 with its own spawned stream, and draws each side into one float64 array of
 n values: a side of more than _DRAW_BLOCK = 2^18 values is drawn one block
 per sampler call, each block copied into place, so the samplers' temporaries
-are those of one block; a smaller side is the sampler's own array. A gamma
-draw of 2^17 values or more (every one of a full block) fills half its
-array on one worker thread (see bpl.distributions). rhs_scale is applied
-in place. ks_two_sample then sorts the two arrays in place and scans each
-against the other (_ks_side), one side on a worker thread and one on the
-calling thread. So verify's memory at its peak is the two samples plus one
-block's temporaries, whatever n. numpy's fills, sorts and searchsorted
-release the GIL, so the halves and sides run at once, and no value depends
-on thread timing. The thread count is two by construction, not a setting,
+are those of one block; a smaller side is the sampler's own array. A
+gamma, beta or beta prime draw of 2^17 values or more (every one of a full
+block) fills half its array on one worker thread (see bpl.distributions).
+rhs_scale is applied in place. ks_two_sample then sorts the two arrays in
+place and scans each against the other (_ks_side), one side on a worker
+thread and one on the calling thread. So verify's memory at its peak is the
+two samples plus one block's temporaries, whatever n. numpy's fills,
+sorts and searchsorted release the GIL, so the halves and sides run at
+once, and no value depends on thread timing. The thread count is two by construction, not a setting,
 and every public function of the package runs on the calling thread.
 """
 
@@ -234,7 +234,7 @@ def ks_two_sample(xs, ys):
 
 
 # verify draws a KS side of more than this many values one block per sampler
-# call: every gamma draw of a full block still splits over two threads
+# call: every sampler draw of a full block still splits over two threads
 _DRAW_BLOCK = 2 * _SPLIT
 
 
@@ -274,7 +274,7 @@ def verify(
     try:
         # the samplers run on this thread, one after the other: the
         # benchmark's span tracer keeps one span stack for all threads. Only
-        # the private fills of a large gamma draw and the sorts and scans of
+        # the private fills of a large draw and the sorts and scans of
         # ks_two_sample use a worker thread.
         lhs_rng, rhs_rng = rng.spawn(2)
         xs = _draw(spec.lhs_sampler, lhs_rng, n)

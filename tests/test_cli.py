@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import io
+import math
 import os
 import shlex
 import threading
@@ -75,6 +76,19 @@ class TestVerifyCommand:
         assert code in (0, 1)
         mellin = [r for r in rows if r[2] == "mellin"]
         assert len(mellin) == 1 and float(mellin[0][3]) <= 1e-10 and mellin[0][5] == "pass"
+
+    def test_free_small_shapes_split_draws_numeric_ks_row(self, tmp_path):
+        # n = 300000 draws a block of 2^18 values by split Jöhnk fills, which
+        # never form 0/0; a NaN in a KS sample exits 2. The overflow warnings
+        # of these shapes belong to ROADMAP item 2; an invalid-value warning
+        # fails this test
+        with np.errstate(divide="ignore", over="ignore"):
+            code, _, rows = _run_csv(["verify", "free"] + [
+                arg for flag in ("--a", "--b", "--c", "--d") for arg in (flag, "0.01")]
+                + ["--n", "300000", "--seed", "1"], tmp_path)
+        assert code in (0, 1)
+        ks = [r for r in rows if r[2] == "ks"]
+        assert len(ks) == 1 and math.isfinite(float(ks[0][3]))
 
     def test_parameter_grid_rows(self, tmp_path):
         code, _, rows = _run_csv(
@@ -533,6 +547,14 @@ class TestEdgeShapes:
         assert code == 0
         assert [r[2] for r in rows] == channels
         assert all(r[5] == "pass" for r in rows)
+
+    def test_ab_half_small_a_split_draws(self):
+        # the split Jöhnk draw of Beta(0.01, 1/2) forms its logistic from
+        # exp(-|d|): 1/(1 + exp(-d)) overflows for d below -709.8
+        code, rows = _run_checked(["verify", "ab-half", "--a", "0.01", "--n", "300000",
+                                   "--seed", "1"])
+        assert code == 0
+        assert [r[5] for r in rows] == ["pass", "pass"]
 
     @pytest.mark.parametrize("b", ["0.05", "0.075"])
     def test_cjmain_small_b(self, b):

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.special as sp
 import scipy.stats as st
 
 from bpl import distributions
@@ -141,6 +142,16 @@ class TestSamplers:
         assert st.kstest(b, "beta", args=(0.4, 1.1)).pvalue > 1e-4
 
 
+def _beta_ks_pvalue(x, p, q, prime):
+    """p-value of the one-sample KS test of x against Beta(p, q), or against
+    BetaPrime(p, q) if prime, whose cdf at x is Beta(p, q)'s at x/(1 + x):
+    scipy's betaprime cdf takes about five times as long as betainc."""
+    n = x.size
+    cdf = sp.betainc(p, q, np.sort(x / (1.0 + x) if prime else x))
+    stat = max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
+    return st.kstwo.sf(stat, n)
+
+
 class TestSamplerOracle:
     """One-sample KS against scipy's cdfs at n = 1e6 and alpha = 1e-6."""
 
@@ -153,11 +164,11 @@ class TestSamplerOracle:
 
     def test_beta(self):
         b = sample_beta(BetaParams(0.4, 1.1), RngState(42), self.N)
-        assert st.kstest(b, "beta", args=(0.4, 1.1)).pvalue > 1e-6
+        assert _beta_ks_pvalue(b, 0.4, 1.1, False) > 1e-6
 
     def test_betaprime(self):
         x = sample_betaprime(BetaPrimeParams(0.8, 1.4), RngState(43), self.N)
-        assert st.kstest(x, "betaprime", args=(0.8, 1.4)).pvalue > 1e-6
+        assert _beta_ks_pvalue(x, 0.8, 1.4, True) > 1e-6
 
 
 def _gamma_expr(gen, shape, n):
@@ -311,6 +322,16 @@ class TestSplitDraw:
         assert threading.active_count() == before
         assert capfd.readouterr().err == ""
 
+    def test_worker_keeps_the_callers_error_settings(self):
+        seen = []
+
+        def fill(gen, out):
+            seen.append(np.geterr()["over"])
+
+        with np.errstate(over="ignore"):
+            distributions._split(RngState(64).generator, self.N, fill)
+        assert seen == ["ignore", "ignore"]
+
     def test_caller_error_joins_worker(self):
         done = []
 
@@ -450,7 +471,7 @@ class TestOneVariateLaw:
     @pytest.mark.parametrize("p, q", _ONE_VARIATE[:3])
     def test_scipy_cdf(self, p, q, prime):
         x = _one_variate_draw(p, q, prime, 76, self.N)
-        assert st.kstest(x, "betaprime" if prime else "beta", args=(p, q)).pvalue > 1e-6
+        assert _beta_ks_pvalue(x, p, q, prime) > 1e-6
 
 
 class _FixedUniforms:
@@ -476,3 +497,122 @@ def test_arcsine_tails_keep_relative_precision(u):
         out = np.empty(1)
         distributions._fill_one_variate(_FixedUniforms([u]), 0.5, 0.5, prime, out)
         assert abs(out[0] / float(want[prime]) - 1.0) < 8 * 2.0 ** -53, prime
+
+
+# laws of the Jöhnk fill: both shapes at most 1, neither 1, not both 1/2
+_JOHNK = [(0.25, 0.25), (0.5, 0.2), (0.2, 0.3), (0.25, 0.5), (0.05, 0.9), (0.999, 0.999)]
+
+
+def _johnk_expr(gen, p, q, prime, n):
+    """The plain-expression form of a half of a split Jöhnk draw: rounds of
+    min(_BATCH, values still missing) candidate pairs, E1 then E2, each
+    round's kept values appended in order."""
+    parts, have = [], 0
+    while have < n:
+        m = min(distributions._BATCH, n - have)
+        lx = gen.standard_exponential(m) / -p
+        ly = gen.standard_exponential(m) / -q
+        d = (lx - ly)[np.exp(lx) + np.exp(ly) <= 1.0]
+        if prime:
+            parts.append(np.exp(d))
+        else:
+            with np.errstate(over="ignore"):
+                parts.append(np.where(d <= 0.0, np.exp(d) / (1.0 + np.exp(d)),
+                                      1.0 / (1.0 + np.exp(-d))))
+        have += d.size
+    return np.concatenate(parts)
+
+
+class TestJohnkDraw:
+    """From _SPLIT values on, a beta or beta prime law with both shapes at
+    most 1 and no one-variate fill is drawn by Jöhnk's rejection, on _gamma's
+    split plan."""
+
+    N = 1 << 18
+
+    @pytest.mark.parametrize("prime", [False, True])
+    @pytest.mark.parametrize("p, q", [(0.25, 0.25), (0.2, 0.3), (0.999, 0.999)])
+    @pytest.mark.parametrize("n", [N, _SPLIT + 1])
+    def test_equals_sequential_plan(self, p, q, prime, n):
+        params, sampler = _SAMPLERS[prime]
+        rng = RngState(81)
+        got = sampler(params(p, q), rng, n)
+        gen = RngState(81).generator
+        child = gen.spawn(1)[0]
+        half = n // 2
+        want = np.concatenate([_johnk_expr(gen, p, q, prime, half),
+                               _johnk_expr(child, p, q, prime, n - half)])
+        assert got.tobytes() == want.tobytes()
+        assert rng.generator.random(4).tobytes() == gen.random(4).tobytes()
+
+    @pytest.mark.parametrize("prime", [False, True])
+    @pytest.mark.parametrize("p, q", [(0.25, 0.25), (0.5, 0.2)])
+    def test_below_split_keeps_two_gammas(self, p, q, prime):
+        n = _SPLIT - 1
+        got = _one_variate_draw(p, q, prime, 82, n)
+        gen = RngState(82).generator
+        g1 = _gamma_expr(gen, p, n)
+        g2 = _gamma_expr(gen, q, n)
+        assert got.tobytes() == (g1 / g2 if prime else g1 / (g1 + g2)).tobytes()
+
+    @pytest.mark.parametrize("prime", [False, True])
+    def test_temporaries_stay_within_six_chunks(self, prime):
+        params, sampler = _SAMPLERS[prime]
+        rng = RngState(83)
+        tracemalloc.start()
+        try:
+            sampler(params(0.25, 0.25), rng, self.N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the draw, and per fill (two run at once) two buffers of _BATCH
+        # candidates and one round's kept values
+        assert peak <= 8 * (self.N + 6 * distributions._CHUNK) + 65536, peak / (8 * self.N)
+
+    def test_worker_error_raised_in_caller(self, monkeypatch, capfd):
+        fill = distributions._fill_johnk
+
+        def refuse_off_main(gen, p, q, prime, out):
+            if threading.current_thread() is not threading.main_thread():
+                raise DomainError("worker fill refused")
+            fill(gen, p, q, prime, out)
+
+        monkeypatch.setattr(distributions, "_fill_johnk", refuse_off_main)
+        before = threading.active_count()
+        for prime in (False, True):
+            with pytest.raises(DomainError, match="worker fill refused"):
+                _one_variate_draw(0.25, 0.25, prime, 84, self.N)
+        assert threading.active_count() == before
+        assert capfd.readouterr().err == ""
+
+
+class TestJohnkLaw:
+    """One-sample KS of the Jöhnk draws against scipy at alpha = 1e-6."""
+
+    N = 1 << 20
+
+    @pytest.mark.parametrize("prime", [False, True])
+    @pytest.mark.parametrize("p, q", _JOHNK)
+    def test_scipy_cdf(self, p, q, prime):
+        x = _one_variate_draw(p, q, prime, 86 + prime, self.N)
+        assert _beta_ks_pvalue(x, p, q, prime) > 1e-6
+
+
+class _FixedExponentials:
+    """A generator stand-in whose standard_exponential() fills one value."""
+
+    def __init__(self, e):
+        self.e = e
+
+    def standard_exponential(self, out):
+        out[:] = self.e
+        return out
+
+
+def test_johnk_pair_that_both_underflow():
+    # E1/p = E2/q = 800: exp(lx) and exp(ly) are both 0, where a ratio of two
+    # gamma draws that underflow is 0/0; d = 0 gives BetaPrime 1 and Beta 1/2
+    out = np.empty(3)
+    for prime, want in ((True, 1.0), (False, 0.5)):
+        distributions._fill_johnk(_FixedExponentials(200.0), 0.25, 0.25, prime, out)
+        assert out.tolist() == [want] * 3, prime
