@@ -2,62 +2,45 @@
 
 Sampling is vectorized and fully reproducible: an RngState built from a seed
 always yields the same stream, and spawned substreams are independent and
-deterministic as well. Gamma variates come from numpy's compiled
-``Generator.standard_gamma`` (the Marsaglia-Tsang squeeze method, ACM TOMS 26,
-2000); shapes t < 1 draw a shape t + 1 variate times U^(1/t). Beta and beta
-prime variates are ratios of two such gamma draws, left shape first, but
-for the one-variate and Jöhnk laws of large draws below. Streams are
-deterministic per seed, but they differ from those of the earlier
-pure-Python Marsaglia-Tsang loop, so sampled statistics (KS values) changed
-when that loop was replaced.
+deterministic as well.
 
-A gamma draw of 2^17 values or more is split in two halves: the caller's
-generator fills the first on the calling thread, and a child generator
-(``gen.spawn(1)[0]``, made before the worker starts) fills the second on one
-short-lived worker thread. numpy's fills release the GIL, so the halves run
-at once. The values are a function of the seed and the size alone, whatever
-the thread timing or the machine's core count; smaller draws come from the
-caller's generator as before. Each half takes the cheapest exact
-construction of its shape: G(1/2) = Z^2/2 with Z standard normal,
-G(3/2) = E + Z^2/2 and G(2) = E + E with E standard exponential, and
-G(1) = E, numpy's own shape-1 path; other shapes keep Marsaglia-Tsang. The
-split and these constructions moved the KS statistics of sampling runs at
-2^17 values per side or more, and nothing below that size: draws there keep
-their Marsaglia-Tsang streams, so every default-size CLI output keeps its
-bits.
+Each law has one construction, chosen from its shapes alone, with E
+standard exponential, Z standard normal and U uniform on (0, 1) (Devroye,
+Non-Uniform Random Variate Generation, 1986, ch. IX):
 
-A beta or beta prime draw of 2^17 values or more whose law has a shape equal
-to 1, or both shapes equal to 1/2, takes the same split plan, each half
-filled by the law's inverse cdf on one standard exponential E or uniform U
-per value (Devroye, Non-Uniform Random Variate Generation, 1986, ch. IX):
-Beta(1, q) = -expm1(-E/q), BetaPrime(1, q) = expm1(E/q), Beta(p, 1) =
-exp(-E/p), BetaPrime(p, 1) = 1/expm1(E/p), Beta(1/2, 1/2) = sin^2(pi U/2)
-and BetaPrime(1/2, 1/2) = tan^2(pi U/2), in place of two gamma draws and a
-division (a block of 2^18 values: about 5-9 -> 1.5-2 ms on a 2-vCPU Xeon
-VM).
+    law                                 construction
+    G(1/2), G(1), G(3/2), G(2)          Z^2/2, E, E + Z^2/2, E1 + E2
+    other G(t), t < 1                   G(t+1) U^(1/t)
+    other G(t), t > 1                   numpy's standard_gamma (Marsaglia-Tsang,
+                                        ACM TOMS 26, 2000)
+    Beta(1, q), BetaPrime(1, q)         -expm1(-E/q), expm1(E/q)
+    Beta(p, 1), BetaPrime(p, 1)         exp(-E/p), 1/expm1(E/p)
+    Beta(1/2, 1/2), BetaPrime(1/2, 1/2) sin^2(pi U/2), tan^2(pi U/2)
+    other laws with p <= 1 and q <= 1   Jöhnk's rejection (Metrika 8, 1964)
+    every other Beta, BetaPrime         G(p)/(G(p) + G(q)), G(p)/G(q)
 
-A beta or beta prime draw of 2^17 values or more whose shapes are both at
-most 1, and that has no one-variate fill, takes the split plan with each
-half filled by Jöhnk's rejection (Metrika 8, 1964; Devroye 1986, ch. IX.3)
-on log scale: lx = -E1/p and ly = -E2/q are kept when exp(lx) + exp(ly) <= 1,
-with probability Gamma(p+1) Gamma(q+1) / Gamma(p+q+1), at least 1/2 on this
-square (0.93 at (1/4, 1/4)), and give BetaPrime = exp(lx - ly) and Beta =
-1/(1 + exp(ly - lx)) (a block of 2^18 values: about 15-20 -> 6-8 ms). Every
-other law, and every draw below 2^17 values, keeps the ratio of gammas and
-its streams.
+The draw size decides only the thread split. A draw of 2^17 values (_SPLIT)
+or more is filled in two halves: the caller's generator fills the first on
+the calling thread, and a child generator (``gen.spawn(1)[0]``, made before
+the worker starts) fills the second on one short-lived worker thread.
+numpy's fills release the GIL, so the halves run at once. A smaller draw is
+one fill on the caller's generator, with no spawn and no thread. The values
+are a function of the seed and the size alone, whatever the thread timing
+or the machine's core count.
 
 The samplers do their arithmetic in place on the arrays they draw, in the
 order the plain expressions would (``g * u`` becomes ``g *= u``), so every
-value keeps its bits. The second operand of a fill, the U^(1/t) boost of
-``_fill_gamma`` and the exponential addend of ``_fill_half``, is drawn
-through one reused buffer of _CHUNK = 2^15 values, in order along the same
-stream, so a fill holds no temporary of its draw's size and its values are
-the bits of one whole-size draw; the BetaPrime(p, 1) and shape-1/2 fills
-of ``_fill_one_variate`` form their second factor in that buffer too, and
-``_fill_johnk`` draws its candidates into two buffers of _CHUNK/2 values.
-Each returned array is fresh and owned by the caller. ``verify`` draws each KS
-side in blocks of 2 _SPLIT values (see bpl.identities), so the samplers'
-temporaries stay those of one block whatever the sample size.
+value keeps its bits. The second operand of a gamma fill (the U^(1/t)
+boost, the exponential addend of G(3/2) and G(2)) is drawn through one
+reused buffer of _CHUNK = 2^15 values, in order along the same stream, so
+it holds no temporary of its draw's size and its values are the bits of one
+whole-size draw; the BetaPrime(p, 1) and shape-1/2 fills form their second
+factor in that buffer too, and the Jöhnk fill draws its candidates into two
+buffers of _CHUNK/2 values. A gamma ratio holds one second array, G(q), of
+its fill's size. Each returned array is fresh and owned by the caller.
+``verify`` draws each KS side in blocks of 2 _SPLIT values (see
+bpl.identities), so the samplers' temporaries stay those of one block
+whatever the sample size.
 
 ``RngState.spawn`` derives its children from a SeedSequence of its own, set
 aside when the state is made: the ``gen.spawn(1)`` of a split draw advances
@@ -126,7 +109,7 @@ class RngState:
         seq = _sequence if _sequence is not None else np.random.SeedSequence(self.seed)
         self.generator = np.random.Generator(np.random.PCG64(seq))
         # a copy for spawn() alone: the generator's own sequence is advanced
-        # by the gen.spawn(1) of every split draw (_gamma)
+        # by the gen.spawn(1) of every split draw (_sample)
         self._sequence = np.random.SeedSequence(
             seq.entropy, spawn_key=seq.spawn_key, pool_size=seq.pool_size,
             n_children_spawned=seq.n_children_spawned)
@@ -211,26 +194,18 @@ def _chunks(out: np.ndarray):
         yield part, buf[:part.size]
 
 
-def _fill_gamma(gen: np.random.Generator, shape: float, out: np.ndarray) -> None:
-    if shape < 1.0:
-        gen.standard_gamma(shape + 1.0, out=out)
-        for part, u in _chunks(out):
-            gen.random(out=u)
-            u **= 1.0 / shape
-            part *= u
-    else:
-        gen.standard_gamma(shape, out=out)
-
-
 def _add_exponentials(gen: np.random.Generator, out: np.ndarray) -> None:
     for part, e in _chunks(out):
         part += gen.standard_exponential(out=e)
 
 
-def _fill_half(gen: np.random.Generator, shape: float, out: np.ndarray) -> None:
-    """One half of a split draw, by the cheapest exact construction of its
-    shape: G(1/2) = Z^2/2, G(1) = E, G(3/2) = E + Z^2/2 and G(2) = E + E, with
-    Z standard normal and E standard exponential; other shapes _fill_gamma."""
+def _fill_gamma(gen: np.random.Generator, shape: float, out: np.ndarray) -> None:
+    """G(shape) by the cheapest exact construction of its shape:
+    G(1/2) = Z^2/2, G(1) = E, G(3/2) = E + Z^2/2 and G(2) = E + E, with Z
+    standard normal and E standard exponential; other shapes below 1
+    G(t+1) U^(1/t), and the rest numpy's Marsaglia-Tsang ``standard_gamma``.
+    Against Marsaglia-Tsang, 10^6 values took about 21 -> 10.5 ms at t = 1/2
+    and 17.5 -> 10 ms at t = 2 (numpy 2.4, 2-vCPU Xeon VM)."""
     if shape in (0.5, 1.5):
         gen.standard_normal(out=out)
         out *= out
@@ -241,42 +216,21 @@ def _fill_half(gen: np.random.Generator, shape: float, out: np.ndarray) -> None:
         gen.standard_exponential(out=out)
         if shape == 2.0:
             _add_exponentials(gen, out)
+    elif shape < 1.0:
+        gen.standard_gamma(shape + 1.0, out=out)
+        for part, u in _chunks(out):
+            gen.random(out=u)
+            u **= 1.0 / shape
+            part *= u
     else:
-        _fill_gamma(gen, shape, out)
-
-
-def _split(gen: np.random.Generator, n: int, fill) -> np.ndarray:
-    """n values from fill(gen, out[:n // 2]) on this thread while
-    fill(gen.spawn(1)[0], out[n // 2:]) runs on a worker thread, the child
-    made before the worker starts, so the result depends on the seed and n
-    only."""
-    out = np.empty(n)
-    child = gen.spawn(1)[0]
-    half = n // 2
-    _on_two_threads(lambda: fill(child, out[half:]), lambda: fill(gen, out[:half]))
-    return out
-
-
-def _gamma(gen: np.random.Generator, shape: float, n: int) -> np.ndarray:
-    """n draws of G(shape). Below _SPLIT values, numpy's compiled
-    Marsaglia-Tsang ``standard_gamma``, with the U^(1/t) boost for shapes
-    below 1; those streams are kept, so the CLI's default-size runs keep
-    their outputs.
-
-    From _SPLIT values on, a _split draw with each half by _fill_half.
-    Against Marsaglia-Tsang halves, 10^6 values took about 21 -> 10.5 ms at
-    t = 1/2 and 17.5 -> 10 ms at t = 2 (numpy 2.4, 2-vCPU Xeon VM)."""
-    if n >= _SPLIT:
-        return _split(gen, n, lambda g, out: _fill_half(g, shape, out))
-    out = np.empty(n)
-    _fill_gamma(gen, shape, out)
-    return out
+        gen.standard_gamma(shape, out=out)
 
 
 def _fill_one_variate(gen: np.random.Generator, p: float, q: float, prime: bool,
                       out: np.ndarray) -> None:
     """Beta(p, q), or BetaPrime(p, q) if prime, by its inverse cdf on one
-    standard exponential E or uniform U per value, where _one_variate(p, q):
+    standard exponential E or uniform U per value, where a shape is 1 or both
+    are 1/2:
     Beta(1, q) = -expm1(-E/q), BetaPrime(1, q) = expm1(E/q),
     Beta(p, 1) = exp(-E/p), BetaPrime(p, 1) = 1/expm1(E/p),
     Beta(1/2, 1/2) = sin^2(pi U/2) and BetaPrime(1/2, 1/2) = tan^2(pi U/2).
@@ -392,45 +346,54 @@ def _fill_johnk(gen: np.random.Generator, p: float, q: float, prime: bool,
         filled += kept
 
 
-def _split_fill(p: float, q: float, n: int):
-    """The fill(gen, p, q, prime, out) of a split draw of n values of Beta(p, q)
-    or BetaPrime(p, q): the one-variate fill where a shape is 1 or both are
-    1/2, else Jöhnk's where both shapes are at most 1; None below _SPLIT
-    values and for every other law, which take the ratio of two gamma
-    draws."""
+def _fill_ratio(gen: np.random.Generator, p: float, q: float, prime: bool,
+                out: np.ndarray) -> None:
+    """Beta(p, q) = G(p) / (G(p) + G(q)), or BetaPrime(p, q) = G(p) / G(q) if
+    prime: G(p) into out, then G(q) into one array of out's size from the
+    same generator."""
+    _fill_gamma(gen, p, out)
+    g2 = np.empty(out.size)
+    _fill_gamma(gen, q, g2)
+    if not prime:
+        g2 += out
+    out /= g2
+
+
+def _sample(gen: np.random.Generator, n: int, fill) -> np.ndarray:
+    """n values of fill(gen, out). From _SPLIT values on, fill(gen, out[:n // 2])
+    runs on this thread while fill(gen.spawn(1)[0], out[n // 2:]) runs on a
+    worker thread, the child made before the worker starts, so the result
+    depends on the seed and n only."""
+    out = np.empty(n)
     if n < _SPLIT:
-        return None
-    if p == 1.0 or q == 1.0 or p == q == 0.5:
-        return _fill_one_variate
-    if p <= 1.0 and q <= 1.0:
-        return _fill_johnk
-    return None
+        fill(gen, out)
+        return out
+    child = gen.spawn(1)[0]
+    half = n // 2
+    _on_two_threads(lambda: fill(child, out[half:]), lambda: fill(gen, out[:half]))
+    return out
+
+
+def sample_gamma(p: GammaParams, rng: RngState, n: int) -> np.ndarray:
+    return _sample(rng.generator, int(n), lambda gen, out: _fill_gamma(gen, p.t, out))
 
 
 def _beta_family(p: float, q: float, prime: bool, rng: RngState, n: int) -> np.ndarray:
-    """n draws of Beta(p, q), or BetaPrime(p, q) if prime: a _split draw of
-    the law's _split_fill, else G(p) / (G(p) + G(q)) or G(p) / G(q)."""
-    fill = _split_fill(p, q, n)
-    if fill is not None:
-        return _split(rng.generator, n, lambda gen, out: fill(gen, p, q, prime, out))
-    g1 = _gamma(rng.generator, p, n)
-    g2 = _gamma(rng.generator, q, n)
-    if not prime:
-        g2 += g1
-    g1 /= g2
-    return g1
+    """n draws of Beta(p, q), or BetaPrime(p, q) if prime, by the one fill its
+    shapes pick: the one-variate fill where a shape is 1 or both are 1/2,
+    else Jöhnk's where both shapes are at most 1, else the gamma ratio."""
+    if p == 1.0 or q == 1.0 or p == q == 0.5:
+        fill = _fill_one_variate
+    elif p <= 1.0 and q <= 1.0:
+        fill = _fill_johnk
+    else:
+        fill = _fill_ratio
+    return _sample(rng.generator, int(n), lambda gen, out: fill(gen, p, q, prime, out))
 
 
-def sample_gamma(p: GammaParams, rng: RngState, size: int | None = None):
-    vals = _gamma(rng.generator, p.t, 1 if size is None else int(size))
-    return float(vals[0]) if size is None else vals
+def sample_beta(p: BetaParams, rng: RngState, n: int) -> np.ndarray:
+    return _beta_family(p.p, p.q, False, rng, n)
 
 
-def sample_beta(p: BetaParams, rng: RngState, size: int | None = None):
-    vals = _beta_family(p.p, p.q, False, rng, 1 if size is None else int(size))
-    return float(vals[0]) if size is None else vals
-
-
-def sample_betaprime(p: BetaPrimeParams, rng: RngState, size: int | None = None):
-    vals = _beta_family(p.a, p.b, True, rng, 1 if size is None else int(size))
-    return float(vals[0]) if size is None else vals
+def sample_betaprime(p: BetaPrimeParams, rng: RngState, n: int) -> np.ndarray:
+    return _beta_family(p.a, p.b, True, rng, n)

@@ -17,16 +17,18 @@ verify() calls the two samplers of the KS test on the calling thread, each
 with its own spawned stream, and draws each side into one float64 array of
 n values: a side of more than _DRAW_BLOCK = 2^18 values is drawn one block
 per sampler call, each block copied into place, so the samplers' temporaries
-are those of one block; a smaller side is the sampler's own array. A
-gamma, beta or beta prime draw of 2^17 values or more (every one of a full
-block) fills half its array on one worker thread (see bpl.distributions).
-rhs_scale is applied in place. ks_two_sample then sorts the two arrays in
-place and scans each against the other (_ks_side), one side on a worker
-thread and one on the calling thread. So verify's memory at its peak is the
-two samples plus one block's temporaries, whatever n. numpy's fills,
-sorts and searchsorted release the GIL, so the halves and sides run at
-once, and no value depends on thread timing. The thread count is two by construction, not a setting,
-and every public function of the package runs on the calling thread.
+are those of one block; a smaller side is the sampler's own array. Every
+law is drawn by the one construction its shapes pick (the table in
+bpl.distributions), at every size; the size decides only the thread split:
+a draw of 2^17 values or more (every full block) fills half its array on one
+worker thread. rhs_scale is applied in place. ks_two_sample then sorts the
+two arrays in place and scans each against the other (_ks_side), one side on
+a worker thread and one on the calling thread. So verify's memory at its
+peak is the two samples plus one block's temporaries, whatever n. numpy's
+fills, sorts and searchsorted release the GIL, so the halves and sides run
+at once, and no value depends on thread timing. The thread count is two by
+construction, not a setting, and every public function of the package runs
+on the calling thread.
 """
 
 from __future__ import annotations

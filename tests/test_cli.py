@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bpl.cli import main
@@ -709,6 +709,9 @@ class TestThorinFuzz:
 
     @settings(max_examples=40, deadline=None)
     @given(a=_SHAPES, x=_X, grid=_t_grids())
+    # f + 2 cos(pi a) + 1/f was exactly 0 here: density inf and a
+    # divide-by-zero warning, with exit 0
+    @example(a=repr(1.0 - 2.0 ** -53), x="1.0", grid="1.0:2.0:1")
     def test_valid_parameters(self, a, x, grid):
         self._check(a, x, grid)
 

@@ -16,7 +16,6 @@ from bpl.distributions import (
     GammaParams,
     RngState,
     _SPLIT,
-    _gamma,
     _on_two_threads,
     betaprime_mellin,
     betaprime_pdf,
@@ -171,11 +170,123 @@ class TestSamplerOracle:
         assert _beta_ks_pvalue(x, 0.8, 1.4, True) > 1e-6
 
 
-def _gamma_expr(gen, shape, n):
-    """The plain-expression form of the in-place _gamma, kept as a reference."""
+def _half_expr(gen, shape, n):
+    """The plain-expression form of _fill_gamma: Z^2/2, Z^2/2 + E and E + E at
+    t = 1/2, 3/2 and 2, G(t+1) U^(1/t) for other t < 1, and numpy's
+    standard_gamma otherwise (at t = 1 it is its standard_exponential)."""
+    if shape == 0.5:
+        return gen.standard_normal(n) ** 2 / 2
+    if shape == 1.5:
+        return gen.standard_normal(n) ** 2 / 2 + gen.standard_exponential(n)
+    if shape == 2.0:
+        return gen.standard_exponential(n) + gen.standard_exponential(n)
     if shape < 1.0:
         return gen.standard_gamma(shape + 1.0, n) * gen.random(n) ** (1.0 / shape)
     return gen.standard_gamma(shape, n)
+
+
+def _ratio_expr(gen, p, q, prime, n):
+    """The plain-expression form of _fill_ratio: G(p), then G(q), from one
+    generator."""
+    g1 = _half_expr(gen, p, n)
+    g2 = _half_expr(gen, q, n)
+    return g1 / g2 if prime else g1 / (g1 + g2)
+
+
+def _one_variate_expr(gen, p, q, prime, n):
+    """The plain-expression form of _fill_one_variate."""
+    if p == 1.0:
+        e = gen.standard_exponential(n)
+        return np.expm1(e / q) if prime else -np.expm1(e / -q)
+    if q == 1.0:
+        y = gen.standard_exponential(n) / -p
+        return -(np.exp(y) / np.expm1(y)) if prime else np.exp(y)
+    u = gen.random(n)
+    t = np.tan(u * (0.25 * math.pi))
+    if prime:
+        s = np.tan((1.0 - u) * (0.25 * math.pi))
+        root = t / s * (s + 1.0) * (s + 1.0) * 0.5
+    else:
+        root = t / (t * t + 1.0) * 2.0
+    return root * root
+
+
+def _johnk_expr(gen, p, q, prime, n):
+    """The plain-expression form of _fill_johnk: rounds of min(_BATCH, values
+    still missing) candidate pairs, E1 then E2, each round's kept values
+    appended in order."""
+    parts, have = [], 0
+    while have < n:
+        m = min(distributions._BATCH, n - have)
+        lx = gen.standard_exponential(m) / -p
+        ly = gen.standard_exponential(m) / -q
+        d = (lx - ly)[np.exp(lx) + np.exp(ly) <= 1.0]
+        if prime:
+            parts.append(np.exp(d))
+        else:
+            with np.errstate(over="ignore"):
+                parts.append(np.where(d <= 0.0, np.exp(d) / (1.0 + np.exp(d)),
+                                      1.0 / (1.0 + np.exp(-d))))
+        have += d.size
+    return np.concatenate(parts)
+
+
+def _law_expr(gen, p, q, prime, n):
+    """The plain-expression form of the one construction of Beta(p, q), or
+    BetaPrime(p, q) if prime: one-variate where a shape is 1 or both are 1/2,
+    Jöhnk's where both shapes are at most 1, else the gamma ratio."""
+    if p == 1.0 or q == 1.0 or p == q == 0.5:
+        return _one_variate_expr(gen, p, q, prime, n)
+    if p <= 1.0 and q <= 1.0:
+        return _johnk_expr(gen, p, q, prime, n)
+    return _ratio_expr(gen, p, q, prime, n)
+
+
+_SAMPLERS = {False: (BetaParams, sample_beta), True: (BetaPrimeParams, sample_betaprime)}
+
+
+def _law_draw(p, q, prime, rng, n):
+    params, sampler = _SAMPLERS[prime]
+    return sampler(params(p, q), rng, n)
+
+
+def _gamma_draw(t):
+    return lambda rng, n: sample_gamma(GammaParams(t), rng, n)
+
+
+def _split_plan(seed, expr, n):
+    """A split draw done in sequence: expr(gen, m) for the first n // 2
+    values from the generator and for the rest from its first spawned child;
+    then the generator's next values."""
+    gen = RngState(seed).generator
+    child = gen.spawn(1)[0]
+    half = n // 2
+    return np.concatenate([expr(gen, half), expr(child, n - half)]), gen.random(4)
+
+
+def _assert_equals_split_plan(draw, expr, seed, n):
+    rng = RngState(seed)
+    got = draw(rng, n)
+    want, want_next = _split_plan(seed, expr, n)
+    assert got.tobytes() == want.tobytes()
+    assert rng.generator.random(4).tobytes() == want_next.tobytes()
+
+
+def _assert_one_stream(monkeypatch, draw, expr):
+    """Below _SPLIT, draw(rng, n) is expr on the caller's generator alone:
+    no spawn and no thread, and the generator's next values continue the
+    stream."""
+    def no_thread(worker, here):
+        raise AssertionError("a draw below _SPLIT started a worker thread")
+
+    monkeypatch.setattr(distributions, "_on_two_threads", no_thread)
+    n = _SPLIT - 1
+    rng = RngState(63)
+    got = draw(rng, n)
+    gen = RngState(63).generator
+    assert got.tobytes() == expr(gen, n).tobytes()
+    assert rng.generator.random(4).tobytes() == gen.random(4).tobytes()
+    assert rng.generator.bit_generator.seed_seq.n_children_spawned == 0
 
 
 _SHAPES = [0.2, 0.5, 1.0, 4.0]
@@ -186,7 +297,7 @@ class TestSpawn:
         # a split draw's gen.spawn(1) advances the generator's own sequence
         first = RngState(3).spawn(1)[0].generator.random()
         rng = RngState(3)
-        _gamma(rng.generator, 0.5, 1 << 18)
+        sample_gamma(GammaParams(0.5), rng, 1 << 18)
         assert rng.spawn(1)[0].generator.random() == first
 
     def test_children_are_the_seed_sequence_children(self):
@@ -200,68 +311,45 @@ class TestSpawn:
         want = [r.generator.random() for r in RngState(4).spawn(3)]
         rng = RngState(4)
         first = rng.spawn(1)
-        _gamma(rng.generator, 2.5, _SPLIT)
+        sample_gamma(GammaParams(2.5), rng, _SPLIT)
         assert [r.generator.random() for r in first + rng.spawn(2)] == want
 
 
 class TestInPlaceSamplers:
-    """In-place arithmetic gives the bits of the plain expressions."""
+    """In-place arithmetic gives the bits of the plain-expression form of
+    each law's one construction."""
 
     N = 20_000
 
-    @pytest.mark.parametrize("t", _SHAPES)
+    @pytest.mark.parametrize("t", _SHAPES + [1.5, 2.0])
     def test_gamma(self, t):
-        got = _gamma(RngState(51).generator, t, self.N)
-        want = _gamma_expr(RngState(51).generator, t, self.N)
+        got = sample_gamma(GammaParams(t), RngState(51), self.N)
+        want = _half_expr(RngState(51).generator, t, self.N)
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("p", _SHAPES)
     @pytest.mark.parametrize("q", _SHAPES)
     def test_beta(self, p, q):
         got = sample_beta(BetaParams(p, q), RngState(52), self.N)
-        gen = RngState(52).generator
-        g1 = _gamma_expr(gen, p, self.N)
-        g2 = _gamma_expr(gen, q, self.N)
-        assert got.tobytes() == (g1 / (g1 + g2)).tobytes()
+        want = _law_expr(RngState(52).generator, p, q, False, self.N)
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("a", _SHAPES)
     @pytest.mark.parametrize("b", _SHAPES)
     def test_betaprime(self, a, b):
         got = sample_betaprime(BetaPrimeParams(a, b), RngState(53), self.N)
-        gen = RngState(53).generator
-        g1 = _gamma_expr(gen, a, self.N)
-        g2 = _gamma_expr(gen, b, self.N)
-        assert got.tobytes() == (g1 / g2).tobytes()
-
-    def test_scalar_draw(self):
-        got = sample_betaprime(BetaPrimeParams(0.5, 4.0), RngState(54))
-        gen = RngState(54).generator
-        g1 = _gamma_expr(gen, 0.5, 1)
-        assert isinstance(got, float) and got == float((g1 / _gamma_expr(gen, 4.0, 1))[0])
+        want = _law_expr(RngState(53).generator, a, b, True, self.N)
+        assert got.tobytes() == want.tobytes()
 
 
-def _half_expr(gen, shape, n):
-    """The plain-expression form of a split draw's half: Z^2/2, Z^2/2 + E and
-    E + E at t = 1/2, 3/2 and 2; _gamma_expr otherwise (at t = 1 numpy's
-    standard_gamma is its standard_exponential)."""
-    if shape == 0.5:
-        return gen.standard_normal(n) ** 2 / 2
-    if shape == 1.5:
-        return gen.standard_normal(n) ** 2 / 2 + gen.standard_exponential(n)
-    if shape == 2.0:
-        return gen.standard_exponential(n) + gen.standard_exponential(n)
-    return _gamma_expr(gen, shape, n)
-
-
-def _split_plan(seed, shape, n):
-    """_gamma's split draw done in sequence: the first n // 2 values from the
-    generator, the rest from its first spawned child; then the generator's
-    next values."""
-    gen = RngState(seed).generator
-    child = gen.spawn(1)[0]
-    half = n // 2
-    values = np.concatenate([_half_expr(gen, shape, half), _half_expr(child, shape, n - half)])
-    return values, gen.random(4)
+def _peak(draw):
+    """tracemalloc's peak over one call of draw()."""
+    tracemalloc.start()
+    try:
+        draw()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestFillMemory:
@@ -270,55 +358,51 @@ class TestFillMemory:
     @pytest.mark.parametrize("t, n", [(0.3, _SPLIT - 1), (0.3, 1 << 18), (1.5, 1 << 18),
                                       (2.0, 1 << 18)])
     def test_temporaries_stay_one_chunk_per_fill(self, t, n):
-        gen = RngState(65).generator
-        tracemalloc.start()
-        try:
-            _gamma(gen, t, n)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = _peak(lambda: sample_gamma(GammaParams(t), RngState(65), n))
         # the draw itself, one buffer per fill (two fills run at once on a
         # split draw) and a few kB of generator and thread objects
         assert peak <= 8 * (n + 2 * distributions._CHUNK) + 65536, peak / (8 * n)
 
+    @pytest.mark.parametrize("n", [_SPLIT - 1, 1 << 18])
+    def test_ratio_holds_one_second_array(self, n):
+        peak = _peak(lambda: sample_beta(BetaParams(0.3, 2.5), RngState(65), n))
+        # the draw, the G(q) array of each fill (n values in all) and the
+        # U^(1/t) buffer of each fill
+        assert peak <= 8 * (2 * n + 2 * distributions._CHUNK) + 65536, peak / (8 * n)
+
 
 class TestSplitDraw:
-    """From _SPLIT values on, _gamma fills its two halves on two threads."""
+    """From _SPLIT values on, a draw fills its two halves on two threads;
+    below it, one fill runs on the caller's generator."""
 
     N = 1 << 18
 
     @pytest.mark.parametrize("t", [0.5, 2.5])
     def test_same_seed_same_bytes(self, t):
-        got = [_gamma(RngState(61).generator, t, self.N) for _ in range(2)]
+        got = [sample_gamma(GammaParams(t), RngState(61), self.N) for _ in range(2)]
         assert got[0].tobytes() == got[1].tobytes()
 
     @pytest.mark.parametrize("n", [N, _SPLIT + 1])
     @pytest.mark.parametrize("t", [0.3, 0.5, 1.0, 1.5, 2.0, 2.5])
     def test_equals_sequential_plan(self, t, n):
-        gen = RngState(62).generator
-        got = _gamma(gen, t, n)
-        want, want_next = _split_plan(62, t, n)
-        assert got.tobytes() == want.tobytes()
-        assert gen.random(4).tobytes() == want_next.tobytes()
+        _assert_equals_split_plan(_gamma_draw(t), lambda g, m: _half_expr(g, t, m), 62, n)
 
     @pytest.mark.parametrize("t", [0.3, 0.5, 1.0, 1.5, 2.0, 2.5])
-    def test_below_split_is_one_stream(self, t):
-        n = _SPLIT - 1
-        got = _gamma(RngState(63).generator, t, n)
-        assert got.tobytes() == _gamma_expr(RngState(63).generator, t, n).tobytes()
+    def test_below_split_is_one_stream(self, t, monkeypatch):
+        _assert_one_stream(monkeypatch, _gamma_draw(t), lambda g, m: _half_expr(g, t, m))
 
     def test_worker_error_raised_in_caller(self, monkeypatch, capfd):
-        fill = distributions._fill_half
+        fill = distributions._fill_gamma
 
         def refuse_off_main(gen, shape, out):
             if threading.current_thread() is not threading.main_thread():
                 raise DomainError("worker fill refused")
             fill(gen, shape, out)
 
-        monkeypatch.setattr(distributions, "_fill_half", refuse_off_main)
+        monkeypatch.setattr(distributions, "_fill_gamma", refuse_off_main)
         before = threading.active_count()
         with pytest.raises(DomainError, match="worker fill refused"):
-            _gamma(RngState(64).generator, 0.5, self.N)
+            sample_gamma(GammaParams(0.5), RngState(64), self.N)
         assert threading.active_count() == before
         assert capfd.readouterr().err == ""
 
@@ -329,7 +413,7 @@ class TestSplitDraw:
             seen.append(np.geterr()["over"])
 
         with np.errstate(over="ignore"):
-            distributions._split(RngState(64).generator, self.N, fill)
+            distributions._sample(RngState(64).generator, self.N, fill)
         assert seen == ["ignore", "ignore"]
 
     def test_caller_error_joins_worker(self):
@@ -348,7 +432,7 @@ class TestSplitDraw:
         sample_betaprime(BetaPrimeParams(0.5, 2.5), RngState(65), self.N)
         for prime in (False, True):
             for p, q in _ONE_VARIATE:
-                _one_variate_draw(p, q, prime, 65, self.N)
+                _law_draw(p, q, prime, RngState(65), self.N)
         assert threading.active_count() == before
 
 
@@ -361,7 +445,7 @@ class TestSplitDrawLaw:
 
     @pytest.mark.parametrize("t", [0.3, 0.5, 1.0, 1.5, 2.0, 2.5])
     def test_halves(self, t):
-        g = _gamma(RngState(66).generator, t, self.N)
+        g = sample_gamma(GammaParams(t), RngState(66), self.N)
         first, second = g[:self.N // 2], g[self.N // 2:]
         for half in (first, second):
             assert st.kstest(half, "gamma", args=(t,)).pvalue > 1e-6
@@ -371,39 +455,39 @@ class TestSplitDrawLaw:
         assert st.kstwobign.ppf(5e-7) < scaled < st.kstwobign.isf(5e-7)
 
 
-# one law per construction of a split one-variate draw: Beta(1, q), Beta(p, 1)
+# gamma-ratio laws: no shape equal to 1, not both 1/2, one shape above 1
+_RATIO = [(2.0, 3.0), (0.5, 2.5), (1.5, 0.3)]
+
+
+class TestRatioDraw:
+    """Every other beta or beta prime law is G(p) / (G(p) + G(q)) or
+    G(p) / G(q); each half of a split draw takes both gammas from its own
+    generator, so the draw starts one worker."""
+
+    N = 1 << 18
+
+    @pytest.mark.parametrize("prime", [False, True])
+    @pytest.mark.parametrize("p, q", _RATIO)
+    @pytest.mark.parametrize("n", [N, _SPLIT + 1])
+    def test_equals_sequential_plan(self, p, q, prime, n):
+        _assert_equals_split_plan(lambda rng, m: _law_draw(p, q, prime, rng, m),
+                                  lambda g, m: _ratio_expr(g, p, q, prime, m), 67, n)
+
+    @pytest.mark.parametrize("prime", [False, True])
+    @pytest.mark.parametrize("p, q", _RATIO)
+    def test_below_split_is_one_stream(self, p, q, prime, monkeypatch):
+        _assert_one_stream(monkeypatch, lambda rng, m: _law_draw(p, q, prime, rng, m),
+                           lambda g, m: _ratio_expr(g, p, q, prime, m))
+
+
+# one law per construction of a one-variate draw: Beta(1, q), Beta(p, 1)
 # and Beta(1/2, 1/2), and the same for BetaPrime; (1, 1) takes the first
 _ONE_VARIATE = [(1.0, 0.5), (0.3, 1.0), (0.5, 0.5), (1.0, 1.0)]
-_SAMPLERS = {False: (BetaParams, sample_beta), True: (BetaPrimeParams, sample_betaprime)}
-
-
-def _one_variate_expr(gen, p, q, prime, n):
-    """The plain-expression form of a half of a split one-variate draw."""
-    if p == 1.0:
-        e = gen.standard_exponential(n)
-        return np.expm1(e / q) if prime else -np.expm1(e / -q)
-    if q == 1.0:
-        y = gen.standard_exponential(n) / -p
-        return -(np.exp(y) / np.expm1(y)) if prime else np.exp(y)
-    u = gen.random(n)
-    t = np.tan(u * (0.25 * math.pi))
-    if prime:
-        s = np.tan((1.0 - u) * (0.25 * math.pi))
-        root = t / s * (s + 1.0) * (s + 1.0) * 0.5
-    else:
-        root = t / (t * t + 1.0) * 2.0
-    return root * root
-
-
-def _one_variate_draw(p, q, prime, seed, n):
-    params, sampler = _SAMPLERS[prime]
-    return sampler(params(p, q), RngState(seed), n)
 
 
 class TestOneVariateDraw:
-    """From _SPLIT values on, a beta or beta prime law with a shape equal to
-    1, or both shapes equal to 1/2, is drawn by its inverse cdf on one
-    variate per value, on _gamma's split plan."""
+    """A beta or beta prime law with a shape equal to 1, or both shapes
+    equal to 1/2, is drawn by its inverse cdf on one variate per value."""
 
     N = 1 << 18
 
@@ -411,38 +495,19 @@ class TestOneVariateDraw:
     @pytest.mark.parametrize("p, q", _ONE_VARIATE + [(1.0, 2.5)])
     @pytest.mark.parametrize("n", [N, _SPLIT + 1])
     def test_equals_sequential_plan(self, p, q, prime, n):
-        params, sampler = _SAMPLERS[prime]
-        rng = RngState(71)
-        got = sampler(params(p, q), rng, n)
-        gen = RngState(71).generator
-        child = gen.spawn(1)[0]
-        half = n // 2
-        want = np.concatenate([_one_variate_expr(gen, p, q, prime, half),
-                               _one_variate_expr(child, p, q, prime, n - half)])
-        assert got.tobytes() == want.tobytes()
-        assert rng.generator.random(4).tobytes() == gen.random(4).tobytes()
+        _assert_equals_split_plan(lambda rng, m: _law_draw(p, q, prime, rng, m),
+                                  lambda g, m: _one_variate_expr(g, p, q, prime, m), 71, n)
 
     @pytest.mark.parametrize("prime", [False, True])
     @pytest.mark.parametrize("p, q", _ONE_VARIATE)
-    def test_below_split_keeps_two_gammas(self, p, q, prime):
-        n = _SPLIT - 1
-        got = _one_variate_draw(p, q, prime, 72, n)
-        gen = RngState(72).generator
-        g1 = _gamma_expr(gen, p, n)
-        g2 = _gamma_expr(gen, q, n)
-        assert got.tobytes() == (g1 / g2 if prime else g1 / (g1 + g2)).tobytes()
+    def test_below_split_is_one_stream(self, p, q, prime, monkeypatch):
+        _assert_one_stream(monkeypatch, lambda rng, m: _law_draw(p, q, prime, rng, m),
+                           lambda g, m: _one_variate_expr(g, p, q, prime, m))
 
     @pytest.mark.parametrize("prime", [False, True])
     @pytest.mark.parametrize("p, q", _ONE_VARIATE)
     def test_temporaries_stay_one_chunk(self, p, q, prime):
-        params, sampler = _SAMPLERS[prime]
-        rng = RngState(73)
-        tracemalloc.start()
-        try:
-            sampler(params(p, q), rng, self.N)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = _peak(lambda: _law_draw(p, q, prime, RngState(73), self.N))
         assert peak <= 8 * (self.N + 2 * distributions._CHUNK) + 65536, peak / (8 * self.N)
 
     def test_worker_error_raised_in_caller(self, monkeypatch, capfd):
@@ -457,7 +522,7 @@ class TestOneVariateDraw:
         before = threading.active_count()
         for prime in (False, True):
             with pytest.raises(DomainError, match="worker fill refused"):
-                _one_variate_draw(1.0, 0.5, prime, 74, self.N)
+                _law_draw(1.0, 0.5, prime, RngState(74), self.N)
         assert threading.active_count() == before
         assert capfd.readouterr().err == ""
 
@@ -470,7 +535,7 @@ class TestOneVariateLaw:
     @pytest.mark.parametrize("prime", [False, True])
     @pytest.mark.parametrize("p, q", _ONE_VARIATE[:3])
     def test_scipy_cdf(self, p, q, prime):
-        x = _one_variate_draw(p, q, prime, 76, self.N)
+        x = _law_draw(p, q, prime, RngState(76), self.N)
         assert _beta_ks_pvalue(x, p, q, prime) > 1e-6
 
 
@@ -503,30 +568,9 @@ def test_arcsine_tails_keep_relative_precision(u):
 _JOHNK = [(0.25, 0.25), (0.5, 0.2), (0.2, 0.3), (0.25, 0.5), (0.05, 0.9), (0.999, 0.999)]
 
 
-def _johnk_expr(gen, p, q, prime, n):
-    """The plain-expression form of a half of a split Jöhnk draw: rounds of
-    min(_BATCH, values still missing) candidate pairs, E1 then E2, each
-    round's kept values appended in order."""
-    parts, have = [], 0
-    while have < n:
-        m = min(distributions._BATCH, n - have)
-        lx = gen.standard_exponential(m) / -p
-        ly = gen.standard_exponential(m) / -q
-        d = (lx - ly)[np.exp(lx) + np.exp(ly) <= 1.0]
-        if prime:
-            parts.append(np.exp(d))
-        else:
-            with np.errstate(over="ignore"):
-                parts.append(np.where(d <= 0.0, np.exp(d) / (1.0 + np.exp(d)),
-                                      1.0 / (1.0 + np.exp(-d))))
-        have += d.size
-    return np.concatenate(parts)
-
-
 class TestJohnkDraw:
-    """From _SPLIT values on, a beta or beta prime law with both shapes at
-    most 1 and no one-variate fill is drawn by Jöhnk's rejection, on _gamma's
-    split plan."""
+    """A beta or beta prime law with both shapes at most 1 and no one-variate
+    construction is drawn by Jöhnk's rejection."""
 
     N = 1 << 18
 
@@ -534,37 +578,18 @@ class TestJohnkDraw:
     @pytest.mark.parametrize("p, q", [(0.25, 0.25), (0.2, 0.3), (0.999, 0.999)])
     @pytest.mark.parametrize("n", [N, _SPLIT + 1])
     def test_equals_sequential_plan(self, p, q, prime, n):
-        params, sampler = _SAMPLERS[prime]
-        rng = RngState(81)
-        got = sampler(params(p, q), rng, n)
-        gen = RngState(81).generator
-        child = gen.spawn(1)[0]
-        half = n // 2
-        want = np.concatenate([_johnk_expr(gen, p, q, prime, half),
-                               _johnk_expr(child, p, q, prime, n - half)])
-        assert got.tobytes() == want.tobytes()
-        assert rng.generator.random(4).tobytes() == gen.random(4).tobytes()
+        _assert_equals_split_plan(lambda rng, m: _law_draw(p, q, prime, rng, m),
+                                  lambda g, m: _johnk_expr(g, p, q, prime, m), 81, n)
 
     @pytest.mark.parametrize("prime", [False, True])
     @pytest.mark.parametrize("p, q", [(0.25, 0.25), (0.5, 0.2)])
-    def test_below_split_keeps_two_gammas(self, p, q, prime):
-        n = _SPLIT - 1
-        got = _one_variate_draw(p, q, prime, 82, n)
-        gen = RngState(82).generator
-        g1 = _gamma_expr(gen, p, n)
-        g2 = _gamma_expr(gen, q, n)
-        assert got.tobytes() == (g1 / g2 if prime else g1 / (g1 + g2)).tobytes()
+    def test_below_split_is_one_stream(self, p, q, prime, monkeypatch):
+        _assert_one_stream(monkeypatch, lambda rng, m: _law_draw(p, q, prime, rng, m),
+                           lambda g, m: _johnk_expr(g, p, q, prime, m))
 
     @pytest.mark.parametrize("prime", [False, True])
     def test_temporaries_stay_within_six_chunks(self, prime):
-        params, sampler = _SAMPLERS[prime]
-        rng = RngState(83)
-        tracemalloc.start()
-        try:
-            sampler(params(0.25, 0.25), rng, self.N)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = _peak(lambda: _law_draw(0.25, 0.25, prime, RngState(83), self.N))
         # the draw, and per fill (two run at once) two buffers of _BATCH
         # candidates and one round's kept values
         assert peak <= 8 * (self.N + 6 * distributions._CHUNK) + 65536, peak / (8 * self.N)
@@ -581,7 +606,7 @@ class TestJohnkDraw:
         before = threading.active_count()
         for prime in (False, True):
             with pytest.raises(DomainError, match="worker fill refused"):
-                _one_variate_draw(0.25, 0.25, prime, 84, self.N)
+                _law_draw(0.25, 0.25, prime, RngState(84), self.N)
         assert threading.active_count() == before
         assert capfd.readouterr().err == ""
 
@@ -594,7 +619,7 @@ class TestJohnkLaw:
     @pytest.mark.parametrize("prime", [False, True])
     @pytest.mark.parametrize("p, q", _JOHNK)
     def test_scipy_cdf(self, p, q, prime):
-        x = _one_variate_draw(p, q, prime, 86 + prime, self.N)
+        x = _law_draw(p, q, prime, RngState(86 + prime), self.N)
         assert _beta_ks_pvalue(x, p, q, prime) > 1e-6
 
 

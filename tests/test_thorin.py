@@ -101,6 +101,37 @@ class TestNearUnitShape:
             assert rel_err(dens[i], want) < 1e-8
 
 
+class TestApproachToUnitA:
+    """As a -> 1, sin(pi a), 1 + cos(pi a) and log f all vanish like 1 - a.
+    Formed from 1 - a, the cdf and density keep their digits down to
+    1 - a = 1e-7; there the density was 1.6e-3 off with f + 2 cos(pi a) + 1/f,
+    and at 1 - a = 2^-53 that sum was 0 and the density inf."""
+
+    @pytest.mark.parametrize("gap", [1e-4, 1e-6, 1e-7])
+    @pytest.mark.parametrize("x", [0.3, 1.0])
+    def test_against_confluent_oracle(self, gap, x):
+        p = ThorinParams(1.0 - gap, x)
+        ts = np.array([0.5, 0.9, 2.0])
+        cdf, dens = thorin_cdf(p, ts), thorin_density(p, ts)
+        with mp.workdps(40):
+            a = mp.mpf(p.a)
+            s, c = mp.sinpi(a), mp.cospi(a)
+            for i, t in enumerate(map(mp.mpf, ts)):
+                f = _f_confluent(p, t)
+                df = mp.diff(lambda u: _f_confluent(p, u), t)
+                assert rel_err(cdf[i], mp.atan2(f * s, 1 + c * f) / (mp.pi * a)) < 1e-7
+                # log f ~ 1 - a: the stencil's error in d/dt log f grows as a -> 1
+                want = s * df / (mp.pi * a * (f * f + 2 * c * f + 1))
+                assert rel_err(dens[i], want) < 3e-4
+
+    @pytest.mark.parametrize("a", [1.0 - 1e-8, 1.0 - 2.0 ** -53])
+    def test_out_of_reach_is_a_domain_error(self, a):
+        p = ThorinParams(a, 1.0)
+        for fn in (thorin_cdf, thorin_density):
+            with pytest.raises(DomainError, match="within 1e-7 of 1"):
+                fn(p, 1.0)
+
+
 class TestLargeX:
     """x = 40: (1 + u)^(a+x-1) e^(-tu) and (1+y)^x e^(-ty) used to be inf * 0
     on the last tail panel of the mapped half-line."""
