@@ -37,10 +37,11 @@ it holds no temporary of its draw's size and its values are the bits of one
 whole-size draw; the BetaPrime(p, 1) and shape-1/2 fills form their second
 factor in that buffer too, and the Jöhnk fill draws its candidates into two
 buffers of _CHUNK/2 values. A gamma ratio holds one second array, G(q), of
-its fill's size. Each returned array is fresh and owned by the caller.
-``verify`` draws each KS side in blocks of 2 _SPLIT values (see
-bpl.identities), so the samplers' temporaries stay those of one block
-whatever the sample size.
+its draw's size, made on the calling thread; each half of a split draw fills
+its slice, so the worker makes no array of its half's size. Each sampler
+fills a new array, or out= (numpy's convention: a contiguous float64 array
+of shape (n,), returned). ``verify`` fills each KS side in place, one block
+of 2 _SPLIT values per call (see bpl.identities), with no copy.
 
 ``RngState.spawn`` derives its children from a SeedSequence of its own, set
 aside when the state is made: the ``gen.spawn(1)`` of a split draw advances
@@ -347,53 +348,69 @@ def _fill_johnk(gen: np.random.Generator, p: float, q: float, prime: bool,
 
 
 def _fill_ratio(gen: np.random.Generator, p: float, q: float, prime: bool,
-                out: np.ndarray) -> None:
+                out: np.ndarray, g2: np.ndarray) -> None:
     """Beta(p, q) = G(p) / (G(p) + G(q)), or BetaPrime(p, q) = G(p) / G(q) if
-    prime: G(p) into out, then G(q) into one array of out's size from the
+    prime: G(p) into out, then G(q) into g2, an array of out's size, from the
     same generator."""
     _fill_gamma(gen, p, out)
-    g2 = np.empty(out.size)
     _fill_gamma(gen, q, g2)
     if not prime:
         g2 += out
     out /= g2
 
 
-def _sample(gen: np.random.Generator, n: int, fill) -> np.ndarray:
-    """n values of fill(gen, out). From _SPLIT values on, fill(gen, out[:n // 2])
-    runs on this thread while fill(gen.spawn(1)[0], out[n // 2:]) runs on a
-    worker thread, the child made before the worker starts, so the result
-    depends on the seed and n only."""
-    out = np.empty(n)
+def _out(n: int, out: np.ndarray | None) -> np.ndarray:
+    """A new array of n values, or out if it is one a fill can take."""
+    if out is not None and not (isinstance(out, np.ndarray) and out.dtype == np.float64
+                                and out.shape == (n,) and out.flags.c_contiguous
+                                and out.flags.writeable):
+        raise DomainError(f"out must be a writable contiguous float64 array of shape ({n},)")
+    return np.empty(n) if out is None else out
+
+
+def _sample(gen: np.random.Generator, fill, out: np.ndarray, *scratch: np.ndarray) -> np.ndarray:
+    """out filled by fill(gen, out, *scratch), scratch arrays of out's size
+    made on this thread. From _SPLIT values on, fill(gen, ...) runs here on
+    the first half of each array while fill(gen.spawn(1)[0], ...) runs on a
+    worker thread on the second, the child made before the worker starts, so
+    the result depends on the seed and n only."""
+    n = out.size
     if n < _SPLIT:
-        fill(gen, out)
+        fill(gen, out, *scratch)
         return out
     child = gen.spawn(1)[0]
     half = n // 2
-    _on_two_threads(lambda: fill(child, out[half:]), lambda: fill(gen, out[:half]))
+    _on_two_threads(lambda: fill(child, out[half:], *(s[half:] for s in scratch)),
+                    lambda: fill(gen, out[:half], *(s[:half] for s in scratch)))
     return out
 
 
-def sample_gamma(p: GammaParams, rng: RngState, n: int) -> np.ndarray:
-    return _sample(rng.generator, int(n), lambda gen, out: _fill_gamma(gen, p.t, out))
+def sample_gamma(p: GammaParams, rng: RngState, n: int, *, out=None) -> np.ndarray:
+    return _sample(rng.generator, lambda gen, part: _fill_gamma(gen, p.t, part),
+                   _out(int(n), out))
 
 
-def _beta_family(p: float, q: float, prime: bool, rng: RngState, n: int) -> np.ndarray:
+def _beta_family(p: float, q: float, prime: bool, rng: RngState, n: int,
+                 out: np.ndarray | None) -> np.ndarray:
     """n draws of Beta(p, q), or BetaPrime(p, q) if prime, by the one fill its
     shapes pick: the one-variate fill where a shape is 1 or both are 1/2,
     else Jöhnk's where both shapes are at most 1, else the gamma ratio."""
+    out = _out(int(n), out)
+    scratch = ()
     if p == 1.0 or q == 1.0 or p == q == 0.5:
         fill = _fill_one_variate
     elif p <= 1.0 and q <= 1.0:
         fill = _fill_johnk
     else:
         fill = _fill_ratio
-    return _sample(rng.generator, int(n), lambda gen, out: fill(gen, p, q, prime, out))
+        scratch = (np.empty(out.size),)
+    return _sample(rng.generator, lambda gen, part, *rest: fill(gen, p, q, prime, part, *rest),
+                   out, *scratch)
 
 
-def sample_beta(p: BetaParams, rng: RngState, n: int) -> np.ndarray:
-    return _beta_family(p.p, p.q, False, rng, n)
+def sample_beta(p: BetaParams, rng: RngState, n: int, *, out=None) -> np.ndarray:
+    return _beta_family(p.p, p.q, False, rng, n, out)
 
 
-def sample_betaprime(p: BetaPrimeParams, rng: RngState, n: int) -> np.ndarray:
-    return _beta_family(p.a, p.b, True, rng, n)
+def sample_betaprime(p: BetaPrimeParams, rng: RngState, n: int, *, out=None) -> np.ndarray:
+    return _beta_family(p.a, p.b, True, rng, n, out)

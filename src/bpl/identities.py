@@ -14,28 +14,29 @@ an integral spends one quadrature column per x. The Mellin transforms stay
 scalar in s (see IdentitySpec).
 
 verify() calls the two samplers of the KS test on the calling thread, each
-with its own spawned stream, and draws each side into one float64 array of
-n values: a side of more than _DRAW_BLOCK = 2^18 values is drawn one block
-per sampler call, each block copied into place, so the samplers' temporaries
-are those of one block; a smaller side is the sampler's own array. Every
-law is drawn by the one construction its shapes pick (the table in
+with its own spawned stream, and fills each side where it lives: one float64
+array of n values, one block of at most _DRAW_BLOCK = 2^18 values per
+sampler call. A sampler is a fill (see IdentitySpec) that draws its first
+law straight into the block and its other factors into work rows of one
+block, each made on first use and kept for both sides; nothing is copied.
+Every law is drawn by the one construction its shapes pick (the table in
 bpl.distributions), at every size; the size decides only the thread split:
 a draw of 2^17 values or more (every full block) fills half its array on one
 worker thread. rhs_scale is applied in place. ks_two_sample then sorts the
-two arrays in place and scans each against the other (_ks_side), one side on
-a worker thread and one on the calling thread. So verify's memory at its
-peak is the two samples plus one block's temporaries, whatever n. numpy's
+two arrays in place and scans each against the other (_ks_side, _KS_BLOCK =
+2^13 positions per exact step), one side on a worker thread and one on the
+calling thread. So verify's memory at its peak is the two samples plus
+1.0-2.4 blocks for the catalog's identities (tracemalloc, n = 2^20). numpy's
 fills, sorts and searchsorted release the GIL, so the halves and sides run
-at once, and no value depends on thread timing. The thread count is two by
-construction, not a setting, and every public function of the package runs
-on the calling thread.
+at once; no value depends on thread timing. The thread count is two by
+construction, and every public function runs on the calling thread.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -87,9 +88,18 @@ __all__ = [
 ]
 
 
+# a KS side's sampler: fill(rng, out, work) draws values of the side's law
+# into out on rng's stream, and may overwrite work[0] and work[1], two float64
+# arrays of out's size
+Fill = Callable[[RngState, np.ndarray, Sequence[np.ndarray]], None]
+
+
 @dataclass
 class IdentitySpec:
     """One identity in law, with everything the engine needs to test it.
+
+    The samplers are fills (see Fill) that draw their first law into out,
+    through the samplers' ``out=``, and their other factors into the work rows.
 
     The densities follow the package's array contract: an array of x in, an
     array of its shape out, one call per side for verify's whole grid. The
@@ -101,8 +111,8 @@ class IdentitySpec:
     """
 
     name: str
-    lhs_sampler: Callable[[RngState, int], np.ndarray]
-    rhs_sampler: Callable[[RngState, int], np.ndarray]
+    lhs_sampler: Fill
+    rhs_sampler: Fill
     lhs_mellin: Callable[[float], float] | None = None
     rhs_mellin: Callable[[float], float] | None = None
     mellin_strip: tuple[float, float] | None = None
@@ -150,8 +160,8 @@ def require_ks_power(n: int, alpha: float, what: str = "sample size") -> None:
 KS_ALPHA = 0.01
 
 # positions of own per step of _ks_side's exact evaluation: bounds its
-# temporaries (a few 0.5 MB arrays) whatever the sample size
-_KS_BLOCK = 1 << 16
+# temporaries (a few 64 kB arrays per thread) whatever the sample size
+_KS_BLOCK = 1 << 13
 
 
 def _ks_bound_block(n: int) -> int:
@@ -235,20 +245,32 @@ def ks_two_sample(xs, ys):
     return stat, threshold_at
 
 
-# verify draws a KS side of more than this many values one block per sampler
+# verify draws a KS side one block of at most this many values per sampler
 # call: every sampler draw of a full block still splits over two threads
 _DRAW_BLOCK = 2 * _SPLIT
 
 
-def _draw(sampler, rng: RngState, n: int) -> np.ndarray:
-    """n values of sampler on rng's stream as one float64 array: the
-    sampler's own array for n up to _DRAW_BLOCK, else one sampler call per
-    block of _DRAW_BLOCK values, each copied into place."""
-    if n <= _DRAW_BLOCK:
-        return np.asarray(sampler(rng, n), dtype=float)
+class _WorkRows:
+    """work[i], i in (0, 1), is row i of one block cut to the current block's
+    size, made on first use and kept for both sides: a sampler that needs
+    one row never makes the other."""
+
+    def __init__(self, block: int):
+        self.block = self.size = block
+        self._rows: list[np.ndarray | None] = [None, None]
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        if self._rows[i] is None:
+            self._rows[i] = np.empty(self.block)
+        return self._rows[i][:self.size]
+
+
+def _draw(sampler: Fill, rng: RngState, n: int, work: _WorkRows) -> np.ndarray:
+    """n values of sampler on rng's stream, one block per sampler call."""
     out = np.empty(n)
     for lo in range(0, n, _DRAW_BLOCK):
-        out[lo:lo + _DRAW_BLOCK] = sampler(rng, min(_DRAW_BLOCK, n - lo))
+        work.size = min(_DRAW_BLOCK, n - lo)
+        sampler(rng, out[lo:lo + work.size], work)
     return out
 
 
@@ -279,8 +301,10 @@ def verify(
         # the private fills of a large draw and the sorts and scans of
         # ks_two_sample use a worker thread.
         lhs_rng, rhs_rng = rng.spawn(2)
-        xs = _draw(spec.lhs_sampler, lhs_rng, n)
-        ys = _draw(spec.rhs_sampler, rhs_rng, n)
+        work = _WorkRows(min(n, _DRAW_BLOCK))
+        xs = _draw(spec.lhs_sampler, lhs_rng, n, work)
+        ys = _draw(spec.rhs_sampler, rhs_rng, n, work)
+        del work
         if rhs_scale != 1.0:
             ys *= rhs_scale
         stat, thr_at = ks_two_sample(xs, ys)
@@ -395,25 +419,23 @@ def _ab_half_factor(a: float, b: float, s: float) -> float:
 _DENSITY_SUPPORT = "the densities live on (0, infinity)"
 
 
-# The samplers below work in place on the arrays they draw, in the order of
+# The fills below work in place on out and the work rows, in the order of
 # the plain expression they stand for (x + y is x += y, u * (1 + sqrt(w)) is
-# sqrt(w) in place, += 1, u *= w), so the values keep their bits and verify's
-# two sides in flight hold few draw-sized arrays.
+# sqrt(w) in place, += 1, u *= w), so the values keep their bits.
 
 
-def _bp_sampler(p: BetaPrimeParams):
-    return lambda rng, n: sample_betaprime(p, rng, n)
+def _bp_sampler(p: BetaPrimeParams) -> Fill:
+    return lambda rng, out, work: sample_betaprime(p, rng, out.size, out=out)
 
 
-def _bp_sum_sampler(p: BetaPrimeParams):
+def _bp_sum_sampler(p: BetaPrimeParams) -> Fill:
     """Sum of two iid BetaPrime(p) draws."""
 
-    def draw(rng, n):
-        x = sample_betaprime(p, rng, n)
-        x += sample_betaprime(p, rng, n)
-        return x
+    def fill(rng, out, work):
+        sample_betaprime(p, rng, out.size, out=out)
+        out += sample_betaprime(p, rng, out.size, out=work[0])
 
-    return draw
+    return fill
 
 
 def _one_plus_sqrt(w: np.ndarray) -> np.ndarray:
@@ -432,10 +454,9 @@ def theorem_a_spec(a: float) -> IdentitySpec:
     p2 = BetaPrimeParams(2.0 * a, 0.5)
     pb = BetaParams(a, 0.5)
 
-    def rhs(rng, n):
-        x = sample_betaprime(p2, rng, n)
-        x *= _one_plus_sqrt(sample_beta(pb, rng, n))
-        return x
+    def rhs(rng, out, work):
+        sample_betaprime(p2, rng, out.size, out=out)
+        out *= _one_plus_sqrt(sample_beta(pb, rng, out.size, out=work[0]))
 
     # multiplier 1 + sqrt(Beta(a,1/2)) has density C u^(2a-1)(1-u^2)^(-1/2)
     # in u = w - 1; the u^(2a-1) factor rides in the kernel weight
@@ -472,12 +493,11 @@ def cjmain_spec(a: float, b: float) -> IdentitySpec:
     pb1 = BetaParams(a, 0.5)
     pb2 = BetaParams(b, 0.5 - b)
 
-    def rhs(rng, n):
-        x = sample_betaprime(p2, rng, n)
-        w = sample_beta(pb1, rng, n)
-        w /= sample_beta(pb2, rng, n)
-        x *= _one_plus_sqrt(w)
-        return x
+    def rhs(rng, out, work):
+        sample_betaprime(p2, rng, out.size, out=out)
+        w = sample_beta(pb1, rng, out.size, out=work[0])
+        w /= sample_beta(pb2, rng, out.size, out=work[1])
+        out *= _one_plus_sqrt(w)
 
     return IdentitySpec(
         name="cjmain",
@@ -532,12 +552,11 @@ def prop_b0_spec(a: float, b: float, b_prime: float) -> IdentitySpec:
 
         return beta_kernel(smooth, e - 1.0, b + min(a, 1.0) - 1.0)
 
-    def rhs(rng, n):
-        x = sample_betaprime(pr, rng, n)
-        w = sample_betaprime(pm, rng, n)
+    def rhs(rng, out, work):
+        sample_betaprime(pr, rng, out.size, out=out)
+        w = sample_betaprime(pm, rng, out.size, out=work[0])
         w += 1.0
-        x *= w
-        return x
+        out *= w
 
     return IdentitySpec(
         name="prop-b0",
@@ -561,13 +580,12 @@ def ab_half_spec(a: float) -> IdentitySpec:
     pb1 = BetaParams(a, 0.5)
     pb2 = BetaParams(b, 0.5)
 
-    def rhs(rng, n):
-        x = sample_betaprime(p2, rng, n)
-        w = sample_beta(pb1, rng, n)
-        v = sample_beta(pb2, rng, n)
+    def rhs(rng, out, work):
+        sample_betaprime(p2, rng, out.size, out=out)
+        w = sample_beta(pb1, rng, out.size, out=work[0])
+        v = sample_beta(pb2, rng, out.size, out=work[1])
         w += np.divide(1.0, v, out=v)
-        x *= w
-        return x
+        out *= w
 
     return IdentitySpec(
         name="ab-half",
@@ -600,22 +618,20 @@ def free_spec(a: float, b: float, c: float, d: float, *, swap: bool = False) -> 
     pm = BetaPrimeParams(c + d - b, b)
     e = c + d - b
 
-    def lhs(rng, n):
-        x = sample_betaprime(p1, rng, n)
-        x += 1.0
-        y = sample_betaprime(p2, rng, n)
+    def lhs(rng, out, work):
+        sample_betaprime(p1, rng, out.size, out=out)
+        out += 1.0
+        y = sample_betaprime(p2, rng, out.size, out=work[0])
         y += 1.0
-        x *= y
-        x -= 1.0
-        return x
+        out *= y
+        out -= 1.0
 
-    def rhs(rng, n):
-        x = sample_betaprime(pr, rng, n)
-        w = sample_beta(pb, rng, n)
-        w *= sample_betaprime(pm, rng, n)
+    def rhs(rng, out, work):
+        sample_betaprime(pr, rng, out.size, out=out)
+        w = sample_beta(pb, rng, out.size, out=work[0])
+        w *= sample_betaprime(pm, rng, out.size, out=work[1])
         w += 1.0
-        x *= w
-        return x
+        out *= w
 
     def lhs_mellin(s):
         if not -(a + c) < s < min(b, d):
@@ -662,17 +678,16 @@ def _sqrt_gamma_sum_mellin(a: float, s: float) -> float:
     return math.exp(gamma_ln(2.0 * a + s / 2.0) - 2.0 * gamma_ln(a)) * j
 
 
-def _sqrt_gamma_sum_sampler(pg: GammaParams):
+def _sqrt_gamma_sum_sampler(pg: GammaParams) -> Fill:
     """sqrt G + sqrt G for two iid Gamma(pg) draws."""
 
-    def draw(rng, n):
-        x = sample_gamma(pg, rng, n)
-        np.sqrt(x, out=x)
-        y = sample_gamma(pg, rng, n)
-        x += np.sqrt(y, out=y)
-        return x
+    def fill(rng, out, work):
+        sample_gamma(pg, rng, out.size, out=out)
+        np.sqrt(out, out=out)
+        y = sample_gamma(pg, rng, out.size, out=work[0])
+        out += np.sqrt(y, out=y)
 
-    return draw
+    return fill
 
 
 def half_gaussian_spec(a: float) -> IdentitySpec:
@@ -683,10 +698,10 @@ def half_gaussian_spec(a: float) -> IdentitySpec:
     pg2 = GammaParams(2.0 * a)
     pb = BetaParams(a, 0.5)
 
-    def rhs(rng, n):
-        x = sample_gamma(pg2, rng, n)
-        x *= _one_plus_sqrt(sample_beta(pb, rng, n))
-        return np.sqrt(x, out=x)
+    def rhs(rng, out, work):
+        sample_gamma(pg2, rng, out.size, out=out)
+        out *= _one_plus_sqrt(sample_beta(pb, rng, out.size, out=work[0]))
+        np.sqrt(out, out=out)
 
     def rhs_mellin(s):
         return (math.exp(gamma_ln(2.0 * a + s / 2.0) - gamma_ln(2.0 * a))
@@ -712,11 +727,10 @@ def cor34_spec(a: float) -> IdentitySpec:
 
     sqrt_sum = _sqrt_gamma_sum_sampler(pg)
 
-    def rhs(rng, n):
-        x = sqrt_sum(rng, n)
-        x *= x
-        x /= sample_gamma(ph, rng, n)
-        return x
+    def rhs(rng, out, work):
+        sqrt_sum(rng, out, work)
+        out *= out
+        out /= sample_gamma(ph, rng, out.size, out=work[0])
 
     def rhs_mellin(s):
         return (_sqrt_gamma_sum_mellin(a, 2.0 * s)

@@ -28,3 +28,11 @@ def mc_mean(values) -> tuple[float, float]:
     v = np.asarray(values, dtype=float)
     assert v.size >= 2, "need at least two samples for an error bar"
     return float(v.mean()), float(v.std(ddof=1) / math.sqrt(v.size))
+
+
+def draw_side(sampler, rng, n: int) -> np.ndarray:
+    """n values of an IdentitySpec sampler (a fill) on rng's stream, from one
+    call with work rows of n values."""
+    out = np.empty(n)
+    sampler(rng, out, (np.empty(n), np.empty(n)))
+    return out

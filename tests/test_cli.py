@@ -407,7 +407,7 @@ class TestBadInputExitTwo:
         def broken_theorem_a(a):
             spec = catalog["theorem-a"](a)
 
-            def rhs(rng, n):
+            def rhs(rng, out, work):
                 threads.append(threading.current_thread())
                 raise DomainError("rhs sampler refused")
 

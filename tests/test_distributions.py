@@ -366,9 +366,69 @@ class TestFillMemory:
     @pytest.mark.parametrize("n", [_SPLIT - 1, 1 << 18])
     def test_ratio_holds_one_second_array(self, n):
         peak = _peak(lambda: sample_beta(BetaParams(0.3, 2.5), RngState(65), n))
-        # the draw, the G(q) array of each fill (n values in all) and the
-        # U^(1/t) buffer of each fill
+        # the draw, the G(q) array of n values (a slice of it per fill) and
+        # the U^(1/t) buffer of each fill
         assert peak <= 8 * (2 * n + 2 * distributions._CHUNK) + 65536, peak / (8 * n)
+
+    @pytest.mark.parametrize("prime", [False, True])
+    @pytest.mark.parametrize("p, q", [(0.3, 2.5), (2.0, 3.0)])
+    def test_ratio_worker_allocates_no_half(self, p, q, prime, monkeypatch):
+        # the G(q) array is made on the calling thread, each half filling its
+        # slice: an array the worker made would stay in its malloc arena
+        made = []
+        empty = np.empty
+
+        def recording(*args, **kwargs):
+            x = empty(*args, **kwargs)
+            made.append((threading.current_thread(), x.size))
+            return x
+
+        monkeypatch.setattr(np, "empty", recording)
+        n = 1 << 18
+        _law_draw(p, q, prime, RngState(66), n)
+        here = [size for thread, size in made if thread is threading.main_thread()]
+        there = [size for thread, size in made if thread is not threading.main_thread()]
+        assert here.count(n) == 2  # the draw and its G(q) array
+        assert max(there, default=0) <= distributions._CHUNK, there
+
+
+# one law per construction: the gamma fills, the one-variate, Jöhnk and
+# ratio draws, as (sampler, params)
+_CONSTRUCTIONS = [
+    *((sample_gamma, GammaParams(t)) for t in (0.3, 0.5, 1.0, 1.5, 2.0, 2.5)),
+    *((sampler, params(p, q)) for sampler, params in
+      ((sample_beta, BetaParams), (sample_betaprime, BetaPrimeParams))
+      for p, q in ((1.0, 0.5), (0.3, 1.0), (0.5, 0.5), (0.25, 0.5), (2.0, 3.0), (0.5, 2.5))),
+]
+
+
+class TestOut:
+    """out= (numpy's convention): the draw goes into the caller's array,
+    which is returned, with the bits of the out=None draw."""
+
+    @pytest.mark.parametrize("n", [1000, _SPLIT + 1])
+    @pytest.mark.parametrize("sampler, params", _CONSTRUCTIONS)
+    def test_into_out_equals_new_array(self, sampler, params, n):
+        want = sampler(params, RngState(91), n)
+        rng = RngState(91)
+        out = np.full(n + 2, -1.0)
+        view = out[1:-1]
+        got = sampler(params, rng, n, out=view)
+        assert got is view and got.tobytes() == want.tobytes()
+        assert out[0] == out[-1] == -1.0
+        # the stream continues as after the out=None draw
+        after = RngState(91)
+        sampler(params, after, n)
+        assert rng.generator.random(4).tobytes() == after.generator.random(4).tobytes()
+
+    @pytest.mark.parametrize("sampler, params", [_CONSTRUCTIONS[0], _CONSTRUCTIONS[6],
+                                                 _CONSTRUCTIONS[-1]])
+    @pytest.mark.parametrize("bad", [np.empty(9), np.empty(10, dtype=np.float32),
+                                     np.empty((2, 5)), np.empty(20)[::2],
+                                     [0.0] * 10], ids=["size", "dtype", "shape", "strided", "list"])
+    def test_wrong_out_is_domain_error(self, sampler, params, bad):
+        with pytest.raises(DomainError, match="out must be"):
+            sampler(params, RngState(93), 10, out=bad)
 
 
 class TestSplitDraw:
@@ -413,7 +473,7 @@ class TestSplitDraw:
             seen.append(np.geterr()["over"])
 
         with np.errstate(over="ignore"):
-            distributions._sample(RngState(64).generator, self.N, fill)
+            distributions._sample(RngState(64).generator, fill, np.empty(self.N))
         assert seen == ["ignore", "ignore"]
 
     def test_caller_error_joins_worker(self):

@@ -39,7 +39,7 @@ from bpl.identities import (
 from bpl.options import EvalOptions
 from bpl.quadrature import integrate
 from bpl.special import gamma_ln
-from conftest import max_rel_err, mc_mean, rel_err
+from conftest import draw_side, max_rel_err, mc_mean, rel_err
 
 
 def _ks_searchsorted(xs, ys):
@@ -157,7 +157,7 @@ class TestEngine:
         from bpl.distributions import sample_betaprime
         from bpl.identities import IdentitySpec
         p = BetaPrimeParams(0.8, 1.2)
-        sampler = lambda rng, n: sample_betaprime(p, rng, n)
+        sampler = lambda rng, out, work: sample_betaprime(p, rng, out.size, out=out)
         spec = IdentitySpec(name="self", lhs_sampler=sampler, rhs_sampler=sampler)
         rep = verify(spec, 50_000, RngState(60))
         assert rep.passed
@@ -190,7 +190,7 @@ class TestEngine:
 
     def test_nan_samples_recorded_as_failure(self):
         from bpl.identities import IdentitySpec
-        nan_sampler = lambda rng, n: np.full(n, math.nan)
+        nan_sampler = lambda rng, out, work: out.fill(math.nan)
         spec = IdentitySpec(name="nan", lhs_sampler=theorem_a_spec(1.0).lhs_sampler,
                             rhs_sampler=nan_sampler)
         rep = verify(spec, 1000, RngState(66))
@@ -203,7 +203,7 @@ class TestEngine:
         # rtol, passed
         from bpl.distributions import betaprime_pdf, sample_betaprime
         p = BetaPrimeParams(0.8, 1.2)
-        sampler = lambda rng, n: sample_betaprime(p, rng, n)
+        sampler = lambda rng, out, work: sample_betaprime(p, rng, out.size, out=out)
         spec = IdentitySpec(name="density-gap", lhs_sampler=sampler, rhs_sampler=sampler,
                             lhs_density=lambda x: betaprime_pdf(p, x),
                             rhs_density=lambda x: (1.0 + 1e-4) * betaprime_pdf(p, x))
@@ -240,8 +240,8 @@ class TestTwoSidedVerify:
         n = 3000
         rep = verify(ks_only, n, RngState(17), rhs_scale=scale)
         lhs_rng, rhs_rng = RngState(17).spawn(2)
-        xs = spec.lhs_sampler(lhs_rng, n)
-        ys = scale * spec.rhs_sampler(rhs_rng, n)
+        xs = draw_side(spec.lhs_sampler, lhs_rng, n)
+        ys = scale * draw_side(spec.rhs_sampler, rhs_rng, n)
         assert rep.ks_statistic == _ks_merge(xs, ys)
 
     def test_float64_inputs_sorted_in_place(self):
@@ -272,7 +272,7 @@ class TestTwoSidedVerify:
 
     @pytest.mark.parametrize("side", ["lhs", "rhs"])
     def test_sampler_error_is_failure(self, side):
-        def refuse(rng, n):
+        def refuse(rng, out, work):
             raise DomainError("sampler refused")
 
         samplers = {"lhs_sampler": theorem_a_spec(1.0).lhs_sampler,
@@ -295,10 +295,9 @@ class TestTwoSidedVerify:
     def test_nan_on_either_side_is_domain_error(self, side):
         good = theorem_a_spec(1.0).lhs_sampler
 
-        def with_nan(rng, n):
-            x = good(rng, n)
-            x[n // 2] = math.nan
-            return x
+        def with_nan(rng, out, work):
+            good(rng, out, work)
+            out[out.size // 2] = math.nan
 
         samplers = {"lhs_sampler": good, "rhs_sampler": good, f"{side}_sampler": with_nan}
         rep = verify(IdentitySpec(name="nan", **samplers), 1000, RngState(4))
@@ -308,7 +307,7 @@ class TestTwoSidedVerify:
         before = threading.active_count()
         verify(theorem_a_spec(1.0), 20_000, RngState(5))
 
-        def refuse(rng, n):
+        def refuse(rng, out, work):
             raise DomainError("sampler refused")
 
         verify(IdentitySpec(name="refuse", lhs_sampler=refuse, rhs_sampler=refuse),
@@ -317,9 +316,9 @@ class TestTwoSidedVerify:
 
 
 class TestBlockDraws:
-    """verify draws a KS side of more than _DRAW_BLOCK values one block per
-    sampler call into one array, sorts both arrays in place and keeps no
-    temporary of the sample's size."""
+    """verify fills each KS side in place, one block of at most _DRAW_BLOCK
+    values per sampler call, with work rows made once, sorts both arrays in
+    place and keeps no temporary of the sample's size."""
 
     B = identities._DRAW_BLOCK
 
@@ -331,8 +330,8 @@ class TestBlockDraws:
         spec = theorem_a_spec(0.5)
         rep = verify(spec, n, RngState(81))
         lhs_rng, rhs_rng = RngState(81).spawn(2)
-        xs = np.sort(spec.lhs_sampler(lhs_rng, n))
-        ys = np.sort(1.0 * np.asarray(spec.rhs_sampler(rhs_rng, n), dtype=float))
+        xs = np.sort(draw_side(spec.lhs_sampler, lhs_rng, n))
+        ys = np.sort(1.0 * draw_side(spec.rhs_sampler, rhs_rng, n))
         want = max(identities._ks_side(xs, ys), identities._ks_side(ys, xs))
         assert rep.ks_statistic == want == _ks_searchsorted(xs, ys)
 
@@ -345,30 +344,56 @@ class TestBlockDraws:
         rep = verify(ks_only, n, RngState(82), rhs_scale=scale)
         lhs_rng, rhs_rng = RngState(82).spawn(2)
         sizes = [self.B, self.B, 1000]
-        xs = np.concatenate([spec.lhs_sampler(lhs_rng, k) for k in sizes])
-        ys = scale * np.concatenate([spec.rhs_sampler(rhs_rng, k) for k in sizes])
+        xs = np.concatenate([draw_side(spec.lhs_sampler, lhs_rng, k) for k in sizes])
+        ys = scale * np.concatenate([draw_side(spec.rhs_sampler, rhs_rng, k) for k in sizes])
         assert rep.ks_statistic == _ks_searchsorted(xs, ys)
 
     def test_block_sizes_and_no_copy(self):
-        calls, arrays = [], []
+        calls = []
 
-        def uniform(rng, k):
-            calls.append(k)
-            arrays.append(rng.generator.random(k))
-            return arrays[-1]
+        def uniform(rng, out, work):
+            calls.append((out, work[0], work[1]))
+            rng.generator.random(out=out)
 
         verify(IdentitySpec(name="u", lhs_sampler=uniform, rhs_sampler=uniform),
                self.B + 5, RngState(84))
-        assert calls == [self.B, 5, self.B, 5]
-        arrays.clear()
+        assert [out.size for out, _, _ in calls] == [self.B, 5, self.B, 5]
+        # each block is a view of its side at the block's offset, and the two
+        # work rows are two arrays of the block's size, made once for both sides
+        for side in (calls[:2], calls[2:]):
+            base = side[0][0].base
+            assert base.size == self.B + 5 and all(out.base is base for out, _, _ in side)
+            assert [out.ctypes.data - base.ctypes.data for out, _, _ in side] == [0, 8 * self.B]
+        assert len({id(w.base) for _, w0, w1 in calls for w in (w0, w1)}) == 2
+        for out, w0, w1 in calls:
+            assert w0.size == w1.size == out.size
+            assert not np.shares_memory(w0, w1)
+            assert not np.shares_memory(out, w0) and not np.shares_memory(out, w1)
+
+        calls.clear()
         verify(IdentitySpec(name="u", lhs_sampler=uniform, rhs_sampler=uniform),
                self.B, RngState(84))
-        # a one-block side is the sampler's own array, sorted where it lies
-        assert len(arrays) == 2 and all(np.all(x[1:] >= x[:-1]) for x in arrays)
+        # a one-block side is the sampler's out, sorted where it lies
+        assert len(calls) == 2 and all(np.all(out[1:] >= out[:-1]) for out, _, _ in calls)
+
+    def test_work_rows_made_on_first_use(self, monkeypatch):
+        # a sampler that uses one work row never allocates the other
+        made = []
+        empty = np.empty
+        monkeypatch.setattr(identities.np, "empty", lambda *a, **k: made.append(a) or empty(*a, **k))
+
+        def one_row(rng, out, work):
+            rng.generator.random(out=work[0])
+            out[...] = work[0]
+
+        verify(IdentitySpec(name="u", lhs_sampler=one_row, rhs_sampler=one_row), 1000,
+               RngState(85))
+        assert made.count((1000,)) == 3  # the two sides and one work row
 
     @pytest.mark.parametrize("name, args", [
         ("theorem-b", (0.5, 0.2)), ("ab-half", (0.25,)), ("free", (1.0, 1.0, 1.0, 1.0)),
-        ("theorem-a", (0.5,))])
+        ("theorem-a", (0.5,)), ("theorem-a", (2.0,)), ("half-gaussian", (0.5,)),
+        ("cor34", (1.0,)), ("prop-b0", (1.0, 0.5, 1.5))])
     def test_peak_memory_is_two_samples_and_one_block(self, name, args):
         n = 1 << 20
         spec = identity_catalog()[name](*args)
@@ -379,7 +404,9 @@ class TestBlockDraws:
         finally:
             tracemalloc.stop()
         assert rep.failure is None
-        assert peak <= 8 * (2 * n + 6 * 2 ** 18), peak / (8 * n)
+        # the two samples, the work rows, a gamma ratio's G(q) block and the
+        # fills' buffers
+        assert peak <= 8 * (2 * n + 3 * 2 ** 18), peak / (8 * n)
 
 
 def _record_threads(monkeypatch, module, seen):
