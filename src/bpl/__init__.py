@@ -8,7 +8,6 @@ complete-monotonicity probes, with a CSV-reporting command line front end.
 __version__ = "0.1.0"
 
 from .errors import BplError, DomainError, NonConvergenceError, QuadratureError
-from .options import DEFAULT_OPTIONS, EvalOptions
 
 __all__ = [
     "__version__",
@@ -16,6 +15,4 @@ __all__ = [
     "DomainError",
     "NonConvergenceError",
     "QuadratureError",
-    "DEFAULT_OPTIONS",
-    "EvalOptions",
 ]

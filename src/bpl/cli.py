@@ -48,7 +48,6 @@ from .identities import (
     require_ks_power,
     verify,
 )
-from .options import DEFAULT_OPTIONS
 from .probes import (
     cm_probe,
     conjecture_cmcj_scan,
@@ -66,8 +65,9 @@ from .probes import (
     turan_hermite_bounds,
     turan_psi,
     turan_psi_bounds,
-    mills_suite,
+    _cmmi_scan,
 )
+from .quadrature import _RTOL
 from .thorin import ThorinParams, f_ax, thorin_cdf, thorin_density
 
 EXIT_OK = 0
@@ -350,7 +350,7 @@ def cmd_thorin(args) -> int:
     densities = thorin_density(p, ts)
     seed = _seed(args)
     header = ["a", "x", "t", "f_ax", "cdf", "density", "seed", "tolerance", "version"]
-    rows = [[args.a, args.x, t, fv, cdf, dens, seed, DEFAULT_OPTIONS.rel_tol, __version__]
+    rows = [[args.a, args.x, t, fv, cdf, dens, seed, _RTOL, __version__]
             for t, fv, cdf, dens in zip(ts.tolist(), fvs.tolist(), cdfs.tolist(),
                                         densities.tolist())]
     _write_csv(args.out, header, rows)
@@ -388,12 +388,10 @@ def _scan_cmmi(n="0,1,2", **_):
     orders = _parse_floats(n)
     if not all(v.is_integer() for v in orders):
         raise DomainError(f"cmmi scan orders must be integers, got {n!r}")
-    res = mills_suite()
     for order in map(int, orders):
-        key = f"cmmi-scan-{order}"
-        if key not in res:
+        if order not in (0, 1, 2):
             raise DomainError(f"cmmi scan order {order} not available (0, 1, 2)")
-        yield f"n={order}", "cm-verdict", res[key].verdict, "EXPLORATORY"
+        yield f"n={order}", "cm-verdict", _cmmi_scan(order).verdict, "EXPLORATORY"
 
 
 def _scan_thorin_order(a=None, b="0.5", t="0.2:8:5", **_):

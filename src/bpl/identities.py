@@ -213,7 +213,7 @@ def _ks_side(own: np.ndarray, other: np.ndarray) -> float:
 
 
 def ks_two_sample(xs, ys):
-    """Two-sample Kolmogorov-Smirnov statistic and threshold callable.
+    """Two-sample Kolmogorov-Smirnov statistic.
 
     The statistic is max |F_x(g) - F_y(g)| over every sample point g, with
     F_x(g) = #{x <= g} / n. Each sample is sorted in place and scanned
@@ -224,25 +224,18 @@ def ks_two_sample(xs, ys):
     A float64 array argument is sorted in place, so it leaves in sorted
     order; a caller that needs its order passes a copy. Other arguments are
     converted to a new float64 array first and are left as they were. When
-    the two may share memory, ys is copied before either is sorted.
-    threshold_at(alpha) is ks_threshold(alpha, n, m). A NaN in either sample
-    raises DomainError.
+    the two may share memory, ys is copied before either is sorted. A NaN in
+    either sample raises DomainError.
     """
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     if np.may_share_memory(xs, ys):
         ys = ys.copy()
     _on_two_threads(xs.sort, ys.sort)
-    n, m = xs.size, ys.size
-    if n == 0 or m == 0:
+    if xs.size == 0 or ys.size == 0:
         raise DomainError("KS test needs non-empty samples")
     if np.isnan(xs[-1]) or np.isnan(ys[-1]):  # NaN sorts last
         raise DomainError("KS test samples contain NaN")
-    stat = max(_on_two_threads(lambda: _ks_side(xs, ys), lambda: _ks_side(ys, xs)))
-
-    def threshold_at(alpha: float) -> float:
-        return ks_threshold(alpha, n, m)
-
-    return stat, threshold_at
+    return max(_on_two_threads(lambda: _ks_side(xs, ys), lambda: _ks_side(ys, xs)))
 
 
 # verify draws a KS side one block of at most this many values per sampler
@@ -307,8 +300,8 @@ def verify(
         del work
         if rhs_scale != 1.0:
             ys *= rhs_scale
-        stat, thr_at = ks_two_sample(xs, ys)
-        threshold = thr_at(alpha)
+        stat = ks_two_sample(xs, ys)
+        threshold = ks_threshold(alpha, n, n)
         ok = stat < threshold
 
         mellin_err = None
@@ -597,18 +590,15 @@ def ab_half_spec(a: float) -> IdentitySpec:
     )
 
 
-def free_spec(a: float, b: float, c: float, d: float, *, swap: bool = False) -> IdentitySpec:
+def free_spec(a: float, b: float, c: float, d: float) -> IdentitySpec:
     """(1+BetaPrime(a,b))(1+BetaPrime(c,d)) - 1 against
     BetaPrime(a+c,d) (1 + Beta(a,c) BetaPrime(c+d-b,b)); needs b < c+d.
-
-    swap=True re-labels the two factors (valid when d < a+b) instead of
-    raising when b >= c+d.
+    When d < a+b instead, the identity holds for the factors swapped,
+    free_spec(c, d, a, b).
     """
     if min(a, b, c, d) <= 0.0:
         raise DomainError("all four shapes must be positive")
     if not b < c + d:
-        if swap and d < a + b:
-            return free_spec(c, d, a, b)
         raise DomainError(f"need b < c + d (b={b}, c+d={c + d}); "
                           "swap the factor roles for the complementary case")
     p1 = BetaPrimeParams(a, b)

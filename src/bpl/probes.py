@@ -474,11 +474,15 @@ def mills_suite() -> dict[str, ProbeResult]:
         out[f"cmmill-{n}"] = cm_probe(_cmmill_sqrt_ratio(n), grid, max_order=6)
     for n in (0, 1):
         out[f"cmmill-lcm-{n}"] = lcm_probe(_cmmill_sqrt_ratio(n), grid, max_order=4)
-    # conjectured variant without the square root: recorded, not asserted
     for n in (0, 1, 2):
-        out[f"cmmi-scan-{n}"] = cm_probe(_cmmill_plain_ratio(n), np.linspace(0.05, 8.0, 200),
-                                         max_order=6)
+        out[f"cmmi-scan-{n}"] = _cmmi_scan(n)
     return out
+
+
+def _cmmi_scan(n: int) -> ProbeResult:
+    """CM probe of -(r^(n)(z))^2 / r^(2n+1)(z), the conjectured variant
+    without the square root, for n in (0, 1, 2): recorded, not asserted."""
+    return cm_probe(_cmmill_plain_ratio(n), np.linspace(0.05, 8.0, 200), max_order=6)
 
 
 def _cmmill_sqrt_ratio(n: int):

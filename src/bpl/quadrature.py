@@ -14,8 +14,12 @@ double in (0, top]; below the smallest normal double it is taken there.
 Integrand contract: an integrand maps the nodes, an array of shape (N,), to
 values of shape (N,) or (N, m); a constant is broadcast over the nodes. An
 (N, m) integrand is m integrals on one mesh, called once per refinement
-round, and each column j stops at its own tolerance rel_tol*|total_j| +
-abs_tol. A (N,) integrand returns a float, an (N, m) one an array (m,).
+round, and each column j stops at its own tolerance _RTOL*|total_j| +
+_ATOL. A (N,) integrand returns a float, an (N, m) one an array (m,).
+
+Stopping rule: every computation of the package runs at the one relative
+tolerance _RTOL and absolute tolerance _ATOL, within _MAX_ROUNDS refinement
+rounds per mesh; the series of bpl.special stop at the same two tolerances.
 
 Column blocks: a round may ask for at most _MAX_ROUND_VALUES values, so a
 function with a column per value of a long array evaluates it through
@@ -25,8 +29,8 @@ that blocks its own columns call the underlying _flat with the whole array.
 Fixed rules: the Mellin factors of bpl.identities have algebraic endpoint
 factors and an analytic rest, which Gauss-Jacobi rules integrate to rounding
 with few nodes. _jacobi_pair (one axis) and _corner_split (the unit square)
-return their 24-node value only where the 12-node one agrees to the
-tolerance of DEFAULT_OPTIONS, and raise QuadratureError otherwise.
+return their 24-node value only where the 12-node one agrees to _RTOL and
+_ATOL, and raise QuadratureError otherwise.
 """
 
 from __future__ import annotations
@@ -37,7 +41,15 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, QuadratureError
-from .options import DEFAULT_OPTIONS, EvalOptions
+
+__all__ = [
+    "integrate",
+    "power_weighted",
+    "beta_kernel",
+    "halfline_power",
+    "column_blocks",
+    "jacobi_rule",
+]
 
 # QUADPACK's dqk15 (Piessens et al., 1983): Kronrod nodes from -1 to the
 # centre and their weights, then the weights of the embedded 7-point Gauss
@@ -62,6 +74,13 @@ _XGK = np.concatenate((_XGK_LEFT, -_XGK_LEFT[-2::-1]))
 _WGK = np.concatenate((_WGK_LEFT, _WGK_LEFT[-2::-1]))
 _WG = np.concatenate((_WG_LEFT, _WG_LEFT[-2::-1]))
 _GAUSS_IDX = np.arange(1, 15, 2)
+
+# The stopping rule err <= _RTOL*|total| + _ATOL, checked after each of at
+# most _MAX_ROUNDS refinement rounds. The loop stops on the round where every
+# column converges, so any larger budget gives the same value.
+_RTOL = 1e-12
+_ATOL = 1e-300
+_MAX_ROUNDS = 150
 
 # Most integrand values (nodes times columns) one refinement round may ask
 # for. A tolerance below the rounding floor makes every round split nearly
@@ -112,14 +131,14 @@ def _panels(f, a: np.ndarray, b: np.ndarray, where):
     return resk, err, columns
 
 
-def _adaptive(f, breakpoints, opts: EvalOptions, where, sides: int = 1):
+def _adaptive(f, breakpoints, where, sides: int = 1):
     """Globally adaptive refinement of one shared mesh over an initial partition.
 
     Every round sums the values and error estimates of the live panels into
     each column's total and error err_j, and stops once every column meets its
     tolerance tol_j. Otherwise it splits, in one integrand call, every panel
     whose error exceeds the cut max(tol_j / 2n, err_j / 4n) of some column j
-    still above its tolerance (n panels). The refinement budget counts rounds.
+    still above its tolerance (n panels). _MAX_ROUNDS counts rounds.
     A panel that must be split but sits at float resolution is kept whole,
     its error still in the totals, and raises once no other panel can be
     split or its own error exceeds a tolerance. where(lo, hi) names panels in
@@ -130,13 +149,13 @@ def _adaptive(f, breakpoints, opts: EvalOptions, where, sides: int = 1):
     hi = np.asarray(breakpoints[1:], dtype=float)
     vals, errs, columns = _panels(f, lo, hi, where)
     m = vals.shape[1]
-    for rounds in range(opts.max_quad_refinements + 1):
+    for rounds in range(_MAX_ROUNDS + 1):
         total, total_err = vals.sum(axis=0), errs.sum(axis=0)
-        tol = opts.rel_tol * np.abs(total) + opts.abs_tol
+        tol = _RTOL * np.abs(total) + _ATOL
         open_cols = total_err > tol
         if not open_cols.any():
             return total if columns else float(total[0])
-        if rounds == opts.max_quad_refinements:
+        if rounds == _MAX_ROUNDS:
             j = int(np.argmax(total_err - tol))
             raise QuadratureError(
                 f"refinement budget exhausted: error {total_err[j]:.3e} > tolerance {tol[j]:.3e}"
@@ -208,7 +227,7 @@ def _in_halves(fn, zs: np.ndarray) -> np.ndarray:
         return np.concatenate((_in_halves(fn, zs[:half]), _in_halves(fn, zs[half:])))
 
 
-def _halfline(R, sides, name: str, opts: EvalOptions):
+def _halfline(R, sides, name: str):
     """integral_0^inf sum_k w_k(y, x_k) R(x_k) dy, x_k = x_k(y), over the pairs
     (x_k, w_k) of sides: one _adaptive call over v in [-1, 1], y = -v for
     v <= 0 and y = 1/v (Jacobian 1/v^2) for v > 0. The nodes reach y far
@@ -239,7 +258,7 @@ def _halfline(R, sides, name: str, opts: EvalOptions):
     # graded toward v = 0+ so slowly decaying or far-out mass is still found
     breaks = np.concatenate(([-1.0, 0.0], np.logspace(-6.0, -0.75, 8), [1.0]))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _adaptive(pullback, breaks, opts, where, len(sides))
+        return _adaptive(pullback, breaks, where, len(sides))
 
 
 def _exponents(*kappas: float) -> None:
@@ -247,18 +266,18 @@ def _exponents(*kappas: float) -> None:
         raise DomainError(f"non-integrable endpoint exponent {min(kappas)}")
 
 
-def integrate(f, a: float, b: float, opts: EvalOptions = DEFAULT_OPTIONS):
+def integrate(f, a: float, b: float):
     """Adaptive integral of a vectorized, everywhere-finite integrand; b may
     be infinite, and the half-line is then _halfline's mesh in y = t - a."""
     if not a < b:
         raise DomainError(f"empty integration range [{a}, {b}]")
     if not math.isinf(b):
-        return _adaptive(f, np.array([a, a + 0.5 * (b - a), b]), opts,
+        return _adaptive(f, np.array([a, a + 0.5 * (b - a), b]),
                          lambda lo, hi: f"t in [{np.min(lo)}, {np.max(hi)}]")
-    return _halfline(f, [(lambda y: a + y, lambda y, t: np.ones_like(y))], "t", opts)
+    return _halfline(f, [(lambda y: a + y, lambda y, t: np.ones_like(y))], "t")
 
 
-def power_weighted(R, kappa: float, top: float, opts: EvalOptions = DEFAULT_OPTIONS):
+def power_weighted(R, kappa: float, top: float):
     """integral_0^top x^kappa R(x) dx with the x^kappa factor kept exact.
 
     One half-line integral in y = log(top/x),
@@ -275,10 +294,10 @@ def power_weighted(R, kappa: float, top: float, opts: EvalOptions = DEFAULT_OPTI
     _exponents(kappa)
     log_top = math.log(top)
     return _halfline(R, [(lambda y: np.maximum(top * np.exp(-y), _TINY),
-                          lambda y, x: np.exp((kappa + 1.0) * (log_top - y)))], "x", opts)
+                          lambda y, x: np.exp((kappa + 1.0) * (log_top - y)))], "x")
 
 
-def beta_kernel(R, kappa: float, lam: float, opts: EvalOptions = DEFAULT_OPTIONS):
+def beta_kernel(R, kappa: float, lam: float):
     """integral_0^1 x^kappa (1-x)^lam R(x) dx for kappa, lam > -1, R smooth-ish.
 
     Each half is power_weighted's integral in the distance d = e^-y / 2 to
@@ -294,17 +313,17 @@ def beta_kernel(R, kappa: float, lam: float, opts: EvalOptions = DEFAULT_OPTIONS
     return _halfline(R, [
         (d, lambda y, x: np.exp((kappa + 1.0) * (log_half - y)) * (1.0 - x) ** lam),
         (lambda y: 1.0 - d(y), lambda y, x: np.exp((lam + 1.0) * (log_half - y)) * x ** kappa),
-    ], "x", opts)
+    ], "x")
 
 
-def halfline_power(R, kappa: float, opts: EvalOptions = DEFAULT_OPTIONS):
+def halfline_power(R, kappa: float):
     """integral_0^inf t^kappa R(t) dt for kappa > -1 and decaying R: the two
     sides of one _halfline mesh, power_weighted's t = e^-y on (0, 1] and
     integrate's t = 1 + y on [1, inf)."""
     _exponents(kappa)
     return _halfline(R, [(lambda y: np.maximum(np.exp(-y), _TINY),
                           lambda y, t: np.exp(-(kappa + 1.0) * y)),
-                         (lambda y: 1.0 + y, lambda y, t: t ** kappa)], "t", opts)
+                         (lambda y: 1.0 + y, lambda y, t: t ** kappa)], "t")
 
 
 @lru_cache(maxsize=512)
@@ -350,10 +369,10 @@ _PANEL_LOG_SPAN = 8.0
 
 def _checked_pair(rule, what: str) -> float:
     """rule(n) at both node counts of _RULE_NODES: the fine value, or
-    QuadratureError when the two differ by more than
-    rel_tol*|fine| + abs_tol of DEFAULT_OPTIONS (or either is not finite)."""
+    QuadratureError when the two differ by more than _RTOL*|fine| + _ATOL
+    (or either is not finite)."""
     coarse, fine = (rule(n) for n in _RULE_NODES)
-    tol = DEFAULT_OPTIONS.rel_tol * abs(fine) + DEFAULT_OPTIONS.abs_tol
+    tol = _RTOL * abs(fine) + _ATOL
     if not abs(fine - coarse) <= tol:
         raise QuadratureError(
             f"{what}: {_RULE_NODES[0]}- and {_RULE_NODES[1]}-node rules differ by "

@@ -28,8 +28,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError
-from .options import DEFAULT_OPTIONS
-from .quadrature import _flat, beta_kernel, column_blocks, halfline_power, integrate
+from .quadrature import _ATOL, _RTOL, _flat, beta_kernel, column_blocks, halfline_power, integrate
 
 __all__ = [
     "gamma_ln",
@@ -47,10 +46,8 @@ __all__ = [
     "macdonald_k0",
 ]
 
-# Series stop once |term| < _RTOL*|sum| + _ATOL (the quadrature's own
-# tolerances) and give up after _MAX_TERMS terms.
-_RTOL = DEFAULT_OPTIONS.rel_tol
-_ATOL = DEFAULT_OPTIONS.abs_tol
+# Series stop once |term| < _RTOL*|sum| + _ATOL, the quadrature's stopping
+# rule, and give up after _MAX_TERMS terms.
 _MAX_TERMS = 100_000
 
 

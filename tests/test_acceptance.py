@@ -31,7 +31,6 @@ from bpl.identities import (
     theorem_b_spec,
     verify,
 )
-from bpl.options import EvalOptions
 from bpl.probes import (
     cm_probe,
     conjecture_cmcj_scan,
@@ -142,8 +141,7 @@ def test_criterion_05_convolution_forms():
         def smooth(y, a=a, b=b):
             return (1.0 + y) ** (-b) * gauss_2f1(0.5 - b, a, a + 0.5, y ** 2)
 
-        mass = pref * beta_kernel(smooth, 2.0 * a - 1.0, b - 1.0,
-                                  EvalOptions(rel_tol=1e-10, max_quad_refinements=90))
+        mass = pref * beta_kernel(smooth, 2.0 * a - 1.0, b - 1.0)
         ok &= abs(mass - 1.0) <= 1e-8
     _report(5, "four density forms pairwise within 1e-8 on 50 random triples; "
                "normalization within 1e-8", ok)
@@ -255,8 +253,7 @@ def test_criterion_10_thorin_suite():
         ok &= abs(thorin_cdf_a1(0.5, t) - thorin_cdf(ThorinParams(0.99, 0.5), t)) <= 2e-2
     # symmetrized density: normalized and Gaussian-limiting
     from bpl.quadrature import integrate
-    half = integrate(lambda t: awk_density(1.0, t), 1e-6, np.inf,
-                     EvalOptions(rel_tol=1e-6, abs_tol=1e-9, max_quad_refinements=60))
+    half = integrate(lambda t: awk_density(1.0, t), 1e-6, np.inf)
     ok &= abs(2.0 * half - 1.0) <= 1e-4
     ts = np.array([0.0, 1.0])
     want = np.exp(-ts * ts / 2.0) / math.sqrt(2.0 * math.pi)

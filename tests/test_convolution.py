@@ -195,22 +195,24 @@ class TestMellinSum:
         assert mellin_sum(BetaPrimeParams(1.0, 2.0), 1.0) == pytest.approx(2.0, rel=1e-10)
 
     def test_density_quadrature_agreement(self):
-        # quadrature of x^s phi after the exact substitution y = x/(x+2),
-        # through the second Pfaff variant (different series than the 3F2)
-        from bpl.quadrature import beta_kernel
-        from bpl.special import gamma_ln, gauss_2f1
+        # mpmath's quadrature of x^s phi after the exact substitution
+        # y = x/(x+2), through the second Pfaff variant (different series
+        # than the 3F2), and y = 1 - u^(1/(b-s)), which absorbs (1-y)^(b-s-1)
+        import mpmath as mp
         p = BetaPrimeParams(0.5, 0.3)
         a, b = p.a, p.b
         s = 0.1
 
-        def smooth(y):
-            return (1.0 + y) ** (-b) * gauss_2f1(0.5 - b, a, a + 0.5, y ** 2)
+        with mp.workdps(25):
+            e = 1 / mp.mpf(b - s)
 
-        from bpl.options import EvalOptions
-        pref = math.exp((2.0 * a + s) * math.log(2.0) + 2.0 * gamma_ln(a + b)
-                        - gamma_ln(2.0 * a) - 2.0 * gamma_ln(b))
-        want = pref * beta_kernel(smooth, 2.0 * a + s - 1.0, b - s - 1.0,
-                                  EvalOptions(rel_tol=1e-9, max_quad_refinements=80))
+            def smooth(u):
+                y = 1 - u ** e
+                return (y ** (2 * a + s - 1) * (1 + y) ** (-b)
+                        * mp.hyp2f1(0.5 - b, a, a + 0.5, y * y))
+
+            pref = mp.power(2, 2 * a + s) * mp.gamma(a + b) ** 2 / (mp.gamma(2 * a) * mp.gamma(b) ** 2)
+            want = float(pref * e * mp.quad(smooth, [0, 1]))
         assert rel_err(mellin_sum(p, s), want) < 1e-7
 
     def test_strip_violation(self):

@@ -24,7 +24,7 @@ from bpl.distributions import (
     sample_gamma,
 )
 from bpl.errors import DomainError
-from bpl.identities import ks_two_sample
+from bpl.identities import ks_threshold, ks_two_sample
 from bpl.quadrature import integrate
 
 
@@ -111,8 +111,7 @@ class TestSamplers:
             lhs = 1.0 / sample_beta(BetaParams(b, a), r1, n) - 1.0
             g1 = sample_gamma(GammaParams(a), r2, n)
             g2 = sample_gamma(GammaParams(b), r2, n)
-            stat, thr = ks_two_sample(lhs, g1 / g2)
-            assert stat < thr(0.01)
+            assert ks_two_sample(lhs, g1 / g2) < ks_threshold(0.01, n, n)
 
     def test_gamma_beta_factorization(self):
         # Gamma_b = Gamma_b' Beta(b, b'-b) in law for (b, b') = (0.5, 1.5)
@@ -120,8 +119,7 @@ class TestSamplers:
         r1, r2 = RngState(19).spawn(2)
         lhs = sample_gamma(GammaParams(0.5), r1, n)
         rhs = sample_gamma(GammaParams(1.5), r2, n) * sample_beta(BetaParams(0.5, 1.0), r2, n)
-        stat, thr = ks_two_sample(lhs, rhs)
-        assert stat < thr(0.01)
+        assert ks_two_sample(lhs, rhs) < ks_threshold(0.01, n, n)
 
     def test_mellin_sampler_agreement(self):
         p = BetaPrimeParams(1.2, 1.8)
@@ -510,7 +508,7 @@ class TestSplitDrawLaw:
         for half in (first, second):
             assert st.kstest(half, "gamma", args=(t,)).pvalue > 1e-6
         # two-sided at 1e-6: a repeated stream gives a statistic of 0
-        stat, _ = ks_two_sample(first, second)
+        stat = ks_two_sample(first, second)
         scaled = stat * math.sqrt(first.size * second.size / (first.size + second.size))
         assert st.kstwobign.ppf(5e-7) < scaled < st.kstwobign.isf(5e-7)
 

@@ -26,6 +26,7 @@ from bpl.identities import (
     half_gaussian_spec,
     IdentitySpec,
     identity_catalog,
+    ks_threshold,
     ks_two_sample,
     lemma_densities,
     prop_b0_spec,
@@ -36,7 +37,6 @@ from bpl.identities import (
     _one_plus_sqrt_beta_factor,
     _sqrt_gamma_sum_mellin,
 )
-from bpl.options import EvalOptions
 from bpl.quadrature import integrate
 from bpl.special import gamma_ln
 from conftest import draw_side, max_rel_err, mc_mean, rel_err
@@ -82,7 +82,7 @@ class TestKs:
     @example(xs=[math.inf, 0.0, math.inf], ys=[math.inf])
     @example(xs=[1.0], ys=[2.0])
     def test_merge_equals_searchsorted_formula(self, xs, ys):
-        assert ks_two_sample(xs, ys)[0] == _ks_searchsorted(xs, ys)
+        assert ks_two_sample(xs, ys) == _ks_searchsorted(xs, ys)
 
     @settings(max_examples=300, deadline=None)
     @given(xs=_KS_SAMPLE, ys=_KS_SAMPLE, bound_block=st.integers(1, 7),
@@ -102,7 +102,7 @@ class TestKs:
         r1, r2 = RngState(8).spawn(2)
         xs = np.round(r1.generator.normal(size=300_000), 2)
         ys = np.round(r2.generator.normal(0.01, 1.0, size=200_000), 2)
-        assert ks_two_sample(xs, ys)[0] == _ks_searchsorted(xs, ys)
+        assert ks_two_sample(xs, ys) == _ks_searchsorted(xs, ys)
 
     @pytest.mark.parametrize("shift", [0.0, 0.003, 0.05])
     def test_skipped_blocks_on_large_samples(self, shift):
@@ -110,13 +110,13 @@ class TestKs:
         r1, r2 = RngState(9).spawn(2)
         xs = r1.generator.normal(size=250_000)
         ys = r2.generator.normal(shift, 1.0, size=180_000)
-        assert ks_two_sample(xs, ys)[0] == _ks_searchsorted(xs, ys)
+        assert ks_two_sample(xs, ys) == _ks_searchsorted(xs, ys)
 
     def test_run_of_ties_longer_than_a_block(self):
         # underflowed draws of a tiny shape are a long run of zeros
         xs = np.concatenate([np.zeros(200_000), np.linspace(0.1, 1.0, 7)])
         ys = np.array([0.0, 0.5, 2.0])
-        assert ks_two_sample(xs, ys)[0] == _ks_searchsorted(xs, ys)
+        assert ks_two_sample(xs, ys) == _ks_searchsorted(xs, ys)
 
     @pytest.mark.parametrize("xs, ys", [([1.0, math.nan], [1.0]), ([1.0], [math.nan])])
     def test_nan_rejected(self, xs, ys):
@@ -125,26 +125,22 @@ class TestKs:
 
     def test_identical_vectors(self):
         x = np.linspace(0.0, 1.0, 100)
-        stat, thr = ks_two_sample(x, x)
-        assert stat == 0.0
+        assert ks_two_sample(x, x) == 0.0
 
     def test_null_calibration(self):
         r1, r2 = RngState(5).spawn(2)
         xs = r1.generator.random(100_000)
         ys = r2.generator.random(100_000)
-        stat, thr = ks_two_sample(xs, ys)
-        assert stat < thr(0.01)
+        assert ks_two_sample(xs, ys) < ks_threshold(0.01, 100_000, 100_000)
 
     def test_power_against_shift(self):
         r1, r2 = RngState(5).spawn(2)
         xs = r1.generator.random(100_000)
         ys = r2.generator.random(100_000) + 0.05
-        stat, thr = ks_two_sample(xs, ys)
-        assert stat > thr(0.01)
+        assert ks_two_sample(xs, ys) > ks_threshold(0.01, 100_000, 100_000)
 
     def test_threshold_constant(self):
-        stat, thr = ks_two_sample(np.arange(10.0), np.arange(10.0))
-        c = thr(0.01) / math.sqrt(20.0 / 100.0)
+        c = ks_threshold(0.01, 10, 10) / math.sqrt(20.0 / 100.0)
         assert c == pytest.approx(1.628, abs=5e-4)
 
     def test_empty_rejected(self):
@@ -252,8 +248,8 @@ class TestTwoSidedVerify:
         xs = r1.generator.normal(size=5000)
         ys = r2.generator.normal(0.05, 1.0, size=3000)
         orig_x, orig_y = xs.copy(), ys.copy()
-        want = ks_two_sample(orig_x.copy(), orig_y.copy())[0]
-        assert ks_two_sample(xs, ys)[0] == want == _ks_searchsorted(orig_x, orig_y)
+        want = ks_two_sample(orig_x.copy(), orig_y.copy())
+        assert ks_two_sample(xs, ys) == want == _ks_searchsorted(orig_x, orig_y)
         assert xs.tobytes() == np.sort(orig_x).tobytes()
         assert ys.tobytes() == np.sort(orig_y).tobytes()
         as_list, as_f32 = [3.0, 1.0, 2.0], np.array([2.5, 0.5], dtype=np.float32)
@@ -265,10 +261,10 @@ class TestTwoSidedVerify:
         # the values as passed, not of a sort racing on the same memory
         x = RngState(13).generator.normal(size=20_000)
         orig = x.copy()
-        assert ks_two_sample(x, x)[0] == 0.0
+        assert ks_two_sample(x, x) == 0.0
         assert x.tobytes() == np.sort(orig).tobytes()
         y = orig.copy()
-        assert ks_two_sample(y[:-500], y[500:])[0] == _ks_searchsorted(orig[:-500], orig[500:])
+        assert ks_two_sample(y[:-500], y[500:]) == _ks_searchsorted(orig[:-500], orig[500:])
 
     @pytest.mark.parametrize("side", ["lhs", "rhs"])
     def test_sampler_error_is_failure(self, side):
@@ -582,9 +578,9 @@ class TestOtherIdentities:
         assert rep.passed, rep
 
     def test_free_guard_and_swap(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="swap the factor roles"):
             free_spec(1.0, 2.0, 0.7, 0.5)
-        rep = verify(free_spec(1.0, 2.0, 0.7, 0.5, swap=True), 50_000, RngState(78))
+        rep = verify(free_spec(0.7, 0.5, 1.0, 2.0), 50_000, RngState(78))
         assert rep.passed, rep
 
     @pytest.mark.parametrize("a", [0.5, 2.0])
@@ -642,7 +638,6 @@ class TestLemmaDensities:
         # x^(-tail_exp-1) tail exactly; only the integrable log point at 2
         # is left to the adaptive pass
         from bpl.quadrature import beta_kernel
-        loose = EvalOptions(rel_tol=1e-10, abs_tol=1e-13, max_quad_refinements=90)
 
         def inner(u):  # x = 1 + u on (1, 2); clamp off the log point at 2
             u = np.clip(u, 1e-15, 1.0 - 1e-10)
@@ -652,8 +647,8 @@ class TestLemmaDensities:
             v = np.clip(v, 1e-140, 1.0 - 1e-10)
             return lemma_densities(kind, param, 1.0 + 1.0 / v) * v ** (1.0 - tail_exp) / (v * v)
 
-        mass = (beta_kernel(inner, left_exp, 0.0, loose)
-                + beta_kernel(outer, tail_exp - 1.0, 0.0, loose))
+        mass = (beta_kernel(inner, left_exp, 0.0)
+                + beta_kernel(outer, tail_exp - 1.0, 0.0))
         assert mass == pytest.approx(1.0, abs=1e-7)
 
     def test_domain_guards(self):

@@ -58,10 +58,10 @@ COMMANDS = [
 ]
 
 # public names no command reaches, each with the criterion that needs it.
-# EvalOptions: the commands run at DEFAULT_OPTIONS, built when bpl is imported
+# mills_suite and parabolic_d (its Turan chain): scan cmmi runs only the
+# suite's three cmmi-scan probes
 SERVES = {
     "lemma_densities": "criterion 04",
-    "EvalOptions": "criterion 05",
     "SumSpec": "criterion 05",
     "appell_f1": "criterion 05",
     "sum_density_2f1": "criterion 05",
@@ -70,6 +70,8 @@ SERVES = {
     "sum_density_pfaff2": "criterion 05",
     "stoo_check": "criterion 09",
     "awk_density": "criterion 10",
+    "mills_suite": "criterion 11",
+    "parabolic_d": "criterion 11",
 }
 
 

@@ -4,6 +4,7 @@ import math
 import re
 import warnings
 from functools import lru_cache
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from scipy.special import roots_jacobi
 
 from bpl import quadrature
 from bpl.errors import DomainError, QuadratureError
-from bpl.options import EvalOptions
 from bpl.quadrature import (
     _BLOCK_COLUMNS,
     _GAUSS_IDX,
@@ -135,24 +135,30 @@ def test_power_weighted_matches_qaws(log_p, b):
     assert abs(got - want) <= 1e-12 * abs(want) + 2.0 * below_tiny
 
 
-def test_budget_exhaustion_raises():
-    tight = EvalOptions(rel_tol=1e-13, max_quad_refinements=1)
+def _tight(monkeypatch):
+    # one refinement round at a relative tolerance of 1e-13
+    monkeypatch.setattr(quadrature, "_RTOL", 1e-13)
+    monkeypatch.setattr(quadrature, "_MAX_ROUNDS", 1)
+
+
+def test_budget_exhaustion_raises(monkeypatch):
+    _tight(monkeypatch)
     with pytest.raises(QuadratureError):
-        integrate(lambda x: np.abs(np.sin(50.0 * x)), 0.0, 10.0, tight)
+        integrate(lambda x: np.abs(np.sin(50.0 * x)), 0.0, 10.0)
 
 
 # one integral per entry point, (N,)- and (N, m)-valued, with an oscillation
 # w and an endpoint exponent or decay p
 _BUDGET_CASES = {
-    "integrate": lambda w, p, o: integrate(
-        lambda x: np.cos(w * x) * np.exp(-p * x), 0.0, 3.0, o),
-    "integrate-tail": lambda w, p, o: integrate(
-        lambda x: np.cos(w * x) / (1.0 + x) ** (1.0 + p), 0.0, math.inf, o),
-    "power_weighted": lambda w, p, o: power_weighted(np.cos, p - 1.0, w / 10.0 + 0.1, o),
-    "beta_kernel": lambda w, p, o: beta_kernel(
-        lambda x: np.cos(np.multiply.outer(x, w * np.arange(1.0, 4.0))), p - 1.0, -0.5, o),
-    "halfline_power": lambda w, p, o: halfline_power(
-        lambda t: np.exp(-t) * np.cos(w * t), p - 1.0, o),
+    "integrate": lambda w, p: integrate(
+        lambda x: np.cos(w * x) * np.exp(-p * x), 0.0, 3.0),
+    "integrate-tail": lambda w, p: integrate(
+        lambda x: np.cos(w * x) / (1.0 + x) ** (1.0 + p), 0.0, math.inf),
+    "power_weighted": lambda w, p: power_weighted(np.cos, p - 1.0, w / 10.0 + 0.1),
+    "beta_kernel": lambda w, p: beta_kernel(
+        lambda x: np.cos(np.multiply.outer(x, w * np.arange(1.0, 4.0))), p - 1.0, -0.5),
+    "halfline_power": lambda w, p: halfline_power(
+        lambda t: np.exp(-t) * np.cos(w * t), p - 1.0),
 }
 
 
@@ -162,14 +168,18 @@ _BUDGET_CASES = {
        budget=st.integers(1, 40), extra=st.integers(1, 150))
 def test_larger_budget_never_changes_a_converged_value(case, w, p, rel_tol, budget, extra):
     """The refinement loop stops on the round where every column converges,
-    so any budget past that round gives the same value, bit for bit."""
+    so any budget past that round gives the same value, bit for bit.
+    The constants are patched here, not by a fixture: a function-scoped
+    fixture is not reset between examples."""
     integral = _BUDGET_CASES[case]
-    try:
-        got = integral(w, p, EvalOptions(rel_tol=rel_tol, max_quad_refinements=budget))
-    except QuadratureError:
-        assume(False)
-    more = EvalOptions(rel_tol=rel_tol, max_quad_refinements=budget + extra)
-    assert np.array_equal(integral(w, p, more), got)
+    with patch.object(quadrature, "_RTOL", rel_tol):
+        try:
+            with patch.object(quadrature, "_MAX_ROUNDS", budget):
+                got = integral(w, p)
+        except QuadratureError:
+            assume(False)
+        with patch.object(quadrature, "_MAX_ROUNDS", budget + extra):
+            assert np.array_equal(integral(w, p), got)
 
 
 def test_panel_at_float_resolution_raises():
@@ -427,16 +437,16 @@ class TestVectorValued:
                      epsabs=0.0, epsrel=1e-12, limit=200)[0] for kj, wj in kw]
         assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
 
-    def test_one_hard_column_exhausts_budget(self):
-        tight = EvalOptions(rel_tol=1e-13, max_quad_refinements=1)
+    def test_one_hard_column_exhausts_budget(self, monkeypatch):
+        _tight(monkeypatch)
         # the smooth column alone converges within the same budget
-        assert integrate(lambda x: x * x, 0.0, 10.0, tight) == pytest.approx(1000.0 / 3.0)
+        assert integrate(lambda x: x * x, 0.0, 10.0) == pytest.approx(1000.0 / 3.0)
 
         def both(x):
             return np.stack([x * x, np.abs(np.sin(50.0 * x))], axis=1)
 
         with pytest.raises(QuadratureError):
-            integrate(both, 0.0, 10.0, tight)
+            integrate(both, 0.0, 10.0)
 
     def test_unreachable_tolerance_stops(self):
         # cos(12 x)/(1+x^2) cancels below the rounding floor of its panels:
