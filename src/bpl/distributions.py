@@ -2,7 +2,8 @@
 
 Sampling is vectorized and fully reproducible: an RngState built from a seed
 always yields the same stream, and spawned substreams are independent and
-deterministic as well.
+deterministic as well. Every draw is one fill on the caller's generator, on
+the calling thread, at every size.
 
 Each law has one construction, chosen from its shapes alone, with E
 standard exponential, Z standard normal and U uniform on (0, 1) (Devroye,
@@ -19,15 +20,6 @@ Non-Uniform Random Variate Generation, 1986, ch. IX):
     other laws with p <= 1 and q <= 1   Jöhnk's rejection (Metrika 8, 1964)
     every other Beta, BetaPrime         G(p)/(G(p) + G(q)), G(p)/G(q)
 
-The draw size decides only the thread split. A draw of 2^17 values (_SPLIT)
-or more is filled in two halves: the caller's generator fills the first on
-the calling thread, and a child generator (``gen.spawn(1)[0]``, made before
-the worker starts) fills the second on one short-lived worker thread.
-numpy's fills release the GIL, so the halves run at once. A smaller draw is
-one fill on the caller's generator, with no spawn and no thread. The values
-are a function of the seed and the size alone, whatever the thread timing
-or the machine's core count.
-
 The samplers do their arithmetic in place on the arrays they draw, in the
 order the plain expressions would (``g * u`` becomes ``g *= u``), so every
 value keeps its bits. The second operand of a gamma fill (the U^(1/t)
@@ -37,22 +29,15 @@ it holds no temporary of its draw's size and its values are the bits of one
 whole-size draw; the BetaPrime(p, 1) and shape-1/2 fills form their second
 factor in that buffer too, and the Jöhnk fill draws its candidates into two
 buffers of _CHUNK/2 values. A gamma ratio holds one second array, G(q), of
-its draw's size, made on the calling thread; each half of a split draw fills
-its slice, so the worker makes no array of its half's size. Each sampler
-fills a new array, or out= (numpy's convention: a contiguous float64 array
-of shape (n,), returned). ``verify`` fills each KS side in place, one block
-of 2 _SPLIT values per call (see bpl.identities), with no copy.
-
-``RngState.spawn`` derives its children from a SeedSequence of its own, set
-aside when the state is made: the ``gen.spawn(1)`` of a split draw advances
-the generator's sequence, and would otherwise shift every child spawned
-after a large draw.
+its draw's size. Each sampler fills a new array, or out= (numpy's
+convention: a contiguous float64 array of shape (n,), returned). ``verify``
+fills each KS side in place, one block of 2^18 values per call (see
+bpl.identities), with no copy.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,13 +92,8 @@ class RngState:
 
     def __init__(self, seed: int, _sequence: np.random.SeedSequence | None = None):
         self.seed = int(seed)
-        seq = _sequence if _sequence is not None else np.random.SeedSequence(self.seed)
-        self.generator = np.random.Generator(np.random.PCG64(seq))
-        # a copy for spawn() alone: the generator's own sequence is advanced
-        # by the gen.spawn(1) of every split draw (_sample)
-        self._sequence = np.random.SeedSequence(
-            seq.entropy, spawn_key=seq.spawn_key, pool_size=seq.pool_size,
-            n_children_spawned=seq.n_children_spawned)
+        self._sequence = _sequence if _sequence is not None else np.random.SeedSequence(self.seed)
+        self.generator = np.random.Generator(np.random.PCG64(self._sequence))
 
     def spawn(self, n: int) -> list["RngState"]:
         """n independent substreams, deterministic in the parent seed and the
@@ -149,41 +129,8 @@ def betaprime_mellin(p: BetaPrimeParams, s: float) -> float:
 # Samplers
 
 
-def _on_two_threads(worker, here):
-    """(worker(), here()), with worker run on one short-lived thread and here
-    on the calling one. The worker runs under the caller's numpy
-    floating-point error settings (np.errstate is per thread). The worker is
-    joined before this returns or raises, and an exception it raised is
-    raised again here, so nothing reaches the thread's excepthook."""
-    result = []
-    errors = np.geterr()
-
-    def run():
-        try:
-            with np.errstate(**errors):
-                result.append((True, worker()))
-        except BaseException as exc:
-            result.append((False, exc))
-
-    thread = threading.Thread(target=run)
-    thread.start()
-    try:
-        mine = here()
-    finally:
-        thread.join()
-    ok, theirs = result[0]
-    if not ok:
-        raise theirs
-    return theirs, mine
-
-
-# draws of this many values or more are split over two threads: half a draw
-# then costs about 1.3 ms against about 0.1 ms to start a thread, and the CLI
-# default --n 100000 and scan cjmain's 30,000 stay below it
-_SPLIT = 1 << 17
-
 # values per step of a fill's second operand: one reused buffer of 256 KB
-_CHUNK = _SPLIT >> 2
+_CHUNK = 1 << 15
 
 
 def _chunks(out: np.ndarray):
@@ -289,8 +236,7 @@ def _fill_one_variate(gen: np.random.Generator, p: float, q: float, prime: bool,
 
 # candidates per round of a Jöhnk fill: its two candidate buffers and the
 # temporary that copies a round's kept values out stay within 1.5 _CHUNK
-# values (_CHUNK candidates would make the two fills of a split draw hold
-# about 6 _CHUNK at once)
+# values
 _BATCH = _CHUNK >> 1
 
 
@@ -348,11 +294,11 @@ def _fill_johnk(gen: np.random.Generator, p: float, q: float, prime: bool,
 
 
 def _fill_ratio(gen: np.random.Generator, p: float, q: float, prime: bool,
-                out: np.ndarray, g2: np.ndarray) -> None:
+                out: np.ndarray) -> None:
     """Beta(p, q) = G(p) / (G(p) + G(q)), or BetaPrime(p, q) = G(p) / G(q) if
-    prime: G(p) into out, then G(q) into g2, an array of out's size, from the
-    same generator."""
+    prime: G(p) into out, then G(q) into a new array, from one generator."""
     _fill_gamma(gen, p, out)
+    g2 = np.empty(out.size)
     _fill_gamma(gen, q, g2)
     if not prime:
         g2 += out
@@ -368,26 +314,10 @@ def _out(n: int, out: np.ndarray | None) -> np.ndarray:
     return np.empty(n) if out is None else out
 
 
-def _sample(gen: np.random.Generator, fill, out: np.ndarray, *scratch: np.ndarray) -> np.ndarray:
-    """out filled by fill(gen, out, *scratch), scratch arrays of out's size
-    made on this thread. From _SPLIT values on, fill(gen, ...) runs here on
-    the first half of each array while fill(gen.spawn(1)[0], ...) runs on a
-    worker thread on the second, the child made before the worker starts, so
-    the result depends on the seed and n only."""
-    n = out.size
-    if n < _SPLIT:
-        fill(gen, out, *scratch)
-        return out
-    child = gen.spawn(1)[0]
-    half = n // 2
-    _on_two_threads(lambda: fill(child, out[half:], *(s[half:] for s in scratch)),
-                    lambda: fill(gen, out[:half], *(s[:half] for s in scratch)))
-    return out
-
-
 def sample_gamma(p: GammaParams, rng: RngState, n: int, *, out=None) -> np.ndarray:
-    return _sample(rng.generator, lambda gen, part: _fill_gamma(gen, p.t, part),
-                   _out(int(n), out))
+    out = _out(int(n), out)
+    _fill_gamma(rng.generator, p.t, out)
+    return out
 
 
 def _beta_family(p: float, q: float, prime: bool, rng: RngState, n: int,
@@ -396,16 +326,14 @@ def _beta_family(p: float, q: float, prime: bool, rng: RngState, n: int,
     shapes pick: the one-variate fill where a shape is 1 or both are 1/2,
     else Jöhnk's where both shapes are at most 1, else the gamma ratio."""
     out = _out(int(n), out)
-    scratch = ()
     if p == 1.0 or q == 1.0 or p == q == 0.5:
         fill = _fill_one_variate
     elif p <= 1.0 and q <= 1.0:
         fill = _fill_johnk
     else:
         fill = _fill_ratio
-        scratch = (np.empty(out.size),)
-    return _sample(rng.generator, lambda gen, part, *rest: fill(gen, p, q, prime, part, *rest),
-                   out, *scratch)
+    fill(rng.generator, p, q, prime, out)
+    return out
 
 
 def sample_beta(p: BetaParams, rng: RngState, n: int, *, out=None) -> np.ndarray:

@@ -19,22 +19,20 @@ array of n values, one block of at most _DRAW_BLOCK = 2^18 values per
 sampler call. A sampler is a fill (see IdentitySpec) that draws its first
 law straight into the block and its other factors into work rows of one
 block, each made on first use and kept for both sides; nothing is copied.
-Every law is drawn by the one construction its shapes pick (the table in
-bpl.distributions), at every size; the size decides only the thread split:
-a draw of 2^17 values or more (every full block) fills half its array on one
-worker thread. rhs_scale is applied in place. ks_two_sample then sorts the
-two arrays in place and scans each against the other (_ks_side, _KS_BLOCK =
-2^13 positions per exact step), one side on a worker thread and one on the
-calling thread. So verify's memory at its peak is the two samples plus
-1.0-2.4 blocks for the catalog's identities (tracemalloc, n = 2^20). numpy's
-fills, sorts and searchsorted release the GIL, so the halves and sides run
-at once; no value depends on thread timing. The thread count is two by
-construction, and every public function runs on the calling thread.
+rhs_scale is applied in place. ks_two_sample then sorts the two arrays in
+place and scans each against the other (_ks_side, _KS_BLOCK = 2^13
+positions per exact step), one side on a worker thread and one on the
+calling thread (_on_two_threads), which run at once, as numpy's sorts and
+searchsorted release the GIL; no value depends on thread timing. So
+verify's memory at its peak is the two samples plus 1.0-2.4 blocks for the
+catalog's identities (tracemalloc, n = 2^20). Every public function runs on
+the calling thread.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -46,8 +44,6 @@ from .distributions import (
     BetaPrimeParams,
     GammaParams,
     RngState,
-    _SPLIT,
-    _on_two_threads,
     betaprime_mellin,
     betaprime_pdf,
     sample_beta,
@@ -212,6 +208,34 @@ def _ks_side(own: np.ndarray, other: np.ndarray) -> float:
     return best
 
 
+def _on_two_threads(worker, here):
+    """(worker(), here()), with worker run on one short-lived thread and here
+    on the calling one. The worker runs under the caller's numpy
+    floating-point error settings (np.errstate is per thread). The worker is
+    joined before this returns or raises, and an exception it raised is
+    raised again here, so nothing reaches the thread's excepthook."""
+    result = []
+    errors = np.geterr()
+
+    def run():
+        try:
+            with np.errstate(**errors):
+                result.append((True, worker()))
+        except BaseException as exc:
+            result.append((False, exc))
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    try:
+        mine = here()
+    finally:
+        thread.join()
+    ok, theirs = result[0]
+    if not ok:
+        raise theirs
+    return theirs, mine
+
+
 def ks_two_sample(xs, ys):
     """Two-sample Kolmogorov-Smirnov statistic.
 
@@ -239,8 +263,8 @@ def ks_two_sample(xs, ys):
 
 
 # verify draws a KS side one block of at most this many values per sampler
-# call: every sampler draw of a full block still splits over two threads
-_DRAW_BLOCK = 2 * _SPLIT
+# call
+_DRAW_BLOCK = 1 << 18
 
 
 class _WorkRows:
@@ -291,8 +315,7 @@ def verify(
     try:
         # the samplers run on this thread, one after the other: the
         # benchmark's span tracer keeps one span stack for all threads. Only
-        # the private fills of a large draw and the sorts and scans of
-        # ks_two_sample use a worker thread.
+        # the sorts and scans of ks_two_sample use a worker thread.
         lhs_rng, rhs_rng = rng.spawn(2)
         work = _WorkRows(min(n, _DRAW_BLOCK))
         xs = _draw(spec.lhs_sampler, lhs_rng, n, work)

@@ -143,9 +143,22 @@ def _log_taylor_table(zs: np.ndarray, fs: np.ndarray, max_order: int):
     resid = h_win - (vand @ coef)[:, :, 0]
     scale = np.maximum(np.sqrt(np.mean(resid ** 2, axis=1)), 3e-14)
     half = 0.5 * (z_win[:, -1] - z_win[:, 0])
-    fac = half ** -np.arange(max_order + 1.0)[:, None]
     row_norms = np.linalg.norm(rows, axis=1)[:, None]
-    return z_win[:, _WINDOW // 2], (rows @ h_win.T) * fac, scale * row_norms * fac
+    with np.errstate(over="ignore"):
+        fac = half ** -np.arange(max_order + 1.0)[:, None]
+        table = (rows @ h_win.T) * fac, scale * row_norms * fac
+    return (z_win[:, _WINDOW // 2], *_in_range(zs, max_order, *table))
+
+
+def _in_range(zs: np.ndarray, order: int, values: np.ndarray, floors: np.ndarray):
+    """(values, floors) if they and _VIOLATION floors are finite, else a
+    DomainError: a window's k-th derivatives scale as its half-width^-k."""
+    with np.errstate(over="ignore"):
+        if np.all(np.isfinite(values)) and np.all(np.isfinite(_VIOLATION * floors)):
+            return values, floors
+    half = 0.5 * np.min(np.abs(zs[_WINDOW - 1:] - zs[:1 - _WINDOW]))
+    raise DomainError(f"probe window of half-width {half:.3g} is too narrow for derivatives "
+                      f"of order {order}: they overflow a double")
 
 
 def _exp_series(coeffs: np.ndarray) -> np.ndarray:
@@ -196,7 +209,8 @@ def cm_probe(f, z_grid, max_order: int = 8) -> ProbeResult:
     zs = np.asarray(z_grid, dtype=float)
     fs = _eval_grid(f, zs)
     centers, dh, floors_h = _log_taylor_table(zs, fs, max_order)
-    fc, fl = _f_taylor_with_floors(dh, floors_h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fc, fl = _in_range(zs, max_order, *_f_taylor_with_floors(dh, floors_h))
     signed = fc * ((-1.0) ** np.arange(max_order + 1))[:, None]
     ok, first, verdict = _verdict_from_signs(signed, fl, centers)
     return ProbeResult(max_order, centers, ok, first, verdict,

@@ -78,7 +78,7 @@ class TestVerifyCommand:
         assert len(mellin) == 1 and float(mellin[0][3]) <= 1e-10 and mellin[0][5] == "pass"
 
     def test_free_small_shapes_split_draws_numeric_ks_row(self, tmp_path):
-        # n = 300000 draws a block of 2^18 values by split Jöhnk fills, which
+        # n = 300000 draws a block of 2^18 values by Jöhnk fills, which
         # never form 0/0; a NaN in a KS sample exits 2. The overflow warnings
         # of these shapes belong to ROADMAP item 2; an invalid-value warning
         # fails this test
@@ -421,8 +421,8 @@ class TestBadInputExitTwo:
         assert code == 2
         assert len(rows) == 1 and rows[0][2] == "error"
         assert rows[0][3] == "DomainError: rhs sampler refused"
-        # samplers run on the calling thread; only numpy fills, sorts and
-        # scans use a worker
+        # samplers run on the calling thread; only the KS sorts and scans
+        # use a worker
         assert threads == [threading.main_thread()]
 
     def test_error_in_ks_worker_thread_is_error_row(self, tmp_path, monkeypatch):
@@ -549,7 +549,7 @@ class TestEdgeShapes:
         assert all(r[5] == "pass" for r in rows)
 
     def test_ab_half_small_a_split_draws(self):
-        # the split Jöhnk draw of Beta(0.01, 1/2) forms its logistic from
+        # the Jöhnk draw of Beta(0.01, 1/2) forms its logistic from
         # exp(-|d|): 1/(1 + exp(-d)) overflows for d below -709.8
         code, rows = _run_checked(["verify", "ab-half", "--a", "0.01", "--n", "300000",
                                    "--seed", "1"])
@@ -600,6 +600,29 @@ class TestEdgeShapes:
         # E1(2z) down to z = 1e-12: integrand structure just above u = 0
         code, rows = _run_checked(["probe", "k0-e1", "--z-lo", "1e-12"])
         assert code == 0 and rows
+
+    @pytest.mark.parametrize("z_lo, flags, code", [
+        ("1e-40", [], 0), ("1e-45", [], 2), ("1e-60", [], 2), ("1e-100", [], 2),
+        ("1e-300", [], 2), ("1.333521432163324e-48", ["--order", "10", "--z-n", "60"], 2),
+        ("5.623413251903491e-48", ["--lcm", "--order", "8"], 2)])
+    def test_probe_fine_grid_near_zero(self, z_lo, flags, code, capsys):
+        # a window's k-th derivative scales as its half-width^-k: past the
+        # double range the probe exits 2 naming the window and the order,
+        # where it read inconclusive (exit 1) with overflow warnings
+        argv = ["probe", "psi-cc", "--a", "0.7", "--c", "0.3", "--c-prime", "-0.5",
+                "--z-lo", z_lo, "--z-hi", "50", *flags]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == code
+        assert [str(w.message) for w in caught] == []
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert err == ""
+            assert {row[6] for row in list(csv.reader(io.StringIO(out)))[1:]} == {"holds"}
+        else:
+            assert len(err.splitlines()) == 1
+            assert "DomainError: probe window of half-width" in err
+            assert "too narrow for derivatives of order" in err
 
     def test_thorin_unit_a_large_x_small_t(self):
         # g_x(t)^2 overflows here; the density is tiny but positive

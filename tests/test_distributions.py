@@ -15,8 +15,6 @@ from bpl.distributions import (
     BetaPrimeParams,
     GammaParams,
     RngState,
-    _SPLIT,
-    _on_two_threads,
     betaprime_mellin,
     betaprime_pdf,
     sample_beta,
@@ -252,39 +250,21 @@ def _gamma_draw(t):
     return lambda rng, n: sample_gamma(GammaParams(t), rng, n)
 
 
-def _split_plan(seed, expr, n):
-    """A split draw done in sequence: expr(gen, m) for the first n // 2
-    values from the generator and for the rest from its first spawned child;
-    then the generator's next values."""
-    gen = RngState(seed).generator
-    child = gen.spawn(1)[0]
-    half = n // 2
-    return np.concatenate([expr(gen, half), expr(child, n - half)]), gen.random(4)
+# draw sizes on both sides of 2^17 and past one verify block of 2^18
+_ONE_STREAM_SIZES = (1000, (1 << 17) - 1, (1 << 18) + 1)
 
 
-def _assert_equals_split_plan(draw, expr, seed, n):
-    rng = RngState(seed)
-    got = draw(rng, n)
-    want, want_next = _split_plan(seed, expr, n)
-    assert got.tobytes() == want.tobytes()
-    assert rng.generator.random(4).tobytes() == want_next.tobytes()
-
-
-def _assert_one_stream(monkeypatch, draw, expr):
-    """Below _SPLIT, draw(rng, n) is expr on the caller's generator alone:
-    no spawn and no thread, and the generator's next values continue the
+def _assert_one_stream(draw, expr, seed, sizes=_ONE_STREAM_SIZES):
+    """At each n of sizes, draw(rng, n) is expr on the caller's generator
+    alone: no child is spawned, and the generator's next values continue the
     stream."""
-    def no_thread(worker, here):
-        raise AssertionError("a draw below _SPLIT started a worker thread")
-
-    monkeypatch.setattr(distributions, "_on_two_threads", no_thread)
-    n = _SPLIT - 1
-    rng = RngState(63)
-    got = draw(rng, n)
-    gen = RngState(63).generator
-    assert got.tobytes() == expr(gen, n).tobytes()
-    assert rng.generator.random(4).tobytes() == gen.random(4).tobytes()
-    assert rng.generator.bit_generator.seed_seq.n_children_spawned == 0
+    for n in sizes:
+        rng = RngState(seed)
+        got = draw(rng, n)
+        gen = RngState(seed).generator
+        assert got.tobytes() == expr(gen, n).tobytes(), n
+        assert rng.generator.random(4).tobytes() == gen.random(4).tobytes(), n
+        assert rng.generator.bit_generator.seed_seq.n_children_spawned == 0, n
 
 
 _SHAPES = [0.2, 0.5, 1.0, 4.0]
@@ -292,7 +272,7 @@ _SHAPES = [0.2, 0.5, 1.0, 4.0]
 
 class TestSpawn:
     def test_children_unchanged_by_a_split_draw(self):
-        # a split draw's gen.spawn(1) advances the generator's own sequence
+        # children depend on the seed and earlier spawns, not on draws
         first = RngState(3).spawn(1)[0].generator.random()
         rng = RngState(3)
         sample_gamma(GammaParams(0.5), rng, 1 << 18)
@@ -309,7 +289,7 @@ class TestSpawn:
         want = [r.generator.random() for r in RngState(4).spawn(3)]
         rng = RngState(4)
         first = rng.spawn(1)
-        sample_gamma(GammaParams(2.5), rng, _SPLIT)
+        sample_gamma(GammaParams(2.5), rng, 1 << 18)
         assert [r.generator.random() for r in first + rng.spawn(2)] == want
 
 
@@ -353,41 +333,20 @@ def _peak(draw):
 class TestFillMemory:
     """A fill's second operand goes through one buffer of _CHUNK values."""
 
-    @pytest.mark.parametrize("t, n", [(0.3, _SPLIT - 1), (0.3, 1 << 18), (1.5, 1 << 18),
+    @pytest.mark.parametrize("t, n", [(0.3, (1 << 17) - 1), (0.3, 1 << 18), (1.5, 1 << 18),
                                       (2.0, 1 << 18)])
     def test_temporaries_stay_one_chunk_per_fill(self, t, n):
         peak = _peak(lambda: sample_gamma(GammaParams(t), RngState(65), n))
-        # the draw itself, one buffer per fill (two fills run at once on a
-        # split draw) and a few kB of generator and thread objects
-        assert peak <= 8 * (n + 2 * distributions._CHUNK) + 65536, peak / (8 * n)
+        # the draw itself, the fill's one buffer and a few kB of generator
+        # objects
+        assert peak <= 8 * (n + distributions._CHUNK) + 65536, peak / (8 * n)
 
-    @pytest.mark.parametrize("n", [_SPLIT - 1, 1 << 18])
+    @pytest.mark.parametrize("n", [(1 << 17) - 1, 1 << 18])
     def test_ratio_holds_one_second_array(self, n):
         peak = _peak(lambda: sample_beta(BetaParams(0.3, 2.5), RngState(65), n))
-        # the draw, the G(q) array of n values (a slice of it per fill) and
-        # the U^(1/t) buffer of each fill
-        assert peak <= 8 * (2 * n + 2 * distributions._CHUNK) + 65536, peak / (8 * n)
-
-    @pytest.mark.parametrize("prime", [False, True])
-    @pytest.mark.parametrize("p, q", [(0.3, 2.5), (2.0, 3.0)])
-    def test_ratio_worker_allocates_no_half(self, p, q, prime, monkeypatch):
-        # the G(q) array is made on the calling thread, each half filling its
-        # slice: an array the worker made would stay in its malloc arena
-        made = []
-        empty = np.empty
-
-        def recording(*args, **kwargs):
-            x = empty(*args, **kwargs)
-            made.append((threading.current_thread(), x.size))
-            return x
-
-        monkeypatch.setattr(np, "empty", recording)
-        n = 1 << 18
-        _law_draw(p, q, prime, RngState(66), n)
-        here = [size for thread, size in made if thread is threading.main_thread()]
-        there = [size for thread, size in made if thread is not threading.main_thread()]
-        assert here.count(n) == 2  # the draw and its G(q) array
-        assert max(there, default=0) <= distributions._CHUNK, there
+        # the draw, the G(q) array of n values and the U^(1/t) buffer of the
+        # G(p) fill
+        assert peak <= 8 * (2 * n + distributions._CHUNK) + 65536, peak / (8 * n)
 
 
 # one law per construction: the gamma fills, the one-variate, Jöhnk and
@@ -404,7 +363,7 @@ class TestOut:
     """out= (numpy's convention): the draw goes into the caller's array,
     which is returned, with the bits of the out=None draw."""
 
-    @pytest.mark.parametrize("n", [1000, _SPLIT + 1])
+    @pytest.mark.parametrize("n", [1000, (1 << 17) + 1])
     @pytest.mark.parametrize("sampler, params", _CONSTRUCTIONS)
     def test_into_out_equals_new_array(self, sampler, params, n):
         want = sampler(params, RngState(91), n)
@@ -430,8 +389,10 @@ class TestOut:
 
 
 class TestSplitDraw:
-    """From _SPLIT values on, a draw fills its two halves on two threads;
-    below it, one fill runs on the caller's generator."""
+    """A draw of any size is one fill on the caller's generator, on the
+    calling thread: the values are the law's expression on that one stream
+    (at 2^17 values and more too, where the draw was once split over two
+    threads)."""
 
     N = 1 << 18
 
@@ -440,50 +401,23 @@ class TestSplitDraw:
         got = [sample_gamma(GammaParams(t), RngState(61), self.N) for _ in range(2)]
         assert got[0].tobytes() == got[1].tobytes()
 
-    @pytest.mark.parametrize("n", [N, _SPLIT + 1])
+    @pytest.mark.parametrize("n", [N, (1 << 17) + 1])
     @pytest.mark.parametrize("t", [0.3, 0.5, 1.0, 1.5, 2.0, 2.5])
     def test_equals_sequential_plan(self, t, n):
-        _assert_equals_split_plan(_gamma_draw(t), lambda g, m: _half_expr(g, t, m), 62, n)
+        _assert_one_stream(_gamma_draw(t), lambda g, m: _half_expr(g, t, m), 62, [n])
 
     @pytest.mark.parametrize("t", [0.3, 0.5, 1.0, 1.5, 2.0, 2.5])
-    def test_below_split_is_one_stream(self, t, monkeypatch):
-        _assert_one_stream(monkeypatch, _gamma_draw(t), lambda g, m: _half_expr(g, t, m))
+    def test_below_split_is_one_stream(self, t):
+        _assert_one_stream(_gamma_draw(t), lambda g, m: _half_expr(g, t, m), 63)
 
-    def test_worker_error_raised_in_caller(self, monkeypatch, capfd):
-        fill = distributions._fill_gamma
+    @pytest.mark.parametrize("sampler, params", _CONSTRUCTIONS)
+    def test_starts_no_thread(self, sampler, params, monkeypatch):
+        def refuse(thread):
+            raise AssertionError("a sampler started a thread")
 
-        def refuse_off_main(gen, shape, out):
-            if threading.current_thread() is not threading.main_thread():
-                raise DomainError("worker fill refused")
-            fill(gen, shape, out)
-
-        monkeypatch.setattr(distributions, "_fill_gamma", refuse_off_main)
-        before = threading.active_count()
-        with pytest.raises(DomainError, match="worker fill refused"):
-            sample_gamma(GammaParams(0.5), RngState(64), self.N)
-        assert threading.active_count() == before
-        assert capfd.readouterr().err == ""
-
-    def test_worker_keeps_the_callers_error_settings(self):
-        seen = []
-
-        def fill(gen, out):
-            seen.append(np.geterr()["over"])
-
-        with np.errstate(over="ignore"):
-            distributions._sample(RngState(64).generator, fill, np.empty(self.N))
-        assert seen == ["ignore", "ignore"]
-
-    def test_caller_error_joins_worker(self):
-        done = []
-
-        def refuse():
-            raise DomainError("caller refused")
-
-        before = threading.active_count()
-        with pytest.raises(DomainError, match="caller refused"):
-            _on_two_threads(lambda: done.append(1), refuse)
-        assert done == [1] and threading.active_count() == before
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        n = (1 << 18) + 1
+        assert sampler(params, RngState(64), n).size == n
 
     def test_no_thread_outlives_a_draw(self):
         before = threading.active_count()
@@ -495,9 +429,9 @@ class TestSplitDraw:
 
 
 class TestSplitDrawLaw:
-    """Each half of a split draw follows the gamma law on its own, and the
-    two halves agree: an unfilled half (np.empty) or a child stream that
-    repeats its parent fails at alpha = 1e-6."""
+    """Each half of one large draw follows the gamma law on its own, and the
+    two halves agree: an unfilled half (np.empty) or a stream that repeats
+    itself fails at alpha = 1e-6."""
 
     N = 1 << 20
 
@@ -519,23 +453,22 @@ _RATIO = [(2.0, 3.0), (0.5, 2.5), (1.5, 0.3)]
 
 class TestRatioDraw:
     """Every other beta or beta prime law is G(p) / (G(p) + G(q)) or
-    G(p) / G(q); each half of a split draw takes both gammas from its own
-    generator, so the draw starts one worker."""
+    G(p) / G(q), both gammas from the caller's generator."""
 
     N = 1 << 18
 
     @pytest.mark.parametrize("prime", [False, True])
     @pytest.mark.parametrize("p, q", _RATIO)
-    @pytest.mark.parametrize("n", [N, _SPLIT + 1])
+    @pytest.mark.parametrize("n", [N, (1 << 17) + 1])
     def test_equals_sequential_plan(self, p, q, prime, n):
-        _assert_equals_split_plan(lambda rng, m: _law_draw(p, q, prime, rng, m),
-                                  lambda g, m: _ratio_expr(g, p, q, prime, m), 67, n)
+        _assert_one_stream(lambda rng, m: _law_draw(p, q, prime, rng, m),
+                           lambda g, m: _ratio_expr(g, p, q, prime, m), 67, [n])
 
     @pytest.mark.parametrize("prime", [False, True])
     @pytest.mark.parametrize("p, q", _RATIO)
-    def test_below_split_is_one_stream(self, p, q, prime, monkeypatch):
-        _assert_one_stream(monkeypatch, lambda rng, m: _law_draw(p, q, prime, rng, m),
-                           lambda g, m: _ratio_expr(g, p, q, prime, m))
+    def test_below_split_is_one_stream(self, p, q, prime):
+        _assert_one_stream(lambda rng, m: _law_draw(p, q, prime, rng, m),
+                           lambda g, m: _ratio_expr(g, p, q, prime, m), 63)
 
 
 # one law per construction of a one-variate draw: Beta(1, q), Beta(p, 1)
@@ -551,38 +484,22 @@ class TestOneVariateDraw:
 
     @pytest.mark.parametrize("prime", [False, True])
     @pytest.mark.parametrize("p, q", _ONE_VARIATE + [(1.0, 2.5)])
-    @pytest.mark.parametrize("n", [N, _SPLIT + 1])
+    @pytest.mark.parametrize("n", [N, (1 << 17) + 1])
     def test_equals_sequential_plan(self, p, q, prime, n):
-        _assert_equals_split_plan(lambda rng, m: _law_draw(p, q, prime, rng, m),
-                                  lambda g, m: _one_variate_expr(g, p, q, prime, m), 71, n)
+        _assert_one_stream(lambda rng, m: _law_draw(p, q, prime, rng, m),
+                           lambda g, m: _one_variate_expr(g, p, q, prime, m), 71, [n])
 
     @pytest.mark.parametrize("prime", [False, True])
     @pytest.mark.parametrize("p, q", _ONE_VARIATE)
-    def test_below_split_is_one_stream(self, p, q, prime, monkeypatch):
-        _assert_one_stream(monkeypatch, lambda rng, m: _law_draw(p, q, prime, rng, m),
-                           lambda g, m: _one_variate_expr(g, p, q, prime, m))
+    def test_below_split_is_one_stream(self, p, q, prime):
+        _assert_one_stream(lambda rng, m: _law_draw(p, q, prime, rng, m),
+                           lambda g, m: _one_variate_expr(g, p, q, prime, m), 63)
 
     @pytest.mark.parametrize("prime", [False, True])
     @pytest.mark.parametrize("p, q", _ONE_VARIATE)
     def test_temporaries_stay_one_chunk(self, p, q, prime):
         peak = _peak(lambda: _law_draw(p, q, prime, RngState(73), self.N))
         assert peak <= 8 * (self.N + 2 * distributions._CHUNK) + 65536, peak / (8 * self.N)
-
-    def test_worker_error_raised_in_caller(self, monkeypatch, capfd):
-        fill = distributions._fill_one_variate
-
-        def refuse_off_main(gen, p, q, prime, out):
-            if threading.current_thread() is not threading.main_thread():
-                raise DomainError("worker fill refused")
-            fill(gen, p, q, prime, out)
-
-        monkeypatch.setattr(distributions, "_fill_one_variate", refuse_off_main)
-        before = threading.active_count()
-        for prime in (False, True):
-            with pytest.raises(DomainError, match="worker fill refused"):
-                _law_draw(1.0, 0.5, prime, RngState(74), self.N)
-        assert threading.active_count() == before
-        assert capfd.readouterr().err == ""
 
 
 class TestOneVariateLaw:
@@ -634,39 +551,23 @@ class TestJohnkDraw:
 
     @pytest.mark.parametrize("prime", [False, True])
     @pytest.mark.parametrize("p, q", [(0.25, 0.25), (0.2, 0.3), (0.999, 0.999)])
-    @pytest.mark.parametrize("n", [N, _SPLIT + 1])
+    @pytest.mark.parametrize("n", [N, (1 << 17) + 1])
     def test_equals_sequential_plan(self, p, q, prime, n):
-        _assert_equals_split_plan(lambda rng, m: _law_draw(p, q, prime, rng, m),
-                                  lambda g, m: _johnk_expr(g, p, q, prime, m), 81, n)
+        _assert_one_stream(lambda rng, m: _law_draw(p, q, prime, rng, m),
+                           lambda g, m: _johnk_expr(g, p, q, prime, m), 81, [n])
 
     @pytest.mark.parametrize("prime", [False, True])
     @pytest.mark.parametrize("p, q", [(0.25, 0.25), (0.5, 0.2)])
-    def test_below_split_is_one_stream(self, p, q, prime, monkeypatch):
-        _assert_one_stream(monkeypatch, lambda rng, m: _law_draw(p, q, prime, rng, m),
-                           lambda g, m: _johnk_expr(g, p, q, prime, m))
+    def test_below_split_is_one_stream(self, p, q, prime):
+        _assert_one_stream(lambda rng, m: _law_draw(p, q, prime, rng, m),
+                           lambda g, m: _johnk_expr(g, p, q, prime, m), 63)
 
     @pytest.mark.parametrize("prime", [False, True])
     def test_temporaries_stay_within_six_chunks(self, prime):
         peak = _peak(lambda: _law_draw(0.25, 0.25, prime, RngState(83), self.N))
-        # the draw, and per fill (two run at once) two buffers of _BATCH
-        # candidates and one round's kept values
+        # the draw, two buffers of _BATCH candidates and one round's kept
+        # values
         assert peak <= 8 * (self.N + 6 * distributions._CHUNK) + 65536, peak / (8 * self.N)
-
-    def test_worker_error_raised_in_caller(self, monkeypatch, capfd):
-        fill = distributions._fill_johnk
-
-        def refuse_off_main(gen, p, q, prime, out):
-            if threading.current_thread() is not threading.main_thread():
-                raise DomainError("worker fill refused")
-            fill(gen, p, q, prime, out)
-
-        monkeypatch.setattr(distributions, "_fill_johnk", refuse_off_main)
-        before = threading.active_count()
-        for prime in (False, True):
-            with pytest.raises(DomainError, match="worker fill refused"):
-                _law_draw(0.25, 0.25, prime, RngState(84), self.N)
-        assert threading.active_count() == before
-        assert capfd.readouterr().err == ""
 
 
 class TestJohnkLaw:

@@ -311,6 +311,38 @@ class TestTwoSidedVerify:
         assert threading.active_count() == before
 
 
+class TestOnTwoThreads:
+    """_on_two_threads, the worker of ks_two_sample's sorts and scans."""
+
+    def test_worker_error_raised_in_caller(self, capfd):
+        def refuse():
+            raise DomainError("worker refused")
+
+        before = threading.active_count()
+        with pytest.raises(DomainError, match="worker refused"):
+            identities._on_two_threads(refuse, lambda: None)
+        assert threading.active_count() == before
+        assert capfd.readouterr().err == ""
+
+    def test_worker_keeps_the_callers_error_settings(self):
+        def over():
+            return np.geterr()["over"]
+
+        with np.errstate(over="ignore"):
+            assert identities._on_two_threads(over, over) == ("ignore", "ignore")
+
+    def test_caller_error_joins_worker(self):
+        done = []
+
+        def refuse():
+            raise DomainError("caller refused")
+
+        before = threading.active_count()
+        with pytest.raises(DomainError, match="caller refused"):
+            identities._on_two_threads(lambda: done.append(1), refuse)
+        assert done == [1] and threading.active_count() == before
+
+
 class TestBlockDraws:
     """verify fills each KS side in place, one block of at most _DRAW_BLOCK
     values per sampler call, with work rows made once, sorts both arrays in
@@ -444,9 +476,7 @@ class TestCallingThreadOnly:
             fn = getattr(spec, field)
             if fn is not None:
                 setattr(spec, field, _recording(fn, f"spec.{field}", seen))
-        n = 2 ** 18
-        assert n >= distributions._SPLIT
-        rep = identities.verify(spec, n, RngState(81))
+        rep = identities.verify(spec, 2 ** 18, RngState(81))
         assert rep.passed, rep
         names = {name for name, _ in seen}
         assert {"bpl.identities.ks_two_sample", "bpl.distributions.sample_betaprime",
