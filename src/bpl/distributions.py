@@ -235,8 +235,7 @@ def _fill_one_variate(gen: np.random.Generator, p: float, q: float, prime: bool,
 
 
 # candidates per round of a Jöhnk fill: its two candidate buffers and the
-# temporary that copies a round's kept values out stay within 1.5 _CHUNK
-# values
+# temporary of a round's kept values stay within 1.5 _CHUNK values
 _BATCH = _CHUNK >> 1
 
 

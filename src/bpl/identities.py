@@ -262,8 +262,7 @@ def ks_two_sample(xs, ys):
     return max(_on_two_threads(lambda: _ks_side(xs, ys), lambda: _ks_side(ys, xs)))
 
 
-# verify draws a KS side one block of at most this many values per sampler
-# call
+# values per sampler call when verify draws a KS side in blocks
 _DRAW_BLOCK = 1 << 18
 
 
