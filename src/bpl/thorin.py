@@ -3,22 +3,26 @@
 The central object is the increasing ratio f of two singular exponential
 integrals; the cumulative measure follows from it by an explicit arctangent
 primitive, the density by differentiating the ratio, and the a = 1 case by a
-separate Frullani-type integral. Everything is kept in log scale internally
-so arguments far beyond exp-overflow remain usable.
+separate Frullani-type integral. The two integrals are computed as logs,
+each quadrature column divided inside its exponential by the closed-form
+peak of its integrand, so every column is of order 1 whatever t and a + x;
+the cumulative measure and the density come from log f through
+g = exp(-|log f|), which never overflows, so t far beyond exp-overflow of f
+remains usable.
 
 Array contract: every public function of t (f_ax, thorin_cdf,
 thorin_density, thorin_cdf_a1) and awk_density take an array and return an
 array of its shape (a float for a scalar). A point outside the domain (t > 0;
 a finite t for awk_density) raises DomainError before anything is evaluated.
-Each t keeps its own branch by mask: a column of the numerator integral that
-would come near underflow is rescaled. f_ax, thorin_cdf, thorin_density and
-the a = 1 functions are one vector-valued quadrature pass with one column per
-t (two per t for g_x, whose middle integrand is split into its two one-signed
-terms); the density's five-point stencil adds four points per t to the same
-pass. Long arrays of these are evaluated in blocks of columns
-(quadrature.column_blocks), one shared mesh per block. awk_density wraps
-thorin_density, which blocks its own columns, and takes the whole flattened
-array in one call (quadrature._flat).
+Each t keeps its own branch by mask: a column of the numerator integral
+far past the bulk of its integrand is taken in r = tw. f_ax, thorin_cdf,
+thorin_density and the a = 1 functions are one vector-valued quadrature pass
+with one column per t (two per t for g_x, whose middle integrand is split
+into its two one-signed terms); the density's five-point stencil adds four
+points per t to the same pass. Long arrays of these are evaluated in blocks
+of columns (quadrature.column_blocks), one shared mesh per block.
+awk_density wraps thorin_density, which blocks its own columns, and takes
+the whole flattened array in one call (quadrature._flat).
 """
 
 from __future__ import annotations
@@ -59,52 +63,64 @@ class ThorinParams:
 def _log_upper(a: float, x: float, ts: np.ndarray) -> np.ndarray:
     """log of integral_0^1 u^(-a) (1-u)^(a+x-1) e^(tu) du at every t of ts,
     computed as t + log integral_0^1 (1-w)^(-a) w^(a+x-1) e^(-tw) dw; one
-    quadrature column per t. That integral is about Gamma(a+x) t^-(a+x); where
-    it falls below e^-600, near the absolute tolerance of 1e-300, the column
-    is rescaled, w = r/t, and divided by Gamma(a+x) inside its exponential,
-    to about 1 whatever a + x; r/t clamped at 0.99 keeps the e^-r mass
-    beyond r = t. That mass is below rounding where r^(a+x-1) e^-r at
-    r = 0.99 t is below e^-40 of its peak at r = a + x - 1; a t nearer the
-    peak, which only a + x above about 420 reaches, is a DomainError.
-    """
+    quadrature column per t, divided inside its exponential by the peak of
+    w^(a+x) e^(-tw), at w = min(1, (a+x)/t). Far past the bulk, the column
+    is taken in r = tw, whose bump stays at r = a + x - 1, with r/t clamped
+    at 0.99: that keeps the e^-r mass beyond r = 0.99 t, below rounding where
+    0.99 t lies past a + x - 1 and r^(a+x-1) e^-r there is below
+    e^-40 Gamma(a+x), the only t that take this route. The singular part
+    w^min(a+x-1, 0), or r^min(a+x-1, 0), is the quadrature's weight."""
+    m = a + x - 1.0
+    k = min(m, 0.0)
+    r0 = 0.99 * ts
+    far = (r0 > m) & (m * np.log(r0) - r0 < math.lgamma(a + x) - 40.0)
     out = np.empty(ts.shape)
-    lg = math.lgamma(a + x)
-    far = (a + x) * np.log(ts) - lg > 600.0
-    near = ~far
-    if near.any():
-        tn = ts[near]
-        val = beta_kernel(lambda w: np.exp(np.multiply.outer(w, -tn)), a + x - 1.0, -a)
-        out[near] = tn + np.log(val)
+    if not far.all():
+        tn = ts[~far]
+        lpeak = (a + x) * np.log(np.minimum(1.0, (a + x) / tn)) - np.minimum(tn, a + x)
+
+        def column(w):
+            e = np.multiply.outer(w, -tn)
+            e += ((m - k) * np.log(w))[:, None]
+            e -= lpeak
+            return np.exp(e, out=e)
+
+        out[~far] = tn + lpeak + np.log(beta_kernel(column, k, -a))
     if far.any():
         tf = ts[far]
-        m, r0 = a + x - 1.0, 0.99 * tf
-        if m > 0.0:
-            bad = tf[(r0 <= m) | (m * np.log(r0 / m) - (r0 - m) > -40.0)]
-            if bad.size:
-                raise DomainError(f"the Thorin ratio at a + x = {a + x:.6g} is out of reach "
-                                  f"for t in [{bad.min():.6g}, {bad.max():.6g}]: the rescaled "
-                                  f"numerator needs t beyond the bulk of its Gamma(a+x) weight")
+        lpeak = (a + x) * (math.log(a + x) - 1.0)  # r^(a+x) e^-r at r = a + x
 
-        def smooth(r):
-            # r^(a+x-1) e^-r / Gamma(a+x) as one exponential: r^(a+x-1) alone
-            # overflows far out, and Gamma(a+x) past a + x = 171
-            frac = np.minimum(np.divide.outer(r, tf), 0.99)
-            return (1.0 - frac) ** (-a) * np.exp(m * np.log(r) - r - lg)[:, None]
+        def column(r):
+            # (1 - r/t)^(-a) r^(a+x-1-k) e^-r as one exponential: its factors
+            # overflow and underflow apart far out
+            e = np.divide.outer(r, -tf)
+            np.log1p(np.maximum(e, -0.99, out=e), out=e)
+            e *= -a
+            e += ((m - k) * np.log(r) - r - lpeak)[:, None]
+            return np.exp(e, out=e)
 
-        val = halfline_power(smooth, 0.0)
-        out[far] = tf - (a + x) * np.log(tf) + np.log(val) + lg
+        out[far] = tf - (a + x) * np.log(tf) + lpeak + np.log(halfline_power(column, k))
     return out
 
 
 def _log_lower(a: float, x: float, ts: np.ndarray) -> np.ndarray:
     """log of integral_0^inf u^(-a) (1+u)^(a+x-1) e^(-tu) du at every t of ts,
-    one quadrature column per t. The integral is about Gamma(1-a) t^(a-1) at
-    large t, a normal double for every t, so no column is rescaled."""
-    def smooth(u):
-        # one exponential, so a large power times a vanishing factor is no inf * 0
-        return np.exp((a + x - 1.0) * np.log1p(u)[:, None] - np.multiply.outer(u, ts))
+    as t^(a-1) integral_0^inf r^(-a) (1+r/t)^(a+x-1) e^-r dr in r = tu, one
+    column per t divided by the peak of (1+r/t)^(a+x-1) e^-r, at
+    r = max(0, a+x-1-t)."""
+    m = a + x - 1.0
+    lpeak = m * np.log(np.maximum(1.0, m / ts)) - np.maximum(0.0, m - ts)
 
-    return np.log(halfline_power(smooth, -a))
+    def column(r):
+        # one exponential, so a large power times a vanishing factor is no inf * 0
+        e = np.divide.outer(r, ts)
+        np.log1p(e, out=e)
+        e *= m
+        e -= r[:, None]
+        e -= lpeak
+        return np.exp(e, out=e)
+
+    return (a - 1.0) * np.log(ts) + lpeak + np.log(halfline_power(column, -a))
 
 
 def _log_f_ax(a: float, x: float, ts: np.ndarray) -> np.ndarray:
@@ -153,9 +169,8 @@ def f_ax(p: ThorinParams, t):
         raise DomainError("the integral ratio needs a < 1; a = 1 has its own route")
 
     def block(ts):
-        lf = _log_f_ax(p.a, p.x, ts)
         with np.errstate(over="ignore"):
-            return np.where(lf < 709.0, np.exp(lf), math.inf)
+            return np.exp(_log_f_ax(p.a, p.x, ts))
 
     return column_blocks(block, t, _T_DOMAIN)
 
@@ -167,20 +182,17 @@ def thorin_cdf(p: ThorinParams, t):
         return thorin_cdf_a1(p.x, t)
     a = p.a
     s, c1 = _sin_one_plus_cos(a)
-    base = math.atan2(math.cos(math.pi * a), s)  # atan(c/s) on the principal branch, s > 0
 
     def block(ts):
         lf = _log_f_ax(a, p.x, ts)
-        out = np.empty(lf.shape)
-        big = lf > 35.0
-        # arctan((f+c)/s) = pi/2 - s e^(-log f) (1 + O(e^(-log f)))
-        out[big] = np.minimum(
-            1.0, (0.5 * math.pi - base - s * np.exp(-lf[big])) / (math.pi * a))
-        # arctan((f+c)/s) - arctan(c/s) without the cancellation at small f,
-        # and 1 + c f as (1 - f) + (1 + c) f, without it as a -> 1 and f -> 1
-        f, em = np.exp(lf[~big]), np.expm1(lf[~big])
-        out[~big] = np.arctan2(f * s, c1 * f - em) / (math.pi * a)
-        return out
+        # g = exp(-|log f|) and e = expm1(-|log f|), which never overflow:
+        # f and f - 1 where f <= 1, 1/f and 1/f - 1 where f > 1
+        g, e = np.exp(-np.abs(lf)), np.expm1(-np.abs(lf))
+        # arctan((f+c)/s) - arctan(c/s) = arctan2(s f, (1 + c) f - (f - 1)),
+        # without the cancellation at small f or as a -> 1 and f -> 1; where
+        # f > 1 both arguments are divided by f, to s and (1 + c) - (1 - 1/f)
+        f, em = np.where(lf > 0.0, (np.ones_like(g), -e), (g, e))
+        return np.minimum(1.0, np.arctan2(s * f, c1 * f - em) / (math.pi * a))
 
     return column_blocks(block, t, _T_DOMAIN)
 
@@ -199,18 +211,11 @@ def thorin_density(p: ThorinParams, t):
     def block(ts):
         pts, h = _stencil(ts)
         lfs = _log_f_ax(a, p.x, pts.ravel()).reshape(pts.shape)
-        dlf = _five_point(lfs, h)
-        lf = lfs[2]
-        out = np.empty(lf.shape)
-        big = lf > 700.0
-        # f'/(f^2+2cf+1) = (dlog f) / (f + 2c + 1/f), overflow-free in log scale
-        out[big] = s * dlf[big] * np.exp(-lf[big]) / (math.pi * a)
-        # f + 2c + 1/f as (f-1)^2/f + 2(1 + c), which keeps its digits as
-        # a -> 1 and f -> 1, where the three terms cancel to about (1-a)^2;
-        # (f-1)/f first, so (f-1)^2 never overflows
-        f, em = np.exp(lf[~big]), np.expm1(lf[~big])
-        out[~big] = s * dlf[~big] / (math.pi * a * (em / f * em + 2.0 * c1))
-        return out
+        g, e = np.exp(-np.abs(lfs[2])), np.expm1(-np.abs(lfs[2]))  # as in thorin_cdf
+        # f'/(f^2+2cf+1) = (dlog f) f / ((f-1)^2 + 2(1 + c) f), which keeps its
+        # digits as a -> 1 and f -> 1, where the three terms of f^2 + 2cf + 1
+        # cancel to about (1-a)^2; divided by f^2 where f > 1
+        return s * _five_point(lfs, h) * g / (math.pi * a * (e * e + 2.0 * c1 * g))
 
     return column_blocks(block, t, _T_DOMAIN, width=5)
 
@@ -262,12 +267,9 @@ def _density_a1(x: float, t):
         pts, h = _stencil(ts)
         g = _gx(x, pts.ravel()).reshape(pts.shape)
         dg, g = _five_point(g, h), g[2]
-        out = np.empty(g.shape)
-        # g'/(1 + g^2) = (g'/g) / (g + 1/g) where |g| > 1, so g^2 never overflows
-        big = np.abs(g) > 1.0
-        out[~big] = dg[~big] / (math.pi * (1.0 + g[~big] ** 2))
-        out[big] = dg[big] / g[big] / (math.pi * (g[big] + 1.0 / g[big]))
-        return out
+        # g'/(1 + g^2) divided through by max(1, |g|), so g^2 never overflows
+        q = np.maximum(1.0, np.abs(g))
+        return dg / q / (math.pi * (1.0 / q + g * (g / q)))
 
     return column_blocks(block, t, _GX_DOMAIN, width=10)
 

@@ -144,6 +144,31 @@ class TestProbeCommand:
         assert code == 0
         assert {r[1] for r in rows} == {"c=0.4;nu=1.3"}
 
+    def test_bounds_row_at_the_limit(self, tmp_path):
+        # values near z = 0 read one ulp above the sharp z -> 0 limit
+        code, _, rows = _run_csv(
+            ["probe", "hermite-doubling", "--nu", "0.5", "--z-lo", "1e-30"], tmp_path)
+        assert code == 0
+        assert rows[-1][2] == "bounds" and rows[-1][6] == "holds"
+
+    @pytest.mark.parametrize("shrink, code, verdict", [(1e-12, 0, "holds"),
+                                                       (1e-11, 1, "violated")])
+    def test_bounds_allowance(self, tmp_path, monkeypatch, shrink, code, verdict):
+        # the same values against an upper bound moved below the limit:
+        # within the allowance of 4 _RTOL they hold, beyond it they do not
+        from bpl import cli
+        from bpl.probes import hermite_doubling_bounds
+
+        def bounds(nu):
+            lo, hi = hermite_doubling_bounds(nu)
+            return lo, hi * (1.0 - shrink)
+
+        monkeypatch.setattr(cli, "hermite_doubling_bounds", bounds)
+        got, _, rows = _run_csv(
+            ["probe", "hermite-doubling", "--nu", "0.5", "--z-lo", "1e-30"], tmp_path)
+        assert got == code
+        assert rows[-1][2] == "bounds" and rows[-1][6] == verdict
+
     def test_turan_psi_bounds_row(self, tmp_path):
         code, _, rows = _run_csv(
             ["probe", "turan-psi", "--a", "0.5", "--c", "0.3", "--lambda", "0.4",
@@ -178,7 +203,8 @@ class TestThorinCommand:
         assert all(float(r[5]) > 0.0 for r in rows)
 
     def test_pareto_case_and_far_branch(self, tmp_path):
-        # a = 1 has no f_ax column; t ends straddle the t = 50 switch
+        # a = 1 has no f_ax column; at a = 0.5 the grid straddles the switch
+        # to the r = tw column, near t = 40.4
         code, _, rows = _run_csv(
             ["thorin", "--a", "1", "--x", "0.5", "--t", "40:60:7"], tmp_path)
         assert code == 0
@@ -591,6 +617,15 @@ class TestEdgeShapes:
         assert [r[2] for r in rows] == ["ks", "mellin", "density"]
         assert float(rows[2][3]) <= 1e-12
 
+    @pytest.mark.parametrize("argv", [
+        "--a 0.5 --x 700 --t 600:5000:9", "--a 0.01 --x 100 --t 1e-3:1e3:5",
+        "--a 0.5 --x 60 --t 1e-6:1:3"], ids=["x=700", "x=100", "x=60"])
+    def test_thorin_large_x_both_ends_of_t(self, argv):
+        # the lower integral's (1+u)^(a+x-1), f itself or the numerator near
+        # the bulk of its Gamma(a+x) weight left the double range here
+        code, rows = _run_checked(["thorin", *argv.split()])
+        assert code == 0 and len(rows) == int(argv.rsplit(":", 1)[1])
+
     def test_thorin_small_t(self):
         # the lower integral's mass sits near u ~ 1/t = 1e12
         code, rows = _run_checked(["thorin", "--a", "0.6", "--x", "0.5", "--t", "1e-12:1:3"])
@@ -744,6 +779,18 @@ class TestThorinFuzz:
            lo=_ANY_END, hi=_ANY_END, n=st.integers(-1, 6))
     def test_any_parameters(self, a, x, lo, hi, n):
         self._check(a, x, f"{lo}:{hi}:{n}")
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=st.floats(min_value=0.01, max_value=0.99),
+           log_x=st.floats(min_value=math.log(0.01), max_value=math.log(700.0)),
+           lo=st.floats(min_value=-12.0, max_value=3.6),
+           width=st.floats(min_value=0.01, max_value=16.0), n=st.integers(1, 6))
+    def test_whole_range_exits_zero(self, a, log_x, lo, width, n):
+        # a in [0.01, 0.99], x log-uniform up to 700, t from 1e-12 to 5000
+        grid = f"{10.0 ** lo!r}:{10.0 ** min(lo + width, 3.7)!r}:{n}"
+        code, rows = _run_checked(["thorin", f"--a={a!r}", f"--x={math.exp(log_x)!r}",
+                                   f"--t={grid}"])
+        assert code == 0 and len(rows) == n
 
     @staticmethod
     def _check(a, x, grid):

@@ -44,6 +44,12 @@ class TestRatio:
         ts = np.array([1e-12, 1e-9])
         assert max_rel_err(f_ax(p, ts), [float(_f_confluent(p, t)) for t in ts]) < 1e-13
 
+    def test_finite_just_below_overflow(self):
+        # log f = 709.14 at t = 713: f = 9.4e307 is a double, and read inf
+        # when exp(log f) was cut at log f = 709
+        got = f_ax(P, 713.0)
+        assert math.isfinite(got) and rel_err(got, _f_confluent(P, 713.0)) < 1e-13
+
     def test_small_t_against_direct_quadrature(self):
         # direct, separately coded oracle for the two singular integrals
         a, x, t = 0.5, 0.5, 1e-8
@@ -169,8 +175,9 @@ class TestLargeX:
 
 
 class TestLargeT:
-    """The numerator integral is rescaled only where its value would fall
-    below e^-600. A fixed switch at t = 50 kept the e^-r mass beyond
+    """Every column of the numerator integral is divided by its peak, and
+    taken in r = tw only where the e^-r mass beyond r = 0.99 t is below
+    rounding. A fixed switch to r at t = 50 kept the e^-r mass beyond
     r = t, 3.6e-6 of f at (0.6, 20) and t = 50.5, and at (0.95, 40) its
     integrand overflowed."""
 
@@ -203,11 +210,11 @@ class TestLargeT:
 
     @pytest.mark.parametrize("t", [4.3e5, 4.5e5, 2.0e6, 2.29e6, 1e8])
     def test_numerator_across_the_rescaling(self, t):
-        # at (0.5, 60) the w integral falls to e^-600 near t = 4.4e5, where
-        # the column is rescaled, and to e^-700 near 2.3e6: an unscaled column
-        # there sits at the absolute tolerance of 1e-300, and at t = 2.29e6
-        # it was 1.5 off in log. log f itself is t + O(log t), so only
-        # relative accuracy of order t * eps is in reach
+        # at (0.5, 60) the w integral falls to e^-600 near t = 4.4e5 and to
+        # e^-700 near 2.3e6: a column not divided by its peak sits there at
+        # the absolute tolerance of 1e-300, and at t = 2.29e6 it was 1.5 off
+        # in log. log f itself is t + O(log t), so only relative accuracy of
+        # order t * eps is in reach
         a, x = 0.5, 60.0
         got = thorin._log_upper(a, x, np.array([t]))[0]
         want = mp.log(mp.beta(1 - a, a + x) * mp.hyp1f1(1 - a, 1 + x, t))
@@ -224,20 +231,46 @@ class TestLargeT:
 
     @pytest.mark.parametrize("a, x", [(0.5, 300.0), (0.3, 200.0), (0.9, 180.0)])
     def test_large_a_plus_x_numerator(self, a, x):
-        # t past the rescaling switch, where f itself is beyond overflow
+        # t where the w integral is below e^-600 and f itself beyond overflow
         ts = np.array([2e3, 1e4, 1e6])
         assert np.all((a + x) * np.log(ts) - math.lgamma(a + x) > 600.0)
         for t, got in zip(ts, thorin._log_upper(a, x, ts)):
             want = mp.log(mp.beta(1 - a, a + x) * mp.hyp1f1(1 - a, 1 + x, t))
             assert abs(got - want) < 1e-14 * t
 
-    def test_out_of_reach_near_the_gamma_bulk(self):
-        # at a + x = 700.5 the switch falls at t ~ 606, below the peak of
-        # r^(a+x-1) e^-r: the clamped column would be silently wrong there
+    def test_near_the_gamma_bulk(self):
+        # at a + x = 700.5 the bump of r^(a+x-1) e^-r sits at r = 699.5: a
+        # clamped r column would be wrong up to t ~ 957, where these t were
+        # a DomainError; the w column, divided by its peak, covers them
         p = ThorinParams(0.5, 700.0)
-        with pytest.raises(DomainError, match="out of reach"):
-            f_ax(p, np.array([300.0, 800.0]))
-        assert rel_err(f_ax(p, 300.0), _f_confluent(p, 300.0)) < 1e-13
+        ts = np.array([300.0, 600.0, 782.08, 1019.4])
+        for t, got in zip(ts, f_ax(p, ts)):
+            assert rel_err(got, _f_confluent(p, t)) < 3e-13
+
+
+class TestLogIntegrals:
+    """log of the upper and lower integrals, and log f, against mpmath's
+    B(1-a, a+x) M(1-a, 1+x, t) and Gamma(1-a) U(1-a, 1+x, t), relative to
+    max(1, |log|): on both sides of the switch to the r = tw column, down to
+    t = 1e-12, and on the t grids of three thorin commands whose integrands
+    or f left the double range before each column was divided by its peak."""
+
+    CASES = [
+        (0.5, 700.0, np.concatenate((np.geomspace(600.0, 5000.0, 9), [950.0, 965.0]))),
+        (0.01, 100.0, np.concatenate((np.geomspace(1e-3, 1e3, 5), [1e-12, 200.0, 220.0]))),
+        (0.5, 60.0, np.concatenate((np.geomspace(1e-6, 1.0, 3), [1e-12, 150.0, 160.0]))),
+        (0.9, 0.5, np.array([1e-12, 41.0, 43.0, 1e4])),
+    ]
+
+    @pytest.mark.parametrize("a, x, ts", CASES, ids=[f"{a}-{x}" for a, x, _ in CASES])
+    def test_against_confluent_forms(self, a, x, ts):
+        am, xm = mp.mpf(a), mp.mpf(x)
+        up, lo = thorin._log_upper(a, x, ts), thorin._log_lower(a, x, ts)
+        for t, u, low in zip(map(mp.mpf, ts), up, lo):
+            want_u = mp.log(mp.beta(1 - am, am + xm) * mp.hyp1f1(1 - am, 1 + xm, t))
+            want_l = mp.log(mp.gamma(1 - am) * mp.hyperu(1 - am, 1 + xm, t))
+            for got, want in ((u, want_u), (low, want_l), (u - low, want_u - want_l)):
+                assert abs(got - want) <= 1e-13 * max(1, abs(want))
 
 
 class TestCdf:
